@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 from .errors import (
     ClaimSyntaxError,
     DuplicateClaimError,
+    PrecisionExhaustedError,
     UnknownClaimError,
 )
 from .exprs import Expr, Neg, Num, Pow, Sym, evaluate, free_symbols, parse_expression
@@ -117,7 +118,12 @@ def run_claim(
     claim = registry[name]
     params = replace(ClaimParams(), **overrides)
     start = time.perf_counter()
-    outcome = claim.run(params)
+    try:
+        outcome = claim.run(params)
+    except PrecisionExhaustedError as err:
+        outcome = ClaimOutcome("undecided", {
+            "reason": "precision_exhausted", "precision": params.precision, "detail": str(err),
+        })
     elapsed = time.perf_counter() - start
     return ClaimReport(claim.name, claim.kind, outcome.verdict, outcome.evidence, elapsed)
 
@@ -788,9 +794,12 @@ def _case_partition_claim() -> Claim:
 def _square_lift_property_claim() -> Claim:
     def run(params: ClaimParams) -> ClaimOutcome:
         result = sample_square_lift_property(samples=params.samples, seed=params.seed)
-        return ClaimOutcome(
-            "pass" if not result["counterexamples"] else "fail", result
-        )
+        if result["counterexamples"]:
+            return ClaimOutcome("fail", result)
+        if not result["hypothesis_hits"]:
+            # no sample met the hypothesis, so the sweep tested nothing
+            return ClaimOutcome("undecided", {**result, "reason": "no_hypothesis_hits"})
+        return ClaimOutcome("pass", result)
 
     return Claim(
         "lemma91_property",

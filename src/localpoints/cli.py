@@ -22,8 +22,14 @@ from .claims import (
 from .errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 
 
+def _precision(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"precision must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=int, default=None, help="series precision")
+    parser.add_argument("--precision", type=_precision, default=None, help="series precision")
     parser.add_argument("--samples", type=int, default=None, help="property-test samples")
     parser.add_argument("--seed", type=int, default=None, help="property-test seed")
     parser.add_argument("--mode", choices=["exact", "truncated"], default=None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import ClaimSyntaxError
 
@@ -42,7 +42,9 @@ class Pow:
     exponent: int
 
 
-Expr = Union[Num, Sym, Neg, BinOp, Pow]
+# a PEP 604 union: typing.Union caches its result process-wide, which would keep
+# these classes, and every module they reach, alive after a re-import
+Expr = Num | Sym | Neg | BinOp | Pow
 
 
 # -- lexer ---------------------------------------------------------------------

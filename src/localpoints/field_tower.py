@@ -1,20 +1,35 @@
 """Exact arithmetic in towers of quadratic extensions of the rationals.
 
 A tower is a chain Q = K_0 < K_1 < ... < K_h where K_{i+1} = K_i[x]/(x^2 + b*x + c)
-for b, c in K_i.  Elements are coordinate vectors of length 2^h over Fraction in
-the product basis of the adjoined generators; all arithmetic is exact.
+for b, c in K_i.  An element of K_h is 2^h integer numerators over one common
+denominator, in the product basis of the adjoined generators, kept in lowest
+terms with a positive denominator (the layout of FLINT's fmpq_poly and nf_elem).
+Equal elements of one tower therefore have equal numerators and denominators.
+
+Each tower turns its steps into integer form once.  For step k, with constants
+b and c, D_k is their common denominator and D_k*b, D_k*c are integer vectors.
+Products are computed on integer vectors, scaled by S_k = D_k * S_{k-1}^2
+(S_0 = 1): with theta^2 = -b*theta - c,
+
+    (a0 + a1*theta)(b0 + b1*theta) = (a0*b0 - c*a1*b1) + (a0*b1 + a1*b0 - b*a1*b1)*theta,
+
+where a0*b1 + a1*b0 = (a0 + a1)(b0 + b1) - a0*b0 - a1*b1 (Karatsuba), so each
+level above the first makes three sub-products instead of four.  A single
+multi-argument gcd puts the result in lowest terms.  Inverses use the same
+recursion on the norm against the conjugate root theta' = -b - theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import NotAPrefixError
 
 Coords = tuple[Fraction, ...]
+Nums = tuple[int, ...]
 
 
 class TowerStep(NamedTuple):
@@ -28,74 +43,124 @@ class TowerStep(NamedTuple):
     c: Coords
 
 
-def _coords_add(a: Coords, b: Coords) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
+# A step constant times the integer vectors of the level below: None when it is
+# zero, an int m when it is rational (the product is then m * vector), else the
+# integer vector D_k * constant.
+_Constant = None | int | Nums
 
 
-def _coords_sub(a: Coords, b: Coords) -> Coords:
-    return tuple(x - y for x, y in zip(a, b))
+class _Level(NamedTuple):
+    """Step k in integer form: theta^2 = -(b*theta + c) / D_k over K_{k-1}."""
+
+    ds: int  # D_k * S_{k-1}
+    b: _Constant
+    c: _Constant
 
 
-def _coords_neg(a: Coords) -> Coords:
-    return tuple(-x for x in a)
+def _constant(coords: Coords, common: int, scale: int) -> _Constant:
+    ints = [q.numerator * (common // q.denominator) for q in coords]
+    if not any(ints):
+        return None
+    if not any(ints[1:]):
+        # the vector (m, 0, ..., 0) times v is m * v / S_{k-1}
+        return scale * ints[0]
+    return tuple(ints)
 
 
-def _coords_mul(a: Coords, b: Coords, steps: tuple[TowerStep, ...]) -> Coords:
-    if not steps:
-        return (a[0] * b[0],)
-    if len(steps) == 1:
-        # inlined quadratic multiply: theta^2 = -bq*theta - cq over Q
-        bq = steps[0].b[0]
-        cq = steps[0].c[0]
+def _times(const: _Constant, v: list[int], levels: tuple[_Level, ...], k: int) -> list[int]:
+    """The integer vector p with const * v = p / S_k in K_k, for a nonzero constant."""
+    if type(const) is int:
+        return [const * x for x in v]
+    return _mul(const, v, levels, k)
+
+
+def _scaled_sub(ds: int, x: list[int], const: _Constant, y: list[int],
+                levels: tuple[_Level, ...], k: int) -> list[int]:
+    """ds * x - const * y, as integer vectors scaled like _times."""
+    if const is None:
+        return x if ds == 1 else [ds * u for u in x]
+    return [ds * u - v for u, v in zip(x, _times(const, y, levels, k))]
+
+
+def _mul(a: Nums | list[int], b: Nums | list[int], levels: tuple[_Level, ...], k: int) -> list[int]:
+    """The integer vector p with a * b = p / S_k in K_k, for k >= 1."""
+    level = levels[k - 1]
+    if k == 1:
+        # on scalars a Karatsuba step costs more additions than the product it saves
         a0, a1 = a
         b0, b1 = b
+        ds, bq, cq = level
         hh = a1 * b1
-        if bq:
-            return (a0 * b0 - cq * hh, a0 * b1 + a1 * b0 - bq * hh)
-        return (a0 * b0 - cq * hh, a0 * b1 + a1 * b0)
-    half = len(a) // 2
-    sub = steps[:-1]
-    bq, cq = steps[-1].b, steps[-1].c
-    a_lo, a_hi = a[:half], a[half:]
-    b_lo, b_hi = b[:half], b[half:]
-    lolo = _coords_mul(a_lo, b_lo, sub)
-    hihi = _coords_mul(a_hi, b_hi, sub)
-    cross = _coords_add(_coords_mul(a_lo, b_hi, sub), _coords_mul(a_hi, b_lo, sub))
-    # theta^2 = -b*theta - c
-    lo = _coords_sub(lolo, _coords_mul(cq, hihi, sub))
-    hi = cross if not any(bq) else _coords_sub(cross, _coords_mul(bq, hihi, sub))
-    return lo + hi
+        lo = ds * a0 * b0 - (cq * hh if cq is not None else 0)
+        hi = ds * (a0 * b1 + a1 * b0) - (bq * hh if bq is not None else 0)
+        return [lo, hi]
+    half = len(a) >> 1
+    a0, a1, b0, b1 = a[:half], a[half:], b[:half], b[half:]
+    lolo = _mul(a0, b0, levels, k - 1)
+    hihi = _mul(a1, b1, levels, k - 1)
+    both = _mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], levels, k - 1)
+    cross = [s - x - y for s, x, y in zip(both, lolo, hihi)]
+    ds, bq, cq = level
+    return (_scaled_sub(ds, lolo, cq, hihi, levels, k - 1)
+            + _scaled_sub(ds, cross, bq, hihi, levels, k - 1))
 
 
-def _coords_inv(a: Coords, steps: tuple[TowerStep, ...]) -> Coords:
-    if not any(a):
-        raise ZeroDivisionError("division by zero field element")
-    if not steps:
-        return (1 / a[0],)
-    half = len(a) // 2
-    sub = steps[:-1]
-    bq, cq = steps[-1].b, steps[-1].c
-    lo, hi = a[:half], a[half:]
-    # norm against the conjugate theta' = -b - theta
-    norm = _coords_add(
-        _coords_sub(_coords_mul(lo, lo, sub), _coords_mul(bq, _coords_mul(lo, hi, sub), sub)),
-        _coords_mul(cq, _coords_mul(hi, hi, sub), sub),
-    )
+def _inv(v: Nums | list[int], levels: tuple[_Level, ...], k: int) -> tuple[list[int], int]:
+    """(w, d) with 1/v = w/d in K_k, for a nonzero integer vector v; d may be negative."""
+    if k == 0:
+        return [1], v[0]
+    content = gcd(*v)
+    if content != 1:
+        v = [x // content for x in v]
+    ds, bq, cq = levels[k - 1]
+    if k == 1:
+        lo, hi = v
+        norm = ds * lo * lo
+        conj_lo = ds * lo
+        if bq is not None:
+            norm -= bq * lo * hi
+            conj_lo -= bq * hi
+        if cq is not None:
+            norm += cq * hi * hi
+        if not norm:
+            raise ZeroDivisionError("zero divisor in formal quadratic extension")
+        return [conj_lo, -ds * hi], content * norm
+    half = len(v) >> 1
+    lo, hi = v[:half], v[half:]
+    sub = k - 1
+    # norm (lo + hi*theta)(lo + hi*theta') = lo^2 - b*lo*hi + c*hi^2, times S_k
+    norm = _scaled_sub(ds, _mul(lo, lo, levels, sub), bq, _mul(lo, hi, levels, sub), levels, sub)
+    if cq is not None:
+        norm = [x + y for x, y in zip(norm, _times(cq, _mul(hi, hi, levels, sub), levels, sub))]
     if not any(norm):
-        # only reachable through a formally adjoined root that secretly splits
         raise ZeroDivisionError("zero divisor in formal quadratic extension")
-    inv_norm = _coords_inv(norm, sub)
-    conj_lo = _coords_sub(lo, _coords_mul(bq, hi, sub))
-    return _coords_mul(conj_lo, inv_norm, sub) + _coords_mul(_coords_neg(hi), inv_norm, sub)
+    inv_norm, den = _inv(norm, levels, sub)
+    # the conjugate (lo - b*hi) - hi*theta, times D_k * S_{k-1}
+    conj_lo = _scaled_sub(ds, lo, bq, hi, levels, sub)
+    conj_hi = [-ds * x for x in hi]
+    return (_mul(conj_lo, inv_norm, levels, sub) + _mul(conj_hi, inv_norm, levels, sub),
+            content * den)
 
 
 class FieldTower:
     """Immutable tower of quadratic extensions of Q."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_levels", "_scale", "_zero", "_one")
 
     def __init__(self, steps: tuple[TowerStep, ...] = ()) -> None:
         self.steps = steps
+        levels = []
+        scale = 1
+        for step in steps:
+            common = lcm(*(q.denominator for q in step.b + step.c))
+            levels.append(_Level(common * scale, _constant(step.b, common, scale),
+                                 _constant(step.c, common, scale)))
+            scale = common * scale * scale
+        self._levels = tuple(levels)
+        self._scale = scale
+        padding = (0,) * (self.dim - 1)
+        self._zero = _element(self, (0,) + padding, 1)
+        self._one = _element(self, (1,) + padding, 1)
 
     @property
     def height(self) -> int:
@@ -128,25 +193,24 @@ class FieldTower:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords: Coords) -> FieldElement:
-        return FieldElement(self, tuple(Fraction(x) for x in coords))
+        return FieldElement(self, coords)
 
     def rational(self, value: Fraction | int) -> FieldElement:
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(value)
-        return FieldElement(self, tuple(coords))
+        q = Fraction(value)
+        return _element(self, (q.numerator,) + self._zero.nums[1:], q.denominator)
 
     def zero(self) -> FieldElement:
-        return self.rational(0)
+        return self._zero
 
     def one(self) -> FieldElement:
-        return self.rational(1)
+        return self._one
 
     def gen(self, name: str) -> FieldElement:
         for i, step in enumerate(self.steps):
             if step.name == name:
-                coords = [Fraction(0)] * self.dim
-                coords[1 << i] = Fraction(1)
-                return FieldElement(self, tuple(coords))
+                nums = [0] * self.dim
+                nums[1 << i] = 1
+                return _element(self, tuple(nums), 1)
         raise KeyError(f"no generator named {name!r} in {self!r}")
 
     def coerce(self, value: FieldElement | Fraction | int) -> FieldElement:
@@ -155,16 +219,76 @@ class FieldTower:
         return self.rational(value)
 
 
-QQ = FieldTower()
+def _element(tower: FieldTower, nums: Nums, den: int) -> FieldElement:
+    """An element from numerators and a denominator already in lowest terms."""
+    element = object.__new__(FieldElement)
+    element.tower = tower
+    element.nums = nums
+    element.den = den
+    return element
 
 
-@dataclass(frozen=True, slots=True)
+def _normal(tower: FieldTower, nums: list[int], den: int) -> FieldElement:
+    """The element nums/den of tower, put in lowest terms with den > 0."""
+    if den == 1:
+        return _element(tower, tuple(nums), 1)
+    divisor = gcd(*nums, den)
+    if den < 0:
+        divisor = -divisor
+    if divisor != 1:
+        nums = [x // divisor for x in nums]
+        den //= divisor
+    return _element(tower, tuple(nums), den)
+
+
+def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
+    """a + sign*b for elements of one tower (sign is 1 or -1)."""
+    ad, bd = a.den, b.den
+    if ad == bd:
+        return _normal(a.tower, [x + sign * y for x, y in zip(a.nums, b.nums)], ad)
+    # as in Fraction addition: over lcm(ad, bd), only a factor of
+    # g = gcd(ad, bd) can be common to all the numerators
+    g = gcd(ad, bd)
+    if g == 1:
+        return _element(a.tower, tuple([x * bd + sign * y * ad for x, y in zip(a.nums, b.nums)]),
+                        ad * bd)
+    ad //= g
+    nums = [x * (bd // g) + sign * y * ad for x, y in zip(a.nums, b.nums)]
+    common = gcd(*nums, g)
+    if common != 1:
+        nums = [x // common for x in nums]
+        bd //= common
+    return _element(a.tower, tuple(nums), ad * bd)
+
+
 class FieldElement:
+    """An element nums/den of a tower; nums are the basis coordinates times den.
+
+    Treat it as immutable: it is hashed, and towers share their zero and one.
+    """
+
+    __slots__ = ("tower", "nums", "den")
+
     tower: FieldTower
-    coords: Coords
+    nums: Nums
+    den: int
+
+    def __init__(self, tower: FieldTower, coords: Coords) -> None:
+        coords = [Fraction(q) for q in coords]
+        if len(coords) != tower.dim:
+            raise ValueError(f"{tower!r} has {tower.dim} coordinates, not {len(coords)}")
+        den = lcm(*(q.denominator for q in coords))
+        self.tower = tower
+        self.nums = tuple(q.numerator * (den // q.denominator) for q in coords)
+        self.den = den
+
+    @property
+    def coords(self) -> Coords:
+        """The coordinates in the product basis, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -187,18 +311,20 @@ class FieldElement:
         return isinstance(other, (FieldElement, int, Fraction))
 
     def __add__(self, other: FieldElement | Fraction | int) -> FieldElement:
+        if type(other) is FieldElement and other.tower is self.tower:
+            return _sum(self, other, 1)
         if not self._known(other):
             return NotImplemented
-        a, b = self._pair(other)
-        return FieldElement(a.tower, _coords_add(a.coords, b.coords))
+        return _sum(*self._pair(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: FieldElement | Fraction | int) -> FieldElement:
+        if type(other) is FieldElement and other.tower is self.tower:
+            return _sum(self, other, -1)
         if not self._known(other):
             return NotImplemented
-        a, b = self._pair(other)
-        return FieldElement(a.tower, _coords_sub(a.coords, b.coords))
+        return _sum(*self._pair(other), -1)
 
     def __rsub__(self, other: Fraction | int) -> FieldElement:
         if not self._known(other):
@@ -206,18 +332,30 @@ class FieldElement:
         return (-self) + other
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(self.tower, _coords_neg(self.coords))
+        return _element(self.tower, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other: FieldElement | Fraction | int) -> FieldElement:
-        if not self._known(other):
-            return NotImplemented
-        a, b = self._pair(other)
-        return FieldElement(a.tower, _coords_mul(a.coords, b.coords, a.tower.steps))
+        a, b = self, other
+        if type(b) is not FieldElement or b.tower is not a.tower:
+            if not self._known(other):
+                return NotImplemented
+            a, b = self._pair(other)
+        tower = a.tower
+        levels = tower._levels
+        if levels:
+            nums = _mul(a.nums, b.nums, levels, len(levels))
+        else:
+            nums = [a.nums[0] * b.nums[0]]
+        return _normal(tower, nums, tower._scale * a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        return FieldElement(self.tower, _coords_inv(self.coords, self.tower.steps))
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero field element")
+        tower = self.tower
+        nums, den = _inv(self.nums, tower._levels, len(tower._levels))
+        return _normal(tower, [x * self.den for x in nums], den)
 
     def __truediv__(self, other: FieldElement | Fraction | int) -> FieldElement:
         if not self._known(other):
@@ -252,10 +390,10 @@ class FieldElement:
             a, b = self._pair(other)
         except NotAPrefixError:
             return False
-        return a.coords == b.coords
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:
-        return hash((self.tower, self.coords))
+        return hash((self.tower, self.nums, self.den))
 
     def __str__(self) -> str:
         names = self.tower.generator_names
@@ -276,6 +414,9 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.tower!r}>"
+
+
+QQ = FieldTower()
 
 
 @dataclass(frozen=True)
@@ -314,10 +455,8 @@ def embed(element: FieldElement, target: FieldTower) -> FieldElement:
         return element
     if not element.tower.is_prefix_of(target):
         raise NotAPrefixError(f"{element.tower!r} is not a prefix of {target!r}")
-    coords = [Fraction(0)] * target.dim
-    for i, value in enumerate(element.coords):
-        coords[i] = value
-    return FieldElement(target, tuple(coords))
+    padding = target._zero.nums[len(element.nums):]
+    return _element(target, element.nums + padding, element.den)
 
 
 @dataclass(frozen=True)

@@ -629,7 +629,7 @@ class PuiseuxSeries(_Local):
 
     def inverse(self) -> PuiseuxSeries:
         if self.is_zero():
-            raise ZeroDivisionError("inverting a series that is zero to precision")
+            raise PrecisionExhaustedError("inverting a series that is zero to precision")
         nterms = self.precision - self.lead
         zero = self.tower.zero()
         inv0 = self.coeffs[0].inverse()
@@ -649,7 +649,7 @@ class PuiseuxSeries(_Local):
     def __truediv__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
         a, b = self._pair(other)
         if b.is_zero():
-            raise ZeroDivisionError("division by a series that is zero to precision")
+            raise PrecisionExhaustedError("division by a series that is zero to precision")
         precision = min(a.precision - b.lead, b.precision - 2 * b.lead + a.lead)
         if a.is_zero():
             return PuiseuxSeries.zero(a.tower, a.place, precision)

@@ -112,6 +112,21 @@ def test_truncated_mode_override(registry):
     assert statuses == {"zero_to_precision"}
 
 
+def test_sweep_without_hypothesis_hits_is_undecided(registry):
+    report = run_claim("lemma91_property", registry, samples=0)
+    assert report.verdict == "undecided"
+    assert report.evidence["hypothesis_hits"] == 0
+    assert report.evidence["reason"] == "no_hypothesis_hits"
+
+
+@pytest.mark.parametrize("precision", [0, 2])
+def test_exhausted_precision_is_undecided(registry, precision):
+    report = run_claim("point_sqrt_t", registry, mode="truncated", precision=precision)
+    assert report.verdict == "undecided"
+    assert report.evidence["reason"] == "precision_exhausted"
+    assert report.evidence["precision"] == precision
+
+
 POINT_FILE = """\
 # the square-root point, declared in the claim language
 claim file_sqrt_point

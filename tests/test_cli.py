@@ -72,6 +72,22 @@ def test_truncated_mode_flag():
     assert statuses == {"zero_to_precision"}
 
 
+def test_truncated_mode_with_exhausted_precision_is_undecided():
+    result = run_cli("run", "point_sqrt_t", "--mode", "truncated", "--precision", "2", "--json")
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "undecided"
+    assert payload["evidence"]["reason"] == "precision_exhausted"
+
+
+def test_precision_below_one_is_usage_error():
+    for value in ("0", "-3"):
+        result = run_cli("run", "point_sqrt_t", "--mode", "truncated", "--precision", value)
+        assert result.returncode == 2
+        assert "precision must be an integer >= 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_load_then_run(tmp_path):
     claim_file = tmp_path / "extra.txt"
     claim_file.write_text(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -32,6 +33,14 @@ def golden_sqrt_tower() -> FieldTower:
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
     assert isinstance(tower, FieldTower)
     return tower
+
+
+def golden_towers_to_height_three() -> list[FieldTower]:
+    """Q, Q(alpha), Q(alpha, beta) and a formally adjoined gamma^2 = beta."""
+    tall = golden_sqrt_tower()
+    top = adjoin_quadratic(tall, "gamma", 0, -tall.gen("beta"))
+    assert isinstance(top, FieldTower)
+    return [QQ, golden_tower(), tall, top]
 
 
 def test_adjoin_golden_ratio_relation():
@@ -236,3 +245,130 @@ def test_element_str_renders_generators():
     beta = tower.gen("beta")
     assert str(alpha + 1) == "1 + alpha"
     assert "alpha*beta" in str(alpha * beta)
+
+
+# -- reference oracle: the per-coordinate Fraction arithmetic on TowerSteps ----
+
+
+def _coords_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _coords_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _coords_mul(a, b, steps):
+    if not steps:
+        return (a[0] * b[0],)
+    half = len(a) // 2
+    sub = steps[:-1]
+    bq, cq = steps[-1].b, steps[-1].c
+    a_lo, a_hi = a[:half], a[half:]
+    b_lo, b_hi = b[:half], b[half:]
+    lolo = _coords_mul(a_lo, b_lo, sub)
+    hihi = _coords_mul(a_hi, b_hi, sub)
+    cross = _coords_add(_coords_mul(a_lo, b_hi, sub), _coords_mul(a_hi, b_lo, sub))
+    # theta^2 = -b*theta - c
+    lo = _coords_sub(lolo, _coords_mul(cq, hihi, sub))
+    hi = _coords_sub(cross, _coords_mul(bq, hihi, sub))
+    return lo + hi
+
+
+def _coords_inv(a, steps):
+    if not any(a):
+        raise ZeroDivisionError("division by zero field element")
+    if not steps:
+        return (1 / a[0],)
+    half = len(a) // 2
+    sub = steps[:-1]
+    bq, cq = steps[-1].b, steps[-1].c
+    lo, hi = a[:half], a[half:]
+    norm = _coords_add(
+        _coords_sub(_coords_mul(lo, lo, sub), _coords_mul(bq, _coords_mul(lo, hi, sub), sub)),
+        _coords_mul(cq, _coords_mul(hi, hi, sub), sub),
+    )
+    inv_norm = _coords_inv(norm, sub)
+    conj_lo = _coords_sub(lo, _coords_mul(bq, hi, sub))
+    neg_hi = tuple(-x for x in hi)
+    return _coords_mul(conj_lo, inv_norm, sub) + _coords_mul(neg_hi, inv_norm, sub)
+
+
+def fractional_towers() -> list[FieldTower]:
+    """Heights 0-3 with non-integral step constants, so D_k != 1 at every level."""
+    t1 = adjoin_quadratic(QQ, "u", Fraction(1, 2), Fraction(1, 3))
+    assert isinstance(t1, FieldTower)
+    u = t1.gen("u")
+    t2 = adjoin_quadratic(t1, "v", u / 3 + Fraction(1, 5), 2 * u / 7 - Fraction(1, 2))
+    assert isinstance(t2, FieldTower)
+    u, v = t2.gen("u"), t2.gen("v")
+    t3 = adjoin_quadratic(t2, "w", v / 2 + Fraction(1, 3), u * v / 5 + Fraction(2, 3))
+    assert isinstance(t3, FieldTower)
+    return [QQ, t1, t2, t3]
+
+
+def fractional_rational_step_towers() -> list[FieldTower]:
+    """Non-integral rational b and c above a fractional level, where S_{k-1} != 1."""
+    t1 = fractional_towers()[1]
+    t2 = adjoin_quadratic(t1, "v", Fraction(1, 5), Fraction(1, 7))
+    assert isinstance(t2, FieldTower)
+    t3 = adjoin_quadratic(t2, "w", Fraction(2, 3), Fraction(5, 11))
+    assert isinstance(t3, FieldTower)
+    return [t2, t3]
+
+
+def _assert_canonical(element):
+    assert len(element.nums) == element.tower.dim
+    assert all(type(x) is int for x in element.nums)
+    assert element.den > 0
+    if element.is_zero():
+        assert element.den == 1
+    else:
+        assert math.gcd(*element.nums, element.den) == 1
+
+
+@pytest.mark.parametrize(
+    "towers", [fractional_towers, fractional_rational_step_towers, golden_towers_to_height_three]
+)
+def test_mul_and_inverse_match_fraction_oracle(towers):
+    rng = random.Random(4242)
+    for tower in towers():
+        for _ in range(60 if tower.height < 3 else 20):
+            a = _random_element(rng, tower)
+            b = _random_element(rng, tower)
+            product = a * b
+            _assert_canonical(product)
+            assert product.coords == _coords_mul(a.coords, b.coords, tower.steps)
+            if not a.is_zero():
+                inverse = a.inverse()
+                _assert_canonical(inverse)
+                assert inverse.coords == _coords_inv(a.coords, tower.steps)
+            _assert_canonical(a + b)
+            _assert_canonical(a - b)
+            _assert_canonical(-a)
+
+
+def test_zero_is_canonical_and_cancellation_normalises():
+    for tower in fractional_towers():
+        zero = tower.element([Fraction(0)] * tower.dim)
+        assert zero.nums == (0,) * tower.dim and zero.den == 1
+        half = tower.rational(Fraction(1, 2))
+        total = half + half
+        assert total.nums == tower.one().nums and total.den == 1
+        assert (half - half).den == 1
+
+
+def test_equal_elements_hash_equal():
+    rng = random.Random(99)
+    towers = fractional_towers()
+    for low, high in zip(towers, towers[1:]):
+        for _ in range(30):
+            a = _random_element(rng, low)
+            # the same value from scaled-up Fractions, and through embed
+            scaled = FieldElement(low, tuple(Fraction(3 * q.numerator, 3 * q.denominator)
+                                             for q in a.coords))
+            assert a == scaled and hash(a) == hash(scaled)
+            lifted = embed(a, high)
+            direct = FieldElement(high, a.coords + (Fraction(0),) * (high.dim - low.dim))
+            assert lifted == direct and hash(lifted) == hash(direct)
+            assert embed(a * a, high) == lifted * lifted
