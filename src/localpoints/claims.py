@@ -21,7 +21,7 @@ from .errors import (
     UnknownClaimError,
 )
 from .exprs import Expr, Neg, Num, Pow, Sym, evaluate, free_symbols, parse_expression
-from .field_tower import QQ, AlreadySplit, FieldElement, FieldTower, adjoin_quadratic
+from .field_tower import QQ, AlreadySplit, FieldElement, FieldTower, _power, adjoin_quadratic
 from .orbifold import (
     INF,
     MultiplicityProfile,
@@ -36,7 +36,14 @@ from .orbifold import (
 from .series import (
     DEFAULT_PRECISION,
     Place,
+    Poly,
     RationalFunction,
+    _padd,
+    _pmul,
+    _pneg,
+    _pscale,
+    _psub,
+    _trim,
     r_function,
     t_function,
 )
@@ -235,65 +242,52 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
     return claims
 
 
-def _univariate(expr: Expr, name: str, tower: FieldTower, lineno: int) -> list[FieldElement]:
+def _univariate(expr: Expr, name: str, tower: FieldTower, lineno: int) -> Poly:
     """Dense coefficients of an expression read as a polynomial in `name`."""
     zero = tower.zero()
 
-    def trim(p: list[FieldElement]) -> list[FieldElement]:
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
+    def mul(p: Poly, q: Poly) -> Poly:
+        return _pmul(p, q, zero)
 
-    def walk(node: Expr) -> list[FieldElement]:
+    def walk(node: Expr) -> Poly:
         if isinstance(node, Num):
-            return trim([tower.rational(node.value)])
+            return _trim([tower.rational(node.value)])
         if isinstance(node, Sym):
             if node.name == name:
-                return [zero, tower.one()]
+                return (zero, tower.one())
             if node.name in tower.generator_names:
-                return [tower.gen(node.name)]
+                return (tower.gen(node.name),)
             raise ClaimSyntaxError(f"undeclared identifier {node.name!r}", lineno, 1)
         if isinstance(node, Neg):
-            return trim([-c for c in walk(node.operand)])
+            return _pneg(walk(node.operand))
         if isinstance(node, Pow):
             base = walk(node.base)
             if node.exponent < 0:
                 if len(base) != 1:
                     raise ClaimSyntaxError("negative power of the generator", lineno, 1)
-                return [base[0] ** node.exponent]
-            out = [tower.one()]
-            for _ in range(node.exponent):
-                out = _poly_mul(out, base, zero)
-            return out
+                return (base[0] ** node.exponent,)
+            return _power(base, node.exponent, (tower.one(),), mul)
         left, right = walk(node.left), walk(node.right)
         if node.op == "+":
-            return _poly_add(left, right, zero)
+            return _padd(left, right, zero)
         if node.op == "-":
-            return _poly_add(left, [-c for c in right], zero)
+            return _psub(left, right, zero)
         if node.op == "*":
-            return _poly_mul(left, right, zero)
+            return mul(left, right)
         if len(right) != 1:
             raise ClaimSyntaxError("division by the generator", lineno, 1)
-        return trim([c / right[0] for c in left])
-
-    def _poly_add(p, q, z):
-        out = [z] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] = out[i] + c
-        for i, c in enumerate(q):
-            out[i] = out[i] + c
-        return trim(out)
-
-    def _poly_mul(p, q, z):
-        if not p or not q:
-            return []
-        out = [z] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] = out[i + j] + a * b
-        return trim(out)
+        return _pscale(left, right[0].inverse())
 
     return walk(expr)
+
+
+def _build_system(parsed: ParsedClaim, tower: FieldTower) -> PolynomialSystem:
+    """The claim's system; an error in it names the line of the claim file."""
+    try:
+        return parse_system("\n".join(text for _, text in parsed.system_lines), tower)
+    except ClaimSyntaxError as err:
+        message = str(err).partition(": ")[2]
+        raise ClaimSyntaxError(message, parsed.system_lines[err.line - 1][0], err.column) from None
 
 
 def _build_tower(parsed: ParsedClaim) -> FieldTower:
@@ -445,7 +439,7 @@ def _claim_from_parsed(
                 verdict,
                 {"expression": text, "result": outcome.kind, "order": outcome.order},
             )
-        system = parse_system(system_source, tower)
+        system = _build_system(p, tower)
         if p.expect == "obstructed":
             outcome = lift_along_cover(system, point, mode="over_c",
                                        precision=params.precision)
@@ -465,7 +459,15 @@ def _claim_from_parsed(
                   else str(binding.value))
             for var, binding in bindings.items()
         }
-        return ClaimOutcome("pass" if report.passed else "fail", evidence)
+        if report.passed:
+            return ClaimOutcome("pass", evidence)
+        if all(e.status != "failed" for e in report.equations) and all(
+            i.status != "zero" for i in report.inequations
+        ):
+            # only constraints that vanish to precision: the precision decides, not the point
+            evidence.update(reason="precision_exhausted", precision=params.precision)
+            return ClaimOutcome("undecided", evidence)
+        return ClaimOutcome("fail", evidence)
 
     return Claim(parsed.name, kind, description or f"claim-file check ({parsed.expect})",
                  run, system_source=system_source or None,
@@ -494,13 +496,15 @@ t*(t^2*u^2 - t)*z^2 != 0"""
 
 COVER_EQUATION_SOURCE = "w^2 = t^2*u^2 - t"
 
+_COVER_SYSTEM_SOURCE = BASE_SYSTEM_SOURCE + "\n" + COVER_EQUATION_SOURCE
+
 
 def _indent(text: str) -> str:
     return "\n".join("  " + line for line in text.splitlines())
 
 
 def _point_claim_text(name: str, place: str, lets: list[str], cover: bool = False) -> str:
-    system = BASE_SYSTEM_SOURCE + ("\n" + COVER_EQUATION_SOURCE if cover else "")
+    system = _COVER_SYSTEM_SOURCE if cover else BASE_SYSTEM_SOURCE
     let_lines = "\n".join(lets)
     return f"""claim {name}
 system:
@@ -534,9 +538,8 @@ INFINITY_LETS = [
 def _text_claim(
     name: str, text: str, kind_hint: str | None = None, description: str | None = None
 ) -> Claim:
-    parsed_list = parse_claim_file(text)
-    assert len(parsed_list) == 1
-    return _claim_from_parsed(parsed_list[0], kind_hint, description)
+    (parsed,) = parse_claim_file(text)
+    return _claim_from_parsed(parsed, kind_hint, description)
 
 
 def _cbrt_claim() -> Claim:
@@ -564,20 +567,19 @@ def _cbrt_claim() -> Claim:
 
 
 def _k3_lift_claim(name: str, place: str, lets: list[str], w_let: str) -> Claim:
-    text = _point_claim_text(name, place, lets + [w_let], cover=True)
-    inner = _text_claim(name, text, kind_hint="lift_test")
+    (parsed,) = parse_claim_file(_point_claim_text(name, place, lets + [w_let], cover=True))
+    inner = _claim_from_parsed(parsed, kind_hint="lift_test")
 
     def run(params: ClaimParams) -> ClaimOutcome:
         outcome = inner.run(params)
         if outcome.verdict != "pass":
             return outcome
-        parsed = parse_claim_file(text)[0]
         tower = _build_tower(parsed)
         place_obj = _build_place(parsed, tower)
         bindings = _build_bindings(parsed, tower, place_obj)
         w_square = bindings.pop("w").square
         point = PointAssignment(place_obj, bindings)
-        cover = parse_system(inner.system_source, tower)
+        cover = _build_system(parsed, tower)
         lift = lift_along_cover(cover, point, precision=params.precision, check_base=False)
         witness_ok = lift.kind == "lifts"
         evidence = dict(outcome.evidence)
@@ -599,6 +601,22 @@ def _golden_tower() -> tuple[FieldTower, FieldElement, FieldElement]:
     base = adjoin_quadratic(QQ, "alpha", -1, -1)
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
     return tower, tower.gen("alpha"), tower.gen("beta")
+
+
+def _golden_point(e: int) -> tuple:
+    """The golden point u = 1/beta + r, x = alpha at t = -alpha, ramification e.
+
+    Returns tower, place, r, t, u, x, the cover factor g = u^2 t^2 - t and the
+    left-hand sides of the two base equations.
+    """
+    tower, alpha, beta = _golden_tower()
+    place = Place.finite(-alpha, e)
+    r = r_function(tower, place)
+    t = t_function(tower, place)
+    u = 1 / beta + r
+    x = RationalFunction.constant(tower, place, alpha)
+    g = u * u * t * t - t
+    return tower, place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
 
 
 # the same family in shifted coordinates, expanded at t = r^2
@@ -650,15 +668,7 @@ def _golden_nonlift_claim(n: int) -> Claim:
     name = f"golden_nonlift_n{n}"
 
     def run(params: ClaimParams) -> ClaimOutcome:
-        tower, alpha, beta = _golden_tower()
-        place = Place.finite(-alpha, 2 * n)
-        r = r_function(tower, place)
-        t = t_function(tower, place)
-        u = 1 / beta + r
-        x = RationalFunction.constant(tower, place, alpha)
-        g = u * u * t * t - t
-        lhs1 = x * x - t * u * u + t
-        lhs2 = x * x - 2 * t * u * u + 1 / t
+        tower, place, r, t, u, x, g, lhs1, lhs2 = _golden_point(2 * n)
         orders = {
             "cover_factor": g.order_at_zero(),
             "lhs_1": lhs1.order_at_zero(),
@@ -684,9 +694,7 @@ def _golden_nonlift_claim(n: int) -> Claim:
                 "quotient_order": outcome.order,
                 "witness_precision": outcome.witness.precision if outcome.witness else None,
             }
-        cover = parse_system(
-            BASE_SYSTEM_SOURCE + "\n" + COVER_EQUATION_SOURCE, tower
-        )
+        cover = parse_system(_COVER_SYSTEM_SOURCE, tower)
         plain = lift_along_cover(cover, point, precision=params.precision, check_base=False)
         twisted = lift_along_cover(
             cover, point, precision=params.precision, twist=r * r, check_base=False
@@ -715,21 +723,13 @@ def _golden_nonlift_claim(n: int) -> Claim:
         "squareness_certificate",
         "golden-ratio point: valuation certificates and cover obstructions",
         run,
-        system_source=BASE_SYSTEM_SOURCE + "\n" + COVER_EQUATION_SOURCE,
+        system_source=_COVER_SYSTEM_SOURCE,
     )
 
 
 def _two_forms_claim() -> Claim:
     def run(params: ClaimParams) -> ClaimOutcome:
-        tower, alpha, beta = _golden_tower()
-        place = Place.finite(-alpha, 2)
-        r = r_function(tower, place)
-        t = t_function(tower, place)
-        u = 1 / beta + r
-        x = RationalFunction.constant(tower, place, alpha)
-        g = u * u * t * t - t
-        lhs1 = x * x - t * u * u + t
-        lhs2 = x * x - 2 * t * u * u + 1 / t
+        tower, place, r, t, u, x, g, lhs1, lhs2 = _golden_point(2)
         point = PointAssignment(
             place,
             {
@@ -739,9 +739,7 @@ def _two_forms_claim() -> Claim:
                 "z": FormalSqrt(lhs2 / (t * g)),
             },
         )
-        cover = parse_system(
-            BASE_SYSTEM_SOURCE + "\n" + COVER_EQUATION_SOURCE, tower
-        )
+        cover = parse_system(_COVER_SYSTEM_SOURCE, tower)
         # check_base on: the point really is a point of the base system
         plain = lift_along_cover(cover, point, precision=params.precision)
         twisted = lift_along_cover(
@@ -762,7 +760,7 @@ def _two_forms_claim() -> Claim:
         "lift_test",
         "both double-cover forms obstruct at the golden place",
         run,
-        system_source=BASE_SYSTEM_SOURCE + "\n" + COVER_EQUATION_SOURCE,
+        system_source=_COVER_SYSTEM_SOURCE,
     )
 
 

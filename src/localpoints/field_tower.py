@@ -21,6 +21,7 @@ recursion on the norm against the conjugate root theta' = -b - theta.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -219,6 +220,22 @@ class FieldTower:
         return self.rational(value)
 
 
+def _power(base, exponent: int, one, mul=operator.mul):
+    """base**exponent by square and multiply, for exponent >= 0; one is mul's identity.
+
+    The one loop behind every ** of the package: field elements, rational
+    functions, series, and the dense polynomials of claim-file adjoins.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
+
+
 def _element(tower: FieldTower, nums: Nums, den: int) -> FieldElement:
     """An element from numerators and a denominator already in lowest terms."""
     element = object.__new__(FieldElement)
@@ -371,15 +388,7 @@ class FieldElement:
     def __pow__(self, exponent: int) -> FieldElement:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.tower.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, self.tower.one())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

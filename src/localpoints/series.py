@@ -3,7 +3,8 @@
 Everything lives at a place: the substitution t = c + r^e (or t = 1/r^e at
 infinity) turns fractional powers of t into integer powers of the parameter r.
 The RationalFunction backend is exact and authoritative; PuiseuxSeries is the
-truncated backend used for square-root expansions and sampling.
+truncated backend used for square-root expansions and sampling.  Both derive
+from _Local and share one set of polynomial and power-series helpers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .field_tower import (
     AlreadySplit,
     FieldElement,
     FieldTower,
+    _power,
     adjoin_quadratic,
     embed,
     is_square,
@@ -126,11 +128,37 @@ def _pembed(p: Poly, target: FieldTower) -> Poly:
     return tuple(embed(a, target) for a in p)
 
 
-def _pstr(p: Poly, var: str = "r") -> str:
-    if not p:
-        return "0"
+def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
+    """num and den, both divided by their monic gcd."""
+    if len(num) < 2 or len(den) < 2:
+        return num, den
+    if any(sum(1 for a in p if not a.is_zero()) == 1 for p in (num, den)):
+        # against a monomial the gcd is a power of r
+        shift = min(_porder(num), _porder(den))
+        return num[shift:], den[shift:]
+    g = _pgcd(num, den, zero)
+    if len(g) > 1:
+        num, _ = _pdivmod(num, g, zero)
+        den, _ = _pdivmod(den, g, zero)
+    return num, den
+
+
+def _series_quotient(num: Poly, den: Poly, nterms: int, zero: FieldElement) -> Poly:
+    """The first nterms coefficients of the power series num/den, for den[0] != 0."""
+    inv0 = den[0].inverse()
+    out: list[FieldElement] = []
+    for k in range(nterms):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
+
+
+def _terms(p: Poly, exponent: int) -> list[str]:
+    """The nonzero terms of p as text, p[0] being the coefficient of r^exponent."""
     parts = []
-    for i, a in enumerate(p):
+    for i, a in enumerate(p, start=exponent):
         if a.is_zero():
             continue
         coeff = str(a)
@@ -139,9 +167,13 @@ def _pstr(p: Poly, var: str = "r") -> str:
         if i == 0:
             parts.append(coeff)
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "r" if i == 1 else f"r^{i}"
             parts.append(power if coeff == "1" else f"{coeff}*{power}")
-    return " + ".join(parts)
+    return parts
+
+
+def _pstr(p: Poly) -> str:
+    return " + ".join(_terms(p, 0)) if p else "0"
 
 
 # -- places --------------------------------------------------------------------
@@ -202,10 +234,66 @@ def _join_tower(a: FieldTower, b: FieldTower) -> FieldTower:
 
 
 class _Local:
-    """Mixin-ish base holding tower and place, for RationalFunction and PuiseuxSeries."""
+    """Base of RationalFunction and PuiseuxSeries: a value in a tower at a place.
+
+    It owns what does not depend on the representation: coercion into a taller
+    tower (_lift) and onto a common tower and place (_pair), the reflected
+    operators, powers, the valuation, truth and repr.  A subclass supplies the
+    constructor hooks _embedded (the same value over a taller tower) and
+    _constant (a constant of its own tower, place and precision), together with
+    is_zero, order_at_zero and the arithmetic itself.
+    """
+
+    __slots__ = ("tower", "place")
 
     tower: FieldTower
     place: Place
+
+    def _lift(self, tower: FieldTower):
+        if tower == self.tower:
+            return self
+        place = self.place
+        if place.center is not None:
+            place = Place(embed(place.center, tower), place.e)
+        return self._embedded(tower, place)
+
+    def _pair(self, other):
+        if not isinstance(other, type(self)):
+            tower = (
+                _join_tower(self.tower, other.tower)
+                if isinstance(other, FieldElement)
+                else self.tower
+            )
+            lifted = self._lift(tower)
+            return lifted, lifted._constant(other)
+        tower = _join_tower(self.tower, other.tower)
+        a, b = self._lift(tower), other._lift(tower)
+        _check_place(a, b)
+        return a, b
+
+    def __rsub__(self, other: Scalar):
+        return (-self) + other
+
+    def __rtruediv__(self, other: Scalar):
+        return self._constant(other) / self
+
+    def _reciprocal(self):
+        return 1 / self
+
+    def __pow__(self, exponent: int):
+        base = self
+        if exponent < 0:
+            base, exponent = self._reciprocal(), -exponent
+        return _power(base, exponent, base._constant(1))
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def valuation(self) -> Fraction:
+        return Fraction(self.order_at_zero(), self.place.e)
+
+    def __repr__(self) -> str:
+        return f"<{self} at {self.place}>"
 
 
 # -- exact backend ---------------------------------------------------------------
@@ -217,30 +305,16 @@ class RationalFunction(_Local):
     Normal form: numerator and denominator coprime, denominator monic.
     """
 
-    __slots__ = ("tower", "place", "num", "den")
+    __slots__ = ("num", "den")
 
     def __init__(self, tower: FieldTower, place: Place, num: Poly, den: Poly) -> None:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        zero = tower.zero()
         num = _trim(list(num))
         den = _trim(list(den))
         if num:
-            num_ord = _porder(num)
-            den_ord = _porder(den)
-            shift = min(num_ord, den_ord)
-            if shift:
-                num = num[shift:]
-                den = den[shift:]
-            num_mono = sum(1 for a in num if not a.is_zero()) == 1
-            den_mono = sum(1 for a in den if not a.is_zero()) == 1
-            if not (num_mono or den_mono):
-                # common power of r is gone; a monomial on either side leaves
-                # nothing else to cancel
-                g = _pgcd(num, den, zero)
-                if len(g) > 1:
-                    num, _ = _pdivmod(num, g, zero)
-                    den, _ = _pdivmod(den, g, zero)
+            shift = min(_porder(num), _porder(den))
+            num, den = _cross_cancel(num[shift:], den[shift:], tower.zero())
             scale = den[-1].inverse()
             num = _pscale(num, scale)
             den = _pscale(den, scale)
@@ -270,74 +344,41 @@ class RationalFunction(_Local):
     def is_zero(self) -> bool:
         return not self.num
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
+    # -- constructor hooks -------------------------------------------------------
 
-    # -- coercion ----------------------------------------------------------------
-
-    def _lift(self, tower: FieldTower) -> RationalFunction:
-        if tower == self.tower:
-            return self
-        place = self.place
-        if place.center is not None:
-            place = Place(embed(place.center, tower), place.e)
+    def _embedded(self, tower: FieldTower, place: Place) -> RationalFunction:
         return RationalFunction(tower, place, _pembed(self.num, tower), _pembed(self.den, tower))
 
-    def _pair(self, other: RationalFunction | Scalar) -> tuple[RationalFunction, RationalFunction]:
-        if not isinstance(other, RationalFunction):
-            tower = (
-                _join_tower(self.tower, other.tower)
-                if isinstance(other, FieldElement)
-                else self.tower
-            )
-            lifted = self._lift(tower)
-            return lifted, RationalFunction.constant(tower, lifted.place, other)
-        tower = _join_tower(self.tower, other.tower)
-        a, b = self._lift(tower), other._lift(tower)
-        _check_place(a, b)
-        return a, b
+    def _constant(self, value: Scalar) -> RationalFunction:
+        return RationalFunction.constant(self.tower, self.place, value)
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def __add__(self, other: RationalFunction | Scalar) -> RationalFunction:
+    def _sum(self, other: RationalFunction | Scalar, combine) -> RationalFunction:
         a, b = self._pair(other)
         zero = a.tower.zero()
         if a.den == b.den:
-            return RationalFunction(a.tower, a.place, _padd(a.num, b.num, zero), a.den)
-        num = _padd(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), zero)
+            return RationalFunction(a.tower, a.place, combine(a.num, b.num, zero), a.den)
+        num = combine(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), zero)
         return RationalFunction(a.tower, a.place, num, _pmul(a.den, b.den, zero))
+
+    def __add__(self, other: RationalFunction | Scalar) -> RationalFunction:
+        return self._sum(other, _padd)
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        a, b = self._pair(other)
-        zero = a.tower.zero()
-        if a.den == b.den:
-            return RationalFunction(a.tower, a.place, _psub(a.num, b.num, zero), a.den)
-        num = _psub(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), zero)
-        return RationalFunction(a.tower, a.place, num, _pmul(a.den, b.den, zero))
-
-    def __rsub__(self, other: Scalar) -> RationalFunction:
-        return (-self) + other
+        return self._sum(other, _psub)
 
     def __neg__(self) -> RationalFunction:
         return RationalFunction(self.tower, self.place, _pneg(self.num), self.den)
-
-    @staticmethod
-    def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
-        if len(num) > 1 and len(den) > 1:
-            g = _pgcd(num, den, zero)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g, zero)
-                den, _ = _pdivmod(den, g, zero)
-        return num, den
 
     def __mul__(self, other: RationalFunction | Scalar) -> RationalFunction:
         a, b = self._pair(other)
         zero = a.tower.zero()
         # cancel across the two fractions first so the final gcd stays small
-        num_a, den_b = self._cross_cancel(a.num, b.den, zero)
-        num_b, den_a = self._cross_cancel(b.num, a.den, zero)
+        num_a, den_b = _cross_cancel(a.num, b.den, zero)
+        num_b, den_a = _cross_cancel(b.num, a.den, zero)
         return RationalFunction(
             a.tower, a.place, _pmul(num_a, num_b, zero), _pmul(den_a, den_b, zero)
         )
@@ -349,27 +390,11 @@ class RationalFunction(_Local):
         if b.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         zero = a.tower.zero()
-        num_a, num_b = self._cross_cancel(a.num, b.num, zero)
-        den_a, den_b = self._cross_cancel(a.den, b.den, zero)
+        num_a, num_b = _cross_cancel(a.num, b.num, zero)
+        den_a, den_b = _cross_cancel(a.den, b.den, zero)
         return RationalFunction(
             a.tower, a.place, _pmul(num_a, den_b, zero), _pmul(den_a, num_b, zero)
         )
-
-    def __rtruediv__(self, other: Scalar) -> RationalFunction:
-        return RationalFunction.constant(self.tower, self.place, other) / self
-
-    def __pow__(self, exponent: int) -> RationalFunction:
-        if exponent < 0:
-            return (1 / self) ** (-exponent)
-        result = RationalFunction.constant(self.tower, self.place, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (RationalFunction, FieldElement, Fraction, int)):
@@ -392,9 +417,6 @@ class RationalFunction(_Local):
             raise ZeroFunctionError("the zero function has no order")
         return _porder(self.num) - _porder(self.den)
 
-    def valuation(self) -> Fraction:
-        return Fraction(self.order_at_zero(), self.place.e)
-
     def leading_coefficient(self) -> FieldElement:
         return self.num[_porder(self.num)] / self.den[_porder(self.den)]
 
@@ -414,31 +436,19 @@ class RationalFunction(_Local):
         """Expand at r = 0, agreeing with the exact function modulo r^precision."""
         if self.is_zero():
             return PuiseuxSeries.zero(self.tower, self.place, precision)
-        zero = self.tower.zero()
         a = _porder(self.num)
         b = _porder(self.den)
         lead = a - b
         nterms = precision - lead
         if nterms <= 0:
             return PuiseuxSeries.zero(self.tower, self.place, precision)
-        n_unit = self.num[a:]
-        d_unit = self.den[b:]
-        inv0 = d_unit[0].inverse()
-        coeffs: list[FieldElement] = []
-        for k in range(nterms):
-            acc = n_unit[k] if k < len(n_unit) else zero
-            for j in range(1, min(k, len(d_unit) - 1) + 1):
-                acc = acc - d_unit[j] * coeffs[k - j]
-            coeffs.append(acc * inv0)
-        return PuiseuxSeries(self.tower, self.place, lead, tuple(coeffs), precision)
+        coeffs = _series_quotient(self.num[a:], self.den[b:], nterms, self.tower.zero())
+        return PuiseuxSeries(self.tower, self.place, lead, coeffs, precision)
 
     def __str__(self) -> str:
         if self.den == (self.tower.one(),):
             return _pstr(self.num)
         return f"({_pstr(self.num)}) / ({_pstr(self.den)})"
-
-    def __repr__(self) -> str:
-        return f"<{self} at {self.place}>"
 
 
 def r_function(tower: FieldTower, place: Place) -> RationalFunction:
@@ -470,7 +480,7 @@ class PuiseuxSeries(_Local):
     in which case lead == precision by convention).
     """
 
-    __slots__ = ("tower", "place", "lead", "coeffs", "precision")
+    __slots__ = ("lead", "coeffs", "precision")
 
     def __init__(
         self,
@@ -486,12 +496,10 @@ class PuiseuxSeries(_Local):
             lead += 1
         if lead + len(coeffs) > precision:
             coeffs = coeffs[: max(0, precision - lead)]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         self.tower = tower
         self.place = place
-        self.coeffs = tuple(coeffs)
-        self.lead = lead if coeffs else precision
+        self.coeffs = _trim(coeffs)
+        self.lead = lead if self.coeffs else precision
         self.precision = precision
 
     @classmethod
@@ -524,16 +532,10 @@ class PuiseuxSeries(_Local):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def order_at_zero(self) -> int:
         if self.is_zero():
             raise ZeroFunctionError("series is zero to precision")
         return self.lead
-
-    def valuation(self) -> Fraction:
-        return Fraction(self.order_at_zero(), self.place.e)
 
     def leading_coefficient(self) -> FieldElement:
         if self.is_zero():
@@ -552,29 +554,13 @@ class PuiseuxSeries(_Local):
         precision = min(precision, self.precision)
         return PuiseuxSeries(self.tower, self.place, self.lead, self.coeffs, precision)
 
-    # -- coercion -------------------------------------------------------------------
+    # -- constructor hooks ----------------------------------------------------------
 
-    def _lift(self, tower: FieldTower) -> PuiseuxSeries:
-        if tower == self.tower:
-            return self
-        place = self.place
-        if place.center is not None:
-            place = Place(embed(place.center, tower), place.e)
+    def _embedded(self, tower: FieldTower, place: Place) -> PuiseuxSeries:
         return PuiseuxSeries(tower, place, self.lead, _pembed(self.coeffs, tower), self.precision)
 
-    def _pair(self, other: PuiseuxSeries | Scalar) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-        if not isinstance(other, PuiseuxSeries):
-            tower = (
-                _join_tower(self.tower, other.tower)
-                if isinstance(other, FieldElement)
-                else self.tower
-            )
-            lifted = self._lift(tower)
-            return lifted, PuiseuxSeries.constant(tower, lifted.place, other, lifted.precision)
-        tower = _join_tower(self.tower, other.tower)
-        a, b = self._lift(tower), other._lift(tower)
-        _check_place(a, b)
-        return a, b
+    def _constant(self, value: Scalar) -> PuiseuxSeries:
+        return PuiseuxSeries.constant(self.tower, self.place, value, self.precision)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -603,9 +589,6 @@ class PuiseuxSeries(_Local):
         a, b = self._pair(other)
         return a + (-b)
 
-    def __rsub__(self, other: Scalar) -> PuiseuxSeries:
-        return (-self) + other
-
     def __mul__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
         a, b = self._pair(other)
         precision = min(a.precision + b.lead, b.precision + a.lead)
@@ -630,21 +613,15 @@ class PuiseuxSeries(_Local):
     def inverse(self) -> PuiseuxSeries:
         if self.is_zero():
             raise PrecisionExhaustedError("inverting a series that is zero to precision")
-        nterms = self.precision - self.lead
-        zero = self.tower.zero()
-        inv0 = self.coeffs[0].inverse()
-        out: list[FieldElement] = []
-        for k in range(nterms):
-            if k == 0:
-                out.append(inv0)
-                continue
-            acc = zero
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = acc - self.coeffs[j] * out[k - j]
-            out.append(acc * inv0)
-        return PuiseuxSeries(
-            self.tower, self.place, -self.lead, tuple(out), self.precision - 2 * self.lead
+        coeffs = _series_quotient(
+            (self.tower.one(),), self.coeffs, self.precision - self.lead, self.tower.zero()
         )
+        return PuiseuxSeries(
+            self.tower, self.place, -self.lead, coeffs, self.precision - 2 * self.lead
+        )
+
+    # for a negative lead, 1/self would know fewer terms than the inverse does
+    _reciprocal = inverse
 
     def __truediv__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
         a, b = self._pair(other)
@@ -657,31 +634,8 @@ class PuiseuxSeries(_Local):
         nterms = precision - lead
         if nterms <= 0:
             raise PrecisionExhaustedError("quotient has no known coefficients")
-        zero = a.tower.zero()
-        inv0 = b.coeffs[0].inverse()
-        out: list[FieldElement] = []
-        for k in range(nterms):
-            acc = a.coeffs[k] if k < len(a.coeffs) else zero
-            for j in range(1, min(k, len(b.coeffs) - 1) + 1):
-                acc = acc - b.coeffs[j] * out[k - j]
-            out.append(acc * inv0)
-        return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
-
-    def __rtruediv__(self, other: Scalar) -> PuiseuxSeries:
-        return PuiseuxSeries.constant(self.tower, self.place, other, self.precision) / self
-
-    def __pow__(self, exponent: int) -> PuiseuxSeries:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = PuiseuxSeries.constant(self.tower, self.place, 1, self.precision)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        coeffs = _series_quotient(a.coeffs, b.coeffs, nterms, a.tower.zero())
+        return PuiseuxSeries(a.tower, a.place, lead, coeffs, precision)
 
     def ramify(self, k: int) -> PuiseuxSeries:
         """Substitute r -> r^k; lossless on truncated series."""
@@ -724,26 +678,7 @@ class PuiseuxSeries(_Local):
         return hash((self.tower, self.lead, self.coeffs, self.precision))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return f"O(r^{self.precision})"
-        parts = []
-        for i, coeff in enumerate(self.coeffs):
-            if coeff.is_zero():
-                continue
-            text = str(coeff)
-            if "+" in text or "-" in text[1:] or " " in text:
-                text = f"({text})"
-            exponent = self.lead + i
-            if exponent == 0:
-                parts.append(text)
-            else:
-                power = "r" if exponent == 1 else f"r^{exponent}"
-                parts.append(power if text == "1" else f"{text}*{power}")
-        parts.append(f"O(r^{self.precision})")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<{self} at {self.place}>"
+        return " + ".join(_terms(self.coeffs, self.lead) + [f"O(r^{self.precision})"])
 
 
 # -- square roots and local squareness ---------------------------------------------

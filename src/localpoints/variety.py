@@ -12,14 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from functools import reduce
+from typing import Iterator, Mapping
 
-from .errors import ClaimSyntaxError, OddPowerError, ZeroFunctionError
+from .errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError, ZeroFunctionError
 from .exprs import (
     BinOp,
     Expr,
     Neg,
-    Num,
     Pow,
     Sym,
     evaluate,
@@ -31,6 +31,7 @@ from .exprs import (
 from .field_tower import FieldTower, QQ
 from .series import (
     DEFAULT_PRECISION,
+    LocalSquareCheck,
     Place,
     PuiseuxSeries,
     RationalFunction,
@@ -67,21 +68,19 @@ class PolynomialSystem:
         return PolynomialSystem(self.tower, variables, equations, self.inequations)
 
 
-def _validate_system_expr(expr: Expr, variables: set[str], line: int) -> None:
-    if isinstance(expr, (Num, Sym)):
-        return
+def _denominators(expr: Expr) -> Iterator[tuple[Expr, str]]:
+    """Each denominator of expr that holds a symbol, outermost first, with what makes it one."""
     if isinstance(expr, Neg):
-        _validate_system_expr(expr.operand, variables, line)
-        return
-    if isinstance(expr, Pow):
-        if expr.exponent < 0 and free_symbols(expr.base) & variables:
-            raise ClaimSyntaxError("negative power of a variable", line, 1)
-        _validate_system_expr(expr.base, variables, line)
-        return
-    if expr.op == "/" and free_symbols(expr.right) & variables:
-        raise ClaimSyntaxError("division by an expression containing variables", line, 1)
-    _validate_system_expr(expr.left, variables, line)
-    _validate_system_expr(expr.right, variables, line)
+        yield from _denominators(expr.operand)
+    elif isinstance(expr, Pow):
+        if expr.exponent < 0 and free_symbols(expr.base):
+            yield Pow(expr.base, -expr.exponent), "negative power of a variable"
+        yield from _denominators(expr.base)
+    elif isinstance(expr, BinOp):
+        if expr.op == "/" and free_symbols(expr.right):
+            yield expr.right, "division by an expression containing variables"
+        yield from _denominators(expr.left)
+        yield from _denominators(expr.right)
 
 
 def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
@@ -93,7 +92,7 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     reserved = {"t"} | set(tower.generator_names)
     equations: list[Equation] = []
     inequations: list[Expr] = []
-    seen: set[str] = set()
+    sides: list[tuple[int, Expr]] = []  # every parsed side, with its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,24 +103,25 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
                 raise ClaimSyntaxError("constraints must end in != 0", lineno, line.index("!=") + 1)
             expr = parse_expression(lhs_text, lineno)
             inequations.append(expr)
-            seen |= free_symbols(expr)
+            sides.append((lineno, expr))
         elif "=" in line:
             lhs_text, _, rhs_text = line.partition("=")
             lhs = parse_expression(lhs_text, lineno)
             rhs = parse_expression(rhs_text, lineno, column=len(lhs_text) + 2)
             equations.append(Equation(lhs, rhs))
-            seen |= free_symbols(lhs) | free_symbols(rhs)
+            sides += [(lineno, lhs), (lineno, rhs)]
         else:
             raise ClaimSyntaxError("expected '=' or '!= 0'", lineno, 1)
+    seen = set().union(*(free_symbols(expr) for _, expr in sides))
     if LOCAL_PARAMETER in seen:
-        raise ClaimSyntaxError("the local parameter r cannot appear in a system", 1, 1)
+        lineno = next(n for n, expr in sides if LOCAL_PARAMETER in free_symbols(expr))
+        raise ClaimSyntaxError("the local parameter r cannot appear in a system", lineno, 1)
     variables = tuple(sorted(seen - reserved))
     var_set = set(variables)
-    for lineno, eq in enumerate(equations, start=1):
-        _validate_system_expr(eq.lhs, var_set, lineno)
-        _validate_system_expr(eq.rhs, var_set, lineno)
-    for ineq in inequations:
-        _validate_system_expr(ineq, var_set, 1)
+    for lineno, expr in sides:
+        for denominator, message in _denominators(expr):
+            if free_symbols(denominator) & var_set:
+                raise ClaimSyntaxError(message, lineno, 1)
     return PolynomialSystem(tower, variables, tuple(equations), tuple(inequations))
 
 
@@ -223,83 +223,46 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _collect_denominators(expr: Expr, out: list[Expr]) -> None:
-    if isinstance(expr, (Num, Sym)):
-        return
-    if isinstance(expr, Neg):
-        _collect_denominators(expr.operand, out)
-        return
-    if isinstance(expr, Pow):
-        if expr.exponent < 0 and free_symbols(expr.base):
-            out.append(Pow(expr.base, -expr.exponent))
-        _collect_denominators(expr.base, out)
-        return
-    if expr.op == "/" and free_symbols(expr.right):
-        out.append(expr.right)
-    _collect_denominators(expr.left, out)
-    _collect_denominators(expr.right, out)
-
-
 def _cleared_sides(eq: Equation) -> tuple[Expr, Expr, Expr | None]:
     """Multiply both sides by every symbol-bearing denominator (i.e. powers of t)."""
-    denominators: list[Expr] = []
-    _collect_denominators(eq.lhs, denominators)
-    _collect_denominators(eq.rhs, denominators)
+    denominators = [d for side in (eq.lhs, eq.rhs) for d, _ in _denominators(side)]
     if not denominators:
         return eq.lhs, eq.rhs, None
-    multiplier = denominators[0]
-    for extra in denominators[1:]:
-        multiplier = BinOp("*", multiplier, extra)
+    multiplier = reduce(lambda a, b: BinOp("*", a, b), denominators)
     return BinOp("*", multiplier, eq.lhs), BinOp("*", multiplier, eq.rhs), multiplier
 
 
 def _check_even_powers(system: PolynomialSystem, point: PointAssignment) -> None:
+    sides = [side for eq in system.equations for side in (eq.lhs, eq.rhs)]
+    sides += system.inequations
     for variable in point.sqrt_variables():
-        for eq in system.equations:
-            if not (only_even_powers(eq.lhs, variable) and only_even_powers(eq.rhs, variable)):
-                raise OddPowerError(
-                    f"square-root variable {variable!r} occurs with an odd power"
-                )
-        for ineq in system.inequations:
-            if not only_even_powers(ineq, variable):
-                raise OddPowerError(
-                    f"square-root variable {variable!r} occurs with an odd power"
-                )
+        if not all(only_even_powers(side, variable) for side in sides):
+            raise OddPowerError(f"square-root variable {variable!r} occurs with an odd power")
 
 
-def _exact_env(system: PolynomialSystem, point: PointAssignment):
+def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None = None):
+    """Values for t, the generators and the bindings: exact, or series to precision."""
     tower = system.tower
     place = point.place
-    env = {"t": t_function(tower, place)}
+    if precision is None:
+        const = lambda q: RationalFunction.constant(tower, place, q)  # noqa: E731
+        expand = lambda f: f  # noqa: E731
+    else:
+        const = lambda q: PuiseuxSeries.constant(tower, place, q, precision)  # noqa: E731
+        expand = lambda f: f.to_puiseux(precision)  # noqa: E731
+    env = {"t": expand(t_function(tower, place))}
     for name in tower.generator_names:
-        env[name] = RationalFunction.constant(tower, place, tower.gen(name))
+        env[name] = const(tower.gen(name))
     square_env = {}
     for variable, binding in point.bindings.items():
         if isinstance(binding, ExactValue):
-            env[variable] = binding.value
+            env[variable] = expand(binding.value)
         elif isinstance(binding, FormalSqrt):
-            square_env[variable] = binding.square
-        else:
+            square_env[variable] = expand(binding.square)
+        elif precision is None:
             raise ValueError(f"exact mode needs exact bindings; {variable!r} is a series")
-    const = lambda q: RationalFunction.constant(tower, place, q)  # noqa: E731
-    return env, square_env, const
-
-
-def _series_env(system: PolynomialSystem, point: PointAssignment, precision: int):
-    tower = system.tower
-    place = point.place
-    env = {"t": t_function(tower, place).to_puiseux(precision)}
-    for name in tower.generator_names:
-        env[name] = PuiseuxSeries.constant(tower, place, tower.gen(name), precision)
-    square_env = {}
-    for variable, binding in point.bindings.items():
-        if isinstance(binding, ExactValue):
-            env[variable] = binding.value.to_puiseux(precision)
-        elif isinstance(binding, SeriesValue):
-            env[variable] = binding.value
         else:
-            square_env[variable] = binding.square.to_puiseux(precision)
-    const = lambda q: PuiseuxSeries.constant(tower, place, q, precision)  # noqa: E731
+            env[variable] = binding.value
     return env, square_env, const
 
 
@@ -320,10 +283,7 @@ def verify_point(
     if unbound:
         raise ValueError(f"unbound variables: {', '.join(unbound)}")
     _check_even_powers(system, point)
-    if mode == "exact":
-        env, square_env, const = _exact_env(system, point)
-    else:
-        env, square_env, const = _series_env(system, point, precision)
+    env, square_env, const = _env(system, point, None if mode == "exact" else precision)
     cache: dict = {}
 
     report = VerificationReport(mode=mode, place=str(point.place))
@@ -334,31 +294,19 @@ def verify_point(
         residual = evaluate(lhs_expr, env, const, square_env, cache) - evaluate(
             rhs_expr, env, const, square_env, cache
         )
-        if mode == "exact":
-            if residual.is_zero():
-                result = EquationResult("exact_zero", text, cleared_by=cleared_by)
-            else:
-                result = EquationResult(
-                    "failed",
-                    text,
-                    residual_order=residual.order_at_zero(),
-                    residual_lead=str(residual.leading_coefficient()),
-                    cleared_by=cleared_by,
-                )
+        known_to = None if mode == "exact" else residual.precision
+        if residual.is_zero():
+            status = "exact_zero" if mode == "exact" else "zero_to_precision"
+            result = EquationResult(status, text, precision=known_to, cleared_by=cleared_by)
         else:
-            if residual.is_zero():
-                result = EquationResult(
-                    "zero_to_precision", text, precision=residual.precision, cleared_by=cleared_by
-                )
-            else:
-                result = EquationResult(
-                    "failed",
-                    text,
-                    precision=residual.precision,
-                    residual_order=residual.order_at_zero(),
-                    residual_lead=str(residual.leading_coefficient()),
-                    cleared_by=cleared_by,
-                )
+            result = EquationResult(
+                "failed",
+                text,
+                precision=known_to,
+                residual_order=residual.order_at_zero(),
+                residual_lead=str(residual.leading_coefficient()),
+                cleared_by=cleared_by,
+            )
         report.equations.append(result)
 
     for ineq in system.inequations:
@@ -394,8 +342,28 @@ def evaluate_at_point(
     system: PolynomialSystem, point: PointAssignment, expr: Expr
 ) -> RationalFunction:
     """Exact value of an expression under the point's bindings."""
-    env, square_env, const = _exact_env(system, point)
+    env, square_env, const = _env(system, point)
     return evaluate(expr, env, const, square_env)
+
+
+def _local_root(
+    value: RationalFunction, mode: str, precision: int
+) -> tuple[LocalSquareCheck, PuiseuxSeries | None, FieldTower | None]:
+    """Squareness of a nonzero exact value, with a series root when it is a square.
+
+    A value whose expansion is zero to precision has no root to compute, so
+    that raises PrecisionExhaustedError.
+    """
+    check = is_square_local(value, mode)
+    if check.kind != "yes":
+        return check, None, None
+    expansion = value.to_puiseux(precision)
+    if expansion.is_zero():
+        raise PrecisionExhaustedError(
+            f"the square is zero to precision {precision}; its root has no known coefficient"
+        )
+    witness, tower = series_sqrt(expansion)
+    return check, witness, tower
 
 
 def solve_square(
@@ -413,14 +381,9 @@ def solve_square(
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    quotient = lhs_value / g_value
-    check = is_square_local(quotient, mode)
-    if check.kind == "no":
-        return SquareOutcome("nonsquare", order=check.order)
-    if check.kind == "undecided":
-        return SquareOutcome("undecided", order=check.order)
-    witness, tower = series_sqrt(quotient.to_puiseux(precision))
-    return SquareOutcome("witness", order=check.order, witness=witness, tower=tower)
+    check, witness, tower = _local_root(lhs_value / g_value, mode, precision)
+    kind = {"yes": "witness", "no": "nonsquare", "undecided": "undecided"}[check.kind]
+    return SquareOutcome(kind, order=check.order, witness=witness, tower=tower)
 
 
 @dataclass
@@ -474,13 +437,9 @@ def lift_along_cover(
         g_value = g_value * twist
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    check = is_square_local(g_value, mode)
-    if check.kind == "no":
-        return LiftOutcome("obstructed", variable, order=check.order)
-    if check.kind == "undecided":
-        return LiftOutcome("undecided", variable, order=check.order)
-    witness, tower = series_sqrt(g_value.to_puiseux(precision))
-    return LiftOutcome("lifts", variable, order=check.order, witness=witness, tower=tower)
+    check, witness, tower = _local_root(g_value, mode, precision)
+    kind = {"yes": "lifts", "no": "obstructed", "undecided": "undecided"}[check.kind]
+    return LiftOutcome(kind, variable, order=check.order, witness=witness, tower=tower)
 
 
 # -- the eight-case valuation split --------------------------------------------------

@@ -329,3 +329,62 @@ def test_run_all_reports_corrupted_entry():
     reports, summary = run_all_fn(broken, kind="property_test")
     assert summary["failed"] == 1
     assert "deliberately_broken" in summary["failures"]
+
+
+@pytest.mark.parametrize(
+    "minpoly",
+    ["2*s^2 - 3", "s^3 - 2", "s^2 - 3/s", "s^2 - q"],
+    ids=["non_monic", "cubic", "division_by_generator", "undeclared_identifier"],
+)
+def test_bad_adjoin_polynomial_is_positioned(tmp_path, registry, minpoly):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        f"claim bad_adjoin\n# the generator\nadjoin s : {minpoly} = 0\nplace: t = 0 ram 1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ClaimSyntaxError) as err:
+        load_claim_file(str(path), registry)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["x^2 = 1/x", "x^2 = * 1", "1/x != 0", "x = r"],
+    ids=["division_by_variable", "syntax", "inequation", "local_parameter"],
+)
+def test_system_error_reports_the_file_line(tmp_path, registry, bad_line):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        f"claim bad_system\nplace: t = 0 ram 1\nlet x = 1\nsystem:\n  x^2 = 1\n  {bad_line}\n",
+        encoding="utf-8",
+    )
+    extended = load_claim_file(str(path), registry)
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("bad_system", extended)
+    assert err.value.line == 6
+    assert str(err.value).startswith("line 6,")
+
+
+_SLOW_SWEEPS = ("lemma91_property", "perturbation_sweep")
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+@pytest.mark.parametrize("precision", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name", [name for name in builtin_registry() if name not in _SLOW_SWEEPS]
+)
+def test_low_precision_never_fails(registry, name, precision, mode):
+    report = run_claim(name, registry, precision=precision, mode=mode)
+    assert report.verdict in ("pass", "undecided"), report.evidence
+    if report.verdict == "undecided":
+        assert report.evidence["reason"] == "precision_exhausted"
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("k3_lift_sqrt_t", {"precision": 1}), ("golden_nonlift_n1", {"precision": 0})],
+)
+def test_square_root_of_series_zero_to_precision_is_undecided(registry, name, overrides):
+    report = run_claim(name, registry, **overrides)
+    assert report.verdict == "undecided"
+    assert report.evidence["reason"] == "precision_exhausted"
