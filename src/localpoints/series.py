@@ -371,7 +371,11 @@ class RationalFunction(_Local):
         return self._sum(other, _psub)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(self.tower, self.place, _pneg(self.num), self.den)
+        # -num/den is already in normal form: build it without __init__'s gcd
+        negated = object.__new__(RationalFunction)
+        negated.tower, negated.place = self.tower, self.place
+        negated.num, negated.den = _pneg(self.num), self.den
+        return negated
 
     def __mul__(self, other: RationalFunction | Scalar) -> RationalFunction:
         a, b = self._pair(other)

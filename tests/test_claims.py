@@ -250,18 +250,37 @@ def test_split_adjoin_is_rejected(tmp_path, registry):
     assert err.value.line == 2
 
 
+# the builtins written in the claim language, in registry order
+TEXT_BUILTINS = [
+    "point_sqrt_t", "point_cbrt_t", "point_q_family_q3", "point_q_family_q5",
+    "point_q_family_q7", "point_q_family_q9", "point_infinity", "golden_shifted_form",
+    "k3_lift_sqrt_t", "k3_lift_infinity",
+]
+
+
 def test_parser_roundtrip_on_builtin_corpus(registry):
+    from localpoints.claims import K3_LIFTS_TEXT, POINTS_TEXT, SHIFTED_FORM_TEXT
+    from localpoints.exprs import parse_expression, to_text
     from localpoints.field_tower import QQ
     from localpoints.variety import parse_system, print_system
 
-    sources = 0
-    for claim in registry.values():
-        if claim.system_source:
-            tower = claim.system_tower or QQ
-            system = parse_system(claim.system_source, tower)
-            assert parse_system(print_system(system), tower) == system
-            sources += 1
-    assert sources >= 10
+    def roundtrips(text):
+        expr = parse_expression(text)
+        return parse_expression(to_text(expr)) == expr
+
+    corpus = parse_claim_file(POINTS_TEXT + SHIFTED_FORM_TEXT + K3_LIFTS_TEXT)
+    assert [parsed.name for parsed in corpus] == TEXT_BUILTINS
+    assert [name for name in registry if name in TEXT_BUILTINS] == TEXT_BUILTINS
+    for parsed in corpus:
+        claim = registry[parsed.name]
+        tower = claim.system_tower or QQ
+        system = parse_system(claim.system_source, tower)
+        assert parse_system(print_system(system), tower) == system
+        assert all(roundtrips(rhs) for _, _, rhs, _ in parsed.lets)
+        for _, kind, _, body in parsed.checks:
+            left, _, right = body.rpartition("=") if kind == "order" else body.partition("=")
+            assert roundtrips(left) and roundtrips(right)
+    assert sum(len(parsed.checks) for parsed in corpus) == 2
 
 
 def test_default_params():
@@ -348,11 +367,11 @@ def test_bad_adjoin_polynomial_is_positioned(tmp_path, registry, minpoly):
 
 
 @pytest.mark.parametrize(
-    "bad_line",
-    ["x^2 = 1/x", "x^2 = * 1", "1/x != 0", "x = r"],
+    "bad_line, column",
+    [("x^2 = 1/x", 3), ("x^2 = * 1", 9), ("1/x != 0", 3), ("x = r", 3)],
     ids=["division_by_variable", "syntax", "inequation", "local_parameter"],
 )
-def test_system_error_reports_the_file_line(tmp_path, registry, bad_line):
+def test_system_error_reports_the_file_line(tmp_path, registry, bad_line, column):
     path = tmp_path / "claims.txt"
     path.write_text(
         f"claim bad_system\nplace: t = 0 ram 1\nlet x = 1\nsystem:\n  x^2 = 1\n  {bad_line}\n",
@@ -362,7 +381,123 @@ def test_system_error_reports_the_file_line(tmp_path, registry, bad_line):
     with pytest.raises(ClaimSyntaxError) as err:
         run_claim("bad_system", extended)
     assert err.value.line == 6
-    assert str(err.value).startswith("line 6,")
+    assert err.value.column == column
+    assert str(err.value).startswith(f"line 6, column {column}:")
+
+
+@pytest.mark.parametrize(
+    "let_line, column",
+    [("let x = (1 +", 13), ("  let x = sqrt(1 + q)", 16), ("let x = 2 * * 3", 13)],
+    ids=["unclosed", "undeclared_in_indented_sqrt", "syntax"],
+)
+def test_let_error_reports_the_file_column(tmp_path, registry, let_line, column):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        f"claim bad_let\nplace: t = 0 ram 1\n{let_line}\nsystem:\n  x^2 = 1\n",
+        encoding="utf-8",
+    )
+    extended = load_claim_file(str(path), registry)
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("bad_let", extended)
+    assert (err.value.line, err.value.column) == (3, column)
+
+
+SQRT_POINT_CHECKS = """\
+claim checked_point
+description: the square-root point with extra checks
+system:
+  x^2 - t*u^2 + t = (t^2*u^2 - t)*y^2
+place: t = 0 ram 2
+let u = 0
+let x = 0
+let y = sqrt(-1)
+"""
+
+
+@pytest.mark.parametrize(
+    "check, verdict, evidence",
+    [
+        ("identity square: (1 - r^2)/(1 - r) = 1 + r", "pass", {"square": "exact"}),
+        ("identity wrong: (1 - r^2)/(1 - r) = 1 - r", "fail", {"wrong": "failed"}),
+        ("order g: t^2*u^2 - t + x = 2", "pass", {"g_order": 2, "g_valuation": "1"}),
+        ("order g: t^2*u^2 - t = -1", "fail", {"g_order": 2, "g_valuation": "1"}),
+        ("order unit: 1 + r = 0", "pass", {"unit_order": 0, "unit_valuation": "0"}),
+        ("order g: t - t = 0", "fail", {"g_order": None, "g_valuation": None}),
+    ],
+    ids=["true_identity", "false_identity", "right_order", "wrong_order", "unit",
+         "zero_has_no_order"],
+)
+def test_check_directives(tmp_path, registry, check, verdict, evidence):
+    path = tmp_path / "claims.txt"
+    path.write_text(SQRT_POINT_CHECKS + check + "\n", encoding="utf-8")
+    extended = load_claim_file(str(path), registry)
+    claim = extended["checked_point"]
+    assert claim.description == "the square-root point with extra checks"
+    assert claim.kind == ("squareness_certificate" if check.startswith("order")
+                          else "point_verification")
+    report = run_claim("checked_point", extended)
+    assert report.verdict == verdict
+    assert report.evidence["passed"] is True
+    assert {key: report.evidence[key] for key in evidence} == evidence
+
+
+def test_lifts_on_an_odd_cover_factor_fails(tmp_path, registry):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        "claim odd_cover\nsystem:\n  w^2 = t\nplace: t = 0 ram 1\n"
+        "let w = sqrt(t)\nexpect: lifts\n",
+        encoding="utf-8",
+    )
+    extended = load_claim_file(str(path), registry)
+    assert extended["odd_cover"].kind == "lift_test"
+    report = run_claim("odd_cover", extended)
+    assert report.verdict == "fail"
+    assert report.evidence["passed"] is True
+    assert report.evidence["lift"] == "obstructed"
+    assert "witness" not in report.evidence
+
+
+def test_lifts_without_a_cover_equation_is_positioned(tmp_path, registry):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        "claim no_cover\nsystem:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1\nexpect: lifts\n",
+        encoding="utf-8",
+    )
+    extended = load_claim_file(str(path), registry)
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("no_cover", extended)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [
+        ("identity 1 = 1", 1),
+        ("  identity ok 1 = 1", 3),
+        ("identity ok: 1", 1),
+        ("order g: t", 1),
+        ("order g: t = two", 14),
+        ("order bad label: t = 1", 1),
+    ],
+    ids=["no_label", "no_colon", "no_equals", "no_order", "order_not_integer", "bad_label"],
+)
+def test_malformed_check_line_is_positioned(line, column):
+    with pytest.raises(ClaimSyntaxError) as err:
+        parse_claim_file(SQRT_POINT_CHECKS + line + "\n")
+    assert (err.value.line, err.value.column) == (9, column)
+
+
+@pytest.mark.parametrize(
+    "line, column", [("identity a: 1 + = r", 17), ("order g: q = 1", 10)],
+    ids=["syntax", "undeclared"],
+)
+def test_check_expression_error_is_positioned(tmp_path, registry, line, column):
+    path = tmp_path / "claims.txt"
+    path.write_text(SQRT_POINT_CHECKS + line + "\n", encoding="utf-8")
+    extended = load_claim_file(str(path), registry)
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("checked_point", extended)
+    assert (err.value.line, err.value.column) == (9, column)
 
 
 _SLOW_SWEEPS = ("lemma91_property", "perturbation_sweep")

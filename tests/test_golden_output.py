@@ -1,8 +1,8 @@
-"""`verify all --json` reports, byte for byte, against recorded reports.
+"""`verify` output, byte for byte, against recorded output.
 
 The files under tests/data hold the output of the commands in GOLDEN; any
-change to the arithmetic that alters a verdict, a coefficient or its
-printed form shows up here.
+change that alters a verdict, a coefficient or its printed form, a claim's
+kind or description, or the evidence of an undecided claim shows up here.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ GOLDEN = [
     (["all", "--samples", "60", "--json"], "verify_all_samples60.json"),
     (["all", "--kind", "point_verification", "--mode", "truncated", "--json"],
      "verify_points_truncated.json"),
+    (["list"], "verify_list.txt"),
+    (["all", "--mode", "truncated", "--precision", "2", "--samples", "60", "--json"],
+     "verify_all_truncated_p2_samples60.json"),
 ]
 
 

@@ -46,6 +46,23 @@ def test_rf_mul_inverse_and_sub_roundtrip():
         assert (f - f).is_zero()
 
 
+def test_rf_negation_skips_the_gcd(monkeypatch):
+    from localpoints import series
+
+    f = rf([1, 2, 3], [1, -1, 5])
+    expected_negation, expected_one_minus = rf([-1, -2, -3], [1, -1, 5]), rf([0, -3, 2], [1, -1, 5])
+    calls = []
+    pgcd = series._pgcd
+    monkeypatch.setattr(series, "_pgcd", lambda *args: calls.append(args) or pgcd(*args))
+    negated = -f
+    assert len(calls) == 0
+    one_minus = 1 - f
+    assert len(calls) == 1
+    # the same normal forms as through the constructor
+    assert (negated.num, negated.den) == (expected_negation.num, expected_negation.den)
+    assert (one_minus.num, one_minus.den) == (expected_one_minus.num, expected_one_minus.den)
+
+
 def test_rf_place_mismatch_rejected():
     f = rf([1], place=Place.finite(QQ.zero(), 2))
     g = rf([1], place=Place.finite(QQ.zero(), 3))
