@@ -22,7 +22,7 @@ from .errors import (
     PrecisionExhaustedError,
     UnknownClaimError,
 )
-from .exprs import Expr, Neg, Num, Pow, Sym, evaluate, free_symbols, parse_expression
+from .exprs import Expr, Neg, Num, Pow, Sym, _tokenize, evaluate, free_symbols, parse_expression
 from .field_tower import QQ, AlreadySplit, FieldTower, _power, adjoin_quadratic
 from .orbifold import (
     INF,
@@ -377,10 +377,15 @@ def _evaluate(text: str, lineno: int, env: dict, where: str, column: int) -> Rat
     expr = parse_expression(text, lineno, column)
     unknown = free_symbols(expr) - set(env)
     if unknown:
+        name = sorted(unknown)[0]
+        token = next(token for token in _tokenize(text, lineno, column) if token.text == name)
         raise ClaimSyntaxError(
-            f"undeclared identifier {sorted(unknown)[0]!r} in {where}", lineno, column
+            f"undeclared identifier {name!r} in {where}", token.line, token.column
         )
-    return evaluate(expr, env, env["t"]._constant)
+    try:
+        return evaluate(expr, env, env["t"]._constant)
+    except ZeroDivisionError:
+        raise ClaimSyntaxError(f"division by zero in {where}", lineno, column) from None
 
 
 def _build_bindings(
@@ -514,8 +519,9 @@ def _claim_from_parsed(parsed: ParsedClaim) -> Claim:
                      parsed.description or "orbifold fact from claim file",
                      lambda params, p=parsed: _orbifold_outcome(p))
 
+    tower = _build_tower(parsed)
+
     def run(params: ClaimParams, p=parsed) -> ClaimOutcome:
-        tower = _build_tower(p)
         place = _build_place(p, tower)
         bindings, values = _build_bindings(p, tower, place)
         point = PointAssignment(place, bindings)
@@ -555,7 +561,7 @@ def _claim_from_parsed(parsed: ParsedClaim) -> Claim:
     return Claim(parsed.name, _kind(parsed),
                  parsed.description or f"claim-file check ({parsed.expect})",
                  run, system_source=system_source or None,
-                 system_tower=_build_tower(parsed) if parsed.adjoins else None)
+                 system_tower=tower if parsed.adjoins else None)
 
 
 def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> dict[str, Claim]:

@@ -441,11 +441,7 @@ def adjoin_quadratic(
     b: FieldElement | Fraction | int,
     c: FieldElement | Fraction | int,
 ) -> FieldTower | AlreadySplit:
-    """Adjoin a root of x^2 + b*x + c, or report a root that already exists.
-
-    When the discriminant squareness test is Undecided (height >= 2) the
-    adjunction proceeds formally, without an irreducibility certificate.
-    """
+    """Adjoin a root of x^2 + b*x + c, or report a root that already exists."""
     if name in tower.generator_names:
         raise ValueError(f"generator name {name!r} already used in {tower!r}")
     b = tower.coerce(b)
@@ -470,9 +466,9 @@ def embed(element: FieldElement, target: FieldTower) -> FieldElement:
 
 @dataclass(frozen=True)
 class SquareCheck:
-    """Outcome of an exact squareness test: yes (with witness), no, or undecided."""
+    """Outcome of an exact squareness test: yes (with a witness root) or no."""
 
-    kind: str  # "yes" | "no" | "undecided"
+    kind: str  # "yes" | "no"
     witness: FieldElement | None = None
 
 
@@ -487,10 +483,11 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def is_square(tower: FieldTower, a: FieldElement | Fraction | int) -> SquareCheck:
-    """Decide squareness exactly over Q or a single quadratic extension.
+    """Decide exactly whether a is a square in the tower; a "yes" carries a root.
 
-    Heights >= 2 return undecided; callers that only care about squares over the
-    complex numbers fall back to valuation parity instead.
+    Height 0 takes a rational square root.  Above it, the relative-norm test
+    (H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138)
+    reduces the question to squareness in the level below, K.
     """
     a = tower.coerce(a)
     if a.is_zero():
@@ -500,35 +497,28 @@ def is_square(tower: FieldTower, a: FieldElement | Fraction | int) -> SquareChec
         if root is None:
             return SquareCheck("no")
         return SquareCheck("yes", tower.rational(root))
-    if tower.height > 1:
-        return SquareCheck("undecided")
-
-    # a = x + y*theta with theta^2 = -b*theta - c; search w = p + q*theta, w^2 = a.
-    b = tower.steps[0].b[0]
-    c = tower.steps[0].c[0]
-    x, y = a.coords
-    candidates: list[tuple[Fraction, Fraction]] = []
-    if y == 0:
-        root = _rational_sqrt(x)
-        if root is not None:
-            candidates.append((root, Fraction(0)))
-    # q != 0 branch: (b^2-4c) Q^2 + (2by-4x) Q + y^2 = 0 with Q = q^2
-    lead = b * b - 4 * c
-    mid = 2 * b * y - 4 * x
-    disc = mid * mid - 4 * lead * y * y
-    disc_root = _rational_sqrt(disc)
-    if disc_root is not None:
-        for sign in (1, -1):
-            big_q = (-mid + sign * disc_root) / (2 * lead)
-            if big_q <= 0:
-                continue
-            q_val = _rational_sqrt(big_q)
-            if q_val is None or q_val == 0:
-                continue
-            p_val = (y + b * q_val * q_val) / (2 * q_val)
-            candidates.append((p_val, q_val))
-    for p_val, q_val in candidates:
-        w = tower.element((p_val, q_val))
-        if w * w == a:
-            return SquareCheck("yes", w)
+    below = FieldTower(tower.steps[:-1])
+    b, c = below.element(tower.steps[-1].b), below.element(tower.steps[-1].c)
+    x, y = (_normal(below, list(v), a.den) for v in (a.nums[:below.dim], a.nums[below.dim:]))
+    # a = x + y*theta = X + Y*sqrt(d), with d = b^2 - 4c and sqrt(d) = 2*theta + b
+    d = b * b - 4 * c
+    half, zero = below.rational(Fraction(1, 2)), below.zero()
+    big_x, big_y = x - b * y * half, y * half
+    if big_y.is_zero():
+        # the root is s with s^2 = X, or s*sqrt(d) with s^2 = X/d
+        candidates = [(big_x, lambda s: (s, zero)), (big_x / d, lambda s: (zero, s))]
+    else:
+        # a is a square iff its norm X^2 - d*Y^2 is a square n^2 in K and
+        norm = is_square(below, big_x * big_x - d * big_y * big_y)
+        if norm.kind == "no":
+            return SquareCheck("no")
+        # (X + n)/2 or (X - n)/2 is a nonzero square s^2; the root is s + Y/(2s)*sqrt(d)
+        halves = ((big_x + norm.witness) * half, (big_x - norm.witness) * half)
+        candidates = [(h, lambda s: (s, big_y / (2 * s))) for h in halves if h]
+    for value, root in candidates:
+        check = is_square(below, value)
+        if check.kind == "yes":
+            p, q = root(check.witness)
+            # p + q*sqrt(d) = (p + q*b) + 2q*theta
+            return SquareCheck("yes", tower.element((p + q * b).coords + (2 * q).coords))
     return SquareCheck("no")

@@ -699,7 +699,7 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
     """Square root of a truncated series by Newton iteration.
 
     Odd leading order doubles the ramification first; a leading coefficient
-    that is not a known square gets its root adjoined to the tower.  Returns
+    that is not a square in the tower gets its root adjoined to it.  Returns
     the root together with the (possibly extended) tower.
     """
     if f.is_zero():
@@ -727,12 +727,10 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
         widened = PuiseuxSeries(tower, f.place, 0, g.coeffs, p)
         g = (widened + unit.truncate(p) / widened) * Fraction(1, 2)
 
-    check = is_square(tower, lead_coeff)
-    if check.kind == "yes":
-        root_of_lead = check.witness
+    extended = adjoin_quadratic(tower, _fresh_root_name(tower), 0, -lead_coeff)
+    if isinstance(extended, AlreadySplit):
+        root_of_lead = extended.witness
     else:
-        extended = adjoin_quadratic(tower, _fresh_root_name(tower), 0, -lead_coeff)
-        assert not isinstance(extended, AlreadySplit)
         tower = extended
         g = g._lift(tower)
         root_of_lead = tower.gen(tower.generator_names[-1])
@@ -750,7 +748,7 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
 class LocalSquareCheck:
     """Squareness verdict in the local field, with the valuation certificate."""
 
-    kind: str  # "yes" | "no" | "undecided"
+    kind: str  # "yes" | "no"
     order: int
     lead: FieldElement
 
@@ -762,8 +760,7 @@ def is_square_local(
 
     over_c: squares are exactly the even-order elements (the residue field is
     algebraically closed).  exact: even order and a leading coefficient that is
-    a square in the coefficient tower; undecidable leading coefficients
-    propagate as "undecided".
+    a square in the coefficient tower, decided by is_square at every height.
     """
     if mode not in ("over_c", "exact"):
         raise ValueError(f"unknown squareness mode {mode!r}")

@@ -332,7 +332,7 @@ def verify_point(
 
 @dataclass
 class SquareOutcome:
-    kind: str  # "witness" | "nonsquare" | "undecided"
+    kind: str  # "witness" | "nonsquare"
     order: int | None = None
     witness: PuiseuxSeries | None = None
     tower: FieldTower | None = None
@@ -382,13 +382,13 @@ def solve_square(
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
     check, witness, tower = _local_root(lhs_value / g_value, mode, precision)
-    kind = {"yes": "witness", "no": "nonsquare", "undecided": "undecided"}[check.kind]
+    kind = {"yes": "witness", "no": "nonsquare"}[check.kind]
     return SquareOutcome(kind, order=check.order, witness=witness, tower=tower)
 
 
 @dataclass
 class LiftOutcome:
-    kind: str  # "lifts" | "obstructed" | "undecided"
+    kind: str  # "lifts" | "obstructed"
     variable: str
     order: int | None = None
     witness: PuiseuxSeries | None = None
@@ -438,7 +438,7 @@ def lift_along_cover(
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
     check, witness, tower = _local_root(g_value, mode, precision)
-    kind = {"yes": "lifts", "no": "obstructed", "undecided": "undecided"}[check.kind]
+    kind = {"yes": "lifts", "no": "obstructed"}[check.kind]
     return LiftOutcome(kind, variable, order=check.order, witness=witness, tower=tower)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from localpoints import claims
 from localpoints.claims import (
     ClaimParams,
     builtin_registry,
@@ -9,6 +10,7 @@ from localpoints.claims import (
     run_claim,
 )
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
+from localpoints.field_tower import adjoin_quadratic
 
 # every explicit computation in scope must have a registered claim
 REQUIRED_CLAIMS = [
@@ -387,7 +389,7 @@ def test_system_error_reports_the_file_line(tmp_path, registry, bad_line, column
 
 @pytest.mark.parametrize(
     "let_line, column",
-    [("let x = (1 +", 13), ("  let x = sqrt(1 + q)", 16), ("let x = 2 * * 3", 13)],
+    [("let x = (1 +", 13), ("  let x = sqrt(1 + q)", 20), ("let x = 2 * * 3", 13)],
     ids=["unclosed", "undeclared_in_indented_sqrt", "syntax"],
 )
 def test_let_error_reports_the_file_column(tmp_path, registry, let_line, column):
@@ -488,8 +490,9 @@ def test_malformed_check_line_is_positioned(line, column):
 
 
 @pytest.mark.parametrize(
-    "line, column", [("identity a: 1 + = r", 17), ("order g: q = 1", 10)],
-    ids=["syntax", "undeclared"],
+    "line, column",
+    [("identity a: 1 + = r", 17), ("order g: q = 1", 10), ("  identity a: r = (1 + q)", 24)],
+    ids=["syntax", "undeclared", "undeclared_in_indented_right_side"],
 )
 def test_check_expression_error_is_positioned(tmp_path, registry, line, column):
     path = tmp_path / "claims.txt"
@@ -523,3 +526,34 @@ def test_square_root_of_series_zero_to_precision_is_undecided(registry, name, ov
     report = run_claim(name, registry, **overrides)
     assert report.verdict == "undecided"
     assert report.evidence["reason"] == "precision_exhausted"
+
+
+@pytest.mark.parametrize(
+    "line, column",
+    [("let v = 1/(t - t)", 9), ("identity oops: 1/x = 1", 16)],
+    ids=["let", "identity"],
+)
+def test_division_by_zero_is_positioned(tmp_path, registry, line, column):
+    path = tmp_path / "claims.txt"
+    path.write_text(SQRT_POINT_CHECKS + line + "\n", encoding="utf-8")
+    extended = load_claim_file(str(path), registry)
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("checked_point", extended)
+    assert (err.value.line, err.value.column) == (9, column)
+    assert "division by zero in " + line.split()[0] in str(err.value)
+
+
+def test_text_claim_builds_its_tower_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return adjoin_quadratic(*args)
+
+    monkeypatch.setattr(claims, "adjoin_quadratic", counted)
+    registry = builtin_registry()
+    # golden_shifted_form adjoins alpha and beta once, when the registry is built
+    assert len(calls) == 2
+    calls.clear()
+    assert run_claim("golden_shifted_form", registry).verdict == "pass"
+    assert calls == []

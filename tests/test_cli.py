@@ -125,6 +125,18 @@ def test_load_parse_error_exit_code(tmp_path):
     assert "error" in result.stderr
 
 
+def test_division_by_zero_in_let_is_a_positioned_usage_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "claim zero_division\nsystem:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1/(t - t)\n",
+        encoding="utf-8",
+    )
+    result = run_cli("load", str(bad), "run", "zero_division")
+    assert result.returncode == 2
+    assert "line 5, column 9: division by zero in let" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_failing_claim_gives_exit_one(tmp_path):
     failing = tmp_path / "failing.txt"
     failing.write_text(

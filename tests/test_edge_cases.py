@@ -95,7 +95,7 @@ def test_embed_through_three_levels():
     assert gamma * gamma == with_gamma.rational(2)
 
 
-def test_solve_square_undecided_in_exact_mode():
+def test_solve_square_nonsquare_in_exact_mode():
     golden = adjoin_quadratic(QQ, "alpha", -1, -1)
     tower = adjoin_quadratic(golden, "beta", 0, golden.gen("alpha"))
     place = Place.finite(tower.zero(), 1)
@@ -105,7 +105,7 @@ def test_solve_square_undecided_in_exact_mode():
     outcome = solve_square(
         system, parse_expression("2"), parse_expression("1"), point, mode="exact"
     )
-    assert outcome.kind == "undecided"
+    assert outcome.kind == "nonsquare"
 
 
 def test_truncated_verification_precision_is_min_of_bindings():

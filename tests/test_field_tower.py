@@ -36,7 +36,7 @@ def golden_sqrt_tower() -> FieldTower:
 
 
 def golden_towers_to_height_three() -> list[FieldTower]:
-    """Q, Q(alpha), Q(alpha, beta) and a formally adjoined gamma^2 = beta."""
+    """Q, Q(alpha), Q(alpha, beta) and Q(alpha, beta, gamma) with gamma^2 = beta."""
     tall = golden_sqrt_tower()
     top = adjoin_quadratic(tall, "gamma", 0, -tall.gen("beta"))
     assert isinstance(top, FieldTower)
@@ -131,9 +131,40 @@ def test_is_square_quadratic_extension():
     assert is_square(tower, 1 / alpha).kind == "no"
 
 
-def test_is_square_undecided_at_height_two():
+def test_is_square_decided_at_height_two():
     tower = golden_sqrt_tower()
-    assert is_square(tower, tower.rational(2)).kind == "undecided"
+    alpha, beta = tower.gen("alpha"), tower.gen("beta")
+    assert is_square(tower, tower.rational(2)).kind == "no"
+    assert is_square(tower, -alpha).witness == beta
+    assert is_square(tower, 5).witness == 2 * alpha - 1
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_is_square_randomized_roundtrip_above_height_one(height):
+    rng = random.Random(100 + height)
+    tower = golden_towers_to_height_three()[height]
+    for _ in range(200):
+        w = _random_element(rng, tower)
+        check = is_square(tower, w * w)
+        assert check.kind == "yes"
+        assert check.witness * check.witness == w * w
+
+
+def test_twice_a_square_is_no_square_at_height_two():
+    # 2 is not a square in Q(alpha, beta), so neither is 2*w^2 for any w != 0
+    rng = random.Random(17)
+    tower = golden_sqrt_tower()
+    for _ in range(200):
+        w = _random_element(rng, tower, nonzero=True)
+        assert is_square(tower, 2 * w * w).kind == "no"
+
+
+def test_adjoin_root_of_minus_alpha_is_already_split():
+    tower = golden_sqrt_tower()
+    beta = tower.gen("beta")
+    result = adjoin_quadratic(tower, "g", 0, tower.gen("alpha"))
+    assert isinstance(result, AlreadySplit)
+    assert result.witness in (beta, -beta)
 
 
 def _random_element(rng, tower, nonzero=False):

@@ -218,6 +218,18 @@ def test_sqrt_of_minus_t_extends_tower_and_ramifies():
     assert (root * root).matches(minus_t.ramify(2)._lift(tower))
 
 
+def test_sqrt_of_minus_alpha_stays_in_the_golden_tower():
+    base = adjoin_quadratic(QQ, "alpha", -1, -1)
+    tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
+    place = Place.finite(tower.zero(), 1)
+    minus_alpha = PuiseuxSeries.constant(tower, place, -tower.gen("alpha"), 10)
+    root, root_tower = series_sqrt(minus_alpha)
+    assert root_tower == tower
+    assert root.lead == 0
+    assert root.leading_coefficient() == tower.gen("beta")
+    assert (root * root).matches(minus_alpha)
+
+
 def test_sqrt_roundtrip_randomized():
     rng = random.Random(31)
     for _ in range(100):
@@ -248,8 +260,8 @@ def test_is_square_local_exact_mode():
     base = adjoin_quadratic(QQ, "alpha", -1, -1)
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
     two = RationalFunction.constant(tower, Place.finite(tower.zero(), 1), 2)
-    assert is_square_local(two, mode="exact").kind == "undecided"
-    assert is_square(tower, tower.rational(2)).kind == "undecided"
+    assert is_square_local(two, mode="exact").kind == "no"
+    assert is_square(tower, tower.rational(2)).kind == "no"
 
 
 def test_squareness_dichotomy_over_c():
