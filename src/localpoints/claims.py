@@ -9,6 +9,7 @@ language the builtins use.
 
 from __future__ import annotations
 
+import re
 import textwrap
 import time
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,8 @@ from .errors import (
     PrecisionExhaustedError,
     UnknownClaimError,
 )
-from .exprs import Expr, Neg, Num, Pow, Sym, _tokenize, evaluate, free_symbols, parse_expression
-from .field_tower import QQ, AlreadySplit, FieldTower, _power, adjoin_quadratic
+from .exprs import _tokenize, evaluate, free_symbols, parse_expression
+from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
     MultiplicityProfile,
@@ -38,14 +39,8 @@ from .orbifold import (
 from .series import (
     DEFAULT_PRECISION,
     Place,
-    Poly,
     RationalFunction,
-    _padd,
-    _pmul,
-    _pneg,
-    _pscale,
-    _psub,
-    _trim,
+    is_square_local,
     r_function,
     t_function,
 )
@@ -54,11 +49,12 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
+    _local_root,
+    _odd_power_variable,
     find_cover_equation,
     lift_along_cover,
     parse_system,
     sample_square_lift_property,
-    solve_square,
     valuation_case_predicates,
     verify_point,
 )
@@ -174,8 +170,10 @@ class ParsedClaim:
     orbifold_line: tuple[int, str] | None = None
     assertions: list[tuple[int, str, str]] = field(default_factory=list)
     description: str | None = None
-    checks: list[tuple[int, str, str, str]] = field(default_factory=list)  # line, kind, label, body
-    # file column where the expression text of a system, let or check line starts
+    # identity and order lines: line, kind, label, then (text, file column) of each side
+    checks: list[tuple] = field(default_factory=list)
+    # file column where the text after a line's keyword starts; for a system,
+    # adjoin or let line, where its expression starts
     columns: dict[int, int] = field(default_factory=dict)
 
 
@@ -207,173 +205,76 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             raise ClaimSyntaxError(f"unexpected line {line!r}", lineno, start)
         if keyword != "system:":
             in_system = False
+        rest, column = _rest(line, start, len(keyword))
         if keyword == "claim ":
-            name = line[len("claim "):].strip()
-            if not name or not name.replace("_", "").isalnum():
-                raise ClaimSyntaxError(f"bad claim name {name!r}", lineno, start + 6)
-            if any(c.name == name for c in claims):
-                raise DuplicateClaimError(f"claim {name!r} declared twice")
-            current = ParsedClaim(name, lineno)
+            if not rest or not rest.replace("_", "").isalnum():
+                raise ClaimSyntaxError(f"bad claim name {rest!r}", lineno, column)
+            if any(c.name == rest for c in claims):
+                raise DuplicateClaimError(f"claim {rest!r} declared twice")
+            current = ParsedClaim(rest, lineno)
             claims.append(current)
             continue
         if current is None:
             raise ClaimSyntaxError("directives must follow a `claim NAME` line", lineno, start)
+        current.columns[lineno] = column
         if keyword == "adjoin ":
-            body = line[len("adjoin "):]
-            if ":" not in body:
-                raise ClaimSyntaxError("adjoin NAME : MINPOLY = 0", lineno, start + 7)
-            gen_name, _, minpoly = body.partition(":")
-            minpoly = minpoly.strip()
+            gen_name, colon, _ = rest.partition(":")
+            if not colon:
+                raise ClaimSyntaxError("adjoin NAME : MINPOLY = 0", lineno, column)
+            if any(name == gen_name.strip() for _, name, _ in current.adjoins):
+                raise ClaimSyntaxError(f"generator {gen_name.strip()!r} adjoined twice",
+                                       lineno, column)
+            minpoly, minpoly_column = _rest(rest, column, len(gen_name) + 1)
             if not minpoly.endswith("= 0"):
-                raise ClaimSyntaxError("adjoined minimal polynomial must end in = 0", lineno, start)
+                raise ClaimSyntaxError("adjoined minimal polynomial must end in = 0",
+                                       lineno, minpoly_column)
             current.adjoins.append((lineno, gen_name.strip(), minpoly[: -len("= 0")].strip()))
+            current.columns[lineno] = minpoly_column
         elif keyword == "system:":
             in_system = True
         elif keyword == "place:":
-            current.place_line = (lineno, line[len("place:"):].strip())
+            current.place_line = (lineno, rest)
         elif keyword == "let ":
-            var, eq, _ = line[len("let "):].partition("=")
+            var, eq, _ = rest.partition("=")
             if not eq:
-                raise ClaimSyntaxError("let VAR = EXPR", lineno, start + 4)
-            rhs, column = _rest(line, start, len("let ") + len(var) + 1)
+                raise ClaimSyntaxError("let VAR = EXPR", lineno, column)
+            rhs, column = _rest(rest, column, len(var) + 1)
             is_sqrt = rhs.startswith("sqrt(") and rhs.endswith(")")
             if is_sqrt:
                 rhs, column = rhs[len("sqrt("):-1], column + len("sqrt(")
             current.lets.append((lineno, var.strip(), rhs, is_sqrt))
             current.columns[lineno] = column
         elif keyword == "expect:":
-            expect = line[len("expect:"):].strip()
-            if expect not in ("pass", "obstructed", "nonsquare", "lifts"):
-                raise ClaimSyntaxError(f"unknown expectation {expect!r}", lineno, start + 8)
-            current.expect = expect
+            if rest not in ("pass", "obstructed", "nonsquare", "lifts"):
+                raise ClaimSyntaxError(f"unknown expectation {rest!r}", lineno, column)
+            current.expect = rest
         elif keyword == "description:":
-            current.description = line[len("description:"):].strip()
+            current.description = rest
         elif keyword in ("identity ", "order "):
             kind = keyword.strip()
-            label, colon, _ = line[len(keyword):].partition(":")
-            body, column = _rest(line, start, len(keyword) + len(label) + 1)
+            label, colon, _ = rest.partition(":")
+            body, column = _rest(rest, column, len(label) + 1)
             left, eq, _ = body.rpartition("=") if kind == "order" else body.partition("=")
             if not (colon and label.strip().isidentifier() and eq and left.strip()):
                 raise ClaimSyntaxError(f"expected {kind} LABEL: EXPR = EXPR", lineno, start)
             right, right_column = _rest(body, column, len(left) + 1)
-            if kind == "order" and not right.lstrip("-").isdigit():
+            if kind == "order" and not right.lstrip("-").isdecimal():
                 raise ClaimSyntaxError("an order is an integer", lineno, right_column)
-            current.checks.append((lineno, kind, label.strip(), body))
-            current.columns[lineno] = column
+            current.checks.append((lineno, kind, label.strip(), (left, column),
+                                   (right, right_column)))
         elif keyword == "orbifold ":
-            current.orbifold_line = (lineno, line[len("orbifold "):].strip())
-        elif keyword == "degree:":
-            current.assertions.append((lineno, "degree", line[len("degree:"):].strip()))
-        elif keyword == "general_type:":
-            current.assertions.append(
-                (lineno, "general_type", line[len("general_type:"):].strip())
-            )
+            current.orbifold_line = (lineno, rest)
+        else:  # degree: or general_type:
+            current.assertions.append((lineno, keyword[:-1], rest))
     return claims
 
 
-def _univariate(expr: Expr, name: str, tower: FieldTower, lineno: int) -> Poly:
-    """Dense coefficients of an expression read as a polynomial in `name`."""
-    zero = tower.zero()
+def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
+              const: Callable | None = None):
+    """The exact value of an expression over env; const makes its constants (t's by default).
 
-    def mul(p: Poly, q: Poly) -> Poly:
-        return _pmul(p, q, zero)
-
-    def walk(node: Expr) -> Poly:
-        if isinstance(node, Num):
-            return _trim([tower.rational(node.value)])
-        if isinstance(node, Sym):
-            if node.name == name:
-                return (zero, tower.one())
-            if node.name in tower.generator_names:
-                return (tower.gen(node.name),)
-            raise ClaimSyntaxError(f"undeclared identifier {node.name!r}", lineno, 1)
-        if isinstance(node, Neg):
-            return _pneg(walk(node.operand))
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            if node.exponent < 0:
-                if len(base) != 1:
-                    raise ClaimSyntaxError("negative power of the generator", lineno, 1)
-                return (base[0] ** node.exponent,)
-            return _power(base, node.exponent, (tower.one(),), mul)
-        left, right = walk(node.left), walk(node.right)
-        if node.op == "+":
-            return _padd(left, right, zero)
-        if node.op == "-":
-            return _psub(left, right, zero)
-        if node.op == "*":
-            return mul(left, right)
-        if len(right) != 1:
-            raise ClaimSyntaxError("division by the generator", lineno, 1)
-        return _pscale(left, right[0].inverse())
-
-    return walk(expr)
-
-
-def _build_system(parsed: ParsedClaim, tower: FieldTower) -> PolynomialSystem:
-    """The claim's system; an error in it names the line and column of the claim file."""
-    try:
-        return parse_system("\n".join(text for _, text in parsed.system_lines), tower)
-    except ClaimSyntaxError as err:
-        message = str(err).partition(": ")[2]
-        lineno = parsed.system_lines[err.line - 1][0]
-        raise ClaimSyntaxError(message, lineno, parsed.columns[lineno] + err.column - 1) from None
-
-
-def _build_tower(parsed: ParsedClaim) -> FieldTower:
-    tower = QQ
-    for lineno, gen_name, minpoly_text in parsed.adjoins:
-        expr = parse_expression(minpoly_text, lineno)
-        coeffs = _univariate(expr, gen_name, tower, lineno)
-        if len(coeffs) != 3 or coeffs[2] != tower.one():
-            raise ClaimSyntaxError(
-                f"adjoin needs a monic quadratic in {gen_name!r}", lineno, 1
-            )
-        result = adjoin_quadratic(tower, gen_name, coeffs[1], coeffs[0])
-        if isinstance(result, AlreadySplit):
-            raise ClaimSyntaxError(
-                f"{gen_name!r} would not extend the field: root {result.witness} exists",
-                lineno,
-                1,
-            )
-        tower = result
-    return tower
-
-
-def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
-    if parsed.place_line is None:
-        raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
-    lineno, text = parsed.place_line
-    body = text.strip()
-    if not body.startswith("t"):
-        raise ClaimSyntaxError("place: t = CENTER ram E", lineno, 1)
-    body = body[1:].strip()
-    if not body.startswith("="):
-        raise ClaimSyntaxError("place: t = CENTER ram E", lineno, 1)
-    body = body[1:].strip()
-    ram = 1
-    if " ram " in f" {body}":
-        center_text, _, ram_text = f" {body}".rpartition(" ram ")
-        center_text = center_text.strip()
-        try:
-            ram = int(ram_text.strip())
-        except ValueError:
-            raise ClaimSyntaxError("ramification must be an integer", lineno, 1) from None
-    else:
-        center_text = body
-    if center_text == "infinity":
-        return Place.at_infinity(ram)
-    expr = parse_expression(center_text, lineno)
-    names = free_symbols(expr)
-    if not names <= set(tower.generator_names):
-        raise ClaimSyntaxError("place center may use only adjoined generators", lineno, 1)
-    env = {g: tower.gen(g) for g in tower.generator_names}
-    center = evaluate(expr, env, tower.rational)
-    return Place.finite(center, ram)
-
-
-def _evaluate(text: str, lineno: int, env: dict, where: str, column: int) -> RationalFunction:
-    """The exact value of an expression over env, which holds at least t."""
+    An undeclared identifier and a division by zero are positioned errors.
+    """
     expr = parse_expression(text, lineno, column)
     unknown = free_symbols(expr) - set(env)
     if unknown:
@@ -383,9 +284,85 @@ def _evaluate(text: str, lineno: int, env: dict, where: str, column: int) -> Rat
             f"undeclared identifier {name!r} in {where}", token.line, token.column
         )
     try:
-        return evaluate(expr, env, env["t"]._constant)
+        return evaluate(expr, env, const or env["t"]._constant)
     except ZeroDivisionError:
         raise ClaimSyntaxError(f"division by zero in {where}", lineno, column) from None
+
+
+def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
+    """The claim's tower: each adjoin line is a monic quadratic in its generator.
+
+    towers holds every chain of adjoin lines built so far, keyed by names and
+    texts, so claims that adjoin the same chain share one immutable tower.
+    """
+    tower, chain = QQ, ()
+    for lineno, gen_name, text in parsed.adjoins:
+        chain += ((gen_name, text),)
+        if chain in towers:
+            tower = towers[chain]
+            continue
+        column = parsed.columns[lineno]
+        place = Place.finite(tower.zero())  # t = r, so the polynomial is read in r
+        env = {g: RationalFunction.constant(tower, place, tower.gen(g))
+               for g in tower.generator_names}
+        env[gen_name] = r_function(tower, place)
+        minpoly = _evaluate(text, lineno, env, "adjoin", column, env[gen_name]._constant)
+        one = tower.one()
+        if minpoly.den != (one,) or len(minpoly.num) != 3 or minpoly.num[2] != one:
+            raise ClaimSyntaxError(f"adjoin needs a monic quadratic in {gen_name!r}",
+                                   lineno, column)
+        result = adjoin_quadratic(tower, gen_name, minpoly.num[1], minpoly.num[0])
+        if isinstance(result, AlreadySplit):
+            raise ClaimSyntaxError(
+                f"{gen_name!r} would not extend the field: root {result.witness} exists",
+                lineno, column)
+        tower = towers[chain] = result
+    return tower
+
+
+def _build_system(
+    parsed: ParsedClaim, tower: FieldTower, point: PointAssignment
+) -> PolynomialSystem:
+    """The claim's system; an error in it names the line and column of the claim file.
+
+    So does a square-root let whose variable the system uses with an odd power.
+    """
+    try:
+        system = parse_system("\n".join(text for _, text in parsed.system_lines), tower)
+    except ClaimSyntaxError as err:
+        message = str(err).partition(": ")[2]
+        lineno = parsed.system_lines[err.line - 1][0]
+        raise ClaimSyntaxError(message, lineno, parsed.columns[lineno] + err.column - 1) from None
+    odd = _odd_power_variable(system, point.sqrt_variables())
+    if odd is not None:
+        lineno = max(lineno for lineno, var, _, _ in parsed.lets if var == odd)
+        raise ClaimSyntaxError(f"{odd!r} is a square root; the system has an odd power of it",
+                               lineno, parsed.columns[lineno] - len("sqrt("))
+    return system
+
+
+_PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
+
+
+def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
+    if parsed.place_line is None:
+        raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
+    lineno, text = parsed.place_line
+    column = parsed.columns[lineno]
+    match = _PLACE.fullmatch(text)
+    if match is None:
+        raise ClaimSyntaxError("place: t = CENTER ram E", lineno, column)
+    center_text, ram_text = match.groups()
+    if ram_text is not None and not (ram_text.isdecimal() and int(ram_text) > 0):
+        raise ClaimSyntaxError("ramification must be a positive integer",
+                               lineno, column + match.start(2))
+    ram = int(ram_text or 1)
+    if center_text == "infinity":
+        return Place.at_infinity(ram)
+    generators = {g: tower.gen(g) for g in tower.generator_names}
+    center = _evaluate(center_text, lineno, generators, "place center",
+                       column + match.start(1), tower.rational)
+    return Place.finite(center, ram)
 
 
 def _build_bindings(
@@ -406,12 +383,10 @@ def _build_bindings(
 def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
     """Record each identity and order check in evidence; whether all of them hold."""
     holds = True
-    for lineno, kind, label, body in parsed.checks:
-        column = parsed.columns[lineno]
-        left, _, right = body.rpartition("=") if kind == "order" else body.partition("=")
-        value = _evaluate(left, lineno, values, kind, column)
+    for lineno, kind, label, (left, left_column), (right, right_column) in parsed.checks:
+        value = _evaluate(left, lineno, values, kind, left_column)
         if kind == "identity":
-            ok = value == _evaluate(right, lineno, values, kind, column + len(left) + 1)
+            ok = value == _evaluate(right, lineno, values, kind, right_column)
             evidence[label] = "exact" if ok else "failed"
         else:  # the zero function has no order, so no order check holds for it
             order = None if value.is_zero() else value.order_at_zero()
@@ -420,6 +395,20 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
             evidence[f"{label}_valuation"] = None if order is None else str(value.valuation())
         holds = holds and ok
     return holds
+
+
+def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
+    """The claim's one expression, over the check values, certified a local non-square."""
+    if len(parsed.system_lines) != 1:
+        raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
+    lineno, text = parsed.system_lines[0]
+    value = _evaluate(text, lineno, values, "nonsquare", parsed.columns[lineno])
+    if value.is_zero():  # the zero function has no order, so it certifies nothing
+        return "fail", {"expression": text, "result": "zero", "order": None}
+    check = is_square_local(value)
+    evidence = {"expression": text, "result": "nonsquare" if check.kind == "no" else "witness",
+                "order": check.order}
+    return ("pass" if check.kind == "no" else "fail"), evidence
 
 
 def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssignment,
@@ -448,45 +437,51 @@ def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssi
     return "pass" if matches else "fail"
 
 
-def _orbifold_outcome(parsed: ParsedClaim) -> ClaimOutcome:
+_ORBIFOLD = re.compile(r"genus\s+(\S+)\s+marks\s*\[(.*)\]")
+
+
+def _orbifold_claim(parsed: ParsedClaim) -> Claim:
+    """An orbifold fact; its lines are read here, so a run only computes."""
     lineno, text = parsed.orbifold_line
-    tokens = text.replace("[", " [ ").split(None, 3)
-    if len(tokens) < 4 or tokens[0] != "genus" or tokens[2] != "marks":
-        raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, 1)
-    genus = int(tokens[1])
-    marks_text = tokens[3].strip()
-    if not (marks_text.startswith("[") and marks_text.endswith("]")):
-        raise ClaimSyntaxError("marks must be a [..] list", lineno, 1)
-    multiplicities = []
-    inner = marks_text[1:-1].strip()
-    if inner:
-        for part in inner.split(","):
-            part = part.strip()
-            multiplicities.append(INF if part == "inf" else int(part))
-    curve = OrbifoldCurve.from_multiplicities(genus, multiplicities)
-    checks = {}
-    verdict = "pass"
-    actual_degree = degree(curve)
-    actual_gt = is_general_type(curve)
-    checks["degree"] = str(actual_degree)
-    checks["general_type"] = actual_gt
-    for lineno, key, expected_text in parsed.assertions:
+    column = parsed.columns[lineno]
+    match = _ORBIFOLD.fullmatch(text)
+    if match is None:
+        raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, column)
+    if not match[1].isdecimal():
+        raise ClaimSyntaxError("the genus is a nonnegative integer",
+                               lineno, column + match.start(1))
+    marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
+    if not all(mark == "inf" or (mark.isdecimal() and int(mark) > 0) for mark in marks):
+        raise ClaimSyntaxError("marks are positive integers or inf",
+                               lineno, column + match.start(2))
+    curve = OrbifoldCurve.from_multiplicities(
+        int(match[1]), [INF if mark == "inf" else int(mark) for mark in marks])
+    expected = []
+    for lineno, key, text in parsed.assertions:
+        column = parsed.columns[lineno]
         if key == "degree":
-            expected = Fraction(expected_text)
-            checks["degree_expected"] = str(expected)
-            if actual_degree != expected:
-                verdict = "fail"
+            expected.append((key, _evaluate(text, lineno, {}, "degree", column, Fraction)))
+        elif text.lower() in ("true", "false"):
+            expected.append((key, text.lower() == "true"))
         else:
-            expected_gt = expected_text.strip().lower() == "true"
-            checks["general_type_expected"] = expected_gt
-            if actual_gt != expected_gt:
-                verdict = "fail"
-    return ClaimOutcome(verdict, {"curve": str(curve), **checks})
+            raise ClaimSyntaxError("general_type is true or false", lineno, column)
+
+    def run(params: ClaimParams) -> ClaimOutcome:
+        actual = {"degree": degree(curve), "general_type": is_general_type(curve)}
+        evidence = {"curve": str(curve), "degree": str(actual["degree"]),
+                    "general_type": actual["general_type"]}
+        evidence.update((f"{key}_expected", str(value) if key == "degree" else value)
+                        for key, value in expected)
+        held = all(actual[key] == value for key, value in expected)
+        return ClaimOutcome("pass" if held else "fail", evidence)
+
+    return Claim(parsed.name, "orbifold_fact",
+                 parsed.description or "orbifold fact from claim file", run)
 
 
 def _kind(parsed: ParsedClaim) -> str:
     """The kind of a claim on a point, read off its text."""
-    if parsed.expect == "nonsquare" or any(kind == "order" for _, kind, _, _ in parsed.checks):
+    if parsed.expect == "nonsquare" or any(kind == "order" for _, kind, *_ in parsed.checks):
         return "squareness_certificate"
     return "lift_test" if parsed.expect in ("obstructed", "lifts") else "point_verification"
 
@@ -513,34 +508,21 @@ def _verified(
     return "fail", evidence
 
 
-def _claim_from_parsed(parsed: ParsedClaim) -> Claim:
+def _claim_from_parsed(parsed: ParsedClaim, towers: dict) -> Claim:
+    """The claim a parsed block declares; towers is shared by _build_tower."""
     if parsed.orbifold_line is not None:
-        return Claim(parsed.name, "orbifold_fact",
-                     parsed.description or "orbifold fact from claim file",
-                     lambda params, p=parsed: _orbifold_outcome(p))
+        return _orbifold_claim(parsed)
 
-    tower = _build_tower(parsed)
+    tower = _build_tower(parsed, towers)
 
     def run(params: ClaimParams, p=parsed) -> ClaimOutcome:
         place = _build_place(p, tower)
         bindings, values = _build_bindings(p, tower, place)
         point = PointAssignment(place, bindings)
         if p.expect == "nonsquare":
-            if len(p.system_lines) != 1:
-                raise ClaimSyntaxError(
-                    "a nonsquare claim takes exactly one expression", p.line, 1
-                )
-            lineno, text = p.system_lines[0]
-            target = parse_expression(text, lineno, p.columns[lineno])
-            system = PolynomialSystem(tower, tuple(sorted(
-                free_symbols(target) - {"t"} - set(tower.generator_names)
-            )), (), ())
-            outcome = solve_square(system, target, Num(1), point, mode="over_c",
-                                   precision=params.precision)
-            verdict = "pass" if outcome.kind == "nonsquare" else "fail"
-            evidence = {"expression": text, "result": outcome.kind, "order": outcome.order}
+            verdict, evidence = _nonsquare(p, values)
         elif p.expect == "obstructed":
-            outcome = lift_along_cover(_build_system(p, tower), point, mode="over_c",
+            outcome = lift_along_cover(_build_system(p, tower, point), point, mode="over_c",
                                        precision=params.precision)
             verdict = "pass" if outcome.kind == "obstructed" else "fail"
             evidence = {
@@ -549,7 +531,7 @@ def _claim_from_parsed(parsed: ParsedClaim) -> Claim:
                 "order": outcome.order,
             }
         else:
-            system = _build_system(p, tower)
+            system = _build_system(p, tower, point)
             verdict, evidence = _verified(system, point, params)
         if not _checks_hold(p, values, evidence):
             verdict = "fail"
@@ -569,10 +551,11 @@ def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> d
     base = dict(registry if registry is not None else builtin_registry())
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+    towers: dict = {}
     for parsed in parse_claim_file(text):
         if parsed.name in base:
             raise DuplicateClaimError(f"claim {parsed.name!r} already registered")
-        base[parsed.name] = _claim_from_parsed(parsed)
+        base[parsed.name] = _claim_from_parsed(parsed, towers)
     return base
 
 
@@ -683,19 +666,15 @@ def _golden_nonlift_claim(n: int) -> Claim:
             "lhs_2": lhs2.order_at_zero(),
         }
         valuation = str(Fraction(g.order_at_zero(), 2 * n))
-        system = parse_system(BASE_SYSTEM_SOURCE, tower)
         point = PointAssignment(place, {"u": ExactValue(u), "x": ExactValue(x)})
         squares = {}
-        for label, lhs_text, g_text in (
-            ("y", "x^2 - t*u^2 + t", "t^2*u^2 - t"),
-            ("z", "x^2 - 2*t*u^2 + 1/t", "t*(t^2*u^2 - t)"),
-        ):
-            outcome = solve_square(system, parse_expression(lhs_text), parse_expression(g_text),
-                                   point, precision=params.precision)
+        # y^2 and z^2 are the quotients of the base equations
+        for label, quotient in (("y", lhs1 / g), ("z", lhs2 / (t * g))):
+            check, witness, _ = _local_root(quotient, "over_c", params.precision)
             squares[label] = {
-                "result": outcome.kind,
-                "quotient_order": outcome.order,
-                "witness_precision": outcome.witness.precision if outcome.witness else None,
+                "result": "witness" if check.kind == "yes" else "nonsquare",
+                "quotient_order": check.order,
+                "witness_precision": witness.precision if witness else None,
             }
         cover = parse_system(_COVER_SYSTEM_SOURCE, tower)
         plain = lift_along_cover(cover, point, precision=params.precision, check_base=False)
@@ -898,9 +877,10 @@ def _perturbations(params: ClaimParams) -> dict:
 
 def builtin_registry() -> dict[str, Claim]:
     """All built-in claims, keyed by name, in a stable order."""
+    towers: dict = {}
 
     def from_text(text: str) -> list[Claim]:
-        return [_claim_from_parsed(parsed) for parsed in parse_claim_file(text)]
+        return [_claim_from_parsed(parsed, towers) for parsed in parse_claim_file(text)]
 
     claims = from_text(POINTS_TEXT)
     claims += [_golden_nonlift_claim(n) for n in range(1, 6)]

@@ -121,10 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                 + (f", failures: {', '.join(summary['failures'])}" if summary["failures"] else "")
             )
         return _exit_code(reports)
-    except UnknownClaimError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ClaimSyntaxError, DuplicateClaimError, OSError) as err:
+    except (UnknownClaimError, ClaimSyntaxError, DuplicateClaimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

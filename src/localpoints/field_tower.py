@@ -21,7 +21,6 @@ recursion on the norm against the conjugate root theta' = -b - theta.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -220,19 +219,19 @@ class FieldTower:
         return self.rational(value)
 
 
-def _power(base, exponent: int, one, mul=operator.mul):
-    """base**exponent by square and multiply, for exponent >= 0; one is mul's identity.
+def _power(base, exponent: int, one):
+    """base**exponent by square and multiply, for exponent >= 0.
 
     The one loop behind every ** of the package: field elements, rational
-    functions, series, and the dense polynomials of claim-file adjoins.
+    functions and series.
     """
     result = one
     while exponent:
         if exponent & 1:
-            result = mul(result, base)
+            result = result * base
         exponent >>= 1
         if exponent:
-            base = mul(base, base)
+            base = base * base
     return result
 
 
@@ -505,8 +504,10 @@ def is_square(tower: FieldTower, a: FieldElement | Fraction | int) -> SquareChec
     half, zero = below.rational(Fraction(1, 2)), below.zero()
     big_x, big_y = x - b * y * half, y * half
     if big_y.is_zero():
-        # the root is s with s^2 = X, or s*sqrt(d) with s^2 = X/d
-        candidates = [(big_x, lambda s: (s, zero)), (big_x / d, lambda s: (zero, s))]
+        # the root is s with s^2 = X, or s*sqrt(d) with s^2 = X/d (when d is not 0)
+        candidates = [(big_x, lambda s: (s, zero))]
+        if d:
+            candidates.append((big_x / d, lambda s: (zero, s)))
     else:
         # a is a square iff its norm X^2 - d*Y^2 is a square n^2 in K and
         norm = is_square(below, big_x * big_x - d * big_y * big_y)

@@ -232,12 +232,12 @@ def _cleared_sides(eq: Equation) -> tuple[Expr, Expr, Expr | None]:
     return BinOp("*", multiplier, eq.lhs), BinOp("*", multiplier, eq.rhs), multiplier
 
 
-def _check_even_powers(system: PolynomialSystem, point: PointAssignment) -> None:
+def _odd_power_variable(system: PolynomialSystem, variables) -> str | None:
+    """The first of variables that the system uses with an odd power, if any."""
     sides = [side for eq in system.equations for side in (eq.lhs, eq.rhs)]
     sides += system.inequations
-    for variable in point.sqrt_variables():
-        if not all(only_even_powers(side, variable) for side in sides):
-            raise OddPowerError(f"square-root variable {variable!r} occurs with an odd power")
+    return next((variable for variable in variables
+                 if not all(only_even_powers(side, variable) for side in sides)), None)
 
 
 def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None = None):
@@ -282,7 +282,9 @@ def verify_point(
     unbound = [v for v in system.variables if v not in point.bindings]
     if unbound:
         raise ValueError(f"unbound variables: {', '.join(unbound)}")
-    _check_even_powers(system, point)
+    odd = _odd_power_variable(system, point.sqrt_variables())
+    if odd is not None:
+        raise OddPowerError(f"square-root variable {odd!r} occurs with an odd power")
     env, square_env, const = _env(system, point, None if mode == "exact" else precision)
     cache: dict = {}
 

@@ -1,6 +1,7 @@
 import pytest
 
 from localpoints import claims
+from localpoints.cli import main
 from localpoints.claims import (
     ClaimParams,
     builtin_registry,
@@ -279,8 +280,7 @@ def test_parser_roundtrip_on_builtin_corpus(registry):
         system = parse_system(claim.system_source, tower)
         assert parse_system(print_system(system), tower) == system
         assert all(roundtrips(rhs) for _, _, rhs, _ in parsed.lets)
-        for _, kind, _, body in parsed.checks:
-            left, _, right = body.rpartition("=") if kind == "order" else body.partition("=")
+        for _, _, _, (left, _), (right, _) in parsed.checks:
             assert roundtrips(left) and roundtrips(right)
     assert sum(len(parsed.checks) for parsed in corpus) == 2
 
@@ -557,3 +557,59 @@ def test_text_claim_builds_its_tower_once(monkeypatch):
     calls.clear()
     assert run_claim("golden_shifted_form", registry).verdict == "pass"
     assert calls == []
+
+
+# inputs that ended in a traceback (and `general_type: yes`, which read as false);
+# each is now a ClaimSyntaxError at the line and column of the fault
+POSITIONED_ERRORS = [
+    ("place_center_divides_by_zero",
+     "adjoin s : s^2 - 2 = 0\nplace: t = 1/(s - s)\nsystem:\n  x = 1\nlet x = 1", 3, 12),
+    ("ramification_zero", "place: t = 0 ram 0\nsystem:\n  x = 1\nlet x = 1", 2, 18),
+    ("ramification_negative", "place: t = 0 ram -2\nsystem:\n  x = 1\nlet x = 1", 2, 18),
+    ("nonsquare_target_uses_a_sqrt_let",
+     "system:\n  1 + y\nplace: t = 0 ram 1\nlet y = sqrt(t)\nexpect: nonsquare", 3, 7),
+    ("sqrt_let_with_an_odd_power",
+     "system:\n  y = t\nplace: t = 0 ram 1\nlet y = sqrt(t)", 5, 9),
+    ("generator_adjoined_twice", "adjoin s : s^2 - 2 = 0\nadjoin s : s^2 - 3 = 0", 3, 8),
+    ("genus_not_an_integer", "orbifold genus x marks [2, 3]", 2, 16),
+    ("genus_negative", "orbifold genus -1 marks [2, 3]", 2, 16),
+    ("mark_zero", "orbifold genus 0 marks [0, 2]", 2, 25),
+    ("degree_not_a_rational", "orbifold genus 0 marks [2, 3]\ndegree: abc", 3, 9),
+    ("degree_divides_by_zero", "orbifold genus 0 marks [2, 3]\ndegree: 1/0", 3, 9),
+    ("general_type_not_a_boolean", "orbifold genus 0 marks [2, 3]\ngeneral_type: yes", 3, 15),
+]
+
+
+@pytest.mark.parametrize(
+    "body, line, column", [row[1:] for row in POSITIONED_ERRORS],
+    ids=[row[0] for row in POSITIONED_ERRORS],
+)
+def test_bad_input_is_a_positioned_error(tmp_path, registry, body, line, column):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim broken\n{body}\n", encoding="utf-8")
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("broken", load_claim_file(str(path), registry))
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):
+    path = tmp_path / "claims.txt"
+    path.write_text("claim broken\nsystem:\n  y = t\nplace: t = 0 ram 1\nlet y = sqrt(t)\n",
+                    encoding="utf-8")
+    assert main(["load", str(path), "run", "broken"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 5, column 9:")
+
+
+@pytest.mark.parametrize(
+    "target, verdict, result, order",
+    [("r", "pass", "nonsquare", 1), ("t - t", "fail", "zero", None),
+     ("t^2", "fail", "witness", 2)],
+    ids=["local_parameter", "zero", "square"],
+)
+def test_nonsquare_target(tmp_path, registry, target, verdict, result, order):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim target\nsystem:\n  {target}\nplace: t = 0 ram 1\nexpect: nonsquare\n",
+                    encoding="utf-8")
+    report = run_claim("target", load_claim_file(str(path), registry))
+    assert report.verdict == verdict
+    assert report.evidence == {"expression": target, "result": result, "order": order}

@@ -10,6 +10,7 @@ from localpoints.field_tower import (
     AlreadySplit,
     FieldElement,
     FieldTower,
+    TowerStep,
     adjoin_quadratic,
     embed,
     is_square,
@@ -117,6 +118,14 @@ def test_is_square_rationals():
     assert check.witness * check.witness == QQ.rational(Fraction(4, 9))
     assert is_square(QQ, -1).kind == "no"
     assert is_square(QQ, 0).kind == "yes"
+
+
+def test_is_square_on_a_step_with_zero_discriminant():
+    # e^2 = 0: a rational a = X has no X/d candidate, only the root of X
+    tower = FieldTower((TowerStep("e", (0,), (0,)),))
+    check = is_square(tower, 4)
+    assert check.kind == "yes"
+    assert check.witness * check.witness == tower.rational(4)
 
 
 def test_is_square_quadratic_extension():

@@ -14,6 +14,7 @@ import pytest
 from localpoints.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
+EXAMPLE = str(DATA.parent.parent / "claims_example.txt")
 
 GOLDEN = [
     (["all", "--samples", "60", "--json"], "verify_all_samples60.json"),
@@ -22,6 +23,7 @@ GOLDEN = [
     (["list"], "verify_list.txt"),
     (["all", "--mode", "truncated", "--precision", "2", "--samples", "60", "--json"],
      "verify_all_truncated_p2_samples60.json"),
+    (["load", EXAMPLE, "all", "--json"], "verify_load_example.json"),
 ]
 
 
