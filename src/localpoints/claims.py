@@ -14,6 +14,7 @@ import textwrap
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping
 
@@ -23,7 +24,7 @@ from .errors import (
     PrecisionExhaustedError,
     UnknownClaimError,
 )
-from .exprs import _tokenize, evaluate, free_symbols, parse_expression
+from .exprs import Expr, _tokenize, evaluate, free_symbols, parse_expression
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
@@ -320,12 +321,29 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
     return tower
 
 
+_IDENTIFIER = re.compile(r"[^\W\d]\w*")
+
+
+def _cover_equation(
+    parsed: ParsedClaim, system: PolynomialSystem, point: PointAssignment
+) -> tuple[int, str, Expr]:
+    """find_cover_equation, with a missing cover equation a positioned error."""
+    try:
+        return find_cover_equation(system, point)
+    except ValueError:
+        raise ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g",
+                               parsed.line, 1) from None
+
+
 def _build_system(
     parsed: ParsedClaim, tower: FieldTower, point: PointAssignment
 ) -> PolynomialSystem:
     """The claim's system; an error in it names the line and column of the claim file.
 
-    So does a square-root let whose variable the system uses with an odd power.
+    So do a variable no let binds, at its first use, and a square-root let
+    whose variable the system uses with an odd power.  An obstructed claim
+    leaves its cover variable w unbound, when w occurs only as the w^2 of its
+    cover equation.
     """
     try:
         system = parse_system("\n".join(text for _, text in parsed.system_lines), tower)
@@ -333,6 +351,16 @@ def _build_system(
         message = str(err).partition(": ")[2]
         lineno = parsed.system_lines[err.line - 1][0]
         raise ClaimSyntaxError(message, lineno, parsed.columns[lineno] + err.column - 1) from None
+    unbound = set(system.variables) - set(point.bindings)
+    if parsed.expect == "obstructed":
+        index, variable, g = _cover_equation(parsed, system, point)
+        if variable not in {*system.without_equation(index).variables, *free_symbols(g)}:
+            unbound.discard(variable)
+    for lineno, text in parsed.system_lines:
+        for match in _IDENTIFIER.finditer(text):
+            if match[0] in unbound:
+                raise ClaimSyntaxError(f"unbound variable {match[0]!r}: no let binds it",
+                                       lineno, parsed.columns[lineno] + match.start())
     odd = _odd_power_variable(system, point.sqrt_variables())
     if odd is not None:
         lineno = max(lineno for lineno, var, _, _ in parsed.lets if var == odd)
@@ -418,10 +446,7 @@ def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssi
     The lift's witness must square to the square root the claim bound w to.
     """
     exact = {v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)}
-    try:
-        _, variable, _ = find_cover_equation(cover, PointAssignment(point.place, exact))
-    except ValueError:
-        raise ClaimSyntaxError("lifts: no cover equation w^2 = g", parsed.line, 1) from None
+    _, variable, _ = _cover_equation(parsed, cover, PointAssignment(point.place, exact))
     bindings = dict(point.bindings)
     w_square = bindings.pop(variable).square
     lift = lift_along_cover(cover, PointAssignment(point.place, bindings),
@@ -637,14 +662,13 @@ expect: pass
 """
 
 
-def _golden_point(e: int) -> tuple:
+def _golden_point(tower: FieldTower, e: int) -> tuple:
     """The golden point u = 1/beta + r, x = alpha at t = -alpha, ramification e.
 
-    Returns tower, place, r, t, u, x, the cover factor g = u^2 t^2 - t and the
+    tower is Q(alpha, beta) with alpha^2 = alpha + 1 and beta^2 = -alpha.
+    Returns place, r, t, u, x, the cover factor g = u^2 t^2 - t and the
     left-hand sides of the two base equations.
     """
-    golden = adjoin_quadratic(QQ, "alpha", -1, -1)
-    tower = adjoin_quadratic(golden, "beta", 0, golden.gen("alpha"))
     alpha, beta = tower.gen("alpha"), tower.gen("beta")
     place = Place.finite(-alpha, e)
     r = r_function(tower, place)
@@ -652,14 +676,14 @@ def _golden_point(e: int) -> tuple:
     u = 1 / beta + r
     x = RationalFunction.constant(tower, place, alpha)
     g = u * u * t * t - t
-    return tower, place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
+    return place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
 
 
-def _golden_nonlift_claim(n: int) -> Claim:
+def _golden_nonlift_claim(n: int, tower: FieldTower) -> Claim:
     name = f"golden_nonlift_n{n}"
 
     def run(params: ClaimParams) -> ClaimOutcome:
-        tower, place, r, t, u, x, g, lhs1, lhs2 = _golden_point(2 * n)
+        place, r, t, u, x, g, lhs1, lhs2 = _golden_point(tower, 2 * n)
         orders = {
             "cover_factor": g.order_at_zero(),
             "lhs_1": lhs1.order_at_zero(),
@@ -709,8 +733,8 @@ def _golden_nonlift_claim(n: int) -> Claim:
     )
 
 
-def _two_forms(params: ClaimParams) -> ClaimOutcome:
-    tower, place, r, t, u, x, g, lhs1, lhs2 = _golden_point(2)
+def _two_forms(tower: FieldTower, params: ClaimParams) -> ClaimOutcome:
+    place, r, t, u, x, g, lhs1, lhs2 = _golden_point(tower, 2)
     point = PointAssignment(
         place,
         {
@@ -865,12 +889,15 @@ def _perturbations(params: ClaimParams) -> dict:
     for genus in range(3):
         for size in range(7):
             for finite in combinations_with_replacement(range(1, 11), size):
-                base_degree = degree(OrbifoldCurve.from_multiplicities(genus, finite))
+                base = degree(OrbifoldCurve.from_multiplicities(genus, finite))
+                num, den = base.numerator, base.denominator
                 for n_inf in range(7):
                     checked += 1
-                    if base_degree + n_inf <= 0:
+                    # the degrees base + n_inf, and base + n_inf * 6/7 once each
+                    # inf is 7, times the positive den and 7 * den
+                    if num + n_inf * den <= 0:
                         continue
-                    if base_degree + n_inf * Fraction(6, 7) <= 0:
+                    if 7 * num + 6 * n_inf * den <= 0:
                         violations.append({"genus": genus, "finite": list(finite), "inf": n_inf})
     return {"curves_checked": checked, "replacement": 7, "violations": violations}
 
@@ -883,11 +910,14 @@ def builtin_registry() -> dict[str, Claim]:
         return [_claim_from_parsed(parsed, towers) for parsed in parse_claim_file(text)]
 
     claims = from_text(POINTS_TEXT)
-    claims += [_golden_nonlift_claim(n) for n in range(1, 6)]
-    claims += from_text(SHIFTED_FORM_TEXT)
+    shifted_form = from_text(SHIFTED_FORM_TEXT)
+    # the golden point's field, built once for the shifted form's adjoin lines
+    golden = shifted_form[0].system_tower
+    claims += [_golden_nonlift_claim(n, golden) for n in range(1, 6)]
+    claims += shifted_form
     claims.append(Claim("k3_cover_two_forms_obstructed", "lift_test",
-                        "both double-cover forms obstruct at the golden place", _two_forms,
-                        system_source=_COVER_SYSTEM_SOURCE))
+                        "both double-cover forms obstruct at the golden place",
+                        partial(_two_forms, golden), system_source=_COVER_SYSTEM_SOURCE))
     claims += from_text(K3_LIFTS_TEXT)
     claims.append(Claim("lemma91_property", "property_test",
                         "solvable equations force the cover factor to be a local square",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class _InfiniteMultiplicity:
@@ -69,14 +69,15 @@ class OrbifoldCurve:
 
 
 def degree(curve: OrbifoldCurve) -> Fraction:
-    """2g - 2 + sum of (1 - 1/m); an infinite mark contributes exactly 1."""
-    total = Fraction(2 * curve.genus - 2)
-    for _, m in curve.marks:
-        if isinstance(m, _InfiniteMultiplicity):
-            total += 1
-        else:
-            total += 1 - Fraction(1, m)
-    return total
+    """2g - 2 + sum of (1 - 1/m); an infinite mark contributes exactly 1.
+
+    Exact: with L the lcm of the finite marks (1 when there are none), the
+    sum is the integer (2g - 2 + n) L - sum of L/m over n marks, over L.
+    """
+    finite = [m for _, m in curve.marks if not isinstance(m, _InfiniteMultiplicity)]
+    common = lcm(*finite)
+    numerator = (2 * curve.genus - 2 + len(curve.marks)) * common
+    return Fraction(numerator - sum(common // m for m in finite), common)
 
 
 def is_general_type(curve: OrbifoldCurve) -> bool:

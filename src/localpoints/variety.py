@@ -504,13 +504,19 @@ def sample_square_lift_property(
     hypothesis_hits = 0
     degenerate = 0
     counterexamples: list[dict] = []
+    # rejection draws repeat grid triples many times over, so each triple's
+    # case is computed once per sweep
+    cases: dict[tuple[int, int, int], int] = {}
     for k in range(samples):
         case = k % 8 + 1
         while True:
             e = rng.randint(1, e_max)
             a = rng.randint(-max_numerator, max_numerator)
             b = rng.randint(-max_numerator, max_numerator)
-            if valuation_case_predicates(Fraction(a, e), Fraction(b, e))[case - 1]:
+            found = cases.get((e, a, b))
+            if found is None:
+                found = cases[e, a, b] = valuation_case(Fraction(a, e), Fraction(b, e))
+            if found == case:
                 break
         counts[case] += 1
         place = Place.finite(QQ.zero(), e)

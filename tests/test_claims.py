@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from localpoints import claims
@@ -12,6 +14,8 @@ from localpoints.claims import (
 )
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 from localpoints.field_tower import adjoin_quadratic
+
+EXAMPLE = pathlib.Path(__file__).resolve().parent.parent / "claims_example.txt"
 
 # every explicit computation in scope must have a registered claim
 REQUIRED_CLAIMS = [
@@ -319,10 +323,7 @@ expect: pass
 
 
 def test_shipped_example_claim_file(registry):
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "claims_example.txt"
-    extended = load_claim_file(str(path), registry)
+    extended = load_claim_file(str(EXAMPLE), registry)
     new_names = sorted(set(extended) - set(registry))
     assert new_names == [
         "example_five_half_marks",
@@ -559,6 +560,17 @@ def test_text_claim_builds_its_tower_once(monkeypatch):
     assert calls == []
 
 
+def test_golden_claims_share_the_registry_tower(monkeypatch):
+    calls = []
+    monkeypatch.setattr(claims, "adjoin_quadratic",
+                        lambda *args: calls.append(args) or adjoin_quadratic(*args))
+    registry = builtin_registry()
+    assert len(calls) == 2  # alpha and beta, for every golden claim
+    for name in ("golden_nonlift_n1", "golden_nonlift_n5", "k3_cover_two_forms_obstructed"):
+        assert run_claim(name, registry).verdict == "pass"
+    assert len(calls) == 2
+
+
 # inputs that ended in a traceback (and `general_type: yes`, which read as false);
 # each is now a ClaimSyntaxError at the line and column of the fault
 POSITIONED_ERRORS = [
@@ -577,6 +589,16 @@ POSITIONED_ERRORS = [
     ("degree_not_a_rational", "orbifold genus 0 marks [2, 3]\ndegree: abc", 3, 9),
     ("degree_divides_by_zero", "orbifold genus 0 marks [2, 3]\ndegree: 1/0", 3, 9),
     ("general_type_not_a_boolean", "orbifold genus 0 marks [2, 3]\ngeneral_type: yes", 3, 15),
+    ("variable_no_let_binds", "system:\n  x^2 = t\nplace: t = 0 ram 2", 3, 3),
+    ("variable_no_let_binds_after_a_bound_one",
+     "system:\n  x^2 = t*u\nplace: t = 0 ram 2\nlet x = r", 3, 11),
+    ("obstructed_without_a_cover_equation",
+     "system:\n  x^2 = t\nplace: t = 0 ram 2\nlet x = r\nexpect: obstructed", 1, 1),
+    ("obstructed_with_its_cover_variable_bound",
+     "system:\n  w^2 = t\nplace: t = 0 ram 1\nlet w = r\nexpect: obstructed", 1, 1),
+    ("obstructed_cover_variable_used_elsewhere",
+     "system:\n  x^2 = t\n  w^2 = t\n  w != 0\nplace: t = 0 ram 2\nlet x = r\n"
+     "expect: obstructed", 4, 3),
 ]
 
 
@@ -598,6 +620,24 @@ def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["load", str(path), "run", "broken"]) == 2
     assert capsys.readouterr().err.startswith("error: line 5, column 9:")
+
+
+@pytest.mark.parametrize(
+    "claim, dropped, message",
+    [("example_half_point", "let x = 0",
+      "line 13, column 3: unbound variable 'x': no let binds it"),
+     ("example_unramified_obstruction", "  w^2 = t^2*u^2 - t",
+      "line 24, column 1: obstructed: no cover equation w^2 = g")],
+    ids=["unbound_variable", "obstructed_without_cover"],
+)
+def test_example_file_with_a_line_dropped_exits_two(tmp_path, capsys, claim, dropped, message):
+    lines = EXAMPLE.read_text(encoding="utf-8").splitlines()
+    start = lines.index(f"claim {claim}")
+    lines.pop(lines.index(dropped, start))
+    path = tmp_path / "claims.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["load", str(path), "run", claim]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,30 @@ def test_degree_additive_in_marks():
     assert degree(with_inf) - degree(base) == 1
 
 
+def _fraction_degree(curve):
+    """The degree summed in Fractions, one mark at a time."""
+    total = Fraction(2 * curve.genus - 2)
+    for m in curve.multiplicities:
+        total += 1 if m is INF else 1 - Fraction(1, m)
+    return total
+
+
+def test_degree_matches_the_fraction_sum_on_the_sweep():
+    # every base curve of perturbation_sweep, with 0, 1 and 2 infinite marks
+    assert degree(curve(0, [])) == _fraction_degree(curve(0, [])) == -2
+    assert degree(curve(1, [INF, INF])) == _fraction_degree(curve(1, [INF, INF])) == 2
+    checked = 0
+    for genus in range(3):
+        for size in range(7):
+            for finite in combinations_with_replacement(range(1, 11), size):
+                expected = _fraction_degree(curve(genus, finite))
+                for n_inf in range(3):  # an infinite mark adds exactly 1
+                    one = curve(genus, [*finite, *[INF] * n_inf])
+                    assert degree(one) == expected + n_inf, one
+                    checked += 1
+    assert checked == 3 * 24024
+
+
 def test_general_type_examples():
     assert is_general_type(curve(0, [2, 2, 2, 2, 2]))
     assert not is_general_type(curve(0, [2, 2, 2, 2]))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from localpoints import variety
 from localpoints.errors import ClaimSyntaxError, OddPowerError
 from localpoints.exprs import parse_expression
 from localpoints.field_tower import QQ, adjoin_quadratic
@@ -344,3 +345,30 @@ def test_sampled_square_lift_property_deterministic():
     one = sample_square_lift_property(samples=40, seed=7)
     two = sample_square_lift_property(samples=40, seed=7)
     assert one == two
+
+
+# recorded before the case predicates were cached; the draws must not change
+_EIGHT_CASES = {1: 63, 2: 63, 3: 63, 4: 63, 5: 62, 6: 62, 7: 62, 8: 62}
+
+
+@pytest.mark.parametrize("seed, hits, degenerate", [(1, 271, 25), (2, 267, 20)])
+def test_sampled_square_lift_property_stream_is_pinned(seed, hits, degenerate):
+    assert sample_square_lift_property(500, seed) == {
+        "samples": 500,
+        "seed": seed,
+        "case_counts": _EIGHT_CASES,
+        "hypothesis_hits": hits,
+        "degenerate": degenerate,
+        "counterexamples": [],
+    }
+
+
+def test_sampled_square_lift_property_reads_each_grid_case_once(monkeypatch):
+    # 85,822 draws at seed 1 fall on the 6 x 25 x 25 grid, and its cases are
+    # computed once per triple
+    calls = []
+    predicates = variety.valuation_case_predicates
+    monkeypatch.setattr(variety, "valuation_case_predicates",
+                        lambda vu, vx: calls.append((vu, vx)) or predicates(vu, vx))
+    sample_square_lift_property(500, 1)
+    assert 0 < len(calls) <= 6 * 25 * 25
