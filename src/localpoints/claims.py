@@ -23,6 +23,7 @@ from .errors import (
     DuplicateClaimError,
     PrecisionExhaustedError,
     UnknownClaimError,
+    ZeroFunctionError,
 )
 from .exprs import Expr, _tokenize, evaluate, free_symbols, parse_expression
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
@@ -533,6 +534,27 @@ def _verified(
     return "fail", evidence
 
 
+def _obstructed(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssignment,
+                params: ClaimParams) -> tuple[str, dict]:
+    """The point verified exactly on the base system, then its cover factor a non-square.
+
+    A base point that does not verify fails with the verification evidence;
+    a cover factor that vanishes certifies nothing, so it fails as well.
+    """
+    index, variable, _ = _cover_equation(parsed, cover, point)
+    verdict, evidence = _verified(cover.without_equation(index), point,
+                                  replace(params, mode="exact"))
+    if verdict != "pass":
+        return verdict, evidence
+    try:
+        outcome = lift_along_cover(cover, point, mode="over_c", precision=params.precision,
+                                   check_base=False)
+    except ZeroFunctionError:  # the cover factor vanishes at the point
+        return "fail", {"cover_variable": variable, "result": "zero", "order": None}
+    evidence = {"cover_variable": variable, "result": outcome.kind, "order": outcome.order}
+    return ("pass" if outcome.kind == "obstructed" else "fail"), evidence
+
+
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict) -> Claim:
     """The claim a parsed block declares; towers is shared by _build_tower."""
     if parsed.orbifold_line is not None:
@@ -547,14 +569,7 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict) -> Claim:
         if p.expect == "nonsquare":
             verdict, evidence = _nonsquare(p, values)
         elif p.expect == "obstructed":
-            outcome = lift_along_cover(_build_system(p, tower, point), point, mode="over_c",
-                                       precision=params.precision)
-            verdict = "pass" if outcome.kind == "obstructed" else "fail"
-            evidence = {
-                "cover_variable": outcome.variable,
-                "result": outcome.kind,
-                "order": outcome.order,
-            }
+            verdict, evidence = _obstructed(p, _build_system(p, tower, point), point, params)
         else:
             system = _build_system(p, tower, point)
             verdict, evidence = _verified(system, point, params)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .claims import (
     KINDS,
@@ -22,15 +23,23 @@ from .claims import (
 from .errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 
 
-def _precision(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"precision must be an integer >= 1, not {text!r}")
-    return int(text)
+def _at_least(name: str, minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer option that may not fall below minimum."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {minimum}, not {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=_precision, default=None, help="series precision")
-    parser.add_argument("--samples", type=int, default=None, help="property-test samples")
+    parser.add_argument("--precision", type=_at_least("precision", 1), default=None,
+                        help="series precision")
+    parser.add_argument("--samples", type=_at_least("samples", 0), default=None,
+                        help="property-test samples")
     parser.add_argument("--seed", type=int, default=None, help="property-test seed")
     parser.add_argument("--mode", choices=["exact", "truncated"], default=None)
     parser.add_argument("--json", action="store_true", help="machine-readable output")

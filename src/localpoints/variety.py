@@ -451,18 +451,23 @@ def valuation_case_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
     """The eight mutually exclusive regions of the (v(u), v(x)) plane.
 
     Transcribed one predicate per case so that totality and disjointness are
-    testable facts rather than artifacts of an if-chain.
+    testable facts rather than artifacts of an if-chain.  With vu = p/q and
+    vx = m/n (q, n > 0) each predicate is a comparison of integers; ints are
+    accepted as well.
     """
-    half = Fraction(1, 2)
+    p, q = vu.numerator, vu.denominator
+    m, n = vx.numerator, vx.denominator
+    half = 2 * p == -q  # vu = -1/2
+    between = -q < 2 * p and p < 0  # -1/2 < vu < 0
     return (
-        vu < -half,
-        vu == -half and vx > 0,
-        vu == -half and vx == 0,
-        vu == -half and vx < 0,
-        -half < vu < 0 and 2 * vx < 1 + 2 * vu,
-        -half < vu < 0 and 2 * vx >= 1 + 2 * vu,
-        vu >= 0 and 2 * vx + 1 <= 0,
-        vu >= 0 and 2 * vx + 1 > 0,
+        2 * p < -q,
+        half and m > 0,
+        half and m == 0,
+        half and m < 0,
+        between and 2 * m * q < n * (q + 2 * p),
+        between and 2 * m * q >= n * (q + 2 * p),
+        p >= 0 and 2 * m + n <= 0,
+        p >= 0 and 2 * m + n > 0,
     )
 
 
@@ -477,33 +482,70 @@ def valuation_case(vu: Fraction, vx: Fraction) -> int:
 
 # -- sampled square-lift property ------------------------------------------------------
 
-
-def _random_laurent(
-    rng: random.Random, tower: FieldTower, place: Place, order: int, terms: int
-) -> RationalFunction:
-    coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]
-    coeffs += [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(terms - 1)]
-    unit = RationalFunction.from_coeffs(tower, place, coeffs)
-    shift = r_function(tower, place) ** abs(order)
-    return unit * shift if order >= 0 else unit / shift
+# A Laurent polynomial r^a * (c_0 + c_1 r + ...) with c_0 != 0 is held as its
+# order a and its unit's coefficient list.  Every drawn coefficient is n/d with
+# d in {1, 2, 3}, so the list holds the integers 6 * c_k: orders do not see
+# the common factor, and integer sums are cheaper than Fraction sums.
 
 
-def sample_square_lift_property(
-    samples: int = 500, seed: int = 1, e_max: int = 6, max_numerator: int = 12
-) -> dict:
-    """Stratified random check: solvable-for-y-and-z forces the cover factor square.
+def _random_unit(rng: random.Random) -> list[int]:
+    """Six times one to three coefficients, the first nonzero."""
+    terms = rng.randint(1, 3)
+    coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) * (6 // rng.randint(1, 3))]
+    coeffs += [rng.randint(-3, 3) * (6 // rng.randint(1, 3)) for _ in range(terms - 1)]
+    return coeffs
 
-    Draws (v(u), v(x)) from each of the eight case regions in equal proportion,
-    with random Laurent polynomial u, x realizing those valuations.  Whenever
-    both residual quotients for y^2 and z^2 have even order (squares over the
-    complex numbers) and no constraint vanishes, the cover factor u^2 t^2 - t
-    must have even order as well.  Counterexamples are returned, expected none.
+
+def _square(coeffs: list[int]) -> list[int]:
+    out = [0] * (2 * len(coeffs) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            out[i + j] += a * b
+    return out
+
+
+def _order_of_sum(*terms: tuple[int, int, list[int]]) -> int | None:
+    """Order at r = 0 of the sum of scale * r^shift * coeffs; None when the sum is zero."""
+    total: dict[int, int] = {}
+    for shift, scale, coeffs in terms:
+        for exponent, c in enumerate(coeffs, start=shift):
+            total[exponent] = total.get(exponent, 0) + scale * c
+    return min((exponent for exponent, c in total.items() if c), default=None)
+
+
+def _sample_orders(
+    e: int, a: int, u: list[int], b: int, x: list[int]
+) -> tuple[int | None, int | None, int | None]:
+    """Orders at r = 0 of g, lhs1 and lhs2_cleared for u = r^a u(r), x = r^b x(r), t = r^e.
+
+    g = u^2 t^2 - t, lhs1 = x^2 - t u^2 + t, lhs2_cleared = x^2 t - 2 t^2 u^2 + 1;
+    None marks a sum that vanishes.  The lists hold 6 u(r) and 6 x(r), so each
+    sum is taken times 36.
+    """
+    u2, x2 = _square(u), _square(x)
+    g = _order_of_sum((2 * a + 2 * e, 1, u2), (e, -36, [1]))
+    lhs1 = _order_of_sum((2 * b, 1, x2), (2 * a + e, -1, u2), (e, 36, [1]))
+    lhs2 = _order_of_sum((2 * b + e, 1, x2), (2 * a + 2 * e, -2, u2), (0, 36, [1]))
+    return g, lhs1, lhs2
+
+
+def _laurent_text(e: int, order: int, coeffs: list[int]) -> str:
+    """The printed form, at t = r^e, of r^order times the unit with six times these coefficients."""
+    place = Place.finite(QQ.zero(), e)
+    unit = RationalFunction.from_coeffs(QQ, place, [Fraction(c, 6) for c in coeffs])
+    shift = r_function(QQ, place) ** abs(order)
+    return str(unit * shift if order >= 0 else unit / shift)
+
+
+def _draws(
+    samples: int, seed: int, e_max: int, max_numerator: int
+) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
+    """The sweep's draws (case, e, a, u, b, x), in the order the seeded stream makes them.
+
+    (e, a, b) is drawn by rejection until (a/e, b/e) falls in the wanted case;
+    u and x are the units of the Laurent polynomials of orders a and b.
     """
     rng = random.Random(seed)
-    counts = {case: 0 for case in range(1, 9)}
-    hypothesis_hits = 0
-    degenerate = 0
-    counterexamples: list[dict] = []
     # rejection draws repeat grid triples many times over, so each triple's
     # case is computed once per sweep
     cases: dict[tuple[int, int, int], int] = {}
@@ -518,29 +560,41 @@ def sample_square_lift_property(
                 found = cases[e, a, b] = valuation_case(Fraction(a, e), Fraction(b, e))
             if found == case:
                 break
+        yield case, e, a, _random_unit(rng), b, _random_unit(rng)
+
+
+def sample_square_lift_property(
+    samples: int = 500, seed: int = 1, e_max: int = 6, max_numerator: int = 12
+) -> dict:
+    """Stratified random check: solvable-for-y-and-z forces the cover factor square.
+
+    Draws (v(u), v(x)) from each of the eight case regions in equal proportion,
+    with random Laurent polynomial u, x realizing those valuations.  Whenever
+    both residual quotients for y^2 and z^2 have even order (squares over the
+    complex numbers) and no constraint vanishes, the cover factor u^2 t^2 - t
+    must have even order as well.  Counterexamples are returned, expected none.
+    Orders are read from coefficient lists, with no gcd.
+    """
+    counts = {case: 0 for case in range(1, 9)}
+    hypothesis_hits = 0
+    degenerate = 0
+    counterexamples: list[dict] = []
+    for case, e, a, u, b, x in _draws(samples, seed, e_max, max_numerator):
         counts[case] += 1
-        place = Place.finite(QQ.zero(), e)
-        t = t_function(QQ, place)
-        u = _random_laurent(rng, QQ, place, a, rng.randint(1, 3))
-        x = _random_laurent(rng, QQ, place, b, rng.randint(1, 3))
-        g = u * u * t * t - t
-        lhs1 = x * x - t * u * u + t
-        lhs2_cleared = x * x * t - 2 * t * t * u * u + 1
-        if g.is_zero() or lhs1.is_zero() or lhs2_cleared.is_zero():
+        g_order, lhs1_order, lhs2_order = _sample_orders(e, a, u, b, x)
+        if None in (g_order, lhs1_order, lhs2_order):
             degenerate += 1
             continue
         # orders of the quotients lhs1 / g and lhs2_cleared / (t^2 g), read
         # without forming them
-        g_order = g.order_at_zero()
-        qy_order = lhs1.order_at_zero() - g_order
-        qz_order = lhs2_cleared.order_at_zero() - 2 * t.order_at_zero() - g_order
+        qy_order = lhs1_order - g_order
+        qz_order = lhs2_order - 2 * e - g_order
         if qy_order % 2 or qz_order % 2:
             continue
         hypothesis_hits += 1
         if g_order % 2:
-            counterexamples.append(
-                {"e": e, "case": case, "u": str(u), "x": str(x), "g_order": g_order}
-            )
+            counterexamples.append({"e": e, "case": case, "u": _laurent_text(e, a, u),
+                                    "x": _laurent_text(e, b, x), "g_order": g_order})
     return {
         "samples": samples,
         "seed": seed,

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -638,6 +639,26 @@ def test_example_file_with_a_line_dropped_exits_two(tmp_path, capsys, claim, dro
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["load", str(path), "run", claim]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, edited",
+    [("let x = 0", "let x = 1"), ("  w^2 = t^2*u^2 - t", "  w^2 = t^2*u^2 - t^2*u^2")],
+    ids=["base_point_fails", "cover_factor_vanishes"],
+)
+def test_example_obstruction_edited_fails(tmp_path, capsys, line, edited):
+    lines = EXAMPLE.read_text(encoding="utf-8").splitlines()
+    start = lines.index("claim example_unramified_obstruction")
+    lines[lines.index(line, start)] = edited
+    path = tmp_path / "claims.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["load", str(path), "run", "example_unramified_obstruction", "--json"]) == 1
+    evidence = json.loads(capsys.readouterr().out)["evidence"]
+    if edited.startswith("let"):  # the verification evidence of the base system
+        assert evidence["passed"] is False
+        assert [eq["status"] for eq in evidence["equations"]] == ["failed", "failed"]
+    else:
+        assert evidence == {"cover_variable": "w", "result": "zero", "order": None}
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,15 @@ def test_precision_below_one_is_usage_error():
         assert "Traceback" not in result.stderr
 
 
+def test_negative_samples_is_usage_error():
+    for value in ("-1", "-3"):
+        result = run_cli("run", "lemma91_property", "--samples", value, "--json")
+        assert result.returncode == 2
+        assert "samples must be an integer >= 0" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
 def test_load_then_run(tmp_path):
     claim_file = tmp_path / "extra.txt"
     claim_file.write_text(

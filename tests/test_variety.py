@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,41 @@ def test_solve_square_nonsquare_certificate():
     assert outcome.order == 1
 
 
+def _fraction_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
+    """The eight case regions as Fraction comparisons, as first transcribed."""
+    half = Fraction(1, 2)
+    return (
+        vu < -half,
+        vu == -half and vx > 0,
+        vu == -half and vx == 0,
+        vu == -half and vx < 0,
+        -half < vu < 0 and 2 * vx < 1 + 2 * vu,
+        -half < vu < 0 and 2 * vx >= 1 + 2 * vu,
+        vu >= 0 and 2 * vx + 1 <= 0,
+        vu >= 0 and 2 * vx + 1 > 0,
+    )
+
+
+def test_integer_case_predicates_match_fraction_transcription():
+    for e in range(1, 13):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                vu, vx = Fraction(a, e), Fraction(b, e)
+                assert valuation_case_predicates(vu, vx) == _fraction_predicates(vu, vx)
+
+
+def test_integer_case_predicates_off_the_grid():
+    # unequal denominators, and plain ints
+    values = sorted({Fraction(p, q) for p in range(-8, 9) for q in range(1, 8)})
+    pairs = [(vu, vx) for vu in values for vx in values]
+    pairs += [(Fraction(-1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-1, 6))]
+    pairs += [(p, m) for p in range(-3, 4) for m in range(-3, 4)]
+    pairs += [(Fraction(-1, 2), 0), (0, Fraction(-1, 2)), (-1, Fraction(5, 7))]
+    for vu, vx in pairs:
+        assert valuation_case_predicates(vu, vx) == _fraction_predicates(vu, vx), (vu, vx)
+        assert sum(valuation_case_predicates(vu, vx)) == 1
+
+
 def test_valuation_case_examples():
     assert valuation_case(Fraction(-1), Fraction(0)) == 1
     assert valuation_case(Fraction(-1, 2), Fraction(0)) == 3
@@ -351,7 +387,7 @@ def test_sampled_square_lift_property_deterministic():
 _EIGHT_CASES = {1: 63, 2: 63, 3: 63, 4: 63, 5: 62, 6: 62, 7: 62, 8: 62}
 
 
-@pytest.mark.parametrize("seed, hits, degenerate", [(1, 271, 25), (2, 267, 20)])
+@pytest.mark.parametrize("seed, hits, degenerate", [(1, 271, 25), (2, 267, 20), (3, 277, 31)])
 def test_sampled_square_lift_property_stream_is_pinned(seed, hits, degenerate):
     assert sample_square_lift_property(500, seed) == {
         "samples": 500,
@@ -363,6 +399,58 @@ def test_sampled_square_lift_property_stream_is_pinned(seed, hits, degenerate):
     }
 
 
+def _oracle_laurent(rng, place, order, terms):
+    coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]
+    coeffs += [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(terms - 1)]
+    unit = RationalFunction.from_coeffs(QQ, place, coeffs)
+    shift = r_function(QQ, place) ** abs(order)
+    return unit * shift if order >= 0 else unit / shift
+
+
+def _oracle_draws(samples, seed):
+    """The sweep's stream replayed with gcd-normalised RationalFunction arithmetic.
+
+    Yields (case, e, a, b), u, x and the orders of g, lhs1 and lhs2_cleared
+    (None for zero).
+    """
+    rng = random.Random(seed)
+    cases = {}
+    for k in range(samples):
+        case = k % 8 + 1
+        while True:
+            e, a, b = rng.randint(1, 6), rng.randint(-12, 12), rng.randint(-12, 12)
+            if (e, a, b) not in cases:
+                hits = _fraction_predicates(Fraction(a, e), Fraction(b, e))
+                cases[e, a, b] = [i for i, hit in enumerate(hits, start=1) if hit]
+            if cases[e, a, b] == [case]:
+                break
+        place = Place.finite(QQ.zero(), e)
+        t = t_function(QQ, place)
+        u = _oracle_laurent(rng, place, a, rng.randint(1, 3))
+        x = _oracle_laurent(rng, place, b, rng.randint(1, 3))
+        g = u * u * t * t - t
+        lhs1 = x * x - t * u * u + t
+        lhs2_cleared = x * x * t - 2 * t * t * u * u + 1
+        orders = tuple(None if f.is_zero() else f.order_at_zero() for f in (g, lhs1, lhs2_cleared))
+        yield (case, e, a, b), u, x, orders
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sample_orders_match_rational_function_oracle(seed):
+    # 3 x 667 draws, each seed with degenerate ones among them
+    degenerate = 0
+    draws = variety._draws(667, seed, 6, 12)
+    for (case, e, a, u, b, x), (key, u_oracle, x_oracle, orders) in zip(
+        draws, _oracle_draws(667, seed), strict=True
+    ):
+        assert (case, e, a, b) == key
+        assert variety._sample_orders(e, a, u, b, x) == orders
+        assert variety._laurent_text(e, a, u) == str(u_oracle)
+        assert variety._laurent_text(e, b, x) == str(x_oracle)
+        degenerate += None in orders
+    assert degenerate > 0
+
+
 def test_sampled_square_lift_property_reads_each_grid_case_once(monkeypatch):
     # 85,822 draws at seed 1 fall on the 6 x 25 x 25 grid, and its cases are
     # computed once per triple
@@ -372,3 +460,8 @@ def test_sampled_square_lift_property_reads_each_grid_case_once(monkeypatch):
                         lambda vu, vx: calls.append((vu, vx)) or predicates(vu, vx))
     sample_square_lift_property(500, 1)
     assert 0 < len(calls) <= 6 * 25 * 25
+    # a second sweep in the same process computes its cases afresh: the cache
+    # lives for one sweep, so a traced run after an untraced one still counts
+    first = len(calls)
+    sample_square_lift_property(500, 1)
+    assert len(calls) == 2 * first
