@@ -142,10 +142,77 @@ def _inv(v: Nums | list[int], levels: tuple[_Level, ...], k: int) -> tuple[list[
             content * den)
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 7, 61: exact for odd n < 4,759,123,141."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 7, 61):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    z = 2
+    while pow(z, (p - 1) >> 1, p) != p - 1:
+        z += 1
+    c, x, t = pow(z, q, p), pow(a, (q + 1) >> 1, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        x, c, t, s = x * b % p, b * b % p, t * b * b % p, i
+    return x
+
+
+def _rational_mod(q: Fraction, p: int) -> int | None:
+    den = q.denominator % p
+    return q.numerator * pow(den, -1, p) % p if den else None
+
+
+def _residue_monomials(steps: tuple[TowerStep, ...], p: int) -> tuple[int, ...] | None:
+    """Images mod p of the product-basis monomials under one root per step, or None.
+
+    Step by step, under the roots already chosen below it, b and c must be
+    p-integral and the discriminant b^2 - 4c a nonzero square mod p; the root
+    is then (-b + sqrt(b^2 - 4c)) / 2.
+    """
+    monomials = [1]
+    for step in steps:
+        b, c = ([_rational_mod(q, p) for q in coords] for coords in (step.b, step.c))
+        if None in b or None in c:
+            return None
+        b = sum(x * m for x, m in zip(b, monomials)) % p
+        c = sum(x * m for x, m in zip(c, monomials)) % p
+        disc = (b * b - 4 * c) % p
+        if not disc or pow(disc, (p - 1) >> 1, p) != 1:
+            return None
+        root = (_sqrt_mod(disc, p) - b) * ((p + 1) >> 1) % p
+        monomials += [m * root % p for m in monomials]
+    return tuple(monomials)
+
+
+# the odd candidates for a tower's residue prime, in search order (204 primes)
+_RESIDUE_PRIME_CANDIDATES = range((1 << 30) + 1, (1 << 30) + 4096, 2)
+
+
 class FieldTower:
     """Immutable tower of quadratic extensions of Q."""
 
-    __slots__ = ("steps", "_levels", "_scale", "_zero", "_one")
+    __slots__ = ("steps", "_levels", "_scale", "_zero", "_one", "_residue")
 
     def __init__(self, steps: tuple[TowerStep, ...] = ()) -> None:
         self.steps = steps
@@ -161,6 +228,7 @@ class FieldTower:
         padding = (0,) * (self.dim - 1)
         self._zero = _element(self, (0,) + padding, 1)
         self._one = _element(self, (1,) + padding, 1)
+        self._residue = None  # filled in by _residue_map
 
     @property
     def height(self) -> int:
@@ -233,6 +301,30 @@ def _power(base, exponent: int, one):
         if exponent:
             base = base * base
     return result
+
+
+def _residue_map(tower: FieldTower) -> tuple[int, tuple[int, ...]] | None:
+    """(p, monomials): a prime and a ring map onto F_p, or None when none was found.
+
+    The map is defined on the elements nums/den with den prime to p, and
+    sends one to the sum of nums[i] * monomials[i], over den, mod p.  Each
+    tower chooses it once, deterministically: the first prime above 2^30
+    where every step has a root (_residue_monomials), among the primes of
+    _RESIDUE_PRIME_CANDIDATES.
+    """
+    if tower._residue is None:
+        tower._residue = ()
+        for p in _RESIDUE_PRIME_CANDIDATES:
+            if _is_prime(p):
+                monomials = _residue_monomials(tower.steps, p)
+                if monomials is not None:
+                    tower._residue = (p, monomials)
+                    break
+    return tower._residue or None
+
+
+def _is_one(a: FieldElement) -> bool:
+    return a.den == 1 and a.nums == a.tower._one.nums
 
 
 def _element(tower: FieldTower, nums: Nums, den: int) -> FieldElement:

@@ -22,7 +22,9 @@ from .field_tower import (
     AlreadySplit,
     FieldElement,
     FieldTower,
+    _is_one,
     _power,
+    _residue_map,
     adjoin_quadratic,
     embed,
     is_square,
@@ -78,6 +80,8 @@ def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
 
 
 def _pscale(p: Poly, scalar: FieldElement) -> Poly:
+    if _is_one(scalar):
+        return p
     return _trim([a * scalar for a in p])
 
 
@@ -128,6 +132,52 @@ def _pembed(p: Poly, target: FieldTower) -> Poly:
     return tuple(embed(a, target) for a in p)
 
 
+def _residues(p: Poly, prime: int, monomials: tuple[int, ...]) -> list[int] | None:
+    """The image of p in F_prime[r] under a tower's residue map, or None.
+
+    None when prime divides a coefficient's den or the leading coefficient maps to 0.
+    """
+    out = []
+    for a in p:
+        den = a.den % prime
+        if not den:
+            return None
+        out.append(sum(x * m for x, m in zip(a.nums, monomials)) * pow(den, -1, prime) % prime)
+    return out if out[-1] else None
+
+
+def _coprime_mod_p(num: Poly, den: Poly, zero: FieldElement) -> bool:
+    """True only if num and den are coprime; False means "not shown", not "common factor".
+
+    Brown's certificate (W. S. Brown, JACM 18(4), 1971): map both into F_p[r]
+    by the tower's residue map.  When both leading coefficients survive, the
+    roots of a monic common factor over the tower are roots of num over its
+    leading coefficient, a monic polynomial over the ring the map is defined
+    on.  So its coefficients are integral over that ring, the map extends to
+    them (into a finite extension of F_p), and the factor's image divides
+    both images.  Images coprime in F_p[r] therefore prove num and den coprime.
+    """
+    residue = _residue_map(zero.tower)
+    if residue is None:
+        return False
+    f, g = (_residues(poly, *residue) for poly in (num, den))
+    if f is None or g is None:
+        return False
+    prime = residue[0]
+    while g:
+        # f <- f mod g
+        inv_lead = pow(g[-1], -1, prime)
+        while len(f) >= len(g):
+            factor = f.pop() * inv_lead % prime
+            shift = len(f) - len(g) + 1
+            for j, b in enumerate(g[:-1]):
+                f[shift + j] = (f[shift + j] - factor * b) % prime
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
     """num and den, both divided by their monic gcd."""
     if len(num) < 2 or len(den) < 2:
@@ -136,6 +186,8 @@ def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]
         # against a monomial the gcd is a power of r
         shift = min(_porder(num), _porder(den))
         return num[shift:], den[shift:]
+    if _coprime_mod_p(num, den, zero):
+        return num, den
     g = _pgcd(num, den, zero)
     if len(g) > 1:
         num, _ = _pdivmod(num, g, zero)
@@ -299,31 +351,52 @@ class _Local:
 # -- exact backend ---------------------------------------------------------------
 
 
+def _monic(num: Poly, den: Poly, one: FieldElement) -> tuple[Poly, Poly]:
+    """num/den with den made monic, for coprime num and nonzero den; 0 is 0/1."""
+    if not num:
+        return num, (one,)
+    lead = den[-1]
+    if _is_one(lead):
+        return num, den
+    scale = lead.inverse()
+    return _pscale(num, scale), _pscale(den, scale)
+
+
 class RationalFunction(_Local):
     """Exact quotient of polynomials in the local parameter r.
 
-    Normal form: numerator and denominator coprime, denominator monic.
+    Normal form: numerator and denominator coprime, denominator monic.  It is
+    unique, so equality and hashing compare num and den.  The constructor
+    proves coprimality in _cross_cancel: a modular certificate, then Euclid's
+    algorithm when the certificate fails.  Results whose operands are already
+    coprime skip it and come from _coprime, which only makes den monic:
+    -f, f*g and f/g (after their cross-cancellations), ramify and the
+    embedding into a taller tower.  Their coprimality follows from Bezout: a
+    coprime pair has u*num + v*den = 1, which survives r -> r^k and a field
+    extension, and products of pairwise coprime factors are coprime.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, tower: FieldTower, place: Place, num: Poly, den: Poly) -> None:
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
         num = _trim(list(num))
         den = _trim(list(den))
+        if not den:
+            raise ZeroDivisionError("rational function with zero denominator")
         if num:
             shift = min(_porder(num), _porder(den))
             num, den = _cross_cancel(num[shift:], den[shift:], tower.zero())
-            scale = den[-1].inverse()
-            num = _pscale(num, scale)
-            den = _pscale(den, scale)
-        else:
-            den = (tower.one(),)
         self.tower = tower
         self.place = place
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic(num, den, tower.one())
+
+    @classmethod
+    def _coprime(cls, tower: FieldTower, place: Place, num: Poly, den: Poly) -> RationalFunction:
+        """num/den for trimmed, coprime num and nonzero den, without a gcd."""
+        made = object.__new__(cls)
+        made.tower, made.place = tower, place
+        made.num, made.den = _monic(num, den, tower.one())
+        return made
 
     # -- constructors ----------------------------------------------------------
 
@@ -347,7 +420,9 @@ class RationalFunction(_Local):
     # -- constructor hooks -------------------------------------------------------
 
     def _embedded(self, tower: FieldTower, place: Place) -> RationalFunction:
-        return RationalFunction(tower, place, _pembed(self.num, tower), _pembed(self.den, tower))
+        return RationalFunction._coprime(
+            tower, place, _pembed(self.num, tower), _pembed(self.den, tower)
+        )
 
     def _constant(self, value: Scalar) -> RationalFunction:
         return RationalFunction.constant(self.tower, self.place, value)
@@ -371,19 +446,16 @@ class RationalFunction(_Local):
         return self._sum(other, _psub)
 
     def __neg__(self) -> RationalFunction:
-        # -num/den is already in normal form: build it without __init__'s gcd
-        negated = object.__new__(RationalFunction)
-        negated.tower, negated.place = self.tower, self.place
-        negated.num, negated.den = _pneg(self.num), self.den
-        return negated
+        return RationalFunction._coprime(self.tower, self.place, _pneg(self.num), self.den)
 
     def __mul__(self, other: RationalFunction | Scalar) -> RationalFunction:
         a, b = self._pair(other)
         zero = a.tower.zero()
-        # cancel across the two fractions first so the final gcd stays small
+        # once each numerator is cancelled against the other denominator, the
+        # products are coprime (Knuth, TAOCP vol. 2, 4.5.1)
         num_a, den_b = _cross_cancel(a.num, b.den, zero)
         num_b, den_a = _cross_cancel(b.num, a.den, zero)
-        return RationalFunction(
+        return RationalFunction._coprime(
             a.tower, a.place, _pmul(num_a, num_b, zero), _pmul(den_a, den_b, zero)
         )
 
@@ -396,7 +468,7 @@ class RationalFunction(_Local):
         zero = a.tower.zero()
         num_a, num_b = _cross_cancel(a.num, b.num, zero)
         den_a, den_b = _cross_cancel(a.den, b.den, zero)
-        return RationalFunction(
+        return RationalFunction._coprime(
             a.tower, a.place, _pmul(num_a, den_b, zero), _pmul(den_a, num_b, zero)
         )
 
@@ -407,8 +479,7 @@ class RationalFunction(_Local):
             a, b = self._pair(other)
         except (NotAPrefixError, PlaceMismatchError):
             return False
-        zero = a.tower.zero()
-        return _psub(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), zero) == ()
+        return (a.num, a.den) == (b.num, b.den)
 
     def __hash__(self) -> int:
         return hash((self.tower, self.num, self.den))
@@ -429,7 +500,7 @@ class RationalFunction(_Local):
         if k < 1:
             raise ValueError("ramification factor must be >= 1")
         zero = self.tower.zero()
-        return RationalFunction(
+        return RationalFunction._coprime(
             self.tower,
             self.place.ramified(k),
             _pramify(self.num, k, zero),

@@ -412,3 +412,34 @@ def test_equal_elements_hash_equal():
             direct = FieldElement(high, a.coords + (Fraction(0),) * (high.dim - low.dim))
             assert lifted == direct and hash(lifted) == hash(direct)
             assert embed(a * a, high) == lifted * lifted
+
+
+@pytest.mark.parametrize(
+    "towers", [fractional_towers, fractional_rational_step_towers, golden_towers_to_height_three]
+)
+def test_residue_map_is_a_ring_map_onto_f_p(towers):
+    from localpoints.field_tower import _residue_map
+
+    rng = random.Random(77)
+    for tower in towers():
+        p, monomials = _residue_map(tower)
+        assert p > 1 << 30 and math.gcd(p, math.prod(range(2, 1000))) == 1
+        # deterministic: a tower with the same steps picks the same prime and roots
+        assert _residue_map(FieldTower(tower.steps)) == (p, monomials)
+        # every step's root satisfies its polynomial under the roots below it
+        for k, step in enumerate(tower.steps):
+            below = monomials[: 1 << k]
+            b, c = (sum(q.numerator * pow(q.denominator, -1, p) * m for q, m in zip(v, below))
+                    for v in (step.b, step.c))
+            root = monomials[1 << k]
+            assert (root * root + b * root + c) % p == 0
+
+        def image(a):
+            return sum(x * m for x, m in zip(a.nums, monomials)) * pow(a.den, -1, p) % p
+
+        for _ in range(30):
+            a, b = _random_element(rng, tower), _random_element(rng, tower)
+            assert image(a * b) == image(a) * image(b) % p
+            assert image(a + b) == (image(a) + image(b)) % p
+            if not a.is_zero() and image(a):
+                assert image(a.inverse()) * image(a) % p == 1

@@ -15,6 +15,9 @@ from localpoints.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 EXAMPLE = str(DATA.parent.parent / "claims_example.txt")
+# benchmark/gen_claims.generate(1, 10): six point claims at tower height 0,
+# three at height 1 and one at height 2, two of them obstructions
+GENERATED = str(DATA / "generated_points_seed1.txt")
 
 GOLDEN = [
     (["all", "--samples", "60", "--json"], "verify_all_samples60.json"),
@@ -24,6 +27,9 @@ GOLDEN = [
     (["all", "--mode", "truncated", "--precision", "2", "--samples", "60", "--json"],
      "verify_all_truncated_p2_samples60.json"),
     (["load", EXAMPLE, "all", "--json"], "verify_load_example.json"),
+    (["load", GENERATED, "all", "--json"], "verify_load_generated.json"),
+    (["load", GENERATED, "all", "--mode", "truncated", "--precision", "40", "--json"],
+     "verify_load_generated_truncated_p40.json"),
 ]
 
 

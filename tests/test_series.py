@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,12 @@ from localpoints.series import (
 
 
 ORIGIN = Place.finite(QQ.zero(), 1)
+
+GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
+
+# (_pgcd calls, certificate calls, certificate hits) of the exact run of the
+# height-2 claim gen_0006_h2
+GEN_0006_H2_WORK = (2, 4, 2)
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -51,16 +58,77 @@ def test_rf_negation_skips_the_gcd(monkeypatch):
 
     f = rf([1, 2, 3], [1, -1, 5])
     expected_negation, expected_one_minus = rf([-1, -2, -3], [1, -1, 5]), rf([0, -3, 2], [1, -1, 5])
-    calls = []
-    pgcd = series._pgcd
-    monkeypatch.setattr(series, "_pgcd", lambda *args: calls.append(args) or pgcd(*args))
+    # a coprimality proof is the modular certificate, then _pgcd if it fails
+    calls, gcds = [], []
+    certificate, pgcd = series._coprime_mod_p, series._pgcd
+    monkeypatch.setattr(series, "_coprime_mod_p", lambda *args: calls.append(args) or certificate(*args))
+    monkeypatch.setattr(series, "_pgcd", lambda *args: gcds.append(args) or pgcd(*args))
     negated = -f
-    assert len(calls) == 0
+    assert (len(calls), len(gcds)) == (0, 0)
     one_minus = 1 - f
-    assert len(calls) == 1
+    assert (len(calls), len(gcds)) == (1, 0)
     # the same normal forms as through the constructor
     assert (negated.num, negated.den) == (expected_negation.num, expected_negation.den)
     assert (one_minus.num, one_minus.den) == (expected_one_minus.num, expected_one_minus.den)
+
+
+def test_rf_product_and_quotient_prove_coprimality_in_the_cross_cancels_only(monkeypatch):
+    from localpoints import series
+
+    f, g = rf([1, 2, 3], [1, -1, 5]), rf([2, -1, 4], [3, 1, 1])
+    expected_product = rf([2, 3, 8, 5, 12], [3, -2, 15, 4, 5])
+    expected_quotient = rf([3, 7, 12, 5, 3], [2, -3, 15, -9, 20])
+    proofs, gcds = [], []
+    certificate, pgcd = series._coprime_mod_p, series._pgcd
+    monkeypatch.setattr(series, "_coprime_mod_p", lambda *a: proofs.append(a) or certificate(*a))
+    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
+    product = f * g
+    assert (len(proofs), len(gcds)) == (2, 0)
+    quotient = f / g
+    # one proof per cross-cancel, both settled by the modular certificate, and
+    # none on the result
+    assert (len(proofs), len(gcds)) == (4, 0)
+    assert (product.num, product.den) == (expected_product.num, expected_product.den)
+    assert (quotient.num, quotient.den) == (expected_quotient.num, expected_quotient.den)
+
+
+def test_one_height_two_claim_runs_a_pinned_number_of_gcds(monkeypatch):
+    from localpoints import builtin_registry, load_claim_file, run_claim, series
+
+    registry = load_claim_file(str(GENERATED_CLAIMS), builtin_registry())
+    gcds, certified = [], []
+    pgcd, certificate = series._pgcd, series._coprime_mod_p
+    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
+    monkeypatch.setattr(
+        series, "_coprime_mod_p", lambda *a: certified.append(certificate(*a)) or certified[-1]
+    )
+    report = run_claim("gen_0006_h2", registry)
+    assert report.verdict == "pass"
+    assert {a[2].tower.height for a in gcds} == {2}
+    assert (len(gcds), len(certified), certified.count(True)) == GEN_0006_H2_WORK
+
+
+def test_rf_zero_denominator_is_rejected_after_trimming():
+    one, zero = QQ.one(), QQ.zero()
+    for num in ((one,), (zero,)):
+        with pytest.raises(ZeroDivisionError, match="rational function with zero denominator"):
+            RationalFunction(QQ, ORIGIN, num, (zero,))
+
+
+def test_rf_equality_compares_normal_forms():
+    f = rf([1, 2, 3], [1, -1, 5])
+    assert f == rf([2, 4, 6], [2, -2, 10])
+    assert f == rf([1, 3, 5, 3], [1, 0, 4, 5])  # times (1 + r)/(1 + r)
+    assert f != rf([1, 2, 3], [1, -1, 4])
+    assert rf([6], [2]) == 3 and 3 == rf([6], [2]) and rf([6], [2]) != 2
+    tower = adjoin_quadratic(QQ, "i", 0, 1)
+    i = tower.gen("i")
+    assert RationalFunction.constant(tower, ORIGIN, i * i) == -1
+    assert RationalFunction.constant(tower, ORIGIN, 2) == rf([2])
+    assert f.__eq__("f") is NotImplemented
+    assert f != rf([1, 2, 3], [1, -1, 5], place=Place.finite(QQ.zero(), 2))
+    other = adjoin_quadratic(QQ, "s", 0, -2)
+    assert RationalFunction.constant(tower, ORIGIN, 1) != RationalFunction.constant(other, ORIGIN, 1)
 
 
 def test_rf_place_mismatch_rejected():
@@ -115,6 +183,134 @@ def test_ramify_is_multiplicative():
         f = rf([Fraction(rng.randint(-4, 4)) for _ in range(3)] + [Fraction(1)])
         g = rf([Fraction(rng.randint(-4, 4)) for _ in range(2)] + [Fraction(1)])
         assert (f * g).ramify(3) == f.ramify(3) * g.ramify(3)
+
+
+def _towers():
+    """Q, Q(i) and Q(i, j) with j^2 = i + 2: tower heights 0, 1 and 2."""
+    with_i = adjoin_quadratic(QQ, "i", 0, 1)
+    return [QQ, with_i, adjoin_quadratic(with_i, "j", 0, -(with_i.gen("i") + 2))]
+
+
+def _random_poly(rng, tower, degree):
+    """A polynomial of the given degree with small coefficients, some of them 0."""
+    def element():
+        return tower.element(tuple(
+            Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.randint(1, 3)) for _ in range(tower.dim)
+        ))
+
+    lead = tower.zero()
+    while lead.is_zero():
+        lead = element()
+    return tuple(element() for _ in range(degree)) + (lead,)
+
+
+def _random_pair(rng, tower, planted):
+    """An unreduced numerator and denominator, with a common factor when planted."""
+    from localpoints.series import _pmul
+
+    num = _random_poly(rng, tower, rng.randint(0, 3))
+    den = _random_poly(rng, tower, rng.randint(0, 3))
+    if planted:
+        factor = _random_poly(rng, tower, rng.randint(1, 2))
+        num, den = _pmul(num, factor, tower.zero()), _pmul(den, factor, tower.zero())
+    return num, den
+
+
+def test_rf_results_are_in_normal_form_and_match_the_constructor():
+    from localpoints.field_tower import embed
+    from localpoints.series import _padd, _pembed, _pgcd, _pmul, _pneg, _pramify, _psub
+
+    rng = random.Random(41)
+    towers = _towers()
+    top = towers[-1]
+    for n in range(60):
+        tower = towers[n % 3]
+        zero, one = tower.zero(), tower.one()
+        place = Place.finite(zero, rng.randint(1, 3))
+        f_num, f_den = _random_pair(rng, tower, planted=n % 2 == 0)
+        g_num, g_den = _random_pair(rng, tower, planted=n % 4 < 2)
+        f = RationalFunction(tower, place, f_num, f_den)
+        g = RationalFunction(tower, place, g_num, g_den)
+
+        def mul(p, q):
+            return _pmul(p, q, zero)
+
+        def power(p, k):
+            out = (one,)
+            for _ in range(k):
+                out = mul(out, p)
+            return out
+
+        k = rng.randint(1, 3)
+        cases = [
+            (f * g, place, mul(f_num, g_num), mul(f_den, g_den)),
+            (f / g, place, mul(f_num, g_den), mul(f_den, g_num)),
+            (f + g, place, _padd(mul(f_num, g_den), mul(g_num, f_den), zero), mul(f_den, g_den)),
+            (f - g, place, _psub(mul(f_num, g_den), mul(g_num, f_den), zero), mul(f_den, g_den)),
+            (-f, place, _pneg(f_num), f_den),
+            (f ** k, place, power(f_num, k), power(f_den, k)),
+            (f ** -k, place, power(f_den, k), power(f_num, k)),
+            (f.ramify(k), place.ramified(k), _pramify(f_num, k, zero), _pramify(f_den, k, zero)),
+            (f - f, place, (), (one,)),
+        ]
+        # embedding into the taller tower, directly and through a mixed product
+        lifted = Place.finite(top.zero(), place.e)
+        scalar = embed(g.den[0], top)
+        cases.append((f._lift(top), lifted, _pembed(f_num, top), _pembed(f_den, top)))
+        cases.append((f * RationalFunction.constant(top, lifted, scalar), lifted,
+                      _pmul(_pembed(f_num, top), (scalar,), top.zero()), _pembed(f_den, top)))
+        for result, result_place, raw_num, raw_den in cases:
+            result_zero = result.tower.zero()
+            assert result.den[-1] == result.tower.one()
+            if result.num:
+                assert len(_pgcd(result.num, result.den, result_zero)) == 1
+            else:
+                assert result.den == (result.tower.one(),)
+            expected = RationalFunction(result.tower, result_place, raw_num, raw_den)
+            assert (result.num, result.den) == (expected.num, expected.den)
+            assert result.place.same_locus(expected.place)
+
+
+def test_coprimality_certificate_never_certifies_a_common_factor():
+    from localpoints.series import _coprime_mod_p, _pgcd, _pmul
+
+    rng = random.Random(43)
+    towers = _towers()
+    coprime = certified = 0
+    for n in range(500):
+        tower = towers[n % 3]
+        num, den = (_random_poly(rng, tower, rng.randint(1, 3)) for _ in range(2))
+        if n % 2 == 0:
+            factor = _random_poly(rng, tower, rng.randint(1, 2))
+            num, den = _pmul(num, factor, tower.zero()), _pmul(den, factor, tower.zero())
+        gcd_is_one = len(_pgcd(num, den, tower.zero())) == 1
+        says_coprime = _coprime_mod_p(num, den, tower.zero())
+        assert gcd_is_one or not says_coprime
+        coprime += gcd_is_one
+        certified += says_coprime
+    # and it settles nearly every coprime pair without Euclid's algorithm
+    assert coprime > 200 and certified >= 0.95 * coprime
+
+
+def test_coprimality_certificate_falls_back_when_the_reduction_fails():
+    from localpoints.field_tower import FieldTower, TowerStep, _residue_map
+    from localpoints.series import _coprime_mod_p, _cross_cancel
+
+    prime = _residue_map(QQ)[0]
+
+    def p(*coeffs):
+        return tuple(QQ.coerce(c) for c in coeffs)
+
+    # coprime, but a coefficient is not p-integral, or a leading one vanishes mod p
+    assert not _coprime_mod_p(p(1, Fraction(1, prime)), p(2, 1), QQ.zero())
+    assert not _coprime_mod_p(p(1, prime), p(2, 1), QQ.zero())
+    assert _coprime_mod_p(p(1, prime + 1), p(2, 1), QQ.zero())
+    # x^2 = 0 has no root with a nonzero discriminant mod any prime: no residue map
+    degenerate = FieldTower((TowerStep("z", (Fraction(0),), (Fraction(0),)),))
+    assert _residue_map(degenerate) is None
+    one, two = degenerate.one(), degenerate.rational(2)
+    assert not _coprime_mod_p((one, one), (two, one), degenerate.zero())
+    assert _cross_cancel((one, one), (two, one), degenerate.zero()) == ((one, one), (two, one))
 
 
 def test_to_puiseux_geometric_series():
