@@ -272,10 +272,12 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
 
 
 def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
-              const: Callable | None = None):
+              const: Callable | None = None, cache: dict | None = None):
     """The exact value of an expression over env; const makes its constants (t's by default).
 
-    An undeclared identifier and a division by zero are positioned errors.
+    An undeclared identifier and a division by zero are positioned errors.  A
+    cache, shared by calls with the same env and const, evaluates each distinct
+    subexpression once.
     """
     expr = parse_expression(text, lineno, column)
     unknown = free_symbols(expr) - set(env)
@@ -286,7 +288,7 @@ def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
             f"undeclared identifier {name!r} in {where}", token.line, token.column
         )
     try:
-        return evaluate(expr, env, const or env["t"]._constant)
+        return evaluate(expr, env, const or env["t"]._constant, cache=cache)
     except ZeroDivisionError:
         raise ClaimSyntaxError(f"division by zero in {where}", lineno, column) from None
 
@@ -397,13 +399,19 @@ def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
 def _build_bindings(
     parsed: ParsedClaim, tower: FieldTower, place: Place
 ) -> tuple[dict[str, ExactValue | FormalSqrt], dict[str, RationalFunction]]:
-    """The point's bindings, and the values a check sees: t, r, generators, exact lets."""
+    """The point's bindings, and the values a check sees: t, r, generators, exact lets.
+
+    Lets see only env, never each other, so one cache serves all of them.  It
+    lives for this call alone, and the checks, where a let may shadow t, never
+    see it.
+    """
     env = {"t": t_function(tower, place), "r": r_function(tower, place)}
     for g in tower.generator_names:
         env[g] = RationalFunction.constant(tower, place, tower.gen(g))
     bindings: dict[str, ExactValue | FormalSqrt] = {}
+    cache: dict = {}
     for lineno, var, rhs, is_sqrt in parsed.lets:
-        value = _evaluate(rhs, lineno, env, "let", parsed.columns[lineno])
+        value = _evaluate(rhs, lineno, env, "let", parsed.columns[lineno], cache=cache)
         bindings[var] = FormalSqrt(value) if is_sqrt else ExactValue(value)
     exact = {var: b.value for var, b in bindings.items() if isinstance(b, ExactValue)}
     return bindings, {**env, **exact}

@@ -349,6 +349,43 @@ def _normal(tower: FieldTower, nums: list[int], den: int) -> FieldElement:
     return _element(tower, tuple(nums), den)
 
 
+def _dot(tower: FieldTower, xs, ys) -> FieldElement:
+    """sum(x * y for x, y in zip(xs, ys)) in lowest terms, for elements of tower.
+
+    The integer products are summed over the lcm of their denominators and
+    normalised once, instead of once per product and once per addition.
+    """
+    levels = tower._levels
+    k = len(levels)
+    if not k:
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            p = x.nums[0] * y.nums[0]
+            if p:
+                d = x.den * y.den
+                if den % d:
+                    m = d // gcd(den, d)
+                    num, den = num * m, den * m
+                num += p * (den // d)
+        return _normal(tower, [num], den) if num else tower._zero
+    acc, den = None, 1
+    for x, y in zip(xs, ys):
+        if not (any(x.nums) and any(y.nums)):
+            continue
+        p = _mul(x.nums, y.nums, levels, k)
+        d = x.den * y.den
+        if den % d:
+            m = d // gcd(den, d)
+            den *= m
+            if acc is not None:
+                acc = [u * m for u in acc]
+        m = den // d
+        acc = [v * m for v in p] if acc is None else [u + v * m for u, v in zip(acc, p)]
+    if acc is None:
+        return tower._zero
+    return _normal(tower, acc, tower._scale * den)
+
+
 def _sum(a: FieldElement, b: FieldElement, sign: int) -> FieldElement:
     """a + sign*b for elements of one tower (sign is 1 or -1)."""
     ad, bd = a.den, b.den

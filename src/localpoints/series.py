@@ -22,6 +22,7 @@ from .field_tower import (
     AlreadySplit,
     FieldElement,
     FieldTower,
+    _dot,
     _is_one,
     _power,
     _residue_map,
@@ -64,19 +65,26 @@ def _psub(p: Poly, q: Poly, zero: FieldElement) -> Poly:
 
 
 def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
+    """p * q: one multiply-accumulate (field_tower._dot) per output coefficient."""
     if not p or not q:
         return ()
     if len(p) == 1:
         return _pscale(q, p[0])
     if len(q) == 1:
         return _pscale(p, q[0])
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _trim(out)
+    return _trim(_convolve(p, q, len(p) + len(q) - 1, zero.tower))
+
+
+def _convolve(p: Poly, q: Poly, size: int, tower: FieldTower) -> list[FieldElement]:
+    """The coefficients k < size of p * q, each the _dot of one anti-diagonal i + j = k."""
+    rq = q[::-1]
+    n, m = len(p), len(q)
+    out = []
+    for k in range(size):
+        lo, hi = max(0, k - m + 1), min(k, n - 1)
+        # rq[m - 1 - j] = q[j], so rq[m - 1 - k + i] pairs with p[i]
+        out.append(_dot(tower, p[lo:hi + 1], rq[m - 1 - k + lo:m - k + hi]))
+    return out
 
 
 def _pscale(p: Poly, scalar: FieldElement) -> Poly:
@@ -196,14 +204,21 @@ def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]
 
 
 def _series_quotient(num: Poly, den: Poly, nterms: int, zero: FieldElement) -> Poly:
-    """The first nterms coefficients of the power series num/den, for den[0] != 0."""
+    """The first nterms coefficients of the power series num/den, for den[0] != 0.
+
+    Each out[k] = num[k]/den[0] - sum(den[j]/den[0] * out[k - j], j >= 1) is
+    one multiply-accumulate (field_tower._dot), so one normalisation.
+    """
+    tower = zero.tower
     inv0 = den[0].inverse()
+    top = len(den) - 1
+    # rden[top - j] = -den[j] / den[0]
+    rden = [-(d * inv0) for d in den[:0:-1]]
     out: list[FieldElement] = []
     for k in range(nterms):
-        acc = num[k] if k < len(num) else zero
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * out[k - j]
-        out.append(acc * inv0)
+        width = min(k, top)
+        first = num[k] if k < len(num) else zero
+        out.append(_dot(tower, [first, *rden[top - width:top]], [inv0, *out[k - width:k]]))
     return tuple(out)
 
 
@@ -373,7 +388,9 @@ class RationalFunction(_Local):
     -f, f*g and f/g (after their cross-cancellations), ramify and the
     embedding into a taller tower.  Their coprimality follows from Bezout: a
     coprime pair has u*num + v*den = 1, which survives r -> r^k and a field
-    extension, and products of pairwise coprime factors are coprime.
+    extension, and products of pairwise coprime factors are coprime.  So do
+    constants, from_coeffs, r and t: each denominator is 1, or a power of r
+    against a unit numerator.
     """
 
     __slots__ = ("num", "den")
@@ -402,17 +419,18 @@ class RationalFunction(_Local):
 
     @classmethod
     def constant(cls, tower: FieldTower, place: Place, value: Scalar) -> RationalFunction:
-        return cls(tower, place, (tower.coerce(value),), (tower.one(),))
+        return cls._coprime(tower, place, _trim([tower.coerce(value)]), (tower.one(),))
 
     @classmethod
     def zero(cls, tower: FieldTower, place: Place) -> RationalFunction:
-        return cls(tower, place, (), (tower.one(),))
+        return cls._coprime(tower, place, (), (tower.one(),))
 
     @classmethod
     def from_coeffs(
         cls, tower: FieldTower, place: Place, coeffs: list[Scalar]
     ) -> RationalFunction:
-        return cls(tower, place, tuple(tower.coerce(c) for c in coeffs), (tower.one(),))
+        return cls._coprime(tower, place, _trim([tower.coerce(c) for c in coeffs]),
+                            (tower.one(),))
 
     def is_zero(self) -> bool:
         return not self.num
@@ -528,7 +546,7 @@ class RationalFunction(_Local):
 
 def r_function(tower: FieldTower, place: Place) -> RationalFunction:
     """The local parameter r as a rational function."""
-    return RationalFunction(tower, place, (tower.zero(), tower.one()), (tower.one(),))
+    return RationalFunction._coprime(tower, place, (tower.zero(), tower.one()), (tower.one(),))
 
 
 def t_function(tower: FieldTower, place: Place) -> RationalFunction:
@@ -537,12 +555,12 @@ def t_function(tower: FieldTower, place: Place) -> RationalFunction:
     zero = tower.zero()
     monomial = tuple([zero] * place.e + [one])
     if place.is_infinity:
-        return RationalFunction(tower, place, (one,), monomial)
+        return RationalFunction._coprime(tower, place, (one,), monomial)
     center = embed(place.center, tower)
     num = [zero] * (place.e + 1)
     num[0] = center
     num[place.e] = one
-    return RationalFunction(tower, place, tuple(num), (one,))
+    return RationalFunction._coprime(tower, place, tuple(num), (one,))
 
 
 # -- truncated backend -----------------------------------------------------------
@@ -672,15 +690,8 @@ class PuiseuxSeries(_Local):
         lead = a.lead + b.lead
         if precision <= lead:
             raise PrecisionExhaustedError("product has no known coefficients")
-        size = precision - lead
-        zero = a.tower.zero()
-        out = [zero] * size
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if i + j < size:
-                    out[i + j] = out[i + j] + ca * cb
+        size = min(precision - lead, len(a.coeffs) + len(b.coeffs) - 1)
+        out = _convolve(a.coeffs, b.coeffs, size, a.tower)
         return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
 
     __rmul__ = __mul__

@@ -674,3 +674,59 @@ def test_nonsquare_target(tmp_path, registry, target, verdict, result, order):
     report = run_claim("target", load_claim_file(str(path), registry))
     assert report.verdict == verdict
     assert report.evidence == {"expression": target, "result": result, "order": order}
+
+
+REPEATED_LETS = """\
+claim repeated_lets
+system:
+  g
+place: t = 0 ram 1
+let a = (t^2 + 1)*(t^2 + 1)
+let g = t*(t^2 + 1)
+expect: nonsquare
+"""
+
+
+def test_a_let_subtree_repeated_across_lets_is_evaluated_once_per_run(tmp_path, monkeypatch):
+    from localpoints import exprs
+
+    path = tmp_path / "claims.txt"
+    path.write_text(REPEATED_LETS, encoding="utf-8")
+    extended = load_claim_file(str(path), {})
+    repeated = exprs.parse_expression("t^2 + 1")
+    seen = []
+    evaluate = exprs._evaluate
+
+    def spy(expr, *args):
+        seen.append(expr)
+        return evaluate(expr, *args)
+
+    monkeypatch.setattr(exprs, "_evaluate", spy)
+    assert run_claim("repeated_lets", extended).verdict == "pass"
+    first = list(seen)
+    assert first.count(repeated) == 1
+    # a cache that outlived the run would make the second run cheaper
+    seen.clear()
+    assert run_claim("repeated_lets", extended).verdict == "pass"
+    assert seen == first
+
+
+def test_a_let_that_shadows_t_keeps_its_check_verdicts(tmp_path):
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        "claim shadowed_t\n"
+        "system:\n"
+        "  g\n"
+        "place: t = 0 ram 1\n"
+        "let t = t + 1\n"
+        "let g = t*(t + 1)\n"
+        "identity shadow: t = r + 1\n"
+        "identity product: g = r*(r + 1)\n"
+        "expect: nonsquare\n",
+        encoding="utf-8",
+    )
+    report = run_claim("shadowed_t", load_claim_file(str(path), {}))
+    # lets see the place's t = r; checks see the let
+    assert report.verdict == "pass"
+    assert report.evidence["shadow"] == "exact"
+    assert report.evidence["product"] == "exact"

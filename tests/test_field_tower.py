@@ -443,3 +443,51 @@ def test_residue_map_is_a_ring_map_onto_f_p(towers):
             assert image(a + b) == (image(a) + image(b)) % p
             if not a.is_zero() and image(a):
                 assert image(a.inverse()) * image(a) % p == 1
+
+
+# -- the fused multiply-accumulate against the per-term sum it replaces ----------
+
+
+def _dot_oracle(tower, xs, ys):
+    total = tower.zero()
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def _element_over(rng, tower, den):
+    """A random element whose coordinates all have denominator den before reduction."""
+    return FieldElement(tower, tuple(Fraction(rng.randint(-9, 9), den) for _ in range(tower.dim)))
+
+
+@pytest.mark.parametrize(
+    "towers", [fractional_towers, fractional_rational_step_towers, golden_towers_to_height_three]
+)
+def test_dot_matches_the_sum_of_products(towers):
+    from localpoints.field_tower import _dot
+
+    rng = random.Random(1010)
+    for tower in towers():
+        assert _dot(tower, (), ()) == tower.zero()
+        for n in range(40 if tower.height < 3 else 15):
+            length = rng.randint(1, 6)
+            # zero entries, one shared denominator, pairwise coprime denominators
+            kind = n % 3
+            primes = iter([5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+
+            def entry():
+                if kind == 0 and rng.random() < 0.4:
+                    return tower.zero()
+                return _element_over(rng, tower, 6 if kind == 1 else next(primes))
+
+            xs = [entry() for _ in range(length)]
+            ys = [entry() for _ in range(length)]
+            got = _dot(tower, xs, ys)
+            _assert_canonical(got)
+            expected = _dot_oracle(tower, xs, ys)
+            assert (got.nums, got.den) == (expected.nums, expected.den)
+        # a sum that cancels is the canonical zero
+        a = _random_element(rng, tower, nonzero=True)
+        b = _random_element(rng, tower, nonzero=True)
+        cancelled = _dot(tower, [a, a], [b, -b])
+        assert (cancelled.nums, cancelled.den) == (tower.zero().nums, 1)

@@ -30,6 +30,9 @@ GOLDEN = [
     (["load", GENERATED, "all", "--json"], "verify_load_generated.json"),
     (["load", GENERATED, "all", "--mode", "truncated", "--precision", "40", "--json"],
      "verify_load_generated_truncated_p40.json"),
+    # the longest series recurrences: quotients and square roots to r^80
+    (["load", GENERATED, "all", "--mode", "truncated", "--precision", "80", "--json"],
+     "verify_load_generated_truncated_p80.json"),
 ]
 
 

@@ -487,3 +487,126 @@ def test_golden_cover_factor_not_square_over_c():
         check = is_square_local(g)
         assert check.kind == "no"
         assert check.order == 1
+
+
+# -- one multiply-accumulate per coefficient, against the per-term loops ---------
+
+
+def _pmul_oracle(p, q, zero):
+    if not p or not q:
+        return ()
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+def _series_mul_oracle(a, b):
+    precision = min(a.precision + b.lead, b.precision + a.lead)
+    lead = a.lead + b.lead
+    size = precision - lead
+    out = [a.tower.zero()] * size
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            if i + j < size:
+                out[i + j] = out[i + j] + ca * cb
+    return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
+
+
+def _series_quotient_oracle(num, den, nterms, zero):
+    inv0 = den[0].inverse()
+    out = []
+    for k in range(nterms):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc * inv0)
+    return tuple(out)
+
+
+def _raw(coeffs):
+    return [(c.nums, c.den) for c in coeffs]
+
+
+def _kernel_cases():
+    """(tower, longest length): heights 0-2, the tallest with shorter inputs."""
+    return list(zip(_towers(), (80, 80, 30)))
+
+
+def test_pmul_matches_the_per_term_loop():
+    from localpoints.series import _pmul
+
+    rng = random.Random(808)
+    for tower, longest in _kernel_cases():
+        zero = tower.zero()
+        for length in (1, 2, 5, longest // 2, longest):
+            p = _random_poly(rng, tower, length - 1)
+            q = _random_poly(rng, tower, rng.randint(0, longest - 1))
+            assert _raw(_pmul(p, q, zero)) == _raw(_pmul_oracle(p, q, zero))
+            assert _pmul(p, (), zero) == ()
+
+
+def test_series_product_truncates_at_its_size_like_the_per_term_loop():
+    rng = random.Random(909)
+    for tower, longest in _kernel_cases():
+        place = Place.finite(tower.zero(), 1)
+        for precision in (3, longest // 2, longest):
+            for _ in range(2):
+                a = PuiseuxSeries(tower, place, rng.randint(-3, 3),
+                                  _random_poly(rng, tower, rng.randint(0, precision)), precision)
+                b = PuiseuxSeries(tower, place, rng.randint(-3, 3),
+                                  _random_poly(rng, tower, rng.randint(0, precision)),
+                                  precision + rng.randint(0, 5))
+                got, expected = a * b, _series_mul_oracle(a, b)
+                assert (got.lead, got.precision) == (expected.lead, expected.precision)
+                assert _raw(got.coeffs) == _raw(expected.coeffs)
+
+
+def test_series_quotient_matches_the_per_term_recurrence():
+    from localpoints.series import _series_quotient
+
+    rng = random.Random(707)
+    for tower, longest in _kernel_cases():
+        zero = tower.zero()
+        for nterms in (1, 2, longest // 2, longest):
+            num = _random_poly(rng, tower, rng.randint(0, nterms + 2))
+            den = _random_poly(rng, tower, rng.randint(0, 6))[::-1]  # den[0] != 0
+            if rng.random() < 0.5:
+                den = den + _random_poly(rng, tower, nterms)
+            got = _series_quotient(num, den, nterms, zero)
+            assert len(got) == nterms
+            assert _raw(got) == _raw(_series_quotient_oracle(num, den, nterms, zero))
+
+
+def test_constants_and_coordinates_skip_the_constructor_with_the_same_result():
+    from localpoints.series import _trim
+
+    for tower in _towers():
+        zero, one = tower.zero(), tower.one()
+        top = tower.gen(tower.generator_names[-1]) if tower.height else tower.rational(3)
+        quarter = tower.rational(Fraction(-3, 4))
+        for place in (Place.finite(zero, 2), Place.finite(top + 1, 3), Place.at_infinity(2)):
+            monomial = (zero,) * place.e + (one,)
+            if place.is_infinity:
+                t_parts = ((one,), monomial)
+            else:
+                t_parts = ((place.center,) + monomial[1:], (one,))
+            cases = [
+                (RationalFunction.constant(tower, place, 0), (zero,), (one,)),
+                (RationalFunction.constant(tower, place, Fraction(-3, 4)), (quarter,), (one,)),
+                (RationalFunction.constant(tower, place, top), (top,), (one,)),
+                (RationalFunction.zero(tower, place), (), (one,)),
+                (RationalFunction.from_coeffs(tower, place, [1, 0, top, 0, 0]),
+                 (one, zero, top, zero, zero), (one,)),
+                (RationalFunction.from_coeffs(tower, place, [0, 0]), (zero, zero), (one,)),
+                (r_function(tower, place), (zero, one), (one,)),
+                (t_function(tower, place), *t_parts),
+            ]
+            for made, num, den in cases:
+                expected = RationalFunction(tower, place, num, den)
+                assert type(made.num) is tuple and type(made.den) is tuple
+                assert made.num == _trim(list(made.num))
+                assert (_raw(made.num), _raw(made.den)) == (_raw(expected.num), _raw(expected.den))
