@@ -37,7 +37,8 @@ def _at_least(name: str, minimum: int) -> Callable[[str], int]:
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision", type=_at_least("precision", 1), default=None,
-                        help="series precision")
+                        help="truncated mode: expand each input series modulo r^P "
+                             "(a truncated pass prints the order its residuals are known to)")
     parser.add_argument("--samples", type=_at_least("samples", 0), default=None,
                         help="property-test samples")
     parser.add_argument("--seed", type=int, default=None, help="property-test seed")
@@ -54,8 +55,21 @@ def _overrides(args: argparse.Namespace) -> dict:
     return out
 
 
+def _headline(report: ClaimReport) -> str:
+    """The verdict as printed; a truncated pass names the order its residuals are known to.
+
+    Cancellation can leave a residual known to a lower order than the input
+    series, so the weakest equation bounds what the pass proved.
+    """
+    verdict = report.verdict.upper()
+    evidence = report.evidence
+    if report.verdict == "pass" and evidence.get("mode") == "truncated" and evidence.get("equations"):
+        verdict += f" to O(r^{min(eq['precision'] for eq in evidence['equations'])})"
+    return verdict
+
+
 def _print_report(report: ClaimReport, verbose: bool = False) -> None:
-    line = f"{report.verdict.upper():5s} {report.name}  [{report.kind}]  ({report.wall_time * 1000:.1f} ms)"
+    line = f"{_headline(report):5s} {report.name}  [{report.kind}]  ({report.wall_time * 1000:.1f} ms)"
     print(line)
     if verbose or report.verdict != "pass":
         for key, value in report.evidence.items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -40,6 +41,11 @@ def _check_multiplicity(m: Multiplicity) -> None:
         raise ValueError(f"multiplicity must be a positive integer or inf, got {m!r}")
 
 
+@lru_cache(maxsize=64)
+def _labels(count: int) -> tuple[str, ...]:
+    return tuple(f"p{i}" for i in range(1, count + 1))
+
+
 @dataclass(frozen=True)
 class OrbifoldCurve:
     genus: int
@@ -56,8 +62,20 @@ class OrbifoldCurve:
 
     @classmethod
     def from_multiplicities(cls, genus: int, multiplicities) -> OrbifoldCurve:
-        marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
-        return cls(genus, marks)
+        """The curve with marks p1, p2, ... of these multiplicities.
+
+        The labels are distinct by construction, so this checks only the genus
+        and the marks, with the constructor's checks and messages.
+        """
+        values = tuple(multiplicities)
+        if genus < 0:
+            raise ValueError("genus must be nonnegative")
+        for m in values:
+            _check_multiplicity(m)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "genus", genus)
+        object.__setattr__(curve, "marks", tuple(zip(_labels(len(values)), values)))
+        return curve
 
     @property
     def multiplicities(self) -> tuple[Multiplicity, ...]:

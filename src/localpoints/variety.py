@@ -537,29 +537,43 @@ def _laurent_text(e: int, order: int, coeffs: list[int]) -> str:
     return str(unit * shift if order >= 0 else unit / shift)
 
 
+def _grid_cases(e_max: int, max_numerator: int) -> dict[int, list[tuple[int, int, int]]]:
+    """The grid triples (e, a, b), |a|, |b| <= max_numerator, grouped by the case of (a/e, b/e).
+
+    Each list keeps grid order: e, then a, then b.
+    """
+    by_case: dict[int, list[tuple[int, int, int]]] = {case: [] for case in range(1, 9)}
+    span = range(-max_numerator, max_numerator + 1)
+    for e in range(1, e_max + 1):
+        values = [(n, Fraction(n, e)) for n in span]
+        for a, vu in values:
+            for b, vx in values:
+                by_case[valuation_case(vu, vx)].append((e, a, b))
+    return by_case
+
+
 def _draws(
     samples: int, seed: int, e_max: int, max_numerator: int
 ) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
     """The sweep's draws (case, e, a, u, b, x), in the order the seeded stream makes them.
 
-    (e, a, b) is drawn by rejection until (a/e, b/e) falls in the wanted case;
-    u and x are the units of the Laurent polynomials of orders a and b.
+    (e, a, b) is drawn uniformly from the grid triples in the wanted case, the
+    distribution that rejection from the whole grid gives; u and x are the
+    units of the Laurent polynomials of orders a and b.  A wanted case with
+    no grid triple raises ValueError before any draw.
     """
+    if samples < 0 or e_max < 1 or max_numerator < 0:
+        raise ValueError(f"a sweep needs samples >= 0, e_max >= 1 and max_numerator >= 0; "
+                         f"got {samples}, {e_max}, {max_numerator}")
+    by_case = _grid_cases(e_max, max_numerator)
+    empty = [case for case in range(1, min(samples, 8) + 1) if not by_case[case]]
+    if empty:
+        raise ValueError(f"no grid triple with e <= {e_max} and |a|, |b| <= {max_numerator} "
+                         f"falls in case {', '.join(map(str, empty))}")
     rng = random.Random(seed)
-    # rejection draws repeat grid triples many times over, so each triple's
-    # case is computed once per sweep
-    cases: dict[tuple[int, int, int], int] = {}
     for k in range(samples):
         case = k % 8 + 1
-        while True:
-            e = rng.randint(1, e_max)
-            a = rng.randint(-max_numerator, max_numerator)
-            b = rng.randint(-max_numerator, max_numerator)
-            found = cases.get((e, a, b))
-            if found is None:
-                found = cases[e, a, b] = valuation_case(Fraction(a, e), Fraction(b, e))
-            if found == case:
-                break
+        e, a, b = rng.choice(by_case[case])
         yield case, e, a, _random_unit(rng), b, _random_unit(rng)
 
 
@@ -573,7 +587,8 @@ def sample_square_lift_property(
     both residual quotients for y^2 and z^2 have even order (squares over the
     complex numbers) and no constraint vanishes, the cover factor u^2 t^2 - t
     must have even order as well.  Counterexamples are returned, expected none.
-    Orders are read from coefficient lists, with no gcd.
+    Orders are read from coefficient lists, with no gcd.  A grid with no
+    triple in a case the sweep draws from raises ValueError.
     """
     counts = {case: 0 for case in range(1, 9)}
     hypothesis_hits = 0

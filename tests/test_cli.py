@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+from localpoints.cli import main
+
 CLI = [sys.executable, "-m", "localpoints.cli"]
 
 
@@ -78,6 +80,45 @@ def test_truncated_mode_with_exhausted_precision_is_undecided():
     payload = json.loads(result.stdout)
     assert payload["verdict"] == "undecided"
     assert payload["evidence"]["reason"] == "precision_exhausted"
+
+
+# gen_0007_h0 of benchmark/gen_claims.generate(1, 40) with x = 1 + 1/r, which
+# does not solve the system: its y and z still square the quotients for x = 1
+_CANCELLING_POINT = """claim cancelling_point
+system:
+  x^2 - t*u^2 + t = (t^2*u^2 - t)*y^2
+  (t^2*u^2 - t)*y^2 != 0
+  x^2 - 2*t*u^2 + 1/t = t*(t^2*u^2 - t)*z^2
+  t*(t^2*u^2 - t)*z^2 != 0
+place: t = infinity ram 2
+let u = (3)*r^-3
+let x = (1) + r^-1
+let y = sqrt((((1))^2 - t*((3)*r^-3)^2 + t)/(t^2*((3)*r^-3)^2 - t))
+let z = sqrt((((1))^2 - 2*t*((3)*r^-3)^2 + 1/t)/(t*(t^2*((3)*r^-3)^2 - t)))
+expect: pass
+"""
+
+
+def test_truncated_pass_names_the_order_it_proved(tmp_path, capsys):
+    claim_file = tmp_path / "cancelling.txt"
+    claim_file.write_text(_CANCELLING_POINT, encoding="utf-8")
+
+    def run(*options):
+        code = main(["load", str(claim_file), "run", "cancelling_point", *options])
+        return code, capsys.readouterr().out
+
+    code, out = run()
+    assert code == 1 and out.startswith("FAIL  cancelling_point")
+    # with each input series to r^8, cancellation leaves the residuals known
+    # only modulo r^-2 and r^-6: the headline names the weaker
+    code, out = run("--mode", "truncated", "--precision", "8")
+    assert code == 0 and out.startswith("PASS to O(r^-6) cancelling_point  [point_verification]")
+    code, out = run("--mode", "truncated", "--precision", "8", "--json")
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass"
+    assert [eq["precision"] for eq in payload["evidence"]["equations"]] == [-2, -6]
+    code, out = run("--mode", "truncated", "--precision", "12")
+    assert code == 1 and out.startswith("FAIL  cancelling_point")
 
 
 def test_precision_below_one_is_usage_error():

@@ -87,6 +87,22 @@ def test_pullback_threshold_and_degree_formula():
         assert is_general_type(pullback_half_marks(1, d))
 
 
+def test_from_multiplicities_matches_the_constructor():
+    for genus, multiplicities in [(0, []), (2, [3, 3, INF, 1]), (1, (2,) * 7)]:
+        marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
+        built = curve(genus, multiplicities)
+        assert built == OrbifoldCurve(genus, marks) == curve(genus, iter(multiplicities))
+        assert hash(built) == hash(OrbifoldCurve(genus, marks))
+    bad = [(-1, [2])] + [(0, [2, m, 3]) for m in (0, -2, 2.5, "2", None, [2])]
+    for genus, multiplicities in bad:
+        marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
+        with pytest.raises(ValueError) as from_constructor:
+            OrbifoldCurve(genus, marks)
+        with pytest.raises(ValueError) as from_list:
+            curve(genus, multiplicities)
+        assert str(from_list.value) == str(from_constructor.value)
+
+
 def test_perturb_finite():
     perturbed = perturb_finite(curve(0, [INF, INF, 2]))
     assert perturbed.multiplicities == (7, 7, 2)

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -383,11 +385,12 @@ def test_sampled_square_lift_property_deterministic():
     assert one == two
 
 
-# recorded before the case predicates were cached; the draws must not change
+# recorded when each draw became one choice from its case's grid triples;
+# the draws must not change
 _EIGHT_CASES = {1: 63, 2: 63, 3: 63, 4: 63, 5: 62, 6: 62, 7: 62, 8: 62}
 
 
-@pytest.mark.parametrize("seed, hits, degenerate", [(1, 271, 25), (2, 267, 20), (3, 277, 31)])
+@pytest.mark.parametrize("seed, hits, degenerate", [(1, 285, 22), (2, 284, 23), (3, 292, 27)])
 def test_sampled_square_lift_property_stream_is_pinned(seed, hits, degenerate):
     assert sample_square_lift_property(500, seed) == {
         "samples": 500,
@@ -407,23 +410,29 @@ def _oracle_laurent(rng, place, order, terms):
     return unit * shift if order >= 0 else unit / shift
 
 
+def _oracle_grid_cases():
+    """The 6 x 25 x 25 grid triples (e, a, b) grouped by their Fraction-transcribed case."""
+    by_case = {case: [] for case in range(1, 9)}
+    for e in range(1, 7):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                hits = _fraction_predicates(Fraction(a, e), Fraction(b, e))
+                [case] = [i for i, hit in enumerate(hits, start=1) if hit]
+                by_case[case].append((e, a, b))
+    return by_case
+
+
 def _oracle_draws(samples, seed):
     """The sweep's stream replayed with gcd-normalised RationalFunction arithmetic.
 
     Yields (case, e, a, b), u, x and the orders of g, lhs1 and lhs2_cleared
     (None for zero).
     """
+    by_case = _oracle_grid_cases()
     rng = random.Random(seed)
-    cases = {}
     for k in range(samples):
         case = k % 8 + 1
-        while True:
-            e, a, b = rng.randint(1, 6), rng.randint(-12, 12), rng.randint(-12, 12)
-            if (e, a, b) not in cases:
-                hits = _fraction_predicates(Fraction(a, e), Fraction(b, e))
-                cases[e, a, b] = [i for i, hit in enumerate(hits, start=1) if hit]
-            if cases[e, a, b] == [case]:
-                break
+        e, a, b = rng.choice(by_case[case])
         place = Place.finite(QQ.zero(), e)
         t = t_function(QQ, place)
         u = _oracle_laurent(rng, place, a, rng.randint(1, 3))
@@ -451,17 +460,57 @@ def test_sample_orders_match_rational_function_oracle(seed):
     assert degenerate > 0
 
 
+def test_grid_cases_are_the_triples_in_each_case():
+    # each list holds exactly the triples that rejection from the whole grid
+    # accepted for its case, in grid order, and the eight cover the grid once
+    by_case = variety._grid_cases(6, 12)
+    assert by_case == _oracle_grid_cases()
+    triples = [triple for case in range(1, 9) for triple in by_case[case]]
+    assert len(triples) == len(set(triples)) == 6 * 25 * 25
+    assert all(by_case[case] for case in range(1, 9))
+
+
 def test_sampled_square_lift_property_reads_each_grid_case_once(monkeypatch):
-    # 85,822 draws at seed 1 fall on the 6 x 25 x 25 grid, and its cases are
-    # computed once per triple
+    # the sweep computes the case of each of the 6 x 25 x 25 grid triples once
     calls = []
     predicates = variety.valuation_case_predicates
     monkeypatch.setattr(variety, "valuation_case_predicates",
                         lambda vu, vx: calls.append((vu, vx)) or predicates(vu, vx))
     sample_square_lift_property(500, 1)
-    assert 0 < len(calls) <= 6 * 25 * 25
-    # a second sweep in the same process computes its cases afresh: the cache
-    # lives for one sweep, so a traced run after an untraced one still counts
+    assert len(calls) == 6 * 25 * 25
+    # a second sweep in the same process computes its cases afresh: the case
+    # lists live for one sweep, so a traced run after an untraced one still counts
     first = len(calls)
     sample_square_lift_property(500, 1)
     assert len(calls) == 2 * first
+
+
+def test_sweep_over_a_grid_missing_a_case_raises():
+    # drawing by rejection from these grids never ended, so the sweeps run in
+    # a child process that the timeout stops
+    code = (
+        "from localpoints.variety import sample_square_lift_property as sweep\n"
+        "for grid in ({'e_max': 1}, {'e_max': 2, 'max_numerator': 0}):\n"
+        "    try:\n"
+        "        sweep(8, 1, **grid)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.splitlines() == [
+        "no grid triple with e <= 1 and |a|, |b| <= 12 falls in case 2, 3, 4, 5, 6",
+        "no grid triple with e <= 2 and |a|, |b| <= 0 falls in case 1, 2, 3, 4, 5, 6, 7",
+    ]
+
+
+@pytest.mark.parametrize("samples, e_max, max_numerator", [(-1, 6, 12), (8, 0, 12), (8, 6, -1)])
+def test_sweep_rejects_negative_sizes(samples, e_max, max_numerator):
+    with pytest.raises(ValueError, match="a sweep needs samples >= 0"):
+        sample_square_lift_property(samples, 1, e_max, max_numerator)
+
+
+def test_sweep_needs_only_the_cases_it_draws():
+    # fewer than eight samples draw from the first cases only; e = 1 has case 1
+    assert sample_square_lift_property(0, 1, e_max=1)["case_counts"][1] == 0
+    assert sample_square_lift_property(1, 1, e_max=1)["case_counts"][1] == 1
