@@ -283,10 +283,9 @@ def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
     unknown = free_symbols(expr) - set(env)
     if unknown:
         name = sorted(unknown)[0]
-        token = next(token for token in _tokenize(text, lineno, column) if token.text == name)
-        raise ClaimSyntaxError(
-            f"undeclared identifier {name!r} in {where}", token.line, token.column
-        )
+        position = next((at_line, at_column) for _, word, at_line, at_column
+                        in _tokenize(text, lineno, column) if word == name)
+        raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *position)
     try:
         return evaluate(expr, env, const or env["t"]._constant, cache=cache)
     except ZeroDivisionError:
@@ -338,18 +337,33 @@ def _cover_equation(
                                parsed.line, 1) from None
 
 
+def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialSystem:
+    """parse_system(source, tower), parsed once per registry.
+
+    systems belongs to one registry and maps (source, tower) to the parsed
+    system.  It fills as claims first run, and never holds a failure, so each
+    claim whose system does not parse raises with its own position.
+    """
+    key = (source, tower)
+    system = systems.get(key)
+    if system is None:
+        system = systems[key] = parse_system(source, tower)
+    return system
+
+
 def _build_system(
-    parsed: ParsedClaim, tower: FieldTower, point: PointAssignment
+    parsed: ParsedClaim, tower: FieldTower, point: PointAssignment, systems: dict
 ) -> PolynomialSystem:
     """The claim's system; an error in it names the line and column of the claim file.
 
     So do a variable no let binds, at its first use, and a square-root let
     whose variable the system uses with an odd power.  An obstructed claim
     leaves its cover variable w unbound, when w occurs only as the w^2 of its
-    cover equation.
+    cover equation.  systems is shared by _shared_system.
     """
     try:
-        system = parse_system("\n".join(text for _, text in parsed.system_lines), tower)
+        system = _shared_system(
+            systems, "\n".join(text for _, text in parsed.system_lines), tower)
     except ClaimSyntaxError as err:
         message = str(err).partition(": ")[2]
         lineno = parsed.system_lines[err.line - 1][0]
@@ -563,8 +577,9 @@ def _obstructed(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssign
     return ("pass" if outcome.kind == "obstructed" else "fail"), evidence
 
 
-def _claim_from_parsed(parsed: ParsedClaim, towers: dict) -> Claim:
-    """The claim a parsed block declares; towers is shared by _build_tower."""
+def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
+    """The claim a parsed block declares; towers is shared by _build_tower, systems by
+    _shared_system."""
     if parsed.orbifold_line is not None:
         return _orbifold_claim(parsed)
 
@@ -576,11 +591,12 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict) -> Claim:
         point = PointAssignment(place, bindings)
         if p.expect == "nonsquare":
             verdict, evidence = _nonsquare(p, values)
-        elif p.expect == "obstructed":
-            verdict, evidence = _obstructed(p, _build_system(p, tower, point), point, params)
         else:
-            system = _build_system(p, tower, point)
-            verdict, evidence = _verified(system, point, params)
+            system = _build_system(p, tower, point, systems)
+            if p.expect == "obstructed":
+                verdict, evidence = _obstructed(p, system, point, params)
+            else:
+                verdict, evidence = _verified(system, point, params)
         if not _checks_hold(p, values, evidence):
             verdict = "fail"
         if p.expect == "lifts" and verdict == "pass":
@@ -600,10 +616,11 @@ def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> d
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     towers: dict = {}
+    systems: dict = {}
     for parsed in parse_claim_file(text):
         if parsed.name in base:
             raise DuplicateClaimError(f"claim {parsed.name!r} already registered")
-        base[parsed.name] = _claim_from_parsed(parsed, towers)
+        base[parsed.name] = _claim_from_parsed(parsed, towers, systems)
     return base
 
 
@@ -702,7 +719,7 @@ def _golden_point(tower: FieldTower, e: int) -> tuple:
     return place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
 
 
-def _golden_nonlift_claim(n: int, tower: FieldTower) -> Claim:
+def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
     name = f"golden_nonlift_n{n}"
 
     def run(params: ClaimParams) -> ClaimOutcome:
@@ -723,7 +740,7 @@ def _golden_nonlift_claim(n: int, tower: FieldTower) -> Claim:
                 "quotient_order": check.order,
                 "witness_precision": witness.precision if witness else None,
             }
-        cover = parse_system(_COVER_SYSTEM_SOURCE, tower)
+        cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
         plain = lift_along_cover(cover, point, precision=params.precision, check_base=False)
         twisted = lift_along_cover(
             cover, point, precision=params.precision, twist=r * r, check_base=False
@@ -756,7 +773,7 @@ def _golden_nonlift_claim(n: int, tower: FieldTower) -> Claim:
     )
 
 
-def _two_forms(tower: FieldTower, params: ClaimParams) -> ClaimOutcome:
+def _two_forms(tower: FieldTower, systems: dict, params: ClaimParams) -> ClaimOutcome:
     place, r, t, u, x, g, lhs1, lhs2 = _golden_point(tower, 2)
     point = PointAssignment(
         place,
@@ -767,7 +784,7 @@ def _two_forms(tower: FieldTower, params: ClaimParams) -> ClaimOutcome:
             "z": FormalSqrt(lhs2 / (t * g)),
         },
     )
-    cover = parse_system(_COVER_SYSTEM_SOURCE, tower)
+    cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
     # check_base on: the point really is a point of the base system
     plain = lift_along_cover(cover, point, precision=params.precision)
     twisted = lift_along_cover(
@@ -928,19 +945,22 @@ def _perturbations(params: ClaimParams) -> dict:
 def builtin_registry() -> dict[str, Claim]:
     """All built-in claims, keyed by name, in a stable order."""
     towers: dict = {}
+    systems: dict = {}
 
     def from_text(text: str) -> list[Claim]:
-        return [_claim_from_parsed(parsed, towers) for parsed in parse_claim_file(text)]
+        return [_claim_from_parsed(parsed, towers, systems)
+                for parsed in parse_claim_file(text)]
 
     claims = from_text(POINTS_TEXT)
     shifted_form = from_text(SHIFTED_FORM_TEXT)
     # the golden point's field, built once for the shifted form's adjoin lines
     golden = shifted_form[0].system_tower
-    claims += [_golden_nonlift_claim(n, golden) for n in range(1, 6)]
+    claims += [_golden_nonlift_claim(n, golden, systems) for n in range(1, 6)]
     claims += shifted_form
     claims.append(Claim("k3_cover_two_forms_obstructed", "lift_test",
                         "both double-cover forms obstruct at the golden place",
-                        partial(_two_forms, golden), system_source=_COVER_SYSTEM_SOURCE))
+                        partial(_two_forms, golden, systems),
+                        system_source=_COVER_SYSTEM_SOURCE))
     claims += from_text(K3_LIFTS_TEXT)
     claims.append(Claim("lemma91_property", "property_test",
                         "solvable equations force the cover factor to be a local square",

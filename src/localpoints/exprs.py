@@ -1,15 +1,24 @@
 """Expression trees for the claim language, with parser and pretty-printer.
 
-Grammar: identifiers [a-z][a-z0-9_]*, nonnegative integer literals, binary
-+ - * /, ^ with an integer literal exponent, parentheses, unary minus.
-Rational constants are written p/q and stay division nodes until evaluation.
+Grammar: identifiers, nonnegative integer literals, binary + - * /, ^ with an
+integer literal exponent, parentheses, unary minus.  Rational constants are
+written p/q and stay division nodes until evaluation.
+
+Tokens: an integer literal is ASCII digits 0-9 only; an identifier starts with
+a letter (str.isalpha) or _, goes on with letters, digits or _ (str.isalnum),
+and has no uppercase letter; whitespace separates tokens.  Any other character,
+a superscript or non-ASCII digit among them, is an unexpected character at its
+column.  An expression nests at most MAX_DEPTH (200) levels, counting each
+operator and each pair of parentheses from the root down to a leaf; a deeper
+one is an error at the token that crosses the limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from .errors import ClaimSyntaxError
 
@@ -49,136 +58,152 @@ Expr = Num | Sym | Neg | BinOp | Pow
 
 # -- lexer ---------------------------------------------------------------------
 
+# A token is a plain tuple (kind, text, line, column), kind one of "num",
+# "ident", "op" and "end": a NamedTuple runs a Python-level __new__ per token,
+# which nearly doubled the time to tokenize.
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    line: int
-    column: int
+# one alternation tried at each position; the group that matched names the token
+# kind, and newlines and other whitespace make no token.  [^\W\d] also admits
+# numerals such as a superscript two, so an identifier's first character is
+# checked with str.isalpha.
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<newline>\n)|(?P<space>[^\S\n]+)"
+)
 
 
-_OPS = set("+-*/^()")
+def _tokenize(text: str, line: int, column: int) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    match = _TOKEN.match
+    pos, line_start = 0, 1 - column  # the column of text[i] is i - line_start + 1
+    while pos < len(text):
+        found = match(text, pos)
+        kind = found.lastgroup if found is not None else None
+        if kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None
+        if kind is None:
+            raise ClaimSyntaxError(f"unexpected character {text[pos]!r}",
+                                   line, pos - line_start + 1)
+        end = found.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind != "space":
+            word = found.group()
+            if kind == "ident" and word != word.lower():
+                raise ClaimSyntaxError(f"identifiers are lowercase: {word!r}",
+                                       line, pos - line_start + 1)
+            tokens.append((kind, word, line, pos - line_start + 1))
+        pos = end
+    tokens.append(("end", "", line, pos - line_start + 1))
+    return tokens
 
 
-def _tokenize(text: str, line: int, column: int) -> Iterator[_Token]:
-    i = 0
-    cur_line, cur_col = line, column
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            cur_line += 1
-            cur_col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            cur_col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            yield _Token("num", text[start:i], cur_line, cur_col)
-            cur_col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word != word.lower():
-                raise ClaimSyntaxError(f"identifiers are lowercase: {word!r}", cur_line, cur_col)
-            yield _Token("ident", word, cur_line, cur_col)
-            cur_col += i - start
-            continue
-        if ch in _OPS:
-            yield _Token("op", ch, cur_line, cur_col)
-            cur_col += 1
-            i += 1
-            continue
-        raise ClaimSyntaxError(f"unexpected character {ch!r}", cur_line, cur_col)
-    yield _Token("end", "", cur_line, cur_col)
+# The deepest expression the parser accepts, counting each operator and each pair of
+# parentheses on the way from the root to a leaf.  evaluate takes two interpreter
+# frames per tree level and the parser three per parenthesis, so at 200 levels both
+# stay well inside the default recursion limit of 1000 with room for their callers;
+# the deepest expression of the claim corpus has 15 levels.
+MAX_DEPTH = 200
+
+_SUM_OPS = frozenset("+-")
+_PRODUCT_OPS = frozenset("*/")
+
+
+def _too_deep(token: tuple) -> ClaimSyntaxError:
+    _, _, line, column = token
+    return ClaimSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", line, column)
 
 
 class _Parser:
+    """Recursive descent over the token list; each rule returns its tree and depth.
+
+    open counts the parentheses and unary minus signs the parser is inside, so
+    nesting is refused on the way in, before it can exhaust the stack.  Only op
+    tokens have the texts the rules compare against.
+    """
+
     def __init__(self, text: str, line: int, column: int) -> None:
-        self.tokens = list(_tokenize(text, line, column))
+        self.tokens = _tokenize(text, line, column)
         self.pos = 0
-
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.current
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str) -> None:
-        token = self.current
-        if token.kind != "op" or token.text != op:
-            raise ClaimSyntaxError(f"expected {op!r}", token.line, token.column)
-        self.advance()
+        self.open = 0
 
     def parse(self) -> Expr:
-        expr = self.expr()
-        token = self.current
-        if token.kind != "end":
-            raise ClaimSyntaxError(f"unexpected {token.text!r}", token.line, token.column)
-        return expr
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+        node, _ = self.sum()
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != "end":
+            raise ClaimSyntaxError(f"unexpected {text!r}", line, column)
         return node
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+    def sum(self) -> tuple[Expr, int]:
+        node, depth = self.product()
+        token = self.tokens[self.pos]
+        while token[1] in _SUM_OPS:
+            self.pos += 1
+            right, right_depth = self.product()
+            node = BinOp(token[1], node, right)
+            depth = (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(token)
+            token = self.tokens[self.pos]
+        return node, depth
 
-    def unary(self) -> Expr:
-        if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def product(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
+        token = self.tokens[self.pos]
+        while token[1] in _PRODUCT_OPS:
+            self.pos += 1
+            right, right_depth = self.factor()
+            node = BinOp(token[1], node, right)
+            depth = (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(token)
+            token = self.tokens[self.pos]
+        return node, depth
 
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            token = self.advance()
-            sign = 1
-            if self.current.kind == "op" and self.current.text == "-":
-                self.advance()
-                sign = -1
-            exponent = self.current
-            if exponent.kind != "num":
-                raise ClaimSyntaxError(
-                    "exponent must be an integer literal", exponent.line, exponent.column
-                )
-            self.advance()
-            return Pow(base, sign * int(exponent.text))
-        return base
-
-    def atom(self) -> Expr:
-        token = self.current
-        if token.kind == "num":
-            self.advance()
-            return Num(int(token.text))
-        if token.kind == "ident":
-            self.advance()
-            return Sym(token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ClaimSyntaxError(f"expected an expression, got {token.text!r}", token.line, token.column)
+    def factor(self) -> tuple[Expr, int]:
+        """A unary minus, or an atom with an optional integer power."""
+        tokens = self.tokens
+        token = kind, text, line, column = tokens[self.pos]
+        if kind == "num":
+            node, depth = Num(int(text)), 0
+        elif kind == "ident":
+            node, depth = Sym(text), 0
+        elif text == "-" or text == "(":
+            if self.open == MAX_DEPTH:
+                raise _too_deep(token)
+            self.open += 1
+            self.pos += 1
+            if text == "-":
+                operand, depth = self.factor()
+                self.open -= 1
+                if depth == MAX_DEPTH:
+                    raise _too_deep(token)
+                return Neg(operand), depth + 1
+            node, depth = self.sum()
+            _, close, close_line, close_column = tokens[self.pos]
+            if close != ")":
+                raise ClaimSyntaxError("expected ')'", close_line, close_column)
+            self.open -= 1
+            if depth == MAX_DEPTH:
+                raise _too_deep(token)
+            depth += 1
+        else:
+            raise ClaimSyntaxError(f"expected an expression, got {text!r}", line, column)
+        self.pos += 1
+        caret = tokens[self.pos]
+        if caret[1] != "^":
+            return node, depth
+        self.pos += 1
+        sign = 1
+        if tokens[self.pos][1] == "-":
+            self.pos += 1
+            sign = -1
+        kind, text, line, column = tokens[self.pos]
+        if kind != "num":
+            raise ClaimSyntaxError("exponent must be an integer literal", line, column)
+        self.pos += 1
+        if depth == MAX_DEPTH:
+            raise _too_deep(caret)
+        return Pow(node, sign * int(text)), depth + 1
 
 
 def parse_expression(text: str, line: int = 1, column: int = 1) -> Expr:
@@ -203,7 +228,11 @@ def _wrap(child: Expr, parent_level: int, is_right: bool) -> str:
 
 
 def to_text(expr: Expr) -> str:
-    """Render an expression; re-parsing gives a structurally equal tree."""
+    """Render an expression; re-parsing gives a structurally equal tree.
+
+    The parentheses it puts around a negated operand count towards MAX_DEPTH,
+    so a tree at that depth with such an operand renders too deep to re-parse.
+    """
     if isinstance(expr, Num):
         return str(expr.value)
     if isinstance(expr, Sym):

@@ -623,6 +623,35 @@ def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 5, column 9:")
 
 
+# claim-file expressions that ended in a traceback or were misread: a superscript
+# two went to int(), an Arabic-Indic one read as 1, and long sums or deep
+# nesting overflowed the interpreter stack
+UNREADABLE_EXPRESSIONS = [
+    ("superscript_digit", "let x = sqrt(t^\u00b2)\nsystem:\n  x^2 = t", 3, 16,
+     "unexpected character '\u00b2'"),
+    ("arabic_indic_digit", "let x = sqrt(t^\u0661)\nsystem:\n  x^2 = t", 3, 16,
+     "unexpected character '\u0661'"),
+    ("long_let_sum", "let x = sqrt(" + "+".join(["t"] * 1500) + ")\nsystem:\n  x^2 = t",
+     3, 14 + 2 * 201 - 1, "expression nested deeper than 200 levels"),
+    ("nested_parentheses", "let x = " + "(" * 1200 + "t" + ")" * 1200 + "\nsystem:\n  x = t",
+     3, 9 + 200, "expression nested deeper than 200 levels"),
+    ("long_system_sum", "let x = r\nsystem:\n  " + "+".join(["x"] * 500) + " = t",
+     5, 3 + 2 * 201 - 1, "expression nested deeper than 200 levels"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, line, column, message", [row[1:] for row in UNREADABLE_EXPRESSIONS],
+    ids=[row[0] for row in UNREADABLE_EXPRESSIONS],
+)
+def test_unreadable_expression_exits_two_from_the_command_line(tmp_path, capsys, body, line,
+                                                               column, message):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim broken\nplace: t = 0 ram 1\n{body}\n", encoding="utf-8")
+    assert main(["load", str(path), "run", "broken"]) == 2
+    assert capsys.readouterr().err == f"error: line {line}, column {column}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "claim, dropped, message",
     [("example_half_point", "let x = 0",
@@ -730,3 +759,91 @@ def test_a_let_that_shadows_t_keeps_its_check_verdicts(tmp_path):
     assert report.verdict == "pass"
     assert report.evidence["shadow"] == "exact"
     assert report.evidence["product"] == "exact"
+
+
+GENERATED = pathlib.Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
+
+
+@pytest.fixture
+def system_parses(monkeypatch):
+    """The arguments of every parse_system call the claims make."""
+    calls = []
+    parse_system = claims.parse_system
+    monkeypatch.setattr(claims, "parse_system",
+                        lambda *args: calls.append(args) or parse_system(*args))
+    return calls
+
+
+def test_each_distinct_system_is_parsed_once_per_registry(system_parses, capsys):
+    # the 16 builtins with a system use 4 (text, tower) pairs
+    assert main(["all", "--samples", "60"]) == 0
+    assert len(system_parses) == 4
+    # the generated file's 10 claims use 6; a second registry of the same file
+    # parses them again, so nothing outlives the registry that parsed it
+    for _ in range(2):
+        system_parses.clear()
+        reports, _ = run_all(load_claim_file(str(GENERATED), {}))
+        assert [r.verdict for r in reports] == ["pass"] * 10
+        assert len(system_parses) == 6
+        assert len({(text, tower) for text, tower in system_parses}) == 6
+
+
+BROKEN_TWICE = """\
+claim broken_first
+place: t = 0 ram 1
+let x = 1
+system:
+  x^2 = * 1
+claim broken_second
+place: t = 0 ram 1
+let x = 1
+# the same system text, one line further down and two columns to the right
+system:
+    x^2 = * 1
+"""
+
+
+def test_claims_with_the_same_broken_system_report_their_own_positions(tmp_path):
+    path = tmp_path / "claims.txt"
+    path.write_text(BROKEN_TWICE, encoding="utf-8")
+    registry = load_claim_file(str(path), {})
+    # a system that does not parse is never kept, so no claim sees another's error
+    for name, position in [("broken_first", (5, 9)), ("broken_second", (11, 11)),
+                           ("broken_first", (5, 9))]:
+        with pytest.raises(ClaimSyntaxError) as err:
+            run_claim(name, registry)
+        assert (err.value.line, err.value.column) == position
+        assert str(err.value).endswith("expected an expression, got '*'")
+
+
+ONE_SYSTEM_THREE_POINTS = """\
+claim bound
+system:
+  x^3 = t^3
+place: t = 0 ram 1
+let x = r
+claim unbound
+system:
+  x^3 = t^3
+place: t = 0 ram 1
+claim odd_power
+system:
+  x^3 = t^3
+place: t = 0 ram 1
+let x = sqrt(t^2)
+"""
+
+
+def test_each_claim_checks_its_points_on_a_shared_system(tmp_path, system_parses):
+    path = tmp_path / "claims.txt"
+    path.write_text(ONE_SYSTEM_THREE_POINTS, encoding="utf-8")
+    registry = load_claim_file(str(path), {})
+    assert run_claim("bound", registry).verdict == "pass"
+    for name, position, message in [
+            ("unbound", (8, 3), "unbound variable 'x': no let binds it"),
+            ("odd_power", (14, 9), "'x' is a square root; the system has an odd power of it")]:
+        with pytest.raises(ClaimSyntaxError) as err:
+            run_claim(name, registry)
+        assert (err.value.line, err.value.column) == position
+        assert str(err.value).endswith(message)
+    assert len(system_parses) == 1

@@ -1,10 +1,18 @@
+import importlib.util
 import random
+import re
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
+from localpoints.claims import K3_LIFTS_TEXT, POINTS_TEXT, SHIFTED_FORM_TEXT
 from localpoints.errors import ClaimSyntaxError
 from localpoints.exprs import (
+    MAX_DEPTH,
     BinOp,
     Neg,
     Num,
@@ -16,6 +24,8 @@ from localpoints.exprs import (
     parse_expression,
     to_text,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_base_equation_side():
@@ -102,3 +112,261 @@ def test_evaluate_substitutes_squares():
     assert value == (9 - 3) * -1
     with pytest.raises(LookupError):
         evaluate(parse_expression("y^3"), {}, Fraction, square_env={"y": Fraction(2)})
+
+
+# -- the per-character tokenizer and parser the regular-expression one replaced,
+# kept as the reference it must agree with ------------------------------------------
+
+
+@dataclass(frozen=True)
+class _OracleToken:
+    kind: str  # "num" | "ident" | "op" | "end"
+    text: str
+    line: int
+    column: int
+
+
+def _oracle_tokenize(text: str, line: int, column: int) -> Iterator[_OracleToken]:
+    i = 0
+    cur_line, cur_col = line, column
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            cur_line += 1
+            cur_col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            cur_col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            yield _OracleToken("num", text[start:i], cur_line, cur_col)
+            cur_col += i - start
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            if word != word.lower():
+                raise ClaimSyntaxError(f"identifiers are lowercase: {word!r}", cur_line, cur_col)
+            yield _OracleToken("ident", word, cur_line, cur_col)
+            cur_col += i - start
+            continue
+        if ch in set("+-*/^()"):
+            yield _OracleToken("op", ch, cur_line, cur_col)
+            cur_col += 1
+            i += 1
+            continue
+        raise ClaimSyntaxError(f"unexpected character {ch!r}", cur_line, cur_col)
+    yield _OracleToken("end", "", cur_line, cur_col)
+
+
+class _OracleParser:
+    def __init__(self, text: str, line: int, column: int) -> None:
+        self.tokens = list(_oracle_tokenize(text, line, column))
+        self.pos = 0
+
+    @property
+    def current(self) -> _OracleToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _OracleToken:
+        token = self.current
+        self.pos += 1
+        return token
+
+    def expect_op(self, op: str) -> None:
+        token = self.current
+        if token.kind != "op" or token.text != op:
+            raise ClaimSyntaxError(f"expected {op!r}", token.line, token.column)
+        self.advance()
+
+    def parse(self):
+        expr = self.expr()
+        token = self.current
+        if token.kind != "end":
+            raise ClaimSyntaxError(f"unexpected {token.text!r}", token.line, token.column)
+        return expr
+
+    def expr(self):
+        node = self.term()
+        while self.current.kind == "op" and self.current.text in "+-":
+            op = self.advance().text
+            node = BinOp(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.current.kind == "op" and self.current.text in "*/":
+            op = self.advance().text
+            node = BinOp(op, node, self.unary())
+        return node
+
+    def unary(self):
+        if self.current.kind == "op" and self.current.text == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.current.kind == "op" and self.current.text == "^":
+            self.advance()
+            sign = 1
+            if self.current.kind == "op" and self.current.text == "-":
+                self.advance()
+                sign = -1
+            exponent = self.current
+            if exponent.kind != "num":
+                raise ClaimSyntaxError(
+                    "exponent must be an integer literal", exponent.line, exponent.column
+                )
+            self.advance()
+            return Pow(base, sign * int(exponent.text))
+        return base
+
+    def atom(self):
+        token = self.current
+        if token.kind == "num":
+            self.advance()
+            return Num(int(token.text))
+        if token.kind == "ident":
+            self.advance()
+            return Sym(token.text)
+        if token.kind == "op" and token.text == "(":
+            self.advance()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ClaimSyntaxError(f"expected an expression, got {token.text!r}",
+                               token.line, token.column)
+
+
+def _outcome(parse, text: str, line: int, column: int):
+    """The tree, or the (type, message, line, column) of the error."""
+    try:
+        return parse(text, line, column)
+    except Exception as err:  # both parsers must fail alike, whatever they raise
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+def _oracle_outcome(text: str, line: int, column: int):
+    return _outcome(lambda *args: _OracleParser(*args).parse(), text, line, column)
+
+
+def _corpus_texts() -> list[str]:
+    """The builtin claim texts, the example and golden claim files, and generated claims."""
+    spec = importlib.util.spec_from_file_location("_gen_claims",
+                                                  ROOT / "benchmark" / "gen_claims.py")
+    gen_claims = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen_claims  # dataclasses look their module up while it loads
+    try:
+        spec.loader.exec_module(gen_claims)
+        generated = [gen_claims.generate(seed, 100)[0] for seed in (1, 2, 3)]
+    finally:
+        del sys.modules[spec.name]
+    files = [ROOT / "claims_example.txt", ROOT / "tests" / "data" / "generated_points_seed1.txt"]
+    return [POINTS_TEXT, SHIFTED_FORM_TEXT, K3_LIFTS_TEXT, *generated,
+            *(path.read_text(encoding="utf-8") for path in files)]
+
+
+def _expression_pieces(corpus: list[str]) -> set[tuple[str, int, int]]:
+    """Every line of each text and every piece of it between = != : and sqrt( ),
+    each with its line and column: the expressions the claim runner parses, and the
+    directive lines around them, which fail to parse."""
+    pieces = set()
+    for text in corpus:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            pieces.add((line, lineno, 1))
+            for match in re.finditer(r"[^=!:]+", line):
+                piece = match[0]
+                if piece.strip().startswith("sqrt(") and piece.rstrip().endswith(")"):
+                    offset = piece.index("sqrt(") + len("sqrt(")
+                    pieces.add((piece.rstrip()[offset:-1], lineno, match.start() + offset + 1))
+                pieces.add((piece, lineno, match.start() + 1))
+    return pieces
+
+
+NON_ASCII_DIGITS = "²١"
+
+
+def test_parser_agrees_with_the_per_character_oracle_on_the_claim_corpus():
+    pieces = _expression_pieces(_corpus_texts())
+    trees = 0
+    for text, line, column in sorted(pieces):
+        expected = _oracle_outcome(text, line, column)
+        assert _outcome(parse_expression, text, line, column) == expected, (text, line, column)
+        trees += not isinstance(expected, tuple)
+    # the corpus parses to many trees, and fails in many places
+    assert trees > 500 and len(pieces) - trees > 500
+
+
+def test_parser_agrees_with_the_per_character_oracle_on_random_strings():
+    alphabet = sorted(set("".join(_corpus_texts())) | set("éαǅⅧ\xa0\t\n"))
+    assert not any(ch.isdigit() and not ch.isascii() for ch in alphabet)
+    rng = random.Random(12)
+    errors = set()
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+        line, column = rng.randint(1, 9), rng.randint(1, 40)
+        expected = _oracle_outcome(text, line, column)
+        assert _outcome(parse_expression, text, line, column) == expected, repr(text)
+        if isinstance(expected, tuple):
+            errors.add(expected[1].partition(": ")[2].split(" ", 1)[0])
+    # every kind of error turned up: unexpected, expected, identifiers, exponent
+    assert {"unexpected", "expected", "identifiers", "exponent"} <= errors
+
+
+def test_parser_agrees_with_the_oracle_on_every_thirteenth_character():
+    # each character alone and after an identifier: the regular expression's
+    # classes against str.isspace, isalpha and isalnum
+    for code in range(0, 0x10000, 13):
+        ch = chr(code)
+        if ch.isdigit() and not ch.isascii():
+            continue
+        for text in (ch, "x" + ch):
+            assert _outcome(parse_expression, text, 1, 1) == _oracle_outcome(text, 1, 1), hex(code)
+
+
+@pytest.mark.parametrize("text", ["x^" + digit for digit in NON_ASCII_DIGITS])
+def test_a_non_ascii_digit_is_an_unexpected_character(text):
+    # the oracle read a superscript two with int() (a ValueError) and an
+    # Arabic-Indic one as 1; integer literals are ASCII digits
+    with pytest.raises(ClaimSyntaxError) as err:
+        parse_expression(text, 4, 10)
+    assert (err.value.line, err.value.column) == (4, 12)
+    assert str(err.value) == f"line 4, column 12: unexpected character {text[-1]!r}"
+
+
+def _chain(terms: int) -> str:
+    return "+".join(["t"] * terms)
+
+
+def _nested(levels: int) -> str:
+    return "(" * levels + "t" + ")" * levels
+
+
+@pytest.mark.parametrize(
+    "deepest, value, too_deep, column",
+    [(_chain(MAX_DEPTH + 1), MAX_DEPTH + 1, _chain(MAX_DEPTH + 2), 2 * MAX_DEPTH + 2),
+     (_nested(MAX_DEPTH), 1, _nested(MAX_DEPTH + 1), MAX_DEPTH + 1),
+     ("-" * MAX_DEPTH + "t", 1, "-" * (MAX_DEPTH + 1) + "t", MAX_DEPTH + 1),
+     ("t^2" + "*t" * (MAX_DEPTH - 1), 1, "t^2" + "*t" * MAX_DEPTH, 2 * MAX_DEPTH + 2)],
+    ids=["sum", "parentheses", "minus_signs", "power_times"],
+)
+def test_depth_is_bounded_at_the_token_that_crosses_it(deepest, value, too_deep, column):
+    tree = parse_expression(deepest)
+    # the deepest tree accepted still evaluates, prints and parses again
+    assert evaluate(tree, {"t": Fraction(1)}, Fraction) == value
+    assert free_symbols(tree) == {"t"}
+    assert parse_expression(to_text(tree)) == tree
+    with pytest.raises(ClaimSyntaxError) as err:
+        parse_expression(too_deep)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).endswith(f"expression nested deeper than {MAX_DEPTH} levels")
