@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import textwrap
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -25,7 +26,7 @@ from .errors import (
     UnknownClaimError,
     ZeroFunctionError,
 )
-from .exprs import Expr, _tokenize, evaluate, free_symbols, parse_expression
+from .exprs import Expr, _integer, _tokenize, evaluate, free_symbols, parse_expression
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
@@ -51,8 +52,8 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
+    _lift,
     _local_root,
-    _odd_power_variable,
     find_cover_equation,
     lift_along_cover,
     parse_system,
@@ -190,7 +191,7 @@ def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
 
 
 def parse_claim_file(text: str) -> list[ParsedClaim]:
-    claims: list[ParsedClaim] = []
+    claims: dict[str, ParsedClaim] = {}
     current: ParsedClaim | None = None
     in_system = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -211,10 +212,9 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
         if keyword == "claim ":
             if not rest or not rest.replace("_", "").isalnum():
                 raise ClaimSyntaxError(f"bad claim name {rest!r}", lineno, column)
-            if any(c.name == rest for c in claims):
+            if rest in claims:
                 raise DuplicateClaimError(f"claim {rest!r} declared twice")
-            current = ParsedClaim(rest, lineno)
-            claims.append(current)
+            current = claims[rest] = ParsedClaim(rest, lineno)
             continue
         if current is None:
             raise ClaimSyntaxError("directives must follow a `claim NAME` line", lineno, start)
@@ -268,7 +268,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             current.orbifold_line = (lineno, rest)
         else:  # degree: or general_type:
             current.assertions.append((lineno, keyword[:-1], rest))
-    return claims
+    return list(claims.values())
 
 
 def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
@@ -326,15 +326,8 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
 _IDENTIFIER = re.compile(r"[^\W\d]\w*")
 
 
-def _cover_equation(
-    parsed: ParsedClaim, system: PolynomialSystem, point: PointAssignment
-) -> tuple[int, str, Expr]:
-    """find_cover_equation, with a missing cover equation a positioned error."""
-    try:
-        return find_cover_equation(system, point)
-    except ValueError:
-        raise ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g",
-                               parsed.line, 1) from None
+def _no_cover_equation(parsed: ParsedClaim) -> ClaimSyntaxError:
+    return ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g", parsed.line, 1)
 
 
 def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialSystem:
@@ -353,24 +346,31 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
 
 def _build_system(
     parsed: ParsedClaim, tower: FieldTower, point: PointAssignment, systems: dict
-) -> PolynomialSystem:
-    """The claim's system; an error in it names the line and column of the claim file.
+) -> tuple[PolynomialSystem, tuple[int, str, Expr] | None]:
+    """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
 
-    So do a variable no let binds, at its first use, and a square-root let
-    whose variable the system uses with an odd power.  An obstructed claim
-    leaves its cover variable w unbound, when w occurs only as the w^2 of its
-    cover equation.  systems is shared by _shared_system.
+    An error in the system names the line and column of the claim file.  So
+    do a variable no let binds, at its first use, a square-root let whose
+    variable the system uses with an odd power, and an obstructed claim with
+    no cover equation.  That claim leaves its cover variable w unbound when w
+    occurs only as the w^2 of its cover equation; a lifts claim binds w to a
+    square root, so its cover equation, or None, is found past those lets.
+    systems is shared by _shared_system.
     """
     try:
         system = _shared_system(
             systems, "\n".join(text for _, text in parsed.system_lines), tower)
     except ClaimSyntaxError as err:
-        message = str(err).partition(": ")[2]
         lineno = parsed.system_lines[err.line - 1][0]
-        raise ClaimSyntaxError(message, lineno, parsed.columns[lineno] + err.column - 1) from None
+        raise ClaimSyntaxError(err.message, lineno,
+                               parsed.columns[lineno] + err.column - 1) from None
     unbound = set(system.variables) - set(point.bindings)
+    cover = None
     if parsed.expect == "obstructed":
-        index, variable, g = _cover_equation(parsed, system, point)
+        try:
+            cover = index, variable, g = find_cover_equation(system, point)
+        except ValueError:
+            raise _no_cover_equation(parsed) from None
         if variable not in {*system.without_equation(index).variables, *free_symbols(g)}:
             unbound.discard(variable)
     for lineno, text in parsed.system_lines:
@@ -378,12 +378,16 @@ def _build_system(
             if match[0] in unbound:
                 raise ClaimSyntaxError(f"unbound variable {match[0]!r}: no let binds it",
                                        lineno, parsed.columns[lineno] + match.start())
-    odd = _odd_power_variable(system, point.sqrt_variables())
+    odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
     if odd is not None:
         lineno = max(lineno for lineno, var, _, _ in parsed.lets if var == odd)
         raise ClaimSyntaxError(f"{odd!r} is a square root; the system has an odd power of it",
                                lineno, parsed.columns[lineno] - len("sqrt("))
-    return system
+    if parsed.expect == "lifts":
+        exact = {v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)}
+        with suppress(ValueError):
+            cover = find_cover_equation(system, PointAssignment(point.place, exact))
+    return system, cover
 
 
 _PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
@@ -398,9 +402,10 @@ def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
     if match is None:
         raise ClaimSyntaxError("place: t = CENTER ram E", lineno, column)
     center_text, ram_text = match.groups()
-    if ram_text is not None and not (ram_text.isdecimal() and int(ram_text) > 0):
-        raise ClaimSyntaxError("ramification must be a positive integer",
-                               lineno, column + match.start(2))
+    ram_column = column + match.start(2)
+    if ram_text is not None and not (ram_text.isdecimal()
+                                     and _integer(ram_text, lineno, ram_column) > 0):
+        raise ClaimSyntaxError("ramification must be a positive integer", lineno, ram_column)
     ram = int(ram_text or 1)
     if center_text == "infinity":
         return Place.at_infinity(ram)
@@ -441,7 +446,7 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
             evidence[label] = "exact" if ok else "failed"
         else:  # the zero function has no order, so no order check holds for it
             order = None if value.is_zero() else value.order_at_zero()
-            ok = order == int(right)
+            ok = order == _integer(right, lineno, right_column)
             evidence[f"{label}_order"] = order
             evidence[f"{label}_valuation"] = None if order is None else str(value.valuation())
         holds = holds and ok
@@ -462,18 +467,19 @@ def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     return ("pass" if check.kind == "no" else "fail"), evidence
 
 
-def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssignment,
+def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem,
+                  cover_equation: tuple[int, str, Expr] | None, point: PointAssignment,
                   precision: int, evidence: dict) -> str:
     """Lift a verified point along its cover equation w^2 = g, w's binding dropped.
 
     The lift's witness must square to the square root the claim bound w to.
     """
-    exact = {v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)}
-    _, variable, _ = _cover_equation(parsed, cover, PointAssignment(point.place, exact))
+    if cover_equation is None:
+        raise _no_cover_equation(parsed)
+    _, variable, g = cover_equation
     bindings = dict(point.bindings)
     w_square = bindings.pop(variable).square
-    lift = lift_along_cover(cover, PointAssignment(point.place, bindings),
-                            precision=precision, check_base=False)
+    lift = _lift(cover, variable, g, PointAssignment(point.place, bindings), "over_c", precision)
     evidence["lift"] = lift.kind
     if lift.witness is None:  # only a lift that succeeds has a witness
         return "fail"
@@ -498,12 +504,14 @@ def _orbifold_claim(parsed: ParsedClaim) -> Claim:
     if not match[1].isdecimal():
         raise ClaimSyntaxError("the genus is a nonnegative integer",
                                lineno, column + match.start(1))
+    marks_column = column + match.start(2)
     marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
-    if not all(mark == "inf" or (mark.isdecimal() and int(mark) > 0) for mark in marks):
-        raise ClaimSyntaxError("marks are positive integers or inf",
-                               lineno, column + match.start(2))
+    if not all(mark == "inf" or (mark.isdecimal() and _integer(mark, lineno, marks_column) > 0)
+               for mark in marks):
+        raise ClaimSyntaxError("marks are positive integers or inf", lineno, marks_column)
     curve = OrbifoldCurve.from_multiplicities(
-        int(match[1]), [INF if mark == "inf" else int(mark) for mark in marks])
+        _integer(match[1], lineno, column + match.start(1)),
+        [INF if mark == "inf" else int(mark) for mark in marks])
     expected = []
     for lineno, key, text in parsed.assertions:
         column = parsed.columns[lineno]
@@ -556,21 +564,20 @@ def _verified(
     return "fail", evidence
 
 
-def _obstructed(parsed: ParsedClaim, cover: PolynomialSystem, point: PointAssignment,
-                params: ClaimParams) -> tuple[str, dict]:
+def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
+                point: PointAssignment, params: ClaimParams) -> tuple[str, dict]:
     """The point verified exactly on the base system, then its cover factor a non-square.
 
     A base point that does not verify fails with the verification evidence;
     a cover factor that vanishes certifies nothing, so it fails as well.
     """
-    index, variable, _ = _cover_equation(parsed, cover, point)
+    index, variable, g = cover_equation
     verdict, evidence = _verified(cover.without_equation(index), point,
                                   replace(params, mode="exact"))
     if verdict != "pass":
         return verdict, evidence
     try:
-        outcome = lift_along_cover(cover, point, mode="over_c", precision=params.precision,
-                                   check_base=False)
+        outcome = _lift(cover, variable, g, point, "over_c", params.precision)
     except ZeroFunctionError:  # the cover factor vanishes at the point
         return "fail", {"cover_variable": variable, "result": "zero", "order": None}
     evidence = {"cover_variable": variable, "result": outcome.kind, "order": outcome.order}
@@ -592,15 +599,15 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         if p.expect == "nonsquare":
             verdict, evidence = _nonsquare(p, values)
         else:
-            system = _build_system(p, tower, point, systems)
+            system, cover = _build_system(p, tower, point, systems)
             if p.expect == "obstructed":
-                verdict, evidence = _obstructed(p, system, point, params)
+                verdict, evidence = _obstructed(system, cover, point, params)
             else:
                 verdict, evidence = _verified(system, point, params)
         if not _checks_hold(p, values, evidence):
             verdict = "fail"
         if p.expect == "lifts" and verdict == "pass":
-            verdict = _lift_verdict(p, system, point, params.precision, evidence)
+            verdict = _lift_verdict(p, system, cover, point, params.precision, evidence)
         return ClaimOutcome(verdict, evidence)
 
     system_source = "\n".join(text for _, text in parsed.system_lines)

@@ -30,6 +30,7 @@ class ClaimSyntaxError(LocalPointsError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

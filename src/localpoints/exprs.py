@@ -4,18 +4,20 @@ Grammar: identifiers, nonnegative integer literals, binary + - * /, ^ with an
 integer literal exponent, parentheses, unary minus.  Rational constants are
 written p/q and stay division nodes until evaluation.
 
-Tokens: an integer literal is ASCII digits 0-9 only; an identifier starts with
-a letter (str.isalpha) or _, goes on with letters, digits or _ (str.isalnum),
-and has no uppercase letter; whitespace separates tokens.  Any other character,
-a superscript or non-ASCII digit among them, is an unexpected character at its
-column.  An expression nests at most MAX_DEPTH (200) levels, counting each
-operator and each pair of parentheses from the root down to a leaf; a deeper
-one is an error at the token that crosses the limit.
+Tokens: an integer literal is ASCII digits 0-9 only, no more of them than int()
+converts (sys.get_int_max_str_digits(), 4,300 by default); an identifier starts
+with a letter (str.isalpha) or _, goes on with letters, digits or _
+(str.isalnum), and has no uppercase letter; whitespace separates tokens.  Any
+other character, a superscript or non-ASCII digit among them, is an unexpected
+character at its column.  An expression nests at most MAX_DEPTH (200) levels,
+counting each operator and each pair of parentheses from the root down to a
+leaf; a deeper one is an error at the token that crosses the limit.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, TypeVar
@@ -113,6 +115,16 @@ def _too_deep(token: tuple) -> ClaimSyntaxError:
     return ClaimSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", line, column)
 
 
+def _integer(text: str, line: int, column: int) -> int:
+    """int(text); int() reads at most sys.get_int_max_str_digits() digits."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"integer literal has {len(text)} digits; at most {limit} are allowed"
+        raise ClaimSyntaxError(message, line, column) from None
+
+
 class _Parser:
     """Recursive descent over the token list; each rule returns its tree and depth.
 
@@ -164,7 +176,7 @@ class _Parser:
         tokens = self.tokens
         token = kind, text, line, column = tokens[self.pos]
         if kind == "num":
-            node, depth = Num(int(text)), 0
+            node, depth = Num(_integer(text, line, column)), 0
         elif kind == "ident":
             node, depth = Sym(text), 0
         elif text == "-" or text == "(":
@@ -203,7 +215,7 @@ class _Parser:
         self.pos += 1
         if depth == MAX_DEPTH:
             raise _too_deep(caret)
-        return Pow(node, sign * int(text)), depth + 1
+        return Pow(node, sign * _integer(text, line, column)), depth + 1
 
 
 def parse_expression(text: str, line: int = 1, column: int = 1) -> Expr:
@@ -268,19 +280,19 @@ def free_symbols(expr: Expr) -> set[str]:
     return free_symbols(expr.left) | free_symbols(expr.right)
 
 
-def only_even_powers(expr: Expr, name: str) -> bool:
-    """True when every occurrence of name is the base of an even power."""
+def odd_power_symbols(expr: Expr) -> set[str]:
+    """The names that occur in expr other than as the base of an even power."""
     if isinstance(expr, Sym):
-        return expr.name != name
+        return {expr.name}
     if isinstance(expr, Num):
-        return True
+        return set()
     if isinstance(expr, Neg):
-        return only_even_powers(expr.operand, name)
+        return odd_power_symbols(expr.operand)
     if isinstance(expr, Pow):
-        if isinstance(expr.base, Sym) and expr.base.name == name:
-            return expr.exponent % 2 == 0
-        return only_even_powers(expr.base, name)
-    return only_even_powers(expr.left, name) and only_even_powers(expr.right, name)
+        if isinstance(expr.base, Sym):
+            return {expr.base.name} if expr.exponent % 2 else set()
+        return odd_power_symbols(expr.base)
+    return odd_power_symbols(expr.left) | odd_power_symbols(expr.right)
 
 
 T = TypeVar("T")

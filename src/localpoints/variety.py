@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator, Mapping
 
 from .errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError, ZeroFunctionError
@@ -24,7 +24,7 @@ from .exprs import (
     Sym,
     evaluate,
     free_symbols,
-    only_even_powers,
+    odd_power_symbols,
     parse_expression,
     to_text,
 )
@@ -46,26 +46,57 @@ LOCAL_PARAMETER = "r"
 
 @dataclass(frozen=True)
 class Equation:
+    """lhs = rhs; each property depends on the text alone, so it is kept once worked out."""
+
     lhs: Expr
     rhs: Expr
+
+    @cached_property
+    def text(self) -> str:
+        return f"{to_text(self.lhs)} = {to_text(self.rhs)}"
+
+    @cached_property
+    def cleared(self) -> tuple[Expr, Expr, str | None]:
+        """Both sides times every symbol-bearing denominator (i.e. powers of t), and its text."""
+        denominators = [d for side in (self.lhs, self.rhs) for d, _ in _denominators(side)]
+        if not denominators:
+            return self.lhs, self.rhs, None
+        multiplier = reduce(lambda a, b: BinOp("*", a, b), denominators)
+        lhs, rhs = BinOp("*", multiplier, self.lhs), BinOp("*", multiplier, self.rhs)
+        return lhs, rhs, to_text(multiplier)
 
 
 @dataclass(frozen=True)
 class PolynomialSystem:
+    """Equations and "!= 0" constraints; as on Equation, each property is kept once worked out."""
+
     tower: FieldTower
     variables: tuple[str, ...]
     equations: tuple[Equation, ...]
     inequations: tuple[Expr, ...]
+    _subsystems: dict[int, PolynomialSystem] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def inequation_texts(self) -> tuple[str, ...]:
+        return tuple(f"{to_text(ineq)} != 0" for ineq in self.inequations)
+
+    @cached_property
+    def odd_powers(self) -> frozenset[str]:
+        """Every name (variable, t or generator) some side uses other than in an even power."""
+        sides = [side for eq in self.equations for side in (eq.lhs, eq.rhs)]
+        return frozenset().union(*map(odd_power_symbols, sides + list(self.inequations)))
 
     def without_equation(self, index: int) -> PolynomialSystem:
-        equations = self.equations[:index] + self.equations[index + 1 :]
-        used = set()
-        for eq in equations:
-            used |= free_symbols(eq.lhs) | free_symbols(eq.rhs)
-        for ineq in self.inequations:
-            used |= free_symbols(ineq)
-        variables = tuple(v for v in self.variables if v in used)
-        return PolynomialSystem(self.tower, variables, equations, self.inequations)
+        """The system less one equation, built once per index; it shares the equations kept."""
+        if index not in self._subsystems:
+            equations = self.equations[:index] + self.equations[index + 1 :]
+            sides = [side for eq in equations for side in (eq.lhs, eq.rhs)]
+            used = set().union(*map(free_symbols, sides + list(self.inequations)))
+            variables = tuple(v for v in self.variables if v in used)
+            self._subsystems[index] = PolynomialSystem(
+                self.tower, variables, equations, self.inequations)
+        return self._subsystems[index]
 
 
 def _denominators(expr: Expr) -> Iterator[tuple[Expr, str]]:
@@ -126,9 +157,7 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
 
 
 def print_system(system: PolynomialSystem) -> str:
-    lines = [f"{to_text(eq.lhs)} = {to_text(eq.rhs)}" for eq in system.equations]
-    lines += [f"{to_text(ineq)} != 0" for ineq in system.inequations]
-    return "\n".join(lines)
+    return "\n".join([eq.text for eq in system.equations] + list(system.inequation_texts))
 
 
 # -- point assignments -----------------------------------------------------------
@@ -206,42 +235,9 @@ class VerificationReport:
             "inequations": [vars(i) for i in self.inequations],
         }
 
-    def summary(self) -> str:
-        lines = [f"mode={self.mode} place=[{self.place}] -> {'PASS' if self.passed else 'FAIL'}"]
-        for k, eq in enumerate(self.equations, start=1):
-            detail = eq.status
-            if eq.status == "zero_to_precision":
-                detail += f" P={eq.precision}"
-            if eq.status == "failed":
-                detail += f" (residual order {eq.residual_order}, lead {eq.residual_lead})"
-            lines.append(f"  eq {k}: {detail}")
-        for k, ineq in enumerate(self.inequations, start=1):
-            detail = ineq.status
-            if ineq.status == "nonzero":
-                detail += f" (order {ineq.order}, lead {ineq.lead})"
-            lines.append(f"  ineq {k}: {detail}")
-        return "\n".join(lines)
-
-
-def _cleared_sides(eq: Equation) -> tuple[Expr, Expr, Expr | None]:
-    """Multiply both sides by every symbol-bearing denominator (i.e. powers of t)."""
-    denominators = [d for side in (eq.lhs, eq.rhs) for d, _ in _denominators(side)]
-    if not denominators:
-        return eq.lhs, eq.rhs, None
-    multiplier = reduce(lambda a, b: BinOp("*", a, b), denominators)
-    return BinOp("*", multiplier, eq.lhs), BinOp("*", multiplier, eq.rhs), multiplier
-
-
-def _odd_power_variable(system: PolynomialSystem, variables) -> str | None:
-    """The first of variables that the system uses with an odd power, if any."""
-    sides = [side for eq in system.equations for side in (eq.lhs, eq.rhs)]
-    sides += system.inequations
-    return next((variable for variable in variables
-                 if not all(only_even_powers(side, variable) for side in sides)), None)
-
 
 def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None = None):
-    """Values for t, the generators and the bindings: exact, or series to precision."""
+    """evaluate's env, const and square_env for the point: exact, or series to precision."""
     tower = system.tower
     place = point.place
     if precision is None:
@@ -263,7 +259,7 @@ def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None
             raise ValueError(f"exact mode needs exact bindings; {variable!r} is a series")
         else:
             env[variable] = binding.value
-    return env, square_env, const
+    return env, const, square_env
 
 
 def verify_point(
@@ -282,50 +278,36 @@ def verify_point(
     unbound = [v for v in system.variables if v not in point.bindings]
     if unbound:
         raise ValueError(f"unbound variables: {', '.join(unbound)}")
-    odd = _odd_power_variable(system, point.sqrt_variables())
+    odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
     if odd is not None:
         raise OddPowerError(f"square-root variable {odd!r} occurs with an odd power")
-    env, square_env, const = _env(system, point, None if mode == "exact" else precision)
+    env, const, square_env = _env(system, point, None if mode == "exact" else precision)
     cache: dict = {}
 
     report = VerificationReport(mode=mode, place=str(point.place))
     for eq in system.equations:
-        lhs_expr, rhs_expr, multiplier = _cleared_sides(eq)
-        text = f"{to_text(eq.lhs)} = {to_text(eq.rhs)}"
-        cleared_by = to_text(multiplier) if multiplier is not None else None
-        residual = evaluate(lhs_expr, env, const, square_env, cache) - evaluate(
-            rhs_expr, env, const, square_env, cache
-        )
+        lhs_expr, rhs_expr, cleared_by = eq.cleared
+        residual = (evaluate(lhs_expr, env, const, square_env, cache)
+                    - evaluate(rhs_expr, env, const, square_env, cache))
         known_to = None if mode == "exact" else residual.precision
         if residual.is_zero():
             status = "exact_zero" if mode == "exact" else "zero_to_precision"
-            result = EquationResult(status, text, precision=known_to, cleared_by=cleared_by)
+            result = EquationResult(status, eq.text, precision=known_to, cleared_by=cleared_by)
         else:
-            result = EquationResult(
-                "failed",
-                text,
-                precision=known_to,
-                residual_order=residual.order_at_zero(),
-                residual_lead=str(residual.leading_coefficient()),
-                cleared_by=cleared_by,
-            )
+            result = EquationResult("failed", eq.text, precision=known_to,
+                                    residual_order=residual.order_at_zero(),
+                                    residual_lead=str(residual.leading_coefficient()),
+                                    cleared_by=cleared_by)
         report.equations.append(result)
 
-    for ineq in system.inequations:
-        text = f"{to_text(ineq)} != 0"
+    for ineq, text in zip(system.inequations, system.inequation_texts):
         value = evaluate(ineq, env, const, square_env, cache)
         if value.is_zero():
             status = "zero" if mode == "exact" else "zero_to_precision"
             report.inequations.append(InequationResult(status, text))
         else:
-            report.inequations.append(
-                InequationResult(
-                    "nonzero",
-                    text,
-                    order=value.order_at_zero(),
-                    lead=str(value.leading_coefficient()),
-                )
-            )
+            report.inequations.append(InequationResult("nonzero", text, order=value.order_at_zero(),
+                                                       lead=str(value.leading_coefficient())))
     return report
 
 
@@ -338,14 +320,6 @@ class SquareOutcome:
     order: int | None = None
     witness: PuiseuxSeries | None = None
     tower: FieldTower | None = None
-
-
-def evaluate_at_point(
-    system: PolynomialSystem, point: PointAssignment, expr: Expr
-) -> RationalFunction:
-    """Exact value of an expression under the point's bindings."""
-    env, square_env, const = _env(system, point)
-    return evaluate(expr, env, const, square_env)
 
 
 def _local_root(
@@ -377,8 +351,8 @@ def solve_square(
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
     """Decide whether lhs/g is a local square at the point; witness on success."""
-    lhs_value = evaluate_at_point(system, point, lhs)
-    g_value = evaluate_at_point(system, point, g)
+    lhs_value = evaluate(lhs, *_env(system, point))
+    g_value = evaluate(g, *_env(system, point))
     if g_value.is_zero():
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
@@ -429,12 +403,17 @@ def lift_along_cover(
     Callers that already verified the base point can pass check_base=False.
     """
     index, variable, g_expr = find_cover_equation(cover, base_point)
-    base = cover.without_equation(index)
     if check_base:
-        base_report = verify_point(base, base_point, mode="exact")
+        base_report = verify_point(cover.without_equation(index), base_point, mode="exact")
         if not base_report.passed:
             raise ValueError("base point does not verify on the base system")
-    g_value = evaluate_at_point(base, base_point, g_expr)
+    return _lift(cover, variable, g_expr, base_point, mode, precision, twist)
+
+
+def _lift(cover: PolynomialSystem, variable: str, g_expr: Expr, point: PointAssignment,
+          mode: str, precision: int, twist: RationalFunction | None = None) -> LiftOutcome:
+    """lift_along_cover once its cover equation variable^2 = g_expr is found."""
+    g_value = evaluate(g_expr, *_env(cover, point))
     if twist is not None:
         g_value = g_value * twist
     if g_value.is_zero():

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -624,8 +625,11 @@ def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):
 
 
 # claim-file expressions that ended in a traceback or were misread: a superscript
-# two went to int(), an Arabic-Indic one read as 1, and long sums or deep
-# nesting overflowed the interpreter stack
+# two went to int(), an Arabic-Indic one read as 1, long sums or deep nesting
+# overflowed the interpreter stack, and int() refused an integer longer than its
+# limit, in an expression, an order, a ramification, a genus or a mark
+DIGITS = sys.get_int_max_str_digits()
+TOO_LONG = f"integer literal has {DIGITS + 1} digits; at most {DIGITS} are allowed"
 UNREADABLE_EXPRESSIONS = [
     ("superscript_digit", "let x = sqrt(t^\u00b2)\nsystem:\n  x^2 = t", 3, 16,
      "unexpected character '\u00b2'"),
@@ -637,6 +641,17 @@ UNREADABLE_EXPRESSIONS = [
      3, 9 + 200, "expression nested deeper than 200 levels"),
     ("long_system_sum", "let x = r\nsystem:\n  " + "+".join(["x"] * 500) + " = t",
      5, 3 + 2 * 201 - 1, "expression nested deeper than 200 levels"),
+    ("long_let_literal", "let x = " + "1" * (DIGITS + 1) + "\nsystem:\n  x = t",
+     3, 9, TOO_LONG),
+    ("long_system_literal", "let x = r\nsystem:\n  x = " + "1" * (DIGITS + 1), 5, 7, TOO_LONG),
+    ("long_exponent", "let x = sqrt(t^" + "2" * (DIGITS + 1) + ")\nsystem:\n  x^2 = t",
+     3, 16, TOO_LONG),
+    ("long_order", "system:\n  x = 1\nlet x = 1\norder g: t = " + "3" * (DIGITS + 1),
+     6, 14, TOO_LONG),
+    ("long_ramification",
+     "place: t = 0 ram " + "1" * (DIGITS + 1) + "\nsystem:\n  x = 1\nlet x = 1", 3, 18, TOO_LONG),
+    ("long_genus", "orbifold genus " + "1" * (DIGITS + 1) + " marks [2, 3]", 3, 16, TOO_LONG),
+    ("long_mark", "orbifold genus 0 marks [2, " + "1" * (DIGITS + 1) + "]", 3, 25, TOO_LONG),
 ]
 
 
@@ -847,3 +862,24 @@ def test_each_claim_checks_its_points_on_a_shared_system(tmp_path, system_parses
         assert (err.value.line, err.value.column) == position
         assert str(err.value).endswith(message)
     assert len(system_parses) == 1
+
+
+@pytest.mark.parametrize("name", ["point_sqrt_t", "k3_lift_sqrt_t",
+                                  "k3_cover_two_forms_obstructed", "gen_0003_h0"])
+def test_a_second_run_reuses_the_facts_of_its_system(monkeypatch, name):
+    # a pass, a lifts and two obstructed claims; gen_0003_h0 is a claim-file one
+    from localpoints import variety
+
+    registry = load_claim_file(str(GENERATED), builtin_registry())
+    calls = []
+    for spied in ("_denominators", "to_text", "odd_power_symbols"):
+        monkeypatch.setattr(variety, spied, lambda *args, f=getattr(variety, spied), n=spied:
+                            calls.append(n) or f(*args))
+    first = run_claim(name, registry)
+    assert first.verdict == "pass"
+    assert "to_text" in calls
+    calls.clear()
+    second = run_claim(name, registry)
+    # clearing, report texts and odd powers were all worked out on the first run
+    assert calls == []
+    assert second.evidence == first.evidence

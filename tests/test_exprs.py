@@ -20,7 +20,7 @@ from localpoints.exprs import (
     Sym,
     evaluate,
     free_symbols,
-    only_even_powers,
+    odd_power_symbols,
     parse_expression,
     to_text,
 )
@@ -97,11 +97,59 @@ def test_evaluate_with_fractions():
 
 def test_even_power_check():
     eq = parse_expression("(t^2*u^2 - t)*y^2")
-    assert only_even_powers(eq, "y")
-    assert only_even_powers(eq, "w")
-    assert not only_even_powers(parse_expression("y^3"), "y")
-    assert not only_even_powers(parse_expression("x + y"), "y")
-    assert not only_even_powers(parse_expression("(y*u)^2"), "y")
+    assert "y" not in odd_power_symbols(eq)
+    assert "w" not in odd_power_symbols(eq)
+    assert "y" in odd_power_symbols(parse_expression("y^3"))
+    assert "y" in odd_power_symbols(parse_expression("x + y"))
+    assert "y" in odd_power_symbols(parse_expression("(y*u)^2"))
+
+
+def _oracle_only_even_powers(expr, name: str) -> bool:
+    """True when every occurrence of name is the base of an even power: the
+    one-name-at-a-time scan that odd_power_symbols replaced."""
+    if isinstance(expr, Sym):
+        return expr.name != name
+    if isinstance(expr, Num):
+        return True
+    if isinstance(expr, Neg):
+        return _oracle_only_even_powers(expr.operand, name)
+    if isinstance(expr, Pow):
+        if isinstance(expr.base, Sym) and expr.base.name == name:
+            return expr.exponent % 2 == 0
+        return _oracle_only_even_powers(expr.base, name)
+    return _oracle_only_even_powers(expr.left, name) and _oracle_only_even_powers(expr.right, name)
+
+
+def test_odd_power_symbols_agrees_with_the_per_name_oracle():
+    from localpoints.claims import builtin_registry, load_claim_file
+    from localpoints.field_tower import QQ
+    from localpoints.variety import parse_system
+
+    generated = ROOT / "tests" / "data" / "generated_points_seed1.txt"
+    claims = [*builtin_registry().values(), *load_claim_file(str(generated), {}).values()]
+    systems = {(c.system_source, c.system_tower or QQ) for c in claims if c.system_source}
+    sides = []
+    for source, tower in systems:
+        system = parse_system(source, tower)
+        sides += [side for eq in system.equations for side in (eq.lhs, eq.rhs)]
+        sides += system.inequations
+    assert sides
+    for side in sides:
+        odd = odd_power_symbols(side)
+        for name in {*free_symbols(side), "w"}:
+            assert (name not in odd) == _oracle_only_even_powers(side, name), (side, name)
+
+
+def test_an_integer_literal_longer_than_int_reads_is_positioned():
+    limit = sys.get_int_max_str_digits()
+    assert parse_expression("9" * limit) == Num(int("9" * limit))
+    for text, column in [("1" * (limit + 1), 1), ("x + " + "2" * (limit + 1), 5),
+                         ("x^" + "3" * (limit + 1), 3)]:
+        with pytest.raises(ClaimSyntaxError) as err:
+            parse_expression(text, 4, 1)
+        assert (err.value.line, err.value.column) == (4, column)
+        assert err.value.message == (f"integer literal has {limit + 1} digits; "
+                                     f"at most {limit} are allowed")
 
 
 def test_evaluate_substitutes_squares():
