@@ -161,27 +161,30 @@ def run_all(
 # -- claim-file language --------------------------------------------------------------
 
 
+Position = tuple[int, int]  # (line, column) in the claim file where a fragment's text starts
+
+
 @dataclass
 class ParsedClaim:
     name: str
     line: int
-    adjoins: list[tuple[int, str, str]] = field(default_factory=list)  # line, name, minpoly
-    system_lines: list[tuple[int, str]] = field(default_factory=list)
-    place_line: tuple[int, str] | None = None
-    lets: list[tuple[int, str, str, bool]] = field(default_factory=list)
+    adjoins: list[tuple[Position, str, str]] = field(default_factory=list)  # at, name, minpoly
+    system_lines: list[tuple[Position, str]] = field(default_factory=list)
+    place: tuple[Position, str, int] | None = None  # the center's position and text, ram
+    lets: list[tuple[Position, str, str, bool]] = field(default_factory=list)  # at, var, rhs, sqrt
     expect: str = "pass"
-    orbifold_line: tuple[int, str] | None = None
-    assertions: list[tuple[int, str, str]] = field(default_factory=list)
+    orbifold: OrbifoldCurve | None = None
+    assertions: list[tuple[Position, str, str]] = field(default_factory=list)
     description: str | None = None
-    # identity and order lines: line, kind, label, then (text, file column) of each side
+    # identity and order lines: kind, label, an order's integer, (text, position) of each side
     checks: list[tuple] = field(default_factory=list)
-    # file column where the text after a line's keyword starts; for a system,
-    # adjoin or let line, where its expression starts
-    columns: dict[int, int] = field(default_factory=dict)
 
 
+_PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
+_ORBIFOLD = re.compile(r"genus\s+(\S+)\s+marks\s*\[(.*)\]")
 _KEYWORDS = ("claim ", "adjoin ", "system:", "place:", "let ", "expect:", "orbifold ",
              "degree:", "general_type:", "description:", "identity ", "order ")
+_ORBIFOLD_LINES = ("orbifold ", "degree:", "general_type:")
 
 
 def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
@@ -190,8 +193,19 @@ def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
     return text.strip(), start + offset + len(text) - len(text.lstrip())
 
 
+def _read_integer(text: str, line: int, column: int, message: str, least: int | None = None) -> int:
+    """ASCII digits 0-9 read as an integer no less than least, or, with no least, after an
+    optional -.  Other text is the error message at line and column."""
+    digits = re.fullmatch("-?[0-9]+" if least is None else "[0-9]+", text)
+    value = None if digits is None else _integer(text, line, column)
+    if value is None or least is not None and value < least:
+        raise ClaimSyntaxError(message, line, column)
+    return value
+
+
 def parse_claim_file(text: str) -> list[ParsedClaim]:
     claims: dict[str, ParsedClaim] = {}
+    first: dict[tuple[int, bool], tuple] = {}  # a claim's first line of each kind, by claim line
     current: ParsedClaim | None = None
     in_system = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -200,9 +214,8 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             continue
         start = len(raw) - len(raw.lstrip()) + 1  # file column of line[0]
         keyword = next((k for k in _KEYWORDS if line.startswith(k)), None)
-        if keyword is None and in_system and current is not None:
-            current.system_lines.append((lineno, line))
-            current.columns[lineno] = start
+        if keyword is None and in_system:
+            current.system_lines.append(((lineno, start), line))
             continue
         if keyword is None:
             raise ClaimSyntaxError(f"unexpected line {line!r}", lineno, start)
@@ -218,7 +231,8 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             continue
         if current is None:
             raise ClaimSyntaxError("directives must follow a `claim NAME` line", lineno, start)
-        current.columns[lineno] = column
+        if keyword != "description:":
+            first.setdefault((current.line, keyword in _ORBIFOLD_LINES), (keyword, lineno, start))
         if keyword == "adjoin ":
             gen_name, colon, _ = rest.partition(":")
             if not colon:
@@ -230,12 +244,18 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if not minpoly.endswith("= 0"):
                 raise ClaimSyntaxError("adjoined minimal polynomial must end in = 0",
                                        lineno, minpoly_column)
-            current.adjoins.append((lineno, gen_name.strip(), minpoly[: -len("= 0")].strip()))
-            current.columns[lineno] = minpoly_column
+            current.adjoins.append(((lineno, minpoly_column), gen_name.strip(),
+                                    minpoly[: -len("= 0")].strip()))
         elif keyword == "system:":
             in_system = True
         elif keyword == "place:":
-            current.place_line = (lineno, rest)
+            match = _PLACE.fullmatch(rest)
+            if match is None:
+                raise ClaimSyntaxError("place: t = CENTER ram E", lineno, column)
+            ram = 1 if match[2] is None else _read_integer(
+                match[2], lineno, column + match.start(2),
+                "ramification must be a positive integer", 1)
+            current.place = ((lineno, column + match.start(1)), match[1], ram)
         elif keyword == "let ":
             var, eq, _ = rest.partition("=")
             if not eq:
@@ -244,8 +264,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             is_sqrt = rhs.startswith("sqrt(") and rhs.endswith(")")
             if is_sqrt:
                 rhs, column = rhs[len("sqrt("):-1], column + len("sqrt(")
-            current.lets.append((lineno, var.strip(), rhs, is_sqrt))
-            current.columns[lineno] = column
+            current.lets.append(((lineno, column), var.strip(), rhs, is_sqrt))
         elif keyword == "expect:":
             if rest not in ("pass", "obstructed", "nonsquare", "lifts"):
                 raise ClaimSyntaxError(f"unknown expectation {rest!r}", lineno, column)
@@ -260,18 +279,40 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if not (colon and label.strip().isidentifier() and eq and left.strip()):
                 raise ClaimSyntaxError(f"expected {kind} LABEL: EXPR = EXPR", lineno, start)
             right, right_column = _rest(body, column, len(left) + 1)
-            if kind == "order" and not right.lstrip("-").isdecimal():
-                raise ClaimSyntaxError("an order is an integer", lineno, right_column)
-            current.checks.append((lineno, kind, label.strip(), (left, column),
-                                   (right, right_column)))
+            order = None if kind == "identity" else _read_integer(
+                right, lineno, right_column, "an order is an integer")
+            current.checks.append((kind, label.strip(), order, (left, (lineno, column)),
+                                   (right, (lineno, right_column))))
         elif keyword == "orbifold ":
-            current.orbifold_line = (lineno, rest)
+            match = _ORBIFOLD.fullmatch(rest)
+            if match is None:
+                raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, column)
+            genus = _read_integer(match[1], lineno, column + match.start(1),
+                                  "the genus is a nonnegative integer", 0)
+            marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
+            current.orbifold = OrbifoldCurve.from_multiplicities(genus, [
+                INF if mark == "inf" else _read_integer(
+                    mark, lineno, column + match.start(2), "marks are positive integers or inf", 1)
+                for mark in marks])
         else:  # degree: or general_type:
-            current.assertions.append((lineno, keyword[:-1], rest))
+            current.assertions.append(((lineno, column), keyword[:-1], rest))
+    # the rules on a claim's lines taken together: an orbifold line makes an orbifold
+    # fact, and a line of the other kind, which the claim would ignore, is an error
+    for parsed in claims.values():
+        orbifold = parsed.orbifold is not None
+        if (parsed.line, not orbifold) in first:
+            keyword, lineno, start = first[parsed.line, not orbifold]
+            word = keyword.strip()
+            raise ClaimSyntaxError(f"an orbifold fact takes no {word!r} line" if orbifold
+                                   else f"{word!r} needs an orbifold line", lineno, start)
+        if not orbifold and parsed.place is None:
+            raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
+        if parsed.expect == "nonsquare" and len(parsed.system_lines) != 1:
+            raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
     return list(claims.values())
 
 
-def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
+def _evaluate(text: str, position: Position, env: dict, where: str,
               const: Callable | None = None, cache: dict | None = None):
     """The exact value of an expression over env; const makes its constants (t's by default).
 
@@ -279,17 +320,17 @@ def _evaluate(text: str, lineno: int, env: dict, where: str, column: int,
     cache, shared by calls with the same env and const, evaluates each distinct
     subexpression once.
     """
-    expr = parse_expression(text, lineno, column)
+    expr = parse_expression(text, *position)
     unknown = free_symbols(expr) - set(env)
     if unknown:
         name = sorted(unknown)[0]
-        position = next((at_line, at_column) for _, word, at_line, at_column
-                        in _tokenize(text, lineno, column) if word == name)
-        raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *position)
+        at = next((at_line, at_column) for _, word, at_line, at_column
+                  in _tokenize(text, *position) if word == name)
+        raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *at)
     try:
         return evaluate(expr, env, const or env["t"]._constant, cache=cache)
     except ZeroDivisionError:
-        raise ClaimSyntaxError(f"division by zero in {where}", lineno, column) from None
+        raise ClaimSyntaxError(f"division by zero in {where}", *position) from None
 
 
 def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
@@ -299,26 +340,24 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
     texts, so claims that adjoin the same chain share one immutable tower.
     """
     tower, chain = QQ, ()
-    for lineno, gen_name, text in parsed.adjoins:
+    for position, gen_name, text in parsed.adjoins:
         chain += ((gen_name, text),)
         if chain in towers:
             tower = towers[chain]
             continue
-        column = parsed.columns[lineno]
         place = Place.finite(tower.zero())  # t = r, so the polynomial is read in r
         env = {g: RationalFunction.constant(tower, place, tower.gen(g))
                for g in tower.generator_names}
         env[gen_name] = r_function(tower, place)
-        minpoly = _evaluate(text, lineno, env, "adjoin", column, env[gen_name]._constant)
+        minpoly = _evaluate(text, position, env, "adjoin", env[gen_name]._constant)
         one = tower.one()
         if minpoly.den != (one,) or len(minpoly.num) != 3 or minpoly.num[2] != one:
-            raise ClaimSyntaxError(f"adjoin needs a monic quadratic in {gen_name!r}",
-                                   lineno, column)
+            raise ClaimSyntaxError(f"adjoin needs a monic quadratic in {gen_name!r}", *position)
         result = adjoin_quadratic(tower, gen_name, minpoly.num[1], minpoly.num[0])
         if isinstance(result, AlreadySplit):
             raise ClaimSyntaxError(
                 f"{gen_name!r} would not extend the field: root {result.witness} exists",
-                lineno, column)
+                *position)
         tower = towers[chain] = result
     return tower
 
@@ -345,25 +384,23 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
 
 
 def _build_system(
-    parsed: ParsedClaim, tower: FieldTower, point: PointAssignment, systems: dict
+    parsed: ParsedClaim, source: str, tower: FieldTower, point: PointAssignment, systems: dict
 ) -> tuple[PolynomialSystem, tuple[int, str, Expr] | None]:
     """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
 
-    An error in the system names the line and column of the claim file.  So
-    do a variable no let binds, at its first use, a square-root let whose
-    variable the system uses with an odd power, and an obstructed claim with
-    no cover equation.  That claim leaves its cover variable w unbound when w
-    occurs only as the w^2 of its cover equation; a lifts claim binds w to a
-    square root, so its cover equation, or None, is found past those lets.
-    systems is shared by _shared_system.
+    source is the claim's system lines joined.  An error in it names the line
+    and column of the claim file.  So do a variable no let binds, at its first
+    use, a square-root let whose variable the system uses with an odd power,
+    and an obstructed claim with no cover equation.  That claim leaves its
+    cover variable w unbound when w occurs only as the w^2 of its cover
+    equation; a lifts claim binds w to a square root, so its cover equation,
+    or None, is found past those lets.  systems is shared by _shared_system.
     """
     try:
-        system = _shared_system(
-            systems, "\n".join(text for _, text in parsed.system_lines), tower)
+        system = _shared_system(systems, source, tower)
     except ClaimSyntaxError as err:
-        lineno = parsed.system_lines[err.line - 1][0]
-        raise ClaimSyntaxError(err.message, lineno,
-                               parsed.columns[lineno] + err.column - 1) from None
+        line, column = parsed.system_lines[err.line - 1][0]
+        raise ClaimSyntaxError(err.message, line, column + err.column - 1) from None
     unbound = set(system.variables) - set(point.bindings)
     cover = None
     if parsed.expect == "obstructed":
@@ -373,16 +410,16 @@ def _build_system(
             raise _no_cover_equation(parsed) from None
         if variable not in {*system.without_equation(index).variables, *free_symbols(g)}:
             unbound.discard(variable)
-    for lineno, text in parsed.system_lines:
+    for (line, column), text in parsed.system_lines:
         for match in _IDENTIFIER.finditer(text):
             if match[0] in unbound:
                 raise ClaimSyntaxError(f"unbound variable {match[0]!r}: no let binds it",
-                                       lineno, parsed.columns[lineno] + match.start())
+                                       line, column + match.start())
     odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
     if odd is not None:
-        lineno = max(lineno for lineno, var, _, _ in parsed.lets if var == odd)
+        line, column = max(position for position, var, _, _ in parsed.lets if var == odd)
         raise ClaimSyntaxError(f"{odd!r} is a square root; the system has an odd power of it",
-                               lineno, parsed.columns[lineno] - len("sqrt("))
+                               line, column - len("sqrt("))
     if parsed.expect == "lifts":
         exact = {v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)}
         with suppress(ValueError):
@@ -390,29 +427,13 @@ def _build_system(
     return system, cover
 
 
-_PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
-
-
 def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
-    if parsed.place_line is None:
-        raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
-    lineno, text = parsed.place_line
-    column = parsed.columns[lineno]
-    match = _PLACE.fullmatch(text)
-    if match is None:
-        raise ClaimSyntaxError("place: t = CENTER ram E", lineno, column)
-    center_text, ram_text = match.groups()
-    ram_column = column + match.start(2)
-    if ram_text is not None and not (ram_text.isdecimal()
-                                     and _integer(ram_text, lineno, ram_column) > 0):
-        raise ClaimSyntaxError("ramification must be a positive integer", lineno, ram_column)
-    ram = int(ram_text or 1)
-    if center_text == "infinity":
+    position, center, ram = parsed.place
+    if center == "infinity":
         return Place.at_infinity(ram)
     generators = {g: tower.gen(g) for g in tower.generator_names}
-    center = _evaluate(center_text, lineno, generators, "place center",
-                       column + match.start(1), tower.rational)
-    return Place.finite(center, ram)
+    return Place.finite(
+        _evaluate(center, position, generators, "place center", tower.rational), ram)
 
 
 def _build_bindings(
@@ -429,8 +450,8 @@ def _build_bindings(
         env[g] = RationalFunction.constant(tower, place, tower.gen(g))
     bindings: dict[str, ExactValue | FormalSqrt] = {}
     cache: dict = {}
-    for lineno, var, rhs, is_sqrt in parsed.lets:
-        value = _evaluate(rhs, lineno, env, "let", parsed.columns[lineno], cache=cache)
+    for position, var, rhs, is_sqrt in parsed.lets:
+        value = _evaluate(rhs, position, env, "let", cache=cache)
         bindings[var] = FormalSqrt(value) if is_sqrt else ExactValue(value)
     exact = {var: b.value for var, b in bindings.items() if isinstance(b, ExactValue)}
     return bindings, {**env, **exact}
@@ -439,14 +460,14 @@ def _build_bindings(
 def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
     """Record each identity and order check in evidence; whether all of them hold."""
     holds = True
-    for lineno, kind, label, (left, left_column), (right, right_column) in parsed.checks:
-        value = _evaluate(left, lineno, values, kind, left_column)
+    for kind, label, expected, (left, left_at), (right, right_at) in parsed.checks:
+        value = _evaluate(left, left_at, values, kind)
         if kind == "identity":
-            ok = value == _evaluate(right, lineno, values, kind, right_column)
+            ok = value == _evaluate(right, right_at, values, kind)
             evidence[label] = "exact" if ok else "failed"
         else:  # the zero function has no order, so no order check holds for it
             order = None if value.is_zero() else value.order_at_zero()
-            ok = order == _integer(right, lineno, right_column)
+            ok = order == expected
             evidence[f"{label}_order"] = order
             evidence[f"{label}_valuation"] = None if order is None else str(value.valuation())
         holds = holds and ok
@@ -455,10 +476,8 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
 
 def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     """The claim's one expression, over the check values, certified a local non-square."""
-    if len(parsed.system_lines) != 1:
-        raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
-    lineno, text = parsed.system_lines[0]
-    value = _evaluate(text, lineno, values, "nonsquare", parsed.columns[lineno])
+    position, text = parsed.system_lines[0]
+    value = _evaluate(text, position, values, "nonsquare")
     if value.is_zero():  # the zero function has no order, so it certifies nothing
         return "fail", {"expression": text, "result": "zero", "order": None}
     check = is_square_local(value)
@@ -491,36 +510,17 @@ def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem,
     return "pass" if matches else "fail"
 
 
-_ORBIFOLD = re.compile(r"genus\s+(\S+)\s+marks\s*\[(.*)\]")
-
-
 def _orbifold_claim(parsed: ParsedClaim) -> Claim:
-    """An orbifold fact; its lines are read here, so a run only computes."""
-    lineno, text = parsed.orbifold_line
-    column = parsed.columns[lineno]
-    match = _ORBIFOLD.fullmatch(text)
-    if match is None:
-        raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, column)
-    if not match[1].isdecimal():
-        raise ClaimSyntaxError("the genus is a nonnegative integer",
-                               lineno, column + match.start(1))
-    marks_column = column + match.start(2)
-    marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
-    if not all(mark == "inf" or (mark.isdecimal() and _integer(mark, lineno, marks_column) > 0)
-               for mark in marks):
-        raise ClaimSyntaxError("marks are positive integers or inf", lineno, marks_column)
-    curve = OrbifoldCurve.from_multiplicities(
-        _integer(match[1], lineno, column + match.start(1)),
-        [INF if mark == "inf" else int(mark) for mark in marks])
+    """An orbifold fact; its assertions are read here, so a run only computes."""
+    curve = parsed.orbifold
     expected = []
-    for lineno, key, text in parsed.assertions:
-        column = parsed.columns[lineno]
+    for position, key, text in parsed.assertions:
         if key == "degree":
-            expected.append((key, _evaluate(text, lineno, {}, "degree", column, Fraction)))
+            expected.append((key, _evaluate(text, position, {}, "degree", Fraction)))
         elif text.lower() in ("true", "false"):
             expected.append((key, text.lower() == "true"))
         else:
-            raise ClaimSyntaxError("general_type is true or false", lineno, column)
+            raise ClaimSyntaxError("general_type is true or false", *position)
 
     def run(params: ClaimParams) -> ClaimOutcome:
         actual = {"degree": degree(curve), "general_type": is_general_type(curve)}
@@ -537,7 +537,7 @@ def _orbifold_claim(parsed: ParsedClaim) -> Claim:
 
 def _kind(parsed: ParsedClaim) -> str:
     """The kind of a claim on a point, read off its text."""
-    if parsed.expect == "nonsquare" or any(kind == "order" for _, kind, *_ in parsed.checks):
+    if parsed.expect == "nonsquare" or any(kind == "order" for kind, *_ in parsed.checks):
         return "squareness_certificate"
     return "lift_test" if parsed.expect in ("obstructed", "lifts") else "point_verification"
 
@@ -585,35 +585,34 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
 
 
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
-    """The claim a parsed block declares; towers is shared by _build_tower, systems by
-    _shared_system."""
-    if parsed.orbifold_line is not None:
+    """The claim a parsed block declares, whose run only parses and evaluates expressions;
+    towers is shared by _build_tower, systems by _shared_system."""
+    if parsed.orbifold is not None:
         return _orbifold_claim(parsed)
-
     tower = _build_tower(parsed, towers)
+    place = _build_place(parsed, tower)
+    source = "\n".join(text for _, text in parsed.system_lines)
 
-    def run(params: ClaimParams, p=parsed) -> ClaimOutcome:
-        place = _build_place(p, tower)
-        bindings, values = _build_bindings(p, tower, place)
+    def run(params: ClaimParams) -> ClaimOutcome:
+        bindings, values = _build_bindings(parsed, tower, place)
         point = PointAssignment(place, bindings)
-        if p.expect == "nonsquare":
-            verdict, evidence = _nonsquare(p, values)
+        if parsed.expect == "nonsquare":
+            verdict, evidence = _nonsquare(parsed, values)
         else:
-            system, cover = _build_system(p, tower, point, systems)
-            if p.expect == "obstructed":
+            system, cover = _build_system(parsed, source, tower, point, systems)
+            if parsed.expect == "obstructed":
                 verdict, evidence = _obstructed(system, cover, point, params)
             else:
                 verdict, evidence = _verified(system, point, params)
-        if not _checks_hold(p, values, evidence):
+        if not _checks_hold(parsed, values, evidence):
             verdict = "fail"
-        if p.expect == "lifts" and verdict == "pass":
-            verdict = _lift_verdict(p, system, cover, point, params.precision, evidence)
+        if parsed.expect == "lifts" and verdict == "pass":
+            verdict = _lift_verdict(parsed, system, cover, point, params.precision, evidence)
         return ClaimOutcome(verdict, evidence)
 
-    system_source = "\n".join(text for _, text in parsed.system_lines)
     return Claim(parsed.name, _kind(parsed),
                  parsed.description or f"claim-file check ({parsed.expect})",
-                 run, system_source=system_source or None,
+                 run, system_source=source or None,
                  system_tower=tower if parsed.adjoins else None)
 
 

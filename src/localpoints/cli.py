@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Callable
 
@@ -23,25 +24,28 @@ from .claims import (
 from .errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 
 
-def _at_least(name: str, minimum: int) -> Callable[[str], int]:
-    """An argparse type: an integer option that may not fall below minimum."""
+def _integer_option(name: str, minimum: int | None = None) -> Callable[[str], int]:
+    """An argparse type: ASCII digits 0-9, not below minimum, or after an optional - with none."""
+    pattern = "-?[0-9]+" if minimum is None else "[0-9]+"
+    bound = "" if minimum is None else f" >= {minimum}"
 
     def parse(text: str) -> int:
-        if not text.strip().isdigit() or int(text) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be an integer >= {minimum}, not {text!r}")
+        if (re.fullmatch(pattern, text.strip()) is None
+                or minimum is not None and int(text) < minimum):
+            raise argparse.ArgumentTypeError(f"{name} must be an integer{bound}, not {text!r}")
         return int(text)
 
     return parse
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=_at_least("precision", 1), default=None,
+    parser.add_argument("--precision", type=_integer_option("precision", 1), default=None,
                         help="truncated mode: expand each input series modulo r^P "
                              "(a truncated pass prints the order its residuals are known to)")
-    parser.add_argument("--samples", type=_at_least("samples", 0), default=None,
+    parser.add_argument("--samples", type=_integer_option("samples", 0), default=None,
                         help="property-test samples")
-    parser.add_argument("--seed", type=int, default=None, help="property-test seed")
+    parser.add_argument("--seed", type=_integer_option("seed"), default=None,
+                        help="property-test seed")
     parser.add_argument("--mode", choices=["exact", "truncated"], default=None)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 

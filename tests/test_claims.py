@@ -883,3 +883,55 @@ def test_a_second_run_reuses_the_facts_of_its_system(monkeypatch, name):
     # clearing, report texts and odd powers were all worked out on the first run
     assert calls == []
     assert second.evidence == first.evidence
+
+
+# faults that loading finds, so `verify load FILE list` exits 2 as `all` does;
+# an integer field is ASCII digits, so an Arabic-Indic two (U+0662) is refused
+STATIC_ERRORS = [
+    ("place_without_t", "place: 0 ram 1\nsystem:\n  x = 1\nlet x = 1",
+     "line 2, column 8: place: t = CENTER ram E"),
+    ("place_center_undeclared", "place: t = q\nsystem:\n  x = 1\nlet x = 1",
+     "line 2, column 12: undeclared identifier 'q' in place center"),
+    ("nonsquare_with_two_expressions",
+     "system:\n  t\n  t + 1\nplace: t = 0 ram 1\nexpect: nonsquare",
+     "line 1, column 1: a nonsquare claim takes exactly one expression"),
+    ("ramification_arabic_indic", "place: t = 0 ram ٢\nsystem:\n  x = 1\nlet x = 1",
+     "line 2, column 18: ramification must be a positive integer"),
+    ("order_arabic_indic", "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\norder g: t = ٢",
+     "line 6, column 14: an order is an integer"),
+    ("order_with_two_minus_signs",
+     "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\norder g: t = --2",
+     "line 6, column 14: an order is an integer"),
+    ("genus_arabic_indic", "orbifold genus ٢ marks [2, 3]",
+     "line 2, column 16: the genus is a nonnegative integer"),
+    ("mark_arabic_indic", "orbifold genus 0 marks [2, ٢]",
+     "line 2, column 25: marks are positive integers or inf"),
+    # a line of the other kind of claim would be ignored, and the verdict vacuous
+    ("point_with_orbifold_assertions",
+     "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\ndegree: 99\ngeneral_type: true",
+     "line 6, column 1: 'degree:' needs an orbifold line"),
+    ("orbifold_with_point_lines",
+     "orbifold genus 0 marks [2, 2, 2, 2, 2]\n  identity bogus: 1 = 2\nexpect: obstructed",
+     "line 3, column 3: an orbifold fact takes no 'identity' line"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, message", [row[1:] for row in STATIC_ERRORS], ids=[row[0] for row in STATIC_ERRORS],
+)
+def test_static_error_exits_two_at_list(tmp_path, capsys, body, message):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim broken\n{body}\n", encoding="utf-8")
+    assert main(["load", str(path), "list"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_example_file_without_a_place_exits_two_at_list(tmp_path, capsys):
+    lines = EXAMPLE.read_text(encoding="utf-8").splitlines()
+    start = lines.index("claim example_t_is_not_a_square")
+    lines.pop(lines.index("place: t = 0 ram 1", start))
+    path = tmp_path / "claims.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["load", str(path), "list"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 40, column 1: claim 'example_t_is_not_a_square' has no place\n")

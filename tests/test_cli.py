@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from localpoints.cli import main
 
 CLI = [sys.executable, "-m", "localpoints.cli"]
@@ -204,3 +206,15 @@ expect: pass
     result = run_cli("load", str(failing), "run", "wrong_sign_point")
     assert result.returncode == 1
     assert "FAIL" in result.stdout
+
+
+def test_integer_options_take_ascii_digits_only(capsys):
+    # an Arabic-Indic three (U+0663) read as 3 through str.isdigit and int
+    for option in ("--precision", "--samples", "--seed"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "point_sqrt_t", "--mode", "truncated", option, "٣"])
+        assert exit_.value.code == 2
+        assert f"{option[2:]} must be an integer" in capsys.readouterr().err
+    # a seed may be negative
+    assert main(["run", "lemma91_property", "--samples", "20", "--seed", "-3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["evidence"]["samples"] == 20
