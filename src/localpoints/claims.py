@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import textwrap
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -26,7 +25,7 @@ from .errors import (
     UnknownClaimError,
     ZeroFunctionError,
 )
-from .exprs import Expr, _integer, _tokenize, evaluate, free_symbols, parse_expression
+from .exprs import Expr, _tokenize, evaluate, free_symbols, parse_expression, read_integer
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
@@ -106,16 +105,13 @@ class ClaimReport:
     evidence: dict
     wall_time: float
 
-    def as_dict(self, with_timing: bool = False) -> dict:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "name": self.name,
             "kind": self.kind,
             "verdict": self.verdict,
             "evidence": self.evidence,
         }
-        if with_timing:
-            payload["wall_time"] = self.wall_time
-        return payload
 
 
 def run_claim(
@@ -185,6 +181,7 @@ _ORBIFOLD = re.compile(r"genus\s+(\S+)\s+marks\s*\[(.*)\]")
 _KEYWORDS = ("claim ", "adjoin ", "system:", "place:", "let ", "expect:", "orbifold ",
              "degree:", "general_type:", "description:", "identity ", "order ")
 _ORBIFOLD_LINES = ("orbifold ", "degree:", "general_type:")
+_ONCE = ("place:", "expect:", "orbifold ", "description:")  # lines a claim takes at most once
 
 
 def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
@@ -193,20 +190,11 @@ def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
     return text.strip(), start + offset + len(text) - len(text.lstrip())
 
 
-def _read_integer(text: str, line: int, column: int, message: str, least: int | None = None) -> int:
-    """ASCII digits 0-9 read as an integer no less than least, or, with no least, after an
-    optional -.  Other text is the error message at line and column."""
-    digits = re.fullmatch("-?[0-9]+" if least is None else "[0-9]+", text)
-    value = None if digits is None else _integer(text, line, column)
-    if value is None or least is not None and value < least:
-        raise ClaimSyntaxError(message, line, column)
-    return value
-
-
 def parse_claim_file(text: str) -> list[ParsedClaim]:
     claims: dict[str, ParsedClaim] = {}
     first: dict[tuple[int, bool], tuple] = {}  # a claim's first line of each kind, by claim line
     current: ParsedClaim | None = None
+    once: set[str] = set()  # the _ONCE keywords the current claim has used
     in_system = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -228,23 +216,26 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if rest in claims:
                 raise DuplicateClaimError(f"claim {rest!r} declared twice")
             current = claims[rest] = ParsedClaim(rest, lineno)
+            once = set()
             continue
         if current is None:
             raise ClaimSyntaxError("directives must follow a `claim NAME` line", lineno, start)
         if keyword != "description:":
             first.setdefault((current.line, keyword in _ORBIFOLD_LINES), (keyword, lineno, start))
         if keyword == "adjoin ":
-            gen_name, colon, _ = rest.partition(":")
+            head, colon, _ = rest.partition(":")
+            gen_name = head.strip()
             if not colon:
                 raise ClaimSyntaxError("adjoin NAME : MINPOLY = 0", lineno, column)
-            if any(name == gen_name.strip() for _, name, _ in current.adjoins):
-                raise ClaimSyntaxError(f"generator {gen_name.strip()!r} adjoined twice",
-                                       lineno, column)
-            minpoly, minpoly_column = _rest(rest, column, len(gen_name) + 1)
+            if gen_name in ("t", "r"):  # the coordinate and the local parameter
+                raise ClaimSyntaxError(f"generator name {gen_name!r} is reserved", lineno, column)
+            if any(name == gen_name for _, name, _ in current.adjoins):
+                raise ClaimSyntaxError(f"generator {gen_name!r} adjoined twice", lineno, column)
+            minpoly, minpoly_column = _rest(rest, column, len(head) + 1)
             if not minpoly.endswith("= 0"):
                 raise ClaimSyntaxError("adjoined minimal polynomial must end in = 0",
                                        lineno, minpoly_column)
-            current.adjoins.append(((lineno, minpoly_column), gen_name.strip(),
+            current.adjoins.append(((lineno, minpoly_column), gen_name,
                                     minpoly[: -len("= 0")].strip()))
         elif keyword == "system:":
             in_system = True
@@ -252,7 +243,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             match = _PLACE.fullmatch(rest)
             if match is None:
                 raise ClaimSyntaxError("place: t = CENTER ram E", lineno, column)
-            ram = 1 if match[2] is None else _read_integer(
+            ram = 1 if match[2] is None else read_integer(
                 match[2], lineno, column + match.start(2),
                 "ramification must be a positive integer", 1)
             current.place = ((lineno, column + match.start(1)), match[1], ram)
@@ -279,7 +270,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if not (colon and label.strip().isidentifier() and eq and left.strip()):
                 raise ClaimSyntaxError(f"expected {kind} LABEL: EXPR = EXPR", lineno, start)
             right, right_column = _rest(body, column, len(left) + 1)
-            order = None if kind == "identity" else _read_integer(
+            order = None if kind == "identity" else read_integer(
                 right, lineno, right_column, "an order is an integer")
             current.checks.append((kind, label.strip(), order, (left, (lineno, column)),
                                    (right, (lineno, right_column))))
@@ -287,15 +278,19 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             match = _ORBIFOLD.fullmatch(rest)
             if match is None:
                 raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, column)
-            genus = _read_integer(match[1], lineno, column + match.start(1),
-                                  "the genus is a nonnegative integer", 0)
+            genus = read_integer(match[1], lineno, column + match.start(1),
+                                 "the genus is a nonnegative integer", 0)
             marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
             current.orbifold = OrbifoldCurve.from_multiplicities(genus, [
-                INF if mark == "inf" else _read_integer(
+                INF if mark == "inf" else read_integer(
                     mark, lineno, column + match.start(2), "marks are positive integers or inf", 1)
                 for mark in marks])
         else:  # degree: or general_type:
             current.assertions.append(((lineno, column), keyword[:-1], rest))
+        if keyword in _ONCE:
+            if keyword in once:
+                raise ClaimSyntaxError(f"a claim takes one {keyword.strip()!r} line", lineno, start)
+            once.add(keyword)
     # the rules on a claim's lines taken together: an orbifold line makes an orbifold
     # fact, and a line of the other kind, which the claim would ignore, is an error
     for parsed in claims.values():
@@ -365,10 +360,6 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
 _IDENTIFIER = re.compile(r"[^\W\d]\w*")
 
 
-def _no_cover_equation(parsed: ParsedClaim) -> ClaimSyntaxError:
-    return ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g", parsed.line, 1)
-
-
 def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialSystem:
     """parse_system(source, tower), parsed once per registry.
 
@@ -389,12 +380,13 @@ def _build_system(
     """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
 
     source is the claim's system lines joined.  An error in it names the line
-    and column of the claim file.  So do a variable no let binds, at its first
-    use, a square-root let whose variable the system uses with an odd power,
-    and an obstructed claim with no cover equation.  That claim leaves its
-    cover variable w unbound when w occurs only as the w^2 of its cover
-    equation; a lifts claim binds w to a square root, so its cover equation,
-    or None, is found past those lets.  systems is shared by _shared_system.
+    and column of the claim file.  So do an obstructed or lifts claim with no
+    cover equation, a variable no let binds, at its first use, and a
+    square-root let whose variable the system uses with an odd power.  An
+    obstructed claim leaves its cover variable w unbound when w occurs only as
+    the w^2 of its cover equation; a lifts claim binds w to a square root, so
+    its cover equation is found past those lets.  systems is shared by
+    _shared_system.
     """
     try:
         system = _shared_system(systems, source, tower)
@@ -403,12 +395,16 @@ def _build_system(
         raise ClaimSyntaxError(err.message, line, column + err.column - 1) from None
     unbound = set(system.variables) - set(point.bindings)
     cover = None
-    if parsed.expect == "obstructed":
+    if parsed.expect in ("obstructed", "lifts"):
+        lookup = point if parsed.expect == "obstructed" else PointAssignment(point.place, {
+            v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)})
         try:
-            cover = index, variable, g = find_cover_equation(system, point)
+            cover = index, variable, g = find_cover_equation(system, lookup)
         except ValueError:
-            raise _no_cover_equation(parsed) from None
-        if variable not in {*system.without_equation(index).variables, *free_symbols(g)}:
+            raise ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g",
+                                   parsed.line, 1) from None
+        if parsed.expect == "obstructed" and variable not in {
+                *system.without_equation(index).variables, *free_symbols(g)}:
             unbound.discard(variable)
     for (line, column), text in parsed.system_lines:
         for match in _IDENTIFIER.finditer(text):
@@ -420,10 +416,6 @@ def _build_system(
         line, column = max(position for position, var, _, _ in parsed.lets if var == odd)
         raise ClaimSyntaxError(f"{odd!r} is a square root; the system has an odd power of it",
                                line, column - len("sqrt("))
-    if parsed.expect == "lifts":
-        exact = {v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)}
-        with suppress(ValueError):
-            cover = find_cover_equation(system, PointAssignment(point.place, exact))
     return system, cover
 
 
@@ -486,15 +478,12 @@ def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     return ("pass" if check.kind == "no" else "fail"), evidence
 
 
-def _lift_verdict(parsed: ParsedClaim, cover: PolynomialSystem,
-                  cover_equation: tuple[int, str, Expr] | None, point: PointAssignment,
-                  precision: int, evidence: dict) -> str:
+def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
+                  point: PointAssignment, precision: int, evidence: dict) -> str:
     """Lift a verified point along its cover equation w^2 = g, w's binding dropped.
 
     The lift's witness must square to the square root the claim bound w to.
     """
-    if cover_equation is None:
-        raise _no_cover_equation(parsed)
     _, variable, g = cover_equation
     bindings = dict(point.bindings)
     w_square = bindings.pop(variable).square
@@ -607,7 +596,7 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         if not _checks_hold(parsed, values, evidence):
             verdict = "fail"
         if parsed.expect == "lifts" and verdict == "pass":
-            verdict = _lift_verdict(parsed, system, cover, point, params.precision, evidence)
+            verdict = _lift_verdict(system, cover, point, params.precision, evidence)
         return ClaimOutcome(verdict, evidence)
 
     return Claim(parsed.name, _kind(parsed),
@@ -725,6 +714,18 @@ def _golden_point(tower: FieldTower, e: int) -> tuple:
     return place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
 
 
+def _cover_pair(tower: FieldTower, systems: dict, point: PointAssignment,
+                twist: RationalFunction, params: ClaimParams, check_base: bool) -> list[dict]:
+    """The point lifted along the cover and along its twist: each lift's result and order.
+
+    check_base applies to the first lift; the second never checks the base again.
+    """
+    cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
+    return [{"result": lift.kind, "order": lift.order} for lift in (
+        lift_along_cover(cover, point, precision=params.precision, twist=factor, check_base=check)
+        for factor, check in ((None, check_base), (twist, False)))]
+
+
 def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
     name = f"golden_nonlift_n{n}"
 
@@ -746,16 +747,11 @@ def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
                 "quotient_order": check.order,
                 "witness_precision": witness.precision if witness else None,
             }
-        cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
-        plain = lift_along_cover(cover, point, precision=params.precision, check_base=False)
-        twisted = lift_along_cover(
-            cover, point, precision=params.precision, twist=r * r, check_base=False
-        )
+        plain, twisted = _cover_pair(tower, systems, point, r * r, params, check_base=False)
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
-            and plain.kind == "obstructed"
-            and twisted.kind == "obstructed"
+            and plain["result"] == twisted["result"] == "obstructed"
         )
         return ClaimOutcome(
             "pass" if ok else "fail",
@@ -765,8 +761,8 @@ def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
                 "orders": orders,
                 "cover_factor_valuation": valuation,
                 "square_witnesses": squares,
-                "plain_cover": {"result": plain.kind, "order": plain.order},
-                "twisted_cover": {"result": twisted.kind, "order": twisted.order},
+                "plain_cover": plain,
+                "twisted_cover": twisted,
             },
         )
 
@@ -790,18 +786,14 @@ def _two_forms(tower: FieldTower, systems: dict, params: ClaimParams) -> ClaimOu
             "z": FormalSqrt(lhs2 / (t * g)),
         },
     )
-    cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
     # check_base on: the point really is a point of the base system
-    plain = lift_along_cover(cover, point, precision=params.precision)
-    twisted = lift_along_cover(
-        cover, point, precision=params.precision, twist=r * r, check_base=False
-    )
-    ok = plain.kind == "obstructed" and twisted.kind == "obstructed"
+    plain, twisted = _cover_pair(tower, systems, point, r * r, params, check_base=True)
+    ok = plain["result"] == twisted["result"] == "obstructed"
     return ClaimOutcome(
         "pass" if ok else "fail",
         {
-            "plain_form": {"result": plain.kind, "order": plain.order},
-            "twisted_form": {"result": twisted.kind, "order": twisted.order},
+            "plain_form": plain,
+            "twisted_form": twisted,
             "base_point_verified": True,
         },
     )

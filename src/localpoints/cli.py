@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import Callable
 
@@ -22,18 +21,19 @@ from .claims import (
     run_claim,
 )
 from .errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
+from .exprs import read_integer
 
 
 def _integer_option(name: str, minimum: int | None = None) -> Callable[[str], int]:
-    """An argparse type: ASCII digits 0-9, not below minimum, or after an optional - with none."""
-    pattern = "-?[0-9]+" if minimum is None else "[0-9]+"
+    """An argparse type read as a claim file's integer fields are (exprs.read_integer)."""
     bound = "" if minimum is None else f" >= {minimum}"
 
     def parse(text: str) -> int:
-        if (re.fullmatch(pattern, text.strip()) is None
-                or minimum is not None and int(text) < minimum):
-            raise argparse.ArgumentTypeError(f"{name} must be an integer{bound}, not {text!r}")
-        return int(text)
+        try:
+            return read_integer(text, 1, 1, f"{name} must be an integer{bound}, not {text!r}",
+                                minimum)
+        except ClaimSyntaxError as err:
+            raise argparse.ArgumentTypeError(err.message) from None
 
     return parse
 

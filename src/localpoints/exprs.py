@@ -106,8 +106,7 @@ def _tokenize(text: str, line: int, column: int) -> list[tuple[str, str, int, in
 # the deepest expression of the claim corpus has 15 levels.
 MAX_DEPTH = 200
 
-_SUM_OPS = frozenset("+-")
-_PRODUCT_OPS = frozenset("*/")
+_LEVELS = (frozenset("+-"), frozenset("*/"))  # a sum's operators, then a product's
 
 
 def _too_deep(token: tuple) -> ClaimSyntaxError:
@@ -125,6 +124,16 @@ def _integer(text: str, line: int, column: int) -> int:
         raise ClaimSyntaxError(message, line, column) from None
 
 
+def read_integer(text: str, line: int, column: int, message: str, least: int | None = None) -> int:
+    """ASCII digits 0-9 read as an integer no less than least, or, with no least, after an
+    optional -.  Other text is the error message at line and column."""
+    digits = text[1:] if least is None and text.startswith("-") else text
+    value = _integer(text, line, column) if digits.isascii() and digits.isdigit() else None
+    if value is None or least is not None and value < least:
+        raise ClaimSyntaxError(message, line, column)
+    return value
+
+
 class _Parser:
     """Recursive descent over the token list; each rule returns its tree and depth.
 
@@ -139,31 +148,24 @@ class _Parser:
         self.open = 0
 
     def parse(self) -> Expr:
-        node, _ = self.sum()
+        node, _ = self.chain(0)
         kind, text, line, column = self.tokens[self.pos]
         if kind != "end":
             raise ClaimSyntaxError(f"unexpected {text!r}", line, column)
         return node
 
-    def sum(self) -> tuple[Expr, int]:
-        node, depth = self.product()
-        token = self.tokens[self.pos]
-        while token[1] in _SUM_OPS:
-            self.pos += 1
-            right, right_depth = self.product()
-            node = BinOp(token[1], node, right)
-            depth = (depth if depth > right_depth else right_depth) + 1
-            if depth > MAX_DEPTH:
-                raise _too_deep(token)
-            token = self.tokens[self.pos]
-        return node, depth
+    def chain(self, level: int) -> tuple[Expr, int]:
+        """Operands joined by the operators of a level: a sum (0) of products (1) of factors.
 
-    def product(self) -> tuple[Expr, int]:
-        node, depth = self.factor()
+        A level-0 chain calls the level-1 chain itself, not through a helper, so a
+        parenthesis costs three frames: factor and the two chains.
+        """
+        operators = _LEVELS[level]
+        node, depth = self.chain(1) if level == 0 else self.factor()
         token = self.tokens[self.pos]
-        while token[1] in _PRODUCT_OPS:
+        while token[1] in operators:
             self.pos += 1
-            right, right_depth = self.factor()
+            right, right_depth = self.chain(1) if level == 0 else self.factor()
             node = BinOp(token[1], node, right)
             depth = (depth if depth > right_depth else right_depth) + 1
             if depth > MAX_DEPTH:
@@ -190,7 +192,7 @@ class _Parser:
                 if depth == MAX_DEPTH:
                     raise _too_deep(token)
                 return Neg(operand), depth + 1
-            node, depth = self.sum()
+            node, depth = self.chain(0)
             _, close, close_line, close_column = tokens[self.pos]
             if close != ")":
                 raise ClaimSyntaxError("expected ')'", close_line, close_column)

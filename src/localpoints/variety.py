@@ -239,14 +239,12 @@ class VerificationReport:
 def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None = None):
     """evaluate's env, const and square_env for the point: exact, or series to precision."""
     tower = system.tower
-    place = point.place
-    if precision is None:
-        const = lambda q: RationalFunction.constant(tower, place, q)  # noqa: E731
-        expand = lambda f: f  # noqa: E731
-    else:
-        const = lambda q: PuiseuxSeries.constant(tower, place, q, precision)  # noqa: E731
-        expand = lambda f: f.to_puiseux(precision)  # noqa: E731
-    env = {"t": expand(t_function(tower, place))}
+
+    def expand(f: RationalFunction):
+        return f if precision is None else f.to_puiseux(precision)
+
+    env = {"t": expand(t_function(tower, point.place))}
+    const = env["t"]._constant  # a constant of t's backend, place and precision
     for name in tower.generator_names:
         env[name] = const(tower.gen(name))
     square_env = {}

@@ -19,7 +19,8 @@ MUTANTS = 300
 # messages of the rules loading checks, which no run may raise
 LOAD_ONLY = ("has no place", "takes exactly one expression", "needs an orbifold line",
              "an orbifold fact takes no", "place: t = CENTER ram E",
-             "ramification must be a positive integer", "in place center")
+             "ramification must be a positive integer", "in place center",
+             "a claim takes one", "generator name")
 
 
 def _mutants(lines: list[str], rng: random.Random):

@@ -474,6 +474,19 @@ def test_lifts_without_a_cover_equation_is_positioned(tmp_path, registry):
     assert err.value.line == 1
 
 
+def test_lifts_without_a_cover_equation_is_an_error_though_its_point_fails(tmp_path):
+    # the point fails to verify, and that must not hide the missing cover equation
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        "claim no_cover\nsystem:\n  x = 1\nplace: t = 0 ram 1\nlet x = 2\nexpect: lifts\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("no_cover", load_claim_file(str(path), {}))
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.message == "lifts: no cover equation w^2 = g"
+
+
 @pytest.mark.parametrize(
     "line, column",
     [
@@ -913,6 +926,23 @@ STATIC_ERRORS = [
     ("orbifold_with_point_lines",
      "orbifold genus 0 marks [2, 2, 2, 2, 2]\n  identity bogus: 1 = 2\nexpect: obstructed",
      "line 3, column 3: an orbifold fact takes no 'identity' line"),
+    # a repeated line would override the first one without a word
+    ("place_twice", "place: t = 0 ram 2\nplace: t = 1 ram 1\nsystem:\n  x = 1\nlet x = 1",
+     "line 3, column 1: a claim takes one 'place:' line"),
+    ("expect_twice",
+     "system:\n  t\nplace: t = 0 ram 1\nexpect: nonsquare\n  expect: pass",
+     "line 6, column 3: a claim takes one 'expect:' line"),
+    ("orbifold_twice", "orbifold genus 0 marks [2]\norbifold genus 1 marks []",
+     "line 3, column 1: a claim takes one 'orbifold' line"),
+    ("description_twice",
+     "description: one\nplace: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\ndescription: two",
+     "line 7, column 1: a claim takes one 'description:' line"),
+    # a generator named t or r would shadow the coordinate or the local parameter
+    ("generator_named_t",
+     "adjoin t : t^2 - 2 = 0\nsystem:\n  x^2 = 2\nplace: t = 0 ram 1\nlet x = t",
+     "line 2, column 8: generator name 't' is reserved"),
+    ("generator_named_r", "  adjoin r : r^2 - 2 = 0\nplace: t = 0 ram 1",
+     "line 2, column 10: generator name 'r' is reserved"),
 ]
 
 

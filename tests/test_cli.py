@@ -218,3 +218,43 @@ def test_integer_options_take_ascii_digits_only(capsys):
     # a seed may be negative
     assert main(["run", "lemma91_property", "--samples", "20", "--seed", "-3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["evidence"]["samples"] == 20
+
+
+def test_an_option_past_the_digit_limit_exits_two_without_echoing_it(capsys):
+    digits = "1" * 5000
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "point_sqrt_t", "--precision", digits])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert f"argument --precision: integer literal has 5000 digits; at most {limit}" in err
+    assert "1" * 100 not in err
+
+
+# integer texts that a claim-file field and a command-line option must judge alike:
+# an Arabic-Indic three, a plus sign, an underscore, a signed zero, two minus signs, zero
+INTEGER_TEXTS = ["\u0663", "+1", "1_0", "-0", "--2", "0"]
+# a claim-file field, the option with the same minimum, and the texts both accept
+INTEGER_READERS = [
+    ("system:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1\norder g: t = {}", "--seed", {"-0", "0"}),
+    ("orbifold genus {} marks [2]", "--samples", {"0"}),
+    ("system:\n  x = 1\nplace: t = 0 ram {}\nlet x = 1", "--precision", set()),
+]
+
+
+@pytest.mark.parametrize("field, option, accepted", INTEGER_READERS,
+                         ids=["order_and_seed", "genus_and_samples", "ram_and_precision"])
+def test_claim_files_and_options_read_integers_alike(tmp_path, capsys, field, option, accepted):
+    valid = tmp_path / "valid.txt"
+    valid.write_text("claim a\n" + field.format("1") + "\n", encoding="utf-8")
+    for text in INTEGER_TEXTS:
+        path = tmp_path / "claims.txt"
+        path.write_text("claim a\n" + field.format(text) + "\n", encoding="utf-8")
+        file_reads = main(["load", str(path), "list"]) == 0
+        try:
+            option_reads = main(["load", str(valid), "list", f"{option}={text}"]) == 0
+        except SystemExit as exit_:
+            assert exit_.code == 2
+            option_reads = False
+        capsys.readouterr()
+        assert (file_reads, option_reads) == ((text in accepted),) * 2, text
