@@ -193,6 +193,7 @@ def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
 def parse_claim_file(text: str) -> list[ParsedClaim]:
     claims: dict[str, ParsedClaim] = {}
     first: dict[tuple[int, bool], tuple] = {}  # a claim's first line of each kind, by claim line
+    let_names: dict[int, list[tuple[str, int, int]]] = {}  # name, line, column, by claim line
     current: ParsedClaim | None = None
     once: set[str] = set()  # the _ONCE keywords the current claim has used
     in_system = False
@@ -251,6 +252,8 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             var, eq, _ = rest.partition("=")
             if not eq:
                 raise ClaimSyntaxError("let VAR = EXPR", lineno, column)
+            let_names.setdefault(current.line, []).append(
+                (var.strip(), lineno, column + len(var) - len(var.lstrip())))
             rhs, column = _rest(rest, column, len(var) + 1)
             is_sqrt = rhs.startswith("sqrt(") and rhs.endswith(")")
             if is_sqrt:
@@ -304,6 +307,15 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
         if parsed.expect == "nonsquare" and len(parsed.system_lines) != 1:
             raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
+        # a system reads t and the generators as themselves, so no let may rebind them
+        # there; a nonsquare claim's checks may see a let that shadows t
+        if parsed.expect != "nonsquare":
+            generators = {name for _, name, _ in parsed.adjoins}
+            for name, lineno, column in let_names.get(parsed.line, ()):
+                if name == "t" or name in generators:
+                    what = "the coordinate" if name == "t" else "a generator"
+                    raise ClaimSyntaxError(f"a let may not bind {name!r}: the system reads it "
+                                           f"as {what}", lineno, column)
     return list(claims.values())
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     NotAPrefixError,
@@ -22,10 +23,14 @@ from .field_tower import (
     AlreadySplit,
     FieldElement,
     FieldTower,
+    Nums,
     _dot,
     _is_one,
+    _mul,
+    _normal,
     _power,
     _residue_map,
+    _sum,
     adjoin_quadratic,
     embed,
     is_square,
@@ -47,13 +52,25 @@ def _trim(p: list[FieldElement]) -> Poly:
     return tuple(p)
 
 
-def _padd(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    out = [zero] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] = out[i] + a
+def _psum(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q, for sign 1 or -1: a copy of the longer operand, into which only
+    the nonzero coefficients of the other are added."""
+    if len(p) < len(q):
+        # p + sign*q = (sign*q) + p
+        p, q, sign = (q if sign == 1 else _pneg(q)), p, 1
+    out = list(p)
     for i, a in enumerate(q):
-        out[i] = out[i] + a
+        if any(a.nums):
+            b = out[i]
+            if any(b.nums):
+                out[i] = _sum(b, a, sign)
+            else:
+                out[i] = a if sign == 1 else -a
     return _trim(out)
+
+
+def _padd(p: Poly, q: Poly, zero: FieldElement) -> Poly:
+    return _psum(p, q, 1)
 
 
 def _pneg(p: Poly) -> Poly:
@@ -61,11 +78,11 @@ def _pneg(p: Poly) -> Poly:
 
 
 def _psub(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    return _padd(p, _pneg(q), zero)
+    return _psum(p, q, -1)
 
 
 def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    """p * q: one multiply-accumulate (field_tower._dot) per output coefficient."""
+    """p * q: _convolve's sparse products, one normalisation per output coefficient."""
     if not p or not q:
         return ()
     if len(p) == 1:
@@ -75,36 +92,75 @@ def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
     return _trim(_convolve(p, q, len(p) + len(q) - 1, zero.tower))
 
 
+def _integer_terms(p: Poly, size: int, height: int) -> tuple[list[tuple[int, int | Nums]], int]:
+    """([(i, v), ...], d): the nonzero coefficients p[i] = v/d of p[:size] over one
+    common denominator d, the layout of FLINT's fmpq_poly; v is an int at height 0,
+    else an integer vector."""
+    p = p[:size]
+    den = lcm(*[a.den for a in p])  # a zero coefficient has den 1
+    if not height:
+        return [(i, a.nums[0] * (den // a.den)) for i, a in enumerate(p) if a.nums[0]], den
+    return [(i, a.nums if a.den == den else [x * (den // a.den) for x in a.nums])
+            for i, a in enumerate(p) if any(a.nums)], den
+
+
 def _convolve(p: Poly, q: Poly, size: int, tower: FieldTower) -> list[FieldElement]:
-    """The coefficients k < size of p * q, each the _dot of one anti-diagonal i + j = k."""
-    rq = q[::-1]
-    n, m = len(p), len(q)
-    out = []
-    for k in range(size):
-        lo, hi = max(0, k - m + 1), min(k, n - 1)
-        # rq[m - 1 - j] = q[j], so rq[m - 1 - k + i] pairs with p[i]
-        out.append(_dot(tower, p[lo:hi + 1], rq[m - 1 - k + lo:m - k + hi]))
-    return out
+    """The coefficients k < size of p * q.
+
+    Each factor is brought to one common denominator, and only pairs of
+    nonzero coefficients are multiplied, as integer vectors (field_tower._mul,
+    a plain int product at height 0), into the integer sum of their slot
+    i + j; a row stops at the first j with i + j >= size.  Each slot is then
+    normalised once.
+    """
+    levels = tower._levels
+    height = len(levels)
+    p_terms, p_den = _integer_terms(p, size, height)
+    q_terms, q_den = _integer_terms(q, size, height)
+    den = tower._scale * p_den * q_den
+    zero = tower._zero
+    if not height:
+        sums = [0] * size
+        for i, x in p_terms:
+            for j, y in q_terms:
+                if i + j >= size:
+                    break
+                sums[i + j] += x * y
+        return [_normal(tower, [s], den) if s else zero for s in sums]
+    acc: list[list[int] | None] = [None] * size
+    for i, x in p_terms:
+        for j, y in q_terms:
+            slot = i + j
+            if slot >= size:
+                break
+            v = _mul(x, y, levels, height)
+            s = acc[slot]
+            acc[slot] = v if s is None else [a + b for a, b in zip(s, v)]
+    return [zero if s is None else _normal(tower, s, den) for s in acc]
 
 
 def _pscale(p: Poly, scalar: FieldElement) -> Poly:
+    """scalar * p, multiplying only the nonzero coefficients."""
     if _is_one(scalar):
         return p
-    return _trim([a * scalar for a in p])
+    return _trim([a * scalar if any(a.nums) else a for a in p])
 
 
 def _pdivmod(p: Poly, q: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of p by q; each step subtracts factor * b for the nonzero b of q."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     quot = [zero] * max(0, len(p) - len(q) + 1)
     inv_lead = q[-1].inverse()
+    top = len(q) - 1
+    terms = [(j, b) for j, b in enumerate(q) if any(b.nums)]
     for shift in range(len(p) - len(q), -1, -1):
-        factor = rem[shift + len(q) - 1] * inv_lead
+        factor = rem[shift + top] * inv_lead
         if factor.is_zero():
             continue
         quot[shift] = factor
-        for j, b in enumerate(q):
+        for j, b in terms:
             rem[shift + j] = rem[shift + j] - factor * b
     return _trim(quot), _trim(rem)
 
@@ -207,18 +263,21 @@ def _series_quotient(num: Poly, den: Poly, nterms: int, zero: FieldElement) -> P
     """The first nterms coefficients of the power series num/den, for den[0] != 0.
 
     Each out[k] = num[k]/den[0] - sum(den[j]/den[0] * out[k - j], j >= 1) is
-    one multiply-accumulate (field_tower._dot), so one normalisation.
+    one multiply-accumulate (field_tower._dot), so one normalisation.  The
+    pairs (j, -den[j]/den[0]) are worked out once, for the nonzero den[j] only.
     """
     tower = zero.tower
     inv0 = den[0].inverse()
-    top = len(den) - 1
-    # rden[top - j] = -den[j] / den[0]
-    rden = [-(d * inv0) for d in den[:0:-1]]
+    shifts = [j for j in range(1, len(den)) if any(den[j].nums)]
+    factors = [-(den[j] * inv0) for j in shifts]
     out: list[FieldElement] = []
+    used = 0  # the shifts j <= k
     for k in range(nterms):
-        width = min(k, top)
+        if used < len(shifts) and shifts[used] <= k:
+            used += 1
         first = num[k] if k < len(num) else zero
-        out.append(_dot(tower, [first, *rden[top - width:top]], [inv0, *out[k - width:k]]))
+        out.append(_dot(tower, [first, *factors[:used]],
+                        [inv0, *[out[k - j] for j in shifts[:used]]]))
     return tuple(out)
 
 

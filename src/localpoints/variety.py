@@ -247,6 +247,10 @@ def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None
     const = env["t"]._constant  # a constant of t's backend, place and precision
     for name in tower.generator_names:
         env[name] = const(tower.gen(name))
+    shadowed = next((variable for variable in point.bindings if variable in env), None)
+    if shadowed is not None:
+        raise ValueError(f"a binding may not shadow {shadowed!r}: the system reads it as "
+                         "t or a generator")
     square_env = {}
     for variable, binding in point.bindings.items():
         if isinstance(binding, ExactValue):

@@ -20,7 +20,7 @@ MUTANTS = 300
 LOAD_ONLY = ("has no place", "takes exactly one expression", "needs an orbifold line",
              "an orbifold fact takes no", "place: t = CENTER ram E",
              "ramification must be a positive integer", "in place center",
-             "a claim takes one", "generator name")
+             "a claim takes one", "generator name", "a let may not bind")
 
 
 def _mutants(lines: list[str], rng: random.Random):

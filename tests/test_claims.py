@@ -943,6 +943,13 @@ STATIC_ERRORS = [
      "line 2, column 8: generator name 't' is reserved"),
     ("generator_named_r", "  adjoin r : r^2 - 2 = 0\nplace: t = 0 ram 1",
      "line 2, column 10: generator name 'r' is reserved"),
+    # a let that rebinds t or a generator would change what the system says
+    ("let_binds_t", "system:\n  x = t\nplace: t = 0 ram 1\nlet x = 1\nlet t = 1",
+     "line 6, column 5: a let may not bind 't': the system reads it as the coordinate"),
+    ("let_binds_a_generator",
+     "adjoin alpha : alpha^2 - 2 = 0\nsystem:\n  x = alpha\nplace: t = 0 ram 1\n"
+     "let x = 1\nlet  alpha = 1\nexpect: lifts",
+     "line 7, column 6: a let may not bind 'alpha': the system reads it as a generator"),
 ]
 
 

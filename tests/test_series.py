@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpoints.errors import PlaceMismatchError, ZeroFunctionError
 from localpoints.field_tower import QQ, adjoin_quadratic, is_square
@@ -610,3 +612,160 @@ def test_constants_and_coordinates_skip_the_constructor_with_the_same_result():
                 assert type(made.num) is tuple and type(made.den) is tuple
                 assert made.num == _trim(list(made.num))
                 assert (_raw(made.num), _raw(made.den)) == (_raw(expected.num), _raw(expected.den))
+
+
+# -- sparse kernels against a Fraction-coordinate schoolbook reference --------------
+
+
+def _constant_towers():
+    """Heights 0-2 whose step constants have denominators: a^2 = a/2 + 5/3 and
+    b^2 = -(a/3)*b + (2a + 1)/5."""
+    with_a = adjoin_quadratic(QQ, "a", Fraction(-1, 2), Fraction(-5, 3))
+    a = with_a.gen("a")
+    return [QQ, with_a, adjoin_quadratic(with_a, "b", a / 3, -(2 * a + 1) / 5)]
+
+
+CONSTANT_TOWERS = _constant_towers()
+
+
+def _ref_mul(steps, x, y):
+    """x * y on Fraction coordinates, reducing theta^2 = -b*theta - c step by step."""
+    if not steps:
+        return (x[0] * y[0],)
+    below, step = steps[:-1], steps[-1]
+    half = len(x) // 2
+    x0, x1, y0, y1 = x[:half], x[half:], y[:half], y[half:]
+    hh = _ref_mul(below, x1, y1)
+    lo = _ref_combine(_ref_mul(below, x0, y0), _ref_mul(below, step.c, hh), -1)
+    hi = _ref_combine(_ref_combine(_ref_mul(below, x0, y1), _ref_mul(below, x1, y0), 1),
+                      _ref_mul(below, step.b, hh), -1)
+    return lo + hi
+
+
+def _ref_combine(x, y, sign):
+    return tuple(u + sign * v for u, v in zip(x, y))
+
+
+def _ref_trim(p):
+    while p and not any(p[-1]):
+        p.pop()
+    return p
+
+
+def _ref_products(steps, p, q, size):
+    out = [(Fraction(0),) * (1 << len(steps))] * size
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            if i + j < size:
+                out[i + j] = _ref_combine(out[i + j], _ref_mul(steps, x, y), 1)
+    return out
+
+
+def _ref_sum(p, q, sign, zero):
+    size = max(len(p), len(q))
+    p, q = p + [zero] * (size - len(p)), q + [zero] * (size - len(q))
+    return _ref_trim([_ref_combine(x, y, sign) for x, y in zip(p, q)])
+
+
+def _ref_divmod(tower, p, q):
+    steps = tower.steps
+    inv_lead = tower.element(q[-1]).inverse().coords
+    rem = list(p)
+    quot = [(Fraction(0),) * tower.dim] * max(0, len(p) - len(q) + 1)
+    for shift in range(len(p) - len(q), -1, -1):
+        factor = _ref_mul(steps, rem[shift + len(q) - 1], inv_lead)
+        quot[shift] = factor
+        for j, y in enumerate(q):
+            rem[shift + j] = _ref_combine(rem[shift + j], _ref_mul(steps, factor, y), -1)
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_quotient(tower, num, den, nterms):
+    steps = tower.steps
+    inv0 = tower.element(den[0]).inverse().coords
+    out = []
+    for k in range(nterms):
+        acc = num[k] if k < len(num) else (Fraction(0),) * tower.dim
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = _ref_combine(acc, _ref_mul(steps, den[j], out[k - j]), -1)
+        out.append(_ref_mul(steps, acc, inv0))
+    return out
+
+
+def _sparse(data, dim, lengths, forced=None):
+    """Fraction-coordinate coefficients, at least half of them zero, each nonzero one with
+    denominators of its own; the index forced (0 or -1) is nonzero."""
+    n = data.draw(lengths)
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    nonzero = [i for i in range(n) if flags[i]][:n // 2 - (forced is not None)]
+    if forced is not None:
+        nonzero.append(forced % n)
+    coordinate = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    vector = st.tuples(*[coordinate] * dim).filter(any)
+    zero = (Fraction(0),) * dim
+    return [data.draw(vector) if i in nonzero else zero for i in range(n)]
+
+
+def _elements(tower, coords):
+    return tuple(tower.element(c) for c in coords)
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sparse_kernels_match_the_fraction_schoolbook(height, data):
+    from localpoints.series import _convolve, _padd, _pdivmod, _pmul, _psub, _series_quotient
+
+    tower = CONSTANT_TOWERS[height]
+    steps, dim, zero = tower.steps, tower.dim, tower.zero()
+    fraction_zero = (Fraction(0),) * dim
+    p, q = (_sparse(data, dim, st.integers(0, 8)) for _ in range(2))
+    ep, eq = _elements(tower, p), _elements(tower, q)
+
+    def same(got, expected):
+        assert _raw(got) == _raw(_elements(tower, expected))
+
+    full = len(p) + len(q) - 1
+    same(_pmul(ep, eq, zero), _ref_trim(_ref_products(steps, p, q, max(full, 0))))
+    # a nonzero constant factor scales a polynomial, trimmed as every Poly is
+    constant, trimmed = _sparse(data, dim, st.just(2), forced=0)[:1], _ref_trim(list(q))
+    same(_pmul(_elements(tower, constant), _elements(tower, trimmed), zero),
+         _ref_products(steps, constant, trimmed, len(trimmed)))
+    if full > 1:
+        size = data.draw(st.integers(1, full - 1))
+        got = _convolve(ep, eq, size, tower)
+        assert len(got) == size
+        same(got, _ref_products(steps, p, q, size))
+    same(_padd(ep, eq, zero), _ref_sum(p, q, 1, fraction_zero))
+    same(_psub(ep, eq, zero), _ref_sum(p, q, -1, fraction_zero))
+
+    divisor = _sparse(data, dim, st.integers(2, 6), forced=-1)
+    quot, rem = _pdivmod(ep, _elements(tower, divisor), zero)
+    ref_quot, ref_rem = _ref_divmod(tower, p, divisor)
+    same(quot, ref_quot)
+    same(rem, ref_rem)
+
+    den = _sparse(data, dim, st.integers(2, 8), forced=0)
+    nterms = data.draw(st.integers(1, 10))
+    same(_series_quotient(ep, _elements(tower, den), nterms, zero),
+         _ref_quotient(tower, p, den, nterms))
+
+
+def test_products_multiply_only_nonzero_pairs(monkeypatch):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[1]
+    place = Place.finite(tower.zero(), 3)
+    r = r_function(tower, place)
+    f, g = (1 + r ** 3) ** 2, 2 + r ** 6
+    fs, gs = f.to_puiseux(7), g.to_puiseux(7)
+    products = []
+    tower_mul = series._mul
+    monkeypatch.setattr(series, "_mul", lambda *args: products.append(args) or tower_mul(*args))
+    # 1 + 2r^3 + r^6 times 2 + r^6: six nonzero pairs of the 49 dense ones
+    assert f * g == rf([2, 0, 0, 4, 0, 0, 3, 0, 0, 2, 0, 0, 1], place=place, tower=tower)
+    assert len(products) == 6
+    # truncated below r^7, a row stops at the precision: (0, 0), (0, 6), (3, 0), (6, 0)
+    products.clear()
+    assert [c.coords[0] for c in (fs * gs).coeffs] == [2, 0, 0, 4, 0, 0, 3]
+    assert len(products) == 4

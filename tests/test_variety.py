@@ -242,6 +242,19 @@ def test_unbound_variable_is_an_error():
         verify_point(system, PointAssignment(place, {}))
 
 
+@pytest.mark.parametrize("name, kind", [("t", ExactValue), ("t", FormalSqrt),
+                                         ("alpha", ExactValue), ("alpha", FormalSqrt)])
+def test_a_binding_that_shadows_t_or_a_generator_is_an_error(name, kind):
+    tower = adjoin_quadratic(QQ, "alpha", 0, -2)
+    place = Place.finite(tower.zero(), 1)
+    system = parse_system("x = alpha^2*t^2\n", tower)  # even powers, as a square root needs
+    one = RationalFunction.constant(tower, place, 1)
+    point = PointAssignment(place, {"x": ExactValue(one), name: kind(one)})
+    for mode in ("exact", "truncated"):
+        with pytest.raises(ValueError, match=f"may not shadow '{name}'"):
+            verify_point(system, point, mode=mode)
+
+
 def golden_point(n=1):
     base = adjoin_quadratic(QQ, "alpha", -1, -1)
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
