@@ -51,6 +51,7 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
+    _exact_context,
     _lift,
     _local_root,
     find_cover_equation,
@@ -323,9 +324,9 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
               const: Callable | None = None, cache: dict | None = None):
     """The exact value of an expression over env; const makes its constants (t's by default).
 
-    An undeclared identifier and a division by zero are positioned errors.  A
-    cache, shared by calls with the same env and const, evaluates each distinct
-    subexpression once.
+    An undeclared identifier and a division by zero are positioned errors.
+    cache is evaluate's, keyed on operand values: calls over one backend that
+    share it (the lets of a run, say) evaluate each distinct operation once.
     """
     expr = parse_expression(text, *position)
     unknown = free_symbols(expr) - set(env)
@@ -409,7 +410,8 @@ def _build_system(
     cover = None
     if parsed.expect in ("obstructed", "lifts"):
         lookup = point if parsed.expect == "obstructed" else PointAssignment(point.place, {
-            v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)})
+            v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)},
+            point.cache)
         try:
             cover = index, variable, g = find_cover_equation(system, lookup)
         except ValueError:
@@ -441,21 +443,21 @@ def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
 
 
 def _build_bindings(
-    parsed: ParsedClaim, tower: FieldTower, place: Place
+    parsed: ParsedClaim, tower: FieldTower, place: Place, cache: dict
 ) -> tuple[dict[str, ExactValue | FormalSqrt], dict[str, RationalFunction]]:
     """The point's bindings, and the values a check sees: t, r, generators, exact lets.
 
-    Lets see only env, never each other, so one cache serves all of them.  It
-    lives for this call alone, and the checks, where a let may shadow t, never
-    see it.
+    cache becomes the point's: the lets read t and the generators from its
+    _exact_context and fill its evaluate cache, so the exact system pass and
+    the cover factor of the run reuse every operation the lets made.  Lets
+    see only env, never each other.  The checks, where a let may shadow t,
+    evaluate without the cache.
     """
-    env = {"t": t_function(tower, place), "r": r_function(tower, place)}
-    for g in tower.generator_names:
-        env[g] = RationalFunction.constant(tower, place, tower.gen(g))
+    coordinates, evaluated = _exact_context(cache, tower, place)
+    env = {**coordinates, "r": r_function(tower, place)}
     bindings: dict[str, ExactValue | FormalSqrt] = {}
-    cache: dict = {}
     for position, var, rhs, is_sqrt in parsed.lets:
-        value = _evaluate(rhs, position, env, "let", cache=cache)
+        value = _evaluate(rhs, position, env, "let", cache=evaluated)
         bindings[var] = FormalSqrt(value) if is_sqrt else ExactValue(value)
     exact = {var: b.value for var, b in bindings.items() if isinstance(b, ExactValue)}
     return bindings, {**env, **exact}
@@ -499,7 +501,8 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
     _, variable, g = cover_equation
     bindings = dict(point.bindings)
     w_square = bindings.pop(variable).square
-    lift = _lift(cover, variable, g, PointAssignment(point.place, bindings), "over_c", precision)
+    lift = _lift(cover, variable, g, PointAssignment(point.place, bindings, point.cache),
+                 "over_c", precision)
     evidence["lift"] = lift.kind
     if lift.witness is None:  # only a lift that succeeds has a witness
         return "fail"
@@ -595,8 +598,9 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
     source = "\n".join(text for _, text in parsed.system_lines)
 
     def run(params: ClaimParams) -> ClaimOutcome:
-        bindings, values = _build_bindings(parsed, tower, place)
-        point = PointAssignment(place, bindings)
+        cache: dict = {}  # one run's exact evaluations: lets, system pass and cover factor
+        bindings, values = _build_bindings(parsed, tower, place, cache)
+        point = PointAssignment(place, bindings, cache)
         if parsed.expect == "nonsquare":
             verdict, evidence = _nonsquare(parsed, values)
         else:

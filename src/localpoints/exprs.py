@@ -100,8 +100,8 @@ def _tokenize(text: str, line: int, column: int) -> list[tuple[str, str, int, in
 
 
 # The deepest expression the parser accepts, counting each operator and each pair of
-# parentheses on the way from the root to a leaf.  evaluate takes two interpreter
-# frames per tree level and the parser three per parenthesis, so at 200 levels both
+# parentheses on the way from the root to a leaf.  evaluate takes one interpreter
+# frame per tree level and the parser three per parenthesis, so at 200 levels both
 # stay well inside the default recursion limit of 1000 with room for their callers;
 # the deepest expression of the claim corpus has 15 levels.
 MAX_DEPTH = 200
@@ -305,53 +305,68 @@ def evaluate(
     env: Mapping[str, T],
     const: Callable[[Fraction], T],
     square_env: Mapping[str, T] | None = None,
-    cache: dict[Expr, T] | None = None,
+    cache: dict | None = None,
 ) -> T:
     """Evaluate over any backend supporting +, -, *, /, ** (int exponents).
 
     square_env maps formal-square-root variables v to the value of v^2: any
     Pow(v, 2k) becomes square_env[v]**k and other occurrences of v are errors
-    (raised by the caller's validation; here a KeyError-level failure).
-    An optional cache shares results across structurally equal subtrees.
+    (raised by the caller's validation; here a LookupError).
+
+    Each operation is memoised in cache (a fresh dict when none is given) under
+    the identities of the values it reads: (op, id(a), id(b)) for + - * /,
+    ("-", id(a)) for a negation and ("^", id(base), k) for a power, where a
+    square-bound base is square_env[v] and k half the exponent.  A literal is
+    kept under its integer; a symbol is read from env, uncached.  So equal
+    leaves are the same objects, and structurally equal subtrees evaluate once,
+    in one tree or in any trees that share the cache, with no Expr hashed.  An
+    entry holds its operands beside its value, so no id in a key is reused
+    while the cache lives.  Share a cache only among evaluations over one
+    backend (one tower, place and exactness): its literal entries are that
+    backend's constants.
     """
-    if cache is not None:
-        hit = cache.get(expr)
-        if hit is not None:
-            return hit
-    value = _evaluate(expr, env, const, square_env, cache)
-    if cache is not None:
-        cache[expr] = value
-    return value
+    return _value(expr, env, const, square_env or {}, {} if cache is None else cache)
 
 
-def _evaluate(
-    expr: Expr,
-    env: Mapping[str, T],
-    const: Callable[[Fraction], T],
-    square_env: Mapping[str, T] | None,
-    cache: dict[Expr, T] | None,
-) -> T:
-    if isinstance(expr, Num):
-        return const(Fraction(expr.value))
-    if isinstance(expr, Sym):
-        if square_env and expr.name in square_env:
+def _value(expr: Expr, env: Mapping[str, T], const: Callable[[Fraction], T],
+           square_env: Mapping[str, T], cache: dict) -> T:
+    kind = type(expr)
+    if kind is Sym:
+        if expr.name in square_env:
             raise LookupError(f"square-bound variable {expr.name!r} used with odd power")
         return env[expr.name]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env, const, square_env, cache)
-    if isinstance(expr, Pow):
-        base = expr.base
-        if square_env and isinstance(base, Sym) and base.name in square_env:
-            if expr.exponent % 2:
-                raise LookupError(f"square-bound variable {base.name!r} used with odd power")
-            return square_env[base.name] ** (expr.exponent // 2)
-        return evaluate(base, env, const, square_env, cache) ** expr.exponent
-    left = evaluate(expr.left, env, const, square_env, cache)
-    right = evaluate(expr.right, env, const, square_env, cache)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    return left / right
+    if kind is Num:
+        value = cache.get(expr.value)
+        if value is None:
+            value = cache[expr.value] = const(Fraction(expr.value))
+        return value
+    if kind is BinOp:
+        a = _value(expr.left, env, const, square_env, cache)
+        b = _value(expr.right, env, const, square_env, cache)
+        op = expr.op
+        key = (op, id(a), id(b))
+        hit = cache.get(key)
+        if hit is not None:
+            return hit[0]
+        value = a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else a / b
+        cache[key] = (value, a, b)
+        return value
+    if kind is Neg:
+        a = _value(expr.operand, env, const, square_env, cache)
+        key = ("-", id(a))
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = (-a, a)
+        return hit[0]
+    base, exponent = expr.base, expr.exponent
+    if type(base) is Sym and base.name in square_env:
+        if exponent % 2:
+            raise LookupError(f"square-bound variable {base.name!r} used with odd power")
+        a, exponent = square_env[base.name], exponent // 2
+    else:
+        a = _value(base, env, const, square_env, cache)
+    key = ("^", id(a), exponent)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = (a ** exponent, a)
+    return hit[0]

@@ -140,9 +140,9 @@ def _convolve(p: Poly, q: Poly, size: int, tower: FieldTower) -> list[FieldEleme
 
 
 def _pscale(p: Poly, scalar: FieldElement) -> Poly:
-    """scalar * p, multiplying only the nonzero coefficients."""
+    """scalar * p, trimmed, multiplying only the nonzero coefficients."""
     if _is_one(scalar):
-        return p
+        return p if not p or any(p[-1].nums) else _trim(list(p))
     return _trim([a * scalar if any(a.nums) else a for a in p])
 
 
@@ -265,10 +265,14 @@ def _series_quotient(num: Poly, den: Poly, nterms: int, zero: FieldElement) -> P
     Each out[k] = num[k]/den[0] - sum(den[j]/den[0] * out[k - j], j >= 1) is
     one multiply-accumulate (field_tower._dot), so one normalisation.  The
     pairs (j, -den[j]/den[0]) are worked out once, for the nonzero den[j] only.
+    With none, den is a constant: the quotient is num/den[0], padded with zeros.
     """
     tower = zero.tower
     inv0 = den[0].inverse()
     shifts = [j for j in range(1, len(den)) if any(den[j].nums)]
+    if not shifts:
+        head = _pscale(num[:nterms], inv0)
+        return head + (zero,) * (nterms - len(head))
     factors = [-(den[j] * inv0) for j in shifts]
     out: list[FieldElement] = []
     used = 0  # the shifts j <= k

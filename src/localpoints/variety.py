@@ -185,8 +185,16 @@ Binding = ExactValue | SeriesValue | FormalSqrt  # PEP 604, not cached: see expr
 
 @dataclass(frozen=True)
 class PointAssignment:
+    """Bindings of the variables at a place.
+
+    cache is the point's exact evaluation state, filled by every exact
+    evaluation at the point (_exact_context): its system passes, cover
+    factors and, for a claim, its lets.  It never takes part in equality.
+    """
+
     place: Place
     bindings: Mapping[str, Binding]
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def sqrt_variables(self) -> tuple[str, ...]:
         return tuple(v for v, b in self.bindings.items() if isinstance(b, FormalSqrt))
@@ -236,17 +244,44 @@ class VerificationReport:
         }
 
 
+def _coordinates(t: RationalFunction | PuiseuxSeries, tower: FieldTower) -> dict:
+    """t and the generator constants, in t's backend."""
+    return {"t": t, **{name: t._constant(tower.gen(name)) for name in tower.generator_names}}
+
+
+def _exact_context(cache: dict, tower: FieldTower, place: Place) -> tuple[dict, dict]:
+    """(values, evaluate cache) for exact evaluation over tower at place, kept in cache.
+
+    values holds t and the generator constants.  Both are made at the first
+    call for the tower and kept under it, so every evaluation that shares
+    cache reads the same t and generator objects and fills one evaluate
+    cache: a product one of them made, another finds.  cache belongs to one
+    place, as a point's cache does.
+    """
+    context = cache.get(tower)
+    if context is None:
+        context = cache[tower] = (_coordinates(t_function(tower, place), tower), {})
+    return context
+
+
 def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None = None):
-    """evaluate's env, const and square_env for the point: exact, or series to precision."""
+    """evaluate's env, const, square_env and cache for the point.
+
+    Exact: the values and the cache of the point's _exact_context, shared by
+    every exact evaluation at the point.  To precision: series expansions,
+    over a cache of their own.
+    """
     tower = system.tower
 
     def expand(f: RationalFunction):
         return f if precision is None else f.to_puiseux(precision)
 
-    env = {"t": expand(t_function(tower, point.place))}
+    if precision is None:
+        values, cache = _exact_context(point.cache, tower, point.place)
+    else:
+        values, cache = _coordinates(expand(t_function(tower, point.place)), tower), {}
+    env = dict(values)
     const = env["t"]._constant  # a constant of t's backend, place and precision
-    for name in tower.generator_names:
-        env[name] = const(tower.gen(name))
     shadowed = next((variable for variable in point.bindings if variable in env), None)
     if shadowed is not None:
         raise ValueError(f"a binding may not shadow {shadowed!r}: the system reads it as "
@@ -261,7 +296,7 @@ def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None
             raise ValueError(f"exact mode needs exact bindings; {variable!r} is a series")
         else:
             env[variable] = binding.value
-    return env, const, square_env
+    return env, const, square_env, cache
 
 
 def verify_point(
@@ -274,6 +309,8 @@ def verify_point(
 
     Exact mode certifies true zero residuals and true nonzero constraints;
     truncated mode reports agreement to the stated precision, never more.
+    Exact mode evaluates over the point's cache (_exact_context), so it makes
+    no operation an earlier exact evaluation at the point made.
     """
     if mode not in ("exact", "truncated"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -283,8 +320,7 @@ def verify_point(
     odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
     if odd is not None:
         raise OddPowerError(f"square-root variable {odd!r} occurs with an odd power")
-    env, const, square_env = _env(system, point, None if mode == "exact" else precision)
-    cache: dict = {}
+    env, const, square_env, cache = _env(system, point, None if mode == "exact" else precision)
 
     report = VerificationReport(mode=mode, place=str(point.place))
     for eq in system.equations:
@@ -353,8 +389,9 @@ def solve_square(
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
     """Decide whether lhs/g is a local square at the point; witness on success."""
-    lhs_value = evaluate(lhs, *_env(system, point))
-    g_value = evaluate(g, *_env(system, point))
+    context = _env(system, point)
+    lhs_value = evaluate(lhs, *context)
+    g_value = evaluate(g, *context)
     if g_value.is_zero():
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():

@@ -744,28 +744,32 @@ expect: nonsquare
 """
 
 
-def test_a_let_subtree_repeated_across_lets_is_evaluated_once_per_run(tmp_path, monkeypatch):
-    from localpoints import exprs
+@pytest.fixture
+def rational_function_operations(monkeypatch):
+    """Counts of the RationalFunction products, sums, quotients and powers made from here on."""
+    from localpoints.series import RationalFunction
 
+    counts = {}
+    for method, label in [("__mul__", "mul"), ("__rmul__", "mul"), ("_sum", "sum"),
+                          ("__truediv__", "div"), ("__rtruediv__", "div"), ("__pow__", "pow")]:
+        def counted(*args, _operation=getattr(RationalFunction, method), _label=label):
+            counts[_label] = counts.get(_label, 0) + 1
+            return _operation(*args)
+        monkeypatch.setattr(RationalFunction, method, counted)
+    return counts
+
+
+def test_a_let_subtree_repeated_across_lets_is_evaluated_once_per_run(
+        tmp_path, rational_function_operations):
     path = tmp_path / "claims.txt"
     path.write_text(REPEATED_LETS, encoding="utf-8")
     extended = load_claim_file(str(path), {})
-    repeated = exprs.parse_expression("t^2 + 1")
-    seen = []
-    evaluate = exprs._evaluate
-
-    def spy(expr, *args):
-        seen.append(expr)
-        return evaluate(expr, *args)
-
-    monkeypatch.setattr(exprs, "_evaluate", spy)
-    assert run_claim("repeated_lets", extended).verdict == "pass"
-    first = list(seen)
-    assert first.count(repeated) == 1
-    # a cache that outlived the run would make the second run cheaper
-    seen.clear()
-    assert run_claim("repeated_lets", extended).verdict == "pass"
-    assert seen == first
+    # t^2 + 1, the claim's only sum, is written three times across its lets; a cache
+    # that outlived the run would make the second run cheaper
+    for _ in range(2):
+        rational_function_operations.clear()
+        assert run_claim("repeated_lets", extended).verdict == "pass"
+        assert rational_function_operations["sum"] == 1
 
 
 def test_a_let_that_shadows_t_keeps_its_check_verdicts(tmp_path):
@@ -814,6 +818,25 @@ def test_each_distinct_system_is_parsed_once_per_registry(system_parses, capsys)
         assert [r.verdict for r in reports] == ["pass"] * 10
         assert len(system_parses) == 6
         assert len({(text, tower) for text, tower in system_parses}) == 6
+
+
+@pytest.mark.parametrize("name, verdict, work", [
+    # a pass claim over a height-2 tower: evaluated apart, its lets and its system
+    # pass made 36 products, 12 sums, 7 quotients and 9 powers
+    ("gen_0006_h2", "pass", {"mul": 25, "sum": 7, "div": 6, "pow": 6}),
+    # an obstructed claim over a height-1 tower: apart, its lets, its base pass and its
+    # cover factor made 39, 13, 7 and 11
+    ("gen_0008_h1", "pass", {"mul": 23, "sum": 7, "div": 6, "pow": 6}),
+])
+def test_a_claim_run_makes_each_exact_operation_once(name, verdict, work,
+                                                     rational_function_operations):
+    """The lets, the exact system pass and the cover factor share one cache, so the
+    system's x^2, t*u^2 and t^2*u^2 - t are the lets' own; each run does the same work."""
+    registry = load_claim_file(str(GENERATED), {})
+    for _ in range(2):
+        rational_function_operations.clear()
+        assert run_claim(name, registry, mode="exact").verdict == verdict
+        assert rational_function_operations == work
 
 
 BROKEN_TWICE = """\

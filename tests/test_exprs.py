@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import random
 import re
@@ -8,9 +9,11 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpoints.claims import K3_LIFTS_TEXT, POINTS_TEXT, SHIFTED_FORM_TEXT
-from localpoints.errors import ClaimSyntaxError
+from localpoints.errors import ClaimSyntaxError, PrecisionExhaustedError
 from localpoints.exprs import (
     MAX_DEPTH,
     BinOp,
@@ -24,6 +27,8 @@ from localpoints.exprs import (
     parse_expression,
     to_text,
 )
+from localpoints.field_tower import QQ, adjoin_quadratic
+from localpoints.series import Place, RationalFunction, t_function
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -418,3 +423,94 @@ def test_depth_is_bounded_at_the_token_that_crosses_it(deepest, value, too_deep,
         parse_expression(too_deep)
     assert (err.value.line, err.value.column) == (1, column)
     assert str(err.value).endswith(f"expression nested deeper than {MAX_DEPTH} levels")
+
+
+# -- the value-keyed cache against evaluation without one -----------------------------
+
+GOLDEN = adjoin_quadratic(QQ, "alpha", -1, -1)  # alpha^2 = alpha + 1
+GOLDEN_PLACE = Place.finite(GOLDEN.gen("alpha"), 2)  # t = alpha + r^2
+SERIES_PRECISION = 10
+TREE_BUDGET = 12  # the most leaves a tree may stand for, counting each power's copies
+GOLDEN_T = t_function(GOLDEN, GOLDEN_PLACE)
+GOLDEN_ALPHA = GOLDEN_T._constant(GOLDEN.gen("alpha"))
+GOLDEN_SERIES = [value.to_puiseux(SERIES_PRECISION) for value in (GOLDEN_T, GOLDEN_ALPHA)]
+
+
+def _fresh_env(shift: int, precision: int | None):
+    """env, const and square_env over the golden place: t, alpha, and new objects for
+    x = 1 + shift + 3r^2 + r^3 and y^2 = 2 + shift - r + alpha*r^4, exact or to precision."""
+    t, alpha = (GOLDEN_T, GOLDEN_ALPHA) if precision is None else GOLDEN_SERIES
+    x = RationalFunction.from_coeffs(GOLDEN, GOLDEN_PLACE, [1 + shift, 0, 3, 1])
+    y = RationalFunction.from_coeffs(GOLDEN, GOLDEN_PLACE,
+                                     [2 + shift, -1, 0, 0, GOLDEN.gen("alpha")])
+    if precision is not None:
+        x, y = x.to_puiseux(precision), y.to_puiseux(precision)
+    return {"t": t, "alpha": alpha, "x": x}, t._constant, {"y": y}
+
+
+@st.composite
+def _tree_texts(draw):
+    """Texts of a few trees built from one pool of subtrees, so subtrees repeat within and
+    across them, with negations, negative powers, square-bound y and nonzero divisors."""
+    # (tree, known to be nonzero, leaves it stands for)
+    pool = [(Num(0), False, 1), *((Num(n), True, 1) for n in (1, 2, 7)), (Sym("t"), True, 1),
+            (Sym("alpha"), True, 1), (Pow(Sym("y"), -2), True, 1), (Pow(Sym("y"), 2), True, 1),
+            (Sym("x"), True, 1)]
+    leaves = len(pool)
+    for _ in range(draw(st.integers(3, 8))):
+        # one operand of the last two built grows the trees; the other is any subtree
+        recent = [entry for entry in pool[-2:] if entry[2] < TREE_BUDGET] or pool[:leaves]
+        a, a_nonzero, a_size = draw(st.sampled_from(recent))
+        op = draw(st.sampled_from(["+", "-", "*", "/", "neg", "^"]))
+        if op == "neg":
+            pool.append((Neg(a), a_nonzero, a_size))
+            continue
+        if op == "^":
+            exponents = [k for k in range(-2, 4) if (k >= 0 or a_nonzero)
+                         and abs(k) * a_size <= TREE_BUDGET]
+            k = draw(st.sampled_from(exponents))
+            pool.append((Pow(a, k), a_nonzero or k == 0, max(1, abs(k)) * a_size))
+            continue
+        others = [entry for entry in pool if entry[2] + a_size <= TREE_BUDGET
+                  and (op != "/" or entry[1])]
+        b, b_nonzero, b_size = draw(st.sampled_from(others))
+        nonzero = a_nonzero and b_nonzero and op in "*/"
+        pool.append((BinOp(op, a, b), nonzero, a_size + b_size))
+    built = [tree for tree, _, _ in pool[leaves:]]
+    return [to_text(tree) for tree in (built[-1], *draw(st.lists(st.sampled_from(built),
+                                                               min_size=2, max_size=2)))]
+
+
+def _evaluated(text: str, shift: int, precision: int | None, *cache: dict):
+    """The value of the parsed text over a fresh env, as comparable data, or the error's
+    type; evaluate gets cache as its last argument, if one is given."""
+    env, const, square_env = _fresh_env(shift, precision)
+    try:
+        value = evaluate(parse_expression(text), env, const, square_env, *cache)
+    except PrecisionExhaustedError as err:
+        return type(err).__name__
+    if precision is None:
+        return value.num, value.den
+    return value.lead, value.coeffs, value.precision
+
+
+@pytest.mark.parametrize("precision", [None, SERIES_PRECISION], ids=["exact", "series"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(texts=_tree_texts())
+def test_a_cache_shared_by_separately_parsed_trees_changes_no_value(precision, texts):
+    # each evaluation reads an x and a y of its own: a cache entry whose operands had
+    # been freed could be found again under a reused id, with the value of another x
+    runs = list(enumerate(texts))
+    uncached = [_evaluated(text, shift, precision) for shift, text in runs]
+    fresh = [_evaluated(text, shift, precision, {}) for shift, text in runs]
+    shared: dict = {}
+    together = []
+    gc.freeze()  # each collection below then scans only what the evaluations made
+    try:
+        for shift, text in runs:
+            gc.collect()
+            together.append(_evaluated(text, shift, precision, shared))
+    finally:
+        gc.unfreeze()
+    assert fresh == uncached
+    assert together == uncached

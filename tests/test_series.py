@@ -769,3 +769,33 @@ def test_products_multiply_only_nonzero_pairs(monkeypatch):
     products.clear()
     assert [c.coords[0] for c in (fs * gs).coeffs] == [2, 0, 0, 4, 0, 0, 3]
     assert len(products) == 4
+
+
+def test_a_constant_times_the_zero_polynomial_is_empty_whatever_the_constant():
+    from localpoints.series import _pmul, _pscale
+
+    for tower in CONSTANT_TOWERS:
+        zero, one = tower.zero(), tower.one()
+        two = one + one
+        assert _pmul((one,), (zero,), zero) == _pmul((two,), (zero,), zero) == ()
+        assert _pscale((two, zero), one) == (two,)
+
+
+def test_a_quotient_by_a_constant_runs_no_recurrence(monkeypatch):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[2]
+    a, b = tower.gen("a"), tower.gen("b")
+    zero = tower.zero()
+    num, den = (a, zero, b, zero, a * b), (a + 2, zero, zero)
+    steps = []
+    dot = series._dot
+    monkeypatch.setattr(series, "_dot", lambda *args: steps.append(args) or dot(*args))
+    for nterms in (1, 4, 7):
+        got = series._series_quotient(num, den, nterms, zero)
+        expected = _ref_quotient(tower, [c.coords for c in num], [c.coords for c in den], nterms)
+        assert _raw(got) == _raw(_elements(tower, expected))
+    assert steps == []
+    # a den with a second nonzero coefficient takes one _dot per output coefficient
+    series._series_quotient(num, (a + 2, zero, b), 7, zero)
+    assert len(steps) == 7
