@@ -496,13 +496,18 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
                   point: PointAssignment, precision: int, evidence: dict) -> str:
     """Lift a verified point along its cover equation w^2 = g, w's binding dropped.
 
-    The lift's witness must square to the square root the claim bound w to.
+    The lift's witness must square to the square root the claim bound w to;
+    a cover factor that vanishes at the point has no lift to check.
     """
     _, variable, g = cover_equation
     bindings = dict(point.bindings)
     w_square = bindings.pop(variable).square
-    lift = _lift(cover, variable, g, PointAssignment(point.place, bindings, point.cache),
-                 "over_c", precision)
+    try:
+        lift = _lift(cover, variable, g, PointAssignment(point.place, bindings, point.cache),
+                     "over_c", precision)
+    except ZeroFunctionError:
+        evidence["lift"] = "zero"
+        return "fail"
     evidence["lift"] = lift.kind
     if lift.witness is None:  # only a lift that succeeds has a witness
         return "fail"

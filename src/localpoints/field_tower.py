@@ -288,19 +288,27 @@ class FieldTower:
 
 
 def _power(base, exponent: int, one):
-    """base**exponent by square and multiply, for exponent >= 0.
+    """base**exponent by square and multiply, for exponent >= 0; one only for exponent 0.
 
-    The one loop behind every ** of the package: field elements, rational
-    functions and series.
+    The one square-and-multiply behind every ** of the package: field
+    elements, rational functions and series.  It starts from base, so it
+    makes no product with one.
     """
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
+    if exponent < 2:
+        return base if exponent else one
+    square = _power(base * base, exponent >> 1, one)
+    return square * base if exponent & 1 else square
+
+
+def _join_tower(a: FieldTower, b: FieldTower) -> FieldTower:
+    """The taller of two towers, one a prefix of the other."""
+    if a is b:
+        return a
+    if a.is_prefix_of(b):
+        return b
+    if b.is_prefix_of(a):
+        return a
+    raise NotAPrefixError(f"towers {a!r} and {b!r} are incomparable")
 
 
 def _residue_map(tower: FieldTower) -> tuple[int, tuple[int, ...]] | None:
@@ -443,13 +451,10 @@ class FieldElement:
             if not isinstance(other, (int, Fraction)):
                 raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
             return self, self.tower.rational(other)
-        if self.tower is other.tower or self.tower == other.tower:
+        if self.tower is other.tower:
             return self, other
-        if self.tower.is_prefix_of(other.tower):
-            return embed(self, other.tower), other
-        if other.tower.is_prefix_of(self.tower):
-            return self, embed(other, self.tower)
-        raise NotAPrefixError(f"cannot combine elements of {self.tower!r} and {other.tower!r}")
+        tower = _join_tower(self.tower, other.tower)
+        return embed(self, tower), embed(other, tower)
 
     @staticmethod
     def _known(other: object) -> bool:

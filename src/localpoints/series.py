@@ -26,6 +26,7 @@ from .field_tower import (
     Nums,
     _dot,
     _is_one,
+    _join_tower,
     _mul,
     _normal,
     _power,
@@ -69,16 +70,8 @@ def _psum(p: Poly, q: Poly, sign: int) -> Poly:
     return _trim(out)
 
 
-def _padd(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    return _psum(p, q, 1)
-
-
 def _pneg(p: Poly) -> Poly:
     return tuple(-a for a in p)
-
-
-def _psub(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    return _psum(p, q, -1)
 
 
 def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
@@ -353,25 +346,16 @@ def _check_place(a: _Local, b: _Local) -> None:
         raise PlaceMismatchError(f"places differ: {a.place} vs {b.place}")
 
 
-def _join_tower(a: FieldTower, b: FieldTower) -> FieldTower:
-    if a is b:
-        return a
-    if a.is_prefix_of(b):
-        return b
-    if b.is_prefix_of(a):
-        return a
-    raise NotAPrefixError(f"towers {a!r} and {b!r} are incomparable")
-
-
 class _Local:
     """Base of RationalFunction and PuiseuxSeries: a value in a tower at a place.
 
     It owns what does not depend on the representation: coercion into a taller
-    tower (_lift) and onto a common tower and place (_pair), the reflected
-    operators, powers, the valuation, truth and repr.  A subclass supplies the
-    constructor hooks _embedded (the same value over a taller tower) and
-    _constant (a constant of its own tower, place and precision), together with
-    is_zero, order_at_zero and the arithmetic itself.
+    tower (_lift) and onto a common tower and place (_pair), + and - and the
+    reflected operators, powers, the valuation, truth and repr.  A subclass
+    supplies the constructor hooks _embedded (the same value over a taller
+    tower) and _constant (a constant of its own tower, place and precision),
+    together with is_zero, order_at_zero and the arithmetic itself: _sum
+    (self + sign*other), negation, products and quotients.
     """
 
     __slots__ = ("tower", "place")
@@ -400,6 +384,14 @@ class _Local:
         a, b = self._lift(tower), other._lift(tower)
         _check_place(a, b)
         return a, b
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
 
     def __rsub__(self, other: Scalar):
         return (-self) + other
@@ -510,21 +502,13 @@ class RationalFunction(_Local):
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _sum(self, other: RationalFunction | Scalar, combine) -> RationalFunction:
+    def _sum(self, other: RationalFunction | Scalar, sign: int) -> RationalFunction:
         a, b = self._pair(other)
-        zero = a.tower.zero()
         if a.den == b.den:
-            return RationalFunction(a.tower, a.place, combine(a.num, b.num, zero), a.den)
-        num = combine(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), zero)
+            return RationalFunction(a.tower, a.place, _psum(a.num, b.num, sign), a.den)
+        zero = a.tower.zero()
+        num = _psum(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), sign)
         return RationalFunction(a.tower, a.place, num, _pmul(a.den, b.den, zero))
-
-    def __add__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        return self._sum(other, _padd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RationalFunction | Scalar) -> RationalFunction:
-        return self._sum(other, _psub)
 
     def __neg__(self) -> RationalFunction:
         return RationalFunction._coprime(self.tower, self.place, _pneg(self.num), self.den)
@@ -720,30 +704,18 @@ class PuiseuxSeries(_Local):
 
     # -- arithmetic -------------------------------------------------------------------
 
-    def __add__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
+    def _sum(self, other: PuiseuxSeries | Scalar, sign: int) -> PuiseuxSeries:
+        """Both coefficient tuples padded to the lower lead and cut to the common
+        precision, which no lead exceeds, then summed by _psum."""
         a, b = self._pair(other)
         precision = min(a.precision, b.precision)
-        if a.is_zero() and b.is_zero():
-            return PuiseuxSeries.zero(a.tower, a.place, precision)
         lead = min(a.lead, b.lead)
-        size = precision - lead
         zero = a.tower.zero()
-        out = [zero] * size
-        for series in (a, b):
-            for i, coeff in enumerate(series.coeffs):
-                pos = series.lead + i - lead
-                if pos < size:
-                    out[pos] = out[pos] + coeff
-        return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
-
-    __radd__ = __add__
+        p, q = (((zero,) * (s.lead - lead) + s.coeffs)[:precision - lead] for s in (a, b))
+        return PuiseuxSeries(a.tower, a.place, lead, _psum(p, q, sign), precision)
 
     def __neg__(self) -> PuiseuxSeries:
         return PuiseuxSeries(self.tower, self.place, self.lead, _pneg(self.coeffs), self.precision)
-
-    def __sub__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
-        a, b = self._pair(other)
-        return a + (-b)
 
     def __mul__(self, other: PuiseuxSeries | Scalar) -> PuiseuxSeries:
         a, b = self._pair(other)

@@ -718,6 +718,31 @@ def test_example_obstruction_edited_fails(tmp_path, capsys, line, edited):
         assert evidence == {"cover_variable": "w", "result": "zero", "order": None}
 
 
+ZERO_COVER = """\
+claim zero_cover
+system:
+  w^2 = x
+place: t = 0 ram 1
+let x = 0
+let w = sqrt(0)
+expect: lifts
+"""
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_lifts_claim_whose_cover_factor_vanishes_fails(tmp_path, capsys, mode):
+    # the point verifies, but g = x vanishes there: there is no lift to check
+    path = tmp_path / "claims.txt"
+    path.write_text(ZERO_COVER, encoding="utf-8")
+    assert main(["load", str(path), "run", "zero_cover", "--mode", mode, "--json"]) == 1
+    evidence = json.loads(capsys.readouterr().out)["evidence"]
+    assert (evidence["passed"], evidence["lift"]) == (True, "zero")
+    assert main(["load", str(path), "all", "--mode", mode]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  zero_cover" in out and "    lift: zero\n" in out
+    assert out.endswith("failures: zero_cover\n")
+
+
 @pytest.mark.parametrize(
     "target, verdict, result, order",
     [("r", "pass", "nonsquare", 1), ("t - t", "fail", "zero", None),
@@ -822,11 +847,12 @@ def test_each_distinct_system_is_parsed_once_per_registry(system_parses, capsys)
 
 @pytest.mark.parametrize("name, verdict, work", [
     # a pass claim over a height-2 tower: evaluated apart, its lets and its system
-    # pass made 36 products, 12 sums, 7 quotients and 9 powers
-    ("gen_0006_h2", "pass", {"mul": 25, "sum": 7, "div": 6, "pow": 6}),
+    # pass made 36 products, 12 sums, 7 quotients and 9 powers, when each power
+    # still began with a product by one
+    ("gen_0006_h2", "pass", {"mul": 19, "sum": 7, "div": 6, "pow": 6}),
     # an obstructed claim over a height-1 tower: apart, its lets, its base pass and its
     # cover factor made 39, 13, 7 and 11
-    ("gen_0008_h1", "pass", {"mul": 23, "sum": 7, "div": 6, "pow": 6}),
+    ("gen_0008_h1", "pass", {"mul": 17, "sum": 7, "div": 6, "pow": 6}),
 ])
 def test_a_claim_run_makes_each_exact_operation_once(name, verdict, work,
                                                      rational_function_operations):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -220,7 +221,7 @@ def _random_pair(rng, tower, planted):
 
 def test_rf_results_are_in_normal_form_and_match_the_constructor():
     from localpoints.field_tower import embed
-    from localpoints.series import _padd, _pembed, _pgcd, _pmul, _pneg, _pramify, _psub
+    from localpoints.series import _pembed, _pgcd, _pmul, _pneg, _pramify, _psum
 
     rng = random.Random(41)
     towers = _towers()
@@ -247,8 +248,8 @@ def test_rf_results_are_in_normal_form_and_match_the_constructor():
         cases = [
             (f * g, place, mul(f_num, g_num), mul(f_den, g_den)),
             (f / g, place, mul(f_num, g_den), mul(f_den, g_num)),
-            (f + g, place, _padd(mul(f_num, g_den), mul(g_num, f_den), zero), mul(f_den, g_den)),
-            (f - g, place, _psub(mul(f_num, g_den), mul(g_num, f_den), zero), mul(f_den, g_den)),
+            (f + g, place, _psum(mul(f_num, g_den), mul(g_num, f_den), 1), mul(f_den, g_den)),
+            (f - g, place, _psum(mul(f_num, g_den), mul(g_num, f_den), -1), mul(f_den, g_den)),
             (-f, place, _pneg(f_num), f_den),
             (f ** k, place, power(f_num, k), power(f_den, k)),
             (f ** -k, place, power(f_den, k), power(f_num, k)),
@@ -343,6 +344,15 @@ def test_series_mul_of_half_powers():
     product = root_t * root_t
     assert product.lead == 2
     assert product.valuation() == 1
+
+
+def test_a_power_of_a_negative_lead_series_knows_what_its_product_knows():
+    # a power starts from its base, not from the constant one, which would know
+    # only 10 - 4 = 6 terms of x^2 = one * (x * x)
+    x = PuiseuxSeries.from_terms(QQ, ORIGIN, {-2: 1, 0: 3}, 10)
+    assert (x ** 2).precision == (x * x).precision == 8
+    assert (x ** 2).matches(x * x)
+    assert (x ** 0).precision == 10
 
 
 def test_series_div_and_cancellation():
@@ -714,7 +724,7 @@ def _elements(tower, coords):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_sparse_kernels_match_the_fraction_schoolbook(height, data):
-    from localpoints.series import _convolve, _padd, _pdivmod, _pmul, _psub, _series_quotient
+    from localpoints.series import _convolve, _pdivmod, _pmul, _psum, _series_quotient
 
     tower = CONSTANT_TOWERS[height]
     steps, dim, zero = tower.steps, tower.dim, tower.zero()
@@ -736,8 +746,30 @@ def test_sparse_kernels_match_the_fraction_schoolbook(height, data):
         got = _convolve(ep, eq, size, tower)
         assert len(got) == size
         same(got, _ref_products(steps, p, q, size))
-    same(_padd(ep, eq, zero), _ref_sum(p, q, 1, fraction_zero))
-    same(_psub(ep, eq, zero), _ref_sum(p, q, -1, fraction_zero))
+    same(_psum(ep, eq, 1), _ref_sum(p, q, 1, fraction_zero))
+    same(_psum(ep, eq, -1), _ref_sum(p, q, -1, fraction_zero))
+
+    # series sums: p and q at leads and precisions of their own, and a zero series,
+    # whose lead is its precision
+    place = Place.finite(zero, 1)
+    specs = []
+    for coords in (p, q, []):
+        lead = data.draw(st.integers(-3, 3))
+        precision = lead + data.draw(st.integers(0 if coords else -3, 10))
+        if not coords:
+            lead = precision
+        specs.append((lead, coords, precision,
+                      PuiseuxSeries(tower, place, lead, _elements(tower, coords), precision)))
+    for (a_lead, a, a_prec, x), (b_lead, b, b_prec, y) in itertools.product(specs, repeat=2):
+        lead, precision = min(a_lead, b_lead), min(a_prec, b_prec)
+        size = precision - lead
+        padded = [([fraction_zero] * (at - lead) + coords)[:size]
+                  for at, coords in ((a_lead, a), (b_lead, b))]
+        for sign, total in ((1, x + y), (-1, x - y)):
+            assert total.precision == precision
+            expected = _ref_sum(*padded, sign, fraction_zero)
+            same([total.coefficient(k) for k in range(lead, precision)],
+                 expected + [fraction_zero] * (size - len(expected)))
 
     divisor = _sparse(data, dim, st.integers(2, 6), forced=-1)
     quot, rem = _pdivmod(ep, _elements(tower, divisor), zero)
