@@ -377,7 +377,7 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
     """parse_system(source, tower), parsed once per registry.
 
     systems belongs to one registry and maps (source, tower) to the parsed
-    system.  It fills as claims first run, and never holds a failure, so each
+    system.  It fills as claims are built and never holds a failure, so each
     claim whose system does not parse raises with its own position.
     """
     key = (source, tower)
@@ -388,44 +388,43 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
 
 
 def _build_system(
-    parsed: ParsedClaim, source: str, tower: FieldTower, point: PointAssignment, systems: dict
+    parsed: ParsedClaim, source: str, tower: FieldTower, systems: dict
 ) -> tuple[PolynomialSystem, tuple[int, str, Expr] | None]:
     """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
 
     source is the claim's system lines joined.  An error in it names the line
     and column of the claim file.  So do an obstructed or lifts claim with no
     cover equation, a variable no let binds, at its first use, and a
-    square-root let whose variable the system uses with an odd power.  An
-    obstructed claim leaves its cover variable w unbound when w occurs only as
-    the w^2 of its cover equation; a lifts claim binds w to a square root, so
-    its cover equation is found past those lets.  systems is shared by
-    _shared_system.
+    square-root let whose variable the system uses with an odd power; the
+    last let of a name binds it.  An obstructed claim leaves its cover
+    variable w unbound when w occurs only as the w^2 of its cover equation; a
+    lifts claim binds w to a square root, so its cover equation is found past
+    those lets.  systems is shared by _shared_system.
     """
     try:
         system = _shared_system(systems, source, tower)
     except ClaimSyntaxError as err:
         line, column = parsed.system_lines[err.line - 1][0]
         raise ClaimSyntaxError(err.message, line, column + err.column - 1) from None
-    unbound = set(system.variables) - set(point.bindings)
+    lets = {var: is_sqrt for _, var, _, is_sqrt in parsed.lets}
+    unbound = set(system.variables) - set(lets)
     cover = None
     if parsed.expect in ("obstructed", "lifts"):
-        lookup = point if parsed.expect == "obstructed" else PointAssignment(point.place, {
-            v: b for v, b in point.bindings.items() if not isinstance(b, FormalSqrt)},
-            point.cache)
+        bound = lets if parsed.expect == "obstructed" else [v for v in lets if not lets[v]]
         try:
-            cover = index, variable, g = find_cover_equation(system, lookup)
+            cover = index, variable, g = find_cover_equation(system, bound)
         except ValueError:
             raise ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g",
                                    parsed.line, 1) from None
         if parsed.expect == "obstructed" and variable not in {
                 *system.without_equation(index).variables, *free_symbols(g)}:
             unbound.discard(variable)
-    for (line, column), text in parsed.system_lines:
+    for (line, column), text in parsed.system_lines if unbound else ():
         for match in _IDENTIFIER.finditer(text):
             if match[0] in unbound:
                 raise ClaimSyntaxError(f"unbound variable {match[0]!r}: no let binds it",
                                        line, column + match.start())
-    odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
+    odd = next((v for v in lets if lets[v] and v in system.odd_powers), None)
     if odd is not None:
         line, column = max(position for position, var, _, _ in parsed.lets if var == odd)
         raise ClaimSyntaxError(f"{odd!r} is a square root; the system has an odd power of it",
@@ -494,17 +493,15 @@ def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
 
 def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
                   point: PointAssignment, precision: int, evidence: dict) -> str:
-    """Lift a verified point along its cover equation w^2 = g, w's binding dropped.
+    """Lift a verified point along its cover equation w^2 = g.
 
     The lift's witness must square to the square root the claim bound w to;
     a cover factor that vanishes at the point has no lift to check.
     """
     _, variable, g = cover_equation
-    bindings = dict(point.bindings)
-    w_square = bindings.pop(variable).square
+    w_square = point.bindings[variable].square
     try:
-        lift = _lift(cover, variable, g, PointAssignment(point.place, bindings, point.cache),
-                     "over_c", precision)
+        lift = _lift(cover, variable, g, point, "over_c", precision)
     except ZeroFunctionError:
         evidence["lift"] = "zero"
         return "fail"
@@ -594,13 +591,19 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
 
 
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
-    """The claim a parsed block declares, whose run only parses and evaluates expressions;
-    towers is shared by _build_tower, systems by _shared_system."""
+    """The claim a parsed block declares, its system checked here, so that a run only parses
+    and evaluates its let, check and nonsquare expressions; towers is shared by
+    _build_tower, systems by _shared_system."""
     if parsed.orbifold is not None:
         return _orbifold_claim(parsed)
     tower = _build_tower(parsed, towers)
     place = _build_place(parsed, tower)
+    if not (parsed.system_lines or parsed.checks):
+        raise ClaimSyntaxError(f"claim {parsed.name!r} checks nothing: it has no system "
+                               "and no identity or order line", parsed.line, 1)
     source = "\n".join(text for _, text in parsed.system_lines)
+    if parsed.expect != "nonsquare":
+        system, cover = _build_system(parsed, source, tower, systems)
 
     def run(params: ClaimParams) -> ClaimOutcome:
         cache: dict = {}  # one run's exact evaluations: lets, system pass and cover factor
@@ -608,12 +611,10 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         point = PointAssignment(place, bindings, cache)
         if parsed.expect == "nonsquare":
             verdict, evidence = _nonsquare(parsed, values)
+        elif parsed.expect == "obstructed":
+            verdict, evidence = _obstructed(system, cover, point, params)
         else:
-            system, cover = _build_system(parsed, source, tower, point, systems)
-            if parsed.expect == "obstructed":
-                verdict, evidence = _obstructed(system, cover, point, params)
-            else:
-                verdict, evidence = _verified(system, point, params)
+            verdict, evidence = _verified(system, point, params)
         if not _checks_hold(parsed, values, evidence):
             verdict = "fail"
         if parsed.expect == "lifts" and verdict == "pass":
@@ -735,23 +736,22 @@ def _golden_point(tower: FieldTower, e: int) -> tuple:
     return place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
 
 
-def _cover_pair(tower: FieldTower, systems: dict, point: PointAssignment,
+def _cover_pair(cover: PolynomialSystem, point: PointAssignment,
                 twist: RationalFunction, params: ClaimParams, check_base: bool) -> list[dict]:
     """The point lifted along the cover and along its twist: each lift's result and order.
 
     check_base applies to the first lift; the second never checks the base again.
     """
-    cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, tower)
     return [{"result": lift.kind, "order": lift.order} for lift in (
         lift_along_cover(cover, point, precision=params.precision, twist=factor, check_base=check)
         for factor, check in ((None, check_base), (twist, False)))]
 
 
-def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
+def _golden_nonlift_claim(n: int, cover: PolynomialSystem) -> Claim:
     name = f"golden_nonlift_n{n}"
 
     def run(params: ClaimParams) -> ClaimOutcome:
-        place, r, t, u, x, g, lhs1, lhs2 = _golden_point(tower, 2 * n)
+        place, r, t, u, x, g, lhs1, lhs2 = _golden_point(cover.tower, 2 * n)
         orders = {
             "cover_factor": g.order_at_zero(),
             "lhs_1": lhs1.order_at_zero(),
@@ -768,7 +768,7 @@ def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
                 "quotient_order": check.order,
                 "witness_precision": witness.precision if witness else None,
             }
-        plain, twisted = _cover_pair(tower, systems, point, r * r, params, check_base=False)
+        plain, twisted = _cover_pair(cover, point, r * r, params, check_base=False)
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -796,8 +796,8 @@ def _golden_nonlift_claim(n: int, tower: FieldTower, systems: dict) -> Claim:
     )
 
 
-def _two_forms(tower: FieldTower, systems: dict, params: ClaimParams) -> ClaimOutcome:
-    place, r, t, u, x, g, lhs1, lhs2 = _golden_point(tower, 2)
+def _two_forms(cover: PolynomialSystem, params: ClaimParams) -> ClaimOutcome:
+    place, r, t, u, x, g, lhs1, lhs2 = _golden_point(cover.tower, 2)
     point = PointAssignment(
         place,
         {
@@ -808,7 +808,7 @@ def _two_forms(tower: FieldTower, systems: dict, params: ClaimParams) -> ClaimOu
         },
     )
     # check_base on: the point really is a point of the base system
-    plain, twisted = _cover_pair(tower, systems, point, r * r, params, check_base=True)
+    plain, twisted = _cover_pair(cover, point, r * r, params, check_base=True)
     ok = plain["result"] == twisted["result"] == "obstructed"
     return ClaimOutcome(
         "pass" if ok else "fail",
@@ -972,13 +972,13 @@ def builtin_registry() -> dict[str, Claim]:
 
     claims = from_text(POINTS_TEXT)
     shifted_form = from_text(SHIFTED_FORM_TEXT)
-    # the golden point's field, built once for the shifted form's adjoin lines
-    golden = shifted_form[0].system_tower
-    claims += [_golden_nonlift_claim(n, golden, systems) for n in range(1, 6)]
+    # the cover system over Q(alpha, beta), the tower the shifted form's adjoin lines built
+    golden_cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, shifted_form[0].system_tower)
+    claims += [_golden_nonlift_claim(n, golden_cover) for n in range(1, 6)]
     claims += shifted_form
     claims.append(Claim("k3_cover_two_forms_obstructed", "lift_test",
                         "both double-cover forms obstruct at the golden place",
-                        partial(_two_forms, golden, systems),
+                        partial(_two_forms, golden_cover),
                         system_source=_COVER_SYSTEM_SOURCE))
     claims += from_text(K3_LIFTS_TEXT)
     claims.append(Claim("lemma91_property", "property_test",

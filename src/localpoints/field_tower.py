@@ -287,16 +287,16 @@ class FieldTower:
         return self.rational(value)
 
 
-def _power(base, exponent: int, one):
-    """base**exponent by square and multiply, for exponent >= 0; one only for exponent 0.
+def _power(base, exponent: int):
+    """base**exponent by square and multiply, for exponent >= 1.
 
     The one square-and-multiply behind every ** of the package: field
     elements, rational functions and series.  It starts from base, so it
-    makes no product with one.
+    makes no product with one; each caller makes its own one for exponent 0.
     """
-    if exponent < 2:
-        return base if exponent else one
-    square = _power(base * base, exponent >> 1, one)
+    if exponent == 1:
+        return base
+    square = _power(base * base, exponent >> 1)
     return square * base if exponent & 1 else square
 
 
@@ -521,7 +521,7 @@ class FieldElement:
     def __pow__(self, exponent: int) -> FieldElement:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return _power(self, exponent, self.tower.one())
+        return _power(self, exponent) if exponent else self.tower.one()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -403,10 +403,9 @@ class _Local:
         return 1 / self
 
     def __pow__(self, exponent: int):
-        base = self
-        if exponent < 0:
-            base, exponent = self._reciprocal(), -exponent
-        return _power(base, exponent, base._constant(1))
+        if exponent == 0:
+            return self._constant(1)
+        return _power(self._reciprocal() if exponent < 0 else self, abs(exponent))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

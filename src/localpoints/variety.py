@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping
 
 from .errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError, ZeroFunctionError
 from .exprs import (
@@ -58,7 +58,8 @@ class Equation:
     @cached_property
     def cleared(self) -> tuple[Expr, Expr, str | None]:
         """Both sides times every symbol-bearing denominator (i.e. powers of t), and its text."""
-        denominators = [d for side in (self.lhs, self.rhs) for d, _ in _denominators(side)]
+        denominators = [d for side in (self.lhs, self.rhs) for d, _ in _denominators(side)
+                        if free_symbols(d)]
         if not denominators:
             return self.lhs, self.rhs, None
         multiplier = reduce(lambda a, b: BinOp("*", a, b), denominators)
@@ -100,15 +101,15 @@ class PolynomialSystem:
 
 
 def _denominators(expr: Expr) -> Iterator[tuple[Expr, str]]:
-    """Each denominator of expr that holds a symbol, outermost first, with what makes it one."""
+    """Each denominator of expr, outermost first, with what makes it one if it holds a variable."""
     if isinstance(expr, Neg):
         yield from _denominators(expr.operand)
     elif isinstance(expr, Pow):
-        if expr.exponent < 0 and free_symbols(expr.base):
+        if expr.exponent < 0:
             yield Pow(expr.base, -expr.exponent), "negative power of a variable"
         yield from _denominators(expr.base)
     elif isinstance(expr, BinOp):
-        if expr.op == "/" and free_symbols(expr.right):
+        if expr.op == "/":
             yield expr.right, "division by an expression containing variables"
         yield from _denominators(expr.left)
         yield from _denominators(expr.right)
@@ -118,7 +119,9 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     """Parse one equation or "!= 0" constraint per line.
 
     Identifiers that are not t or tower generators become system variables;
-    the local parameter r is reserved and rejected here.
+    the local parameter r is reserved and rejected here.  A divisor in t and
+    the generators alone is evaluated exactly at t = r: a function of t that
+    vanishes at one place vanishes at every place, so a zero one is an error.
     """
     reserved = {"t"} | set(tower.generator_names)
     equations: list[Equation] = []
@@ -149,10 +152,17 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
         raise ClaimSyntaxError("the local parameter r cannot appear in a system", lineno, 1)
     variables = tuple(sorted(seen - reserved))
     var_set = set(variables)
+    coordinates = _coordinates(t_function(tower, Place.finite(tower.zero())), tower)
     for lineno, expr in sides:
         for denominator, message in _denominators(expr):
             if free_symbols(denominator) & var_set:
                 raise ClaimSyntaxError(message, lineno, 1)
+            try:
+                zero = evaluate(denominator, coordinates, coordinates["t"]._constant).is_zero()
+            except ZeroDivisionError:  # a zero divisor inside this one
+                zero = True
+            if zero:
+                raise ClaimSyntaxError("division by zero in system", lineno, 1)
     return PolynomialSystem(tower, variables, tuple(equations), tuple(inequations))
 
 
@@ -411,9 +421,9 @@ class LiftOutcome:
 
 
 def find_cover_equation(
-    cover: PolynomialSystem, point: PointAssignment
+    cover: PolynomialSystem, bound: Collection[str]
 ) -> tuple[int, str, Expr]:
-    """Locate the unique equation w^2 = g whose variable the point leaves unbound."""
+    """Locate the unique equation w^2 = g whose variable is not among the bound names."""
     for index, eq in enumerate(cover.equations):
         for side, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
             if (
@@ -421,7 +431,7 @@ def find_cover_equation(
                 and side.exponent == 2
                 and isinstance(side.base, Sym)
                 and side.base.name in cover.variables
-                and side.base.name not in point.bindings
+                and side.base.name not in bound
             ):
                 return index, side.base.name, other
     raise ValueError("no cover equation w^2 = g with an unbound variable")
@@ -441,7 +451,7 @@ def lift_along_cover(
     factor, made integral by ramification, enters as the twist multiplier.
     Callers that already verified the base point can pass check_base=False.
     """
-    index, variable, g_expr = find_cover_equation(cover, base_point)
+    index, variable, g_expr = find_cover_equation(cover, base_point.bindings)
     if check_base:
         base_report = verify_point(cover.without_equation(index), base_point, mode="exact")
         if not base_report.passed:

@@ -382,9 +382,8 @@ def test_system_error_reports_the_file_line(tmp_path, registry, bad_line, column
         f"claim bad_system\nplace: t = 0 ram 1\nlet x = 1\nsystem:\n  x^2 = 1\n  {bad_line}\n",
         encoding="utf-8",
     )
-    extended = load_claim_file(str(path), registry)
     with pytest.raises(ClaimSyntaxError) as err:
-        run_claim("bad_system", extended)
+        load_claim_file(str(path), registry)
     assert err.value.line == 6
     assert err.value.column == column
     assert str(err.value).startswith(f"line 6, column {column}:")
@@ -462,15 +461,27 @@ def test_lifts_on_an_odd_cover_factor_fails(tmp_path, registry):
     assert "witness" not in report.evidence
 
 
+def test_lifts_along_a_cover_factor_that_reads_w(tmp_path):
+    # the lift evaluates g at the point it verified, w's square root included
+    path = tmp_path / "claims.txt"
+    path.write_text(
+        "claim w_in_g\nsystem:\n  w^2 = w^2*(w^2 - t + 1)\nplace: t = 0 ram 2\n"
+        "let w = sqrt(t)\nexpect: lifts\n",
+        encoding="utf-8",
+    )
+    report = run_claim("w_in_g", load_claim_file(str(path), {}))
+    assert report.verdict == "pass"
+    assert report.evidence["witness_square_matches"] is True
+
+
 def test_lifts_without_a_cover_equation_is_positioned(tmp_path, registry):
     path = tmp_path / "claims.txt"
     path.write_text(
         "claim no_cover\nsystem:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1\nexpect: lifts\n",
         encoding="utf-8",
     )
-    extended = load_claim_file(str(path), registry)
     with pytest.raises(ClaimSyntaxError) as err:
-        run_claim("no_cover", extended)
+        load_claim_file(str(path), registry)
     assert err.value.line == 1
 
 
@@ -883,12 +894,16 @@ system:
 def test_claims_with_the_same_broken_system_report_their_own_positions(tmp_path):
     path = tmp_path / "claims.txt"
     path.write_text(BROKEN_TWICE, encoding="utf-8")
-    registry = load_claim_file(str(path), {})
+    with pytest.raises(ClaimSyntaxError) as err:
+        load_claim_file(str(path), {})
+    assert (err.value.line, err.value.column) == (5, 9)
     # a system that does not parse is never kept, so no claim sees another's error
-    for name, position in [("broken_first", (5, 9)), ("broken_second", (11, 11)),
-                           ("broken_first", (5, 9))]:
+    # when the claims are built over one registry's shared towers and systems
+    towers, systems = {}, {}
+    first, second = parse_claim_file(BROKEN_TWICE)
+    for parsed, position in [(first, (5, 9)), (second, (11, 11)), (first, (5, 9))]:
         with pytest.raises(ClaimSyntaxError) as err:
-            run_claim(name, registry)
+            claims._claim_from_parsed(parsed, towers, systems)
         assert (err.value.line, err.value.column) == position
         assert str(err.value).endswith("expected an expression, got '*'")
 
@@ -913,17 +928,24 @@ let x = sqrt(t^2)
 
 def test_each_claim_checks_its_points_on_a_shared_system(tmp_path, system_parses):
     path = tmp_path / "claims.txt"
-    path.write_text(ONE_SYSTEM_THREE_POINTS, encoding="utf-8")
-    registry = load_claim_file(str(path), {})
+    # the claims are built as loading builds them, over one registry's shared systems
+    towers, systems = {}, {}
+    bound, unbound, odd_power = parse_claim_file(ONE_SYSTEM_THREE_POINTS)
+    registry = {"bound": claims._claim_from_parsed(bound, towers, systems)}
     assert run_claim("bound", registry).verdict == "pass"
-    for name, position, message in [
-            ("unbound", (8, 3), "unbound variable 'x': no let binds it"),
-            ("odd_power", (14, 9), "'x' is a square root; the system has an odd power of it")]:
+    for parsed, position, message in [
+            (unbound, (8, 3), "unbound variable 'x': no let binds it"),
+            (odd_power, (14, 9), "'x' is a square root; the system has an odd power of it")]:
         with pytest.raises(ClaimSyntaxError) as err:
-            run_claim(name, registry)
+            claims._claim_from_parsed(parsed, towers, systems)
         assert (err.value.line, err.value.column) == position
         assert str(err.value).endswith(message)
     assert len(system_parses) == 1
+    # loading the file stops at its first fault
+    path.write_text(ONE_SYSTEM_THREE_POINTS, encoding="utf-8")
+    with pytest.raises(ClaimSyntaxError) as err:
+        load_claim_file(str(path), {})
+    assert (err.value.line, err.value.column) == (8, 3)
 
 
 @pytest.mark.parametrize("name", ["point_sqrt_t", "k3_lift_sqrt_t",
@@ -999,6 +1021,24 @@ STATIC_ERRORS = [
      "adjoin alpha : alpha^2 - 2 = 0\nsystem:\n  x = alpha\nplace: t = 0 ram 1\n"
      "let x = 1\nlet  alpha = 1\nexpect: lifts",
      "line 7, column 6: a let may not bind 'alpha': the system reads it as a generator"),
+    # a claim's system is parsed and checked against its let names when it is built
+    ("system_syntax", "place: t = 0 ram 1\nlet x = 1\nsystem:\n  x^2 = * 1",
+     "line 5, column 9: expected an expression, got '*'"),
+    # a divisor in t and the generators that vanishes is zero at every place
+    *((f"system_divides_by_zero_{name}", f"adjoin s : s^2 - 2 = 0\nsystem:\n  x = 1/({divisor})\n"
+       "place: t = 0 ram 1\nlet x = 1", "line 4, column 3: division by zero in system")
+      for name, divisor in (("in_t", "t - t"), ("constant", "1 - 1"),
+                            ("in_a_generator", "s^2 - 2"))),
+    ("unbound_variable", "system:\n  x = y\nplace: t = 0 ram 1\nlet x = 1",
+     "line 3, column 7: unbound variable 'y': no let binds it"),
+    ("no_cover_equation", "system:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1\nexpect: obstructed",
+     "line 1, column 1: obstructed: no cover equation w^2 = g"),
+    ("sqrt_let_with_an_odd_power", "system:\n  x^3 = t^3\nplace: t = 0 ram 1\nlet x = sqrt(t^2)",
+     "line 5, column 9: 'x' is a square root; the system has an odd power of it"),
+    # a claim that checks nothing would pass vacuously
+    ("checks_nothing", "place: t = 0 ram 1\nlet x = 1",
+     "line 1, column 1: claim 'broken' checks nothing: it has no system and no identity or "
+     "order line"),
 ]
 
 
@@ -1021,3 +1061,42 @@ def test_example_file_without_a_place_exits_two_at_list(tmp_path, capsys):
     assert main(["load", str(path), "list"]) == 2
     assert capsys.readouterr().err == (
         "error: line 40, column 1: claim 'example_t_is_not_a_square' has no place\n")
+
+
+# a system that divides by zero and a claim that checks nothing: their runs used to
+# end in a traceback (exact), an undecided (truncated) or a vacuous pass
+NOW_AT_LOAD = [row for row in STATIC_ERRORS
+               if row[0].startswith(("system_divides_by_zero", "checks_nothing"))]
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+@pytest.mark.parametrize(
+    "body, message", [row[1:] for row in NOW_AT_LOAD], ids=[row[0] for row in NOW_AT_LOAD])
+def test_a_zero_divisor_or_an_empty_claim_is_a_load_error_in_both_modes(
+        tmp_path, capsys, mode, body, message):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim broken\n{body}\n", encoding="utf-8")
+    assert main(["load", str(path), "all", "--mode", mode]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "truncated"])
+def test_a_claim_with_checks_and_no_system_stays_valid(tmp_path, mode):
+    path = tmp_path / "claims.txt"
+    path.write_text("claim checks_only\nplace: t = 0 ram 2\n"
+                    "identity square: (1 - r^2)/(1 - r) = 1 + r\n", encoding="utf-8")
+    report = run_claim("checks_only", load_claim_file(str(path), {}), mode=mode)
+    assert report.verdict == "pass"
+    assert report.evidence["square"] == "exact"
+
+
+def test_no_claim_run_parses_or_checks_a_system(monkeypatch):
+    # both registries are built first: every system is parsed and checked there
+    registries = [builtin_registry(), load_claim_file(str(GENERATED), {})]
+    calls = []
+    for spied in ("parse_system", "_build_system"):
+        monkeypatch.setattr(claims, spied, lambda *args, n=spied: calls.append(n))
+    for registry in registries:
+        reports, summary = run_all(registry, samples=60)
+        assert summary["failed"] == 0 and summary["passed"] == len(reports)
+    assert calls == []

@@ -355,6 +355,21 @@ def test_a_power_of_a_negative_lead_series_knows_what_its_product_knows():
     assert (x ** 0).precision == 10
 
 
+def test_only_a_zeroth_power_builds_the_constant_one(monkeypatch):
+    f = 1 + r_function(QQ, ORIGIN)
+    built = []
+    constant = RationalFunction._constant
+    monkeypatch.setattr(RationalFunction, "_constant",
+                        lambda self, value: built.append(value) or constant(self, value))
+    powers = [f ** k for k in (1, 2, 5, 8)]
+    assert built == []
+    one = f ** 0
+    assert built == [1]
+    monkeypatch.undo()
+    assert one == 1
+    assert powers == [f, f * f, f * f * f * f * f, (f * f) * (f * f) * (f * f) * (f * f)]
+
+
 def test_series_div_and_cancellation():
     one = PuiseuxSeries.constant(QQ, ORIGIN, 1, 10)
     denom = PuiseuxSeries.from_terms(QQ, ORIGIN, {0: 1, 1: -1}, 10)

@@ -68,6 +68,11 @@ def test_parse_system_syntax_error():
         parse_system("1/x = t\n")
     with pytest.raises(ClaimSyntaxError):
         parse_system("r + t = 0\n")
+    # a divisor in t and the generators alone that vanishes, here or inside another
+    for zero in ("x = 1/(t - t)", "x = 1/0", "x = (t^2 - t*t)^-1", "x/(1/(1 - 1)) != 0"):
+        with pytest.raises(ClaimSyntaxError, match="division by zero in system"):
+            parse_system(f"y = 1\n{zero}\n")
+    assert parse_system("x = 1/(t - 1) + 2^-1\n").variables == ("x",)
 
 
 def test_parser_roundtrip_on_system():
