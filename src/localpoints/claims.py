@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from .errors import (
     ClaimSyntaxError,
@@ -44,20 +44,20 @@ from .series import (
     RationalFunction,
     is_square_local,
     r_function,
-    t_function,
 )
 from .variety import (
     ExactValue,
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
+    _env,
     _exact_context,
     _lift,
-    _local_root,
     find_cover_equation,
     lift_along_cover,
     parse_system,
     sample_square_lift_property,
+    solve_square,
     valuation_case_predicates,
     verify_point,
 )
@@ -321,10 +321,11 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
 
 
 def _evaluate(text: str, position: Position, env: dict, where: str,
-              const: Callable | None = None, cache: dict | None = None):
+              const: Callable | None = None, cache: dict | None = None, lets: Collection = ()):
     """The exact value of an expression over env; const makes its constants (t's by default).
 
-    An undeclared identifier and a division by zero are positioned errors.
+    An undeclared identifier, a let of lets that env leaves out (a check leaves
+    out the square-root lets) and a division by zero are positioned errors.
     cache is evaluate's, keyed on operand values: calls over one backend that
     share it (the lets of a run, say) evaluate each distinct operation once.
     """
@@ -334,6 +335,9 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
         name = sorted(unknown)[0]
         at = next((at_line, at_column) for _, word, at_line, at_column
                   in _tokenize(text, *position) if word == name)
+        if any(var == name for _, var, _, _ in lets):
+            raise ClaimSyntaxError(f"{name!r} is a square-root let; checks and nonsquare "
+                                   "expressions read only exact lets", *at)
         raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *at)
     try:
         return evaluate(expr, env, const or env["t"]._constant, cache=cache)
@@ -368,9 +372,6 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
                 *position)
         tower = towers[chain] = result
     return tower
-
-
-_IDENTIFIER = re.compile(r"[^\W\d]\w*")
 
 
 def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialSystem:
@@ -420,10 +421,11 @@ def _build_system(
                 *system.without_equation(index).variables, *free_symbols(g)}:
             unbound.discard(variable)
     for (line, column), text in parsed.system_lines if unbound else ():
-        for match in _IDENTIFIER.finditer(text):
-            if match[0] in unbound:
-                raise ClaimSyntaxError(f"unbound variable {match[0]!r}: no let binds it",
-                                       line, column + match.start())
+        # the line parsed, so with its = or != blanked it tokenizes, each token in place
+        for _, word, at_line, at_column in _tokenize(re.sub("[!=]", " ", text), line, column):
+            if word in unbound:
+                raise ClaimSyntaxError(f"unbound variable {word!r}: no let binds it",
+                                       at_line, at_column)
     odd = next((v for v in lets if lets[v] and v in system.odd_powers), None)
     if odd is not None:
         line, column = max(position for position, var, _, _ in parsed.lets if var == odd)
@@ -466,9 +468,9 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
     """Record each identity and order check in evidence; whether all of them hold."""
     holds = True
     for kind, label, expected, (left, left_at), (right, right_at) in parsed.checks:
-        value = _evaluate(left, left_at, values, kind)
+        value = _evaluate(left, left_at, values, kind, lets=parsed.lets)
         if kind == "identity":
-            ok = value == _evaluate(right, right_at, values, kind)
+            ok = value == _evaluate(right, right_at, values, kind, lets=parsed.lets)
             evidence[label] = "exact" if ok else "failed"
         else:  # the zero function has no order, so no order check holds for it
             order = None if value.is_zero() else value.order_at_zero()
@@ -482,7 +484,7 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
 def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     """The claim's one expression, over the check values, certified a local non-square."""
     position, text = parsed.system_lines[0]
-    value = _evaluate(text, position, values, "nonsquare")
+    value = _evaluate(text, position, values, "nonsquare", lets=parsed.lets)
     if value.is_zero():  # the zero function has no order, so it certifies nothing
         return "fail", {"expression": text, "result": "zero", "order": None}
     check = is_square_local(value)
@@ -623,7 +625,7 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
 
     return Claim(parsed.name, _kind(parsed),
                  parsed.description or f"claim-file check ({parsed.expect})",
-                 run, system_source=source or None,
+                 run, system_source=source if parsed.expect != "nonsquare" and source else None,
                  system_tower=tower if parsed.adjoins else None)
 
 
@@ -698,13 +700,22 @@ K3_LIFTS_TEXT = "".join(_POINT_TEXT.format(*row) for row in [
      "infinity ram 1", INFINITY_LETS + "\nlet w = sqrt(t^2 - t)\nexpect: lifts"),
 ])
 
+# Q(alpha, beta), with alpha^2 = alpha + 1 and beta^2 = -alpha, for the golden family
+_GOLDEN_ADJOINS = """\
+adjoin alpha : alpha^2 - alpha - 1 = 0
+adjoin beta : beta^2 + alpha = 0
+"""
+
+# the golden claims' point and cover system: builtin_registry parses it once, registers no claim
+GOLDEN_POINT_TEXT = _POINT_TEXT.format(
+    "golden_point", "the golden point u = 1/beta + r, x = alpha at t = -alpha", _COVER,
+    "-alpha ram 2", _GOLDEN_ADJOINS + "let u = 1/beta + r\nlet x = alpha")
+
 # the golden family in shifted coordinates, expanded at t = r^2
 SHIFTED_FORM_TEXT = """\
 claim golden_shifted_form
 description: shifted-coordinate equations verify; the factor keeps odd order
-adjoin alpha : alpha^2 - alpha - 1 = 0
-adjoin beta : beta^2 + alpha = 0
-system:
+""" + _GOLDEN_ADJOINS + """system:
   x^2 - t*u^2 + alpha*u^2 + t - alpha = (u^2*(t - alpha)^2 - t + alpha)*y^2
   (u^2*(t - alpha)^2 - t + alpha)*y^2 != 0
   x^2 - 2*t*u^2 + 2*alpha*u^2 + 1/(t - alpha) = (t - alpha)*(u^2*(t - alpha)^2 - t + alpha)*z^2
@@ -719,56 +730,46 @@ expect: pass
 """
 
 
-def _golden_point(tower: FieldTower, e: int) -> tuple:
-    """The golden point u = 1/beta + r, x = alpha at t = -alpha, ramification e.
-
-    tower is Q(alpha, beta) with alpha^2 = alpha + 1 and beta^2 = -alpha.
-    Returns place, r, t, u, x, the cover factor g = u^2 t^2 - t and the
-    left-hand sides of the two base equations.
-    """
-    alpha, beta = tower.gen("alpha"), tower.gen("beta")
-    place = Place.finite(-alpha, e)
-    r = r_function(tower, place)
-    t = t_function(tower, place)
-    u = 1 / beta + r
-    x = RationalFunction.constant(tower, place, alpha)
-    g = u * u * t * t - t
-    return place, r, t, u, x, g, x * x - t * u * u + t, x * x - 2 * t * u * u + 1 / t
+def _golden_point(golden: ParsedClaim, cover: PolynomialSystem, n: int) -> tuple:
+    """The point of GOLDEN_POINT_TEXT (golden) at ramification 2n and its _env context, whose
+    cache holds the lets' evaluations; the cover factor g of w^2 = g; and each base equation
+    LHS = C*v^2 as (v, LHS, C)."""
+    place = _build_place(golden, cover.tower).ramified(n)
+    cache: dict = {}
+    point = PointAssignment(place, _build_bindings(golden, cover.tower, place, cache)[0], cache)
+    index, _, g = find_cover_equation(cover, point.bindings)
+    return point, _env(cover, point), g, [(eq.rhs.right.base.name, eq.lhs, eq.rhs.left)
+                                          for eq in cover.without_equation(index).equations]
 
 
-def _cover_pair(cover: PolynomialSystem, point: PointAssignment,
-                twist: RationalFunction, params: ClaimParams, check_base: bool) -> list[dict]:
-    """The point lifted along the cover and along its twist: each lift's result and order.
+def _cover_pair(cover: PolynomialSystem, point: PointAssignment, params: ClaimParams,
+                check_base: bool) -> list[dict]:
+    """The point lifted along the cover and along its twist by r^2: each lift's result and order.
 
     check_base applies to the first lift; the second never checks the base again.
     """
+    twist = r_function(cover.tower, point.place) ** 2
     return [{"result": lift.kind, "order": lift.order} for lift in (
         lift_along_cover(cover, point, precision=params.precision, twist=factor, check_base=check)
         for factor, check in ((None, check_base), (twist, False)))]
 
 
-def _golden_nonlift_claim(n: int, cover: PolynomialSystem) -> Claim:
-    name = f"golden_nonlift_n{n}"
-
+def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) -> Claim:
     def run(params: ClaimParams) -> ClaimOutcome:
-        place, r, t, u, x, g, lhs1, lhs2 = _golden_point(cover.tower, 2 * n)
-        orders = {
-            "cover_factor": g.order_at_zero(),
-            "lhs_1": lhs1.order_at_zero(),
-            "lhs_2": lhs2.order_at_zero(),
-        }
-        valuation = str(Fraction(g.order_at_zero(), 2 * n))
-        point = PointAssignment(place, {"u": ExactValue(u), "x": ExactValue(x)})
+        point, context, g, equations = _golden_point(golden, cover, n)
+        orders = {"cover_factor": evaluate(g, *context).order_at_zero()}
+        orders.update((f"lhs_{k}", evaluate(lhs, *context).order_at_zero())
+                      for k, (_, lhs, _) in enumerate(equations, start=1))
         squares = {}
-        # y^2 and z^2 are the quotients of the base equations
-        for label, quotient in (("y", lhs1 / g), ("z", lhs2 / (t * g))):
-            check, witness, _ = _local_root(quotient, "over_c", params.precision)
+        # y^2 and z^2 are the quotients LHS/C of the base equations
+        for label, lhs, c in equations:
+            square = solve_square(cover, lhs, c, point, precision=params.precision)
             squares[label] = {
-                "result": "witness" if check.kind == "yes" else "nonsquare",
-                "quotient_order": check.order,
-                "witness_precision": witness.precision if witness else None,
+                "result": square.kind,
+                "quotient_order": square.order,
+                "witness_precision": square.witness.precision if square.witness else None,
             }
-        plain, twisted = _cover_pair(cover, point, r * r, params, check_base=False)
+        plain, twisted = _cover_pair(cover, point, params, check_base=False)
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -780,7 +781,7 @@ def _golden_nonlift_claim(n: int, cover: PolynomialSystem) -> Claim:
                 "n": n,
                 "ramification": 2 * n,
                 "orders": orders,
-                "cover_factor_valuation": valuation,
+                "cover_factor_valuation": str(Fraction(orders["cover_factor"], 2 * n)),
                 "square_witnesses": squares,
                 "plain_cover": plain,
                 "twisted_cover": twisted,
@@ -788,27 +789,23 @@ def _golden_nonlift_claim(n: int, cover: PolynomialSystem) -> Claim:
         )
 
     return Claim(
-        name,
+        f"golden_nonlift_n{n}",
         "squareness_certificate",
         "golden-ratio point: valuation certificates and cover obstructions",
         run,
         system_source=_COVER_SYSTEM_SOURCE,
+        system_tower=cover.tower,
     )
 
 
-def _two_forms(cover: PolynomialSystem, params: ClaimParams) -> ClaimOutcome:
-    place, r, t, u, x, g, lhs1, lhs2 = _golden_point(cover.tower, 2)
-    point = PointAssignment(
-        place,
-        {
-            "u": ExactValue(u),
-            "x": ExactValue(x),
-            "y": FormalSqrt(lhs1 / g),
-            "z": FormalSqrt(lhs2 / (t * g)),
-        },
-    )
+def _two_forms(golden: ParsedClaim, cover: PolynomialSystem, params: ClaimParams) -> ClaimOutcome:
+    point, context, _, equations = _golden_point(golden, cover, 1)
+    # y and z are the square roots of the quotients LHS/C of the base equations
+    point = PointAssignment(point.place, {**point.bindings, **{
+        label: FormalSqrt(evaluate(lhs, *context) / evaluate(c, *context))
+        for label, lhs, c in equations}}, point.cache)
     # check_base on: the point really is a point of the base system
-    plain, twisted = _cover_pair(cover, point, r * r, params, check_base=True)
+    plain, twisted = _cover_pair(cover, point, params, check_base=True)
     ok = plain["result"] == twisted["result"] == "obstructed"
     return ClaimOutcome(
         "pass" if ok else "fail",
@@ -904,16 +901,10 @@ def _semigroups(params: ClaimParams) -> dict:
     mismatches = 0
     for a in range(1, 11):
         for b in range(a, 11):
+            # the membership DP against every i*a + j*b up to 60, enumerated
+            sums = {i * a + j * b for i in range(60 // a + 1) for j in range(60 // b + 1)}
             profile = MultiplicityProfile((a, b))
-            reachable = [False] * 61
-            reachable[0] = True
-            for k in range(1, 61):
-                reachable[k] = (k >= a and reachable[k - a]) or (
-                    k >= b and reachable[k - b]
-                )
-            for m in range(61):
-                if semigroup_contains(profile, m) != reachable[m]:
-                    mismatches += 1
+            mismatches += sum(semigroup_contains(profile, m) != (m in sums) for m in range(61))
     if mismatches:
         failures.append(f"{mismatches} DP/bruteforce mismatches")
     return {"pairs_checked": 55, "membership_bound": 60, "failures": failures}
@@ -972,14 +963,15 @@ def builtin_registry() -> dict[str, Claim]:
 
     claims = from_text(POINTS_TEXT)
     shifted_form = from_text(SHIFTED_FORM_TEXT)
-    # the cover system over Q(alpha, beta), the tower the shifted form's adjoin lines built
-    golden_cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, shifted_form[0].system_tower)
-    claims += [_golden_nonlift_claim(n, golden_cover) for n in range(1, 6)]
+    golden = parse_claim_file(GOLDEN_POINT_TEXT)[0]
+    # its cover system over Q(alpha, beta), the tower the shifted form's adjoin lines built
+    golden_cover = _shared_system(systems, _COVER_SYSTEM_SOURCE, _build_tower(golden, towers))
+    claims += [_golden_nonlift_claim(n, golden, golden_cover) for n in range(1, 6)]
     claims += shifted_form
     claims.append(Claim("k3_cover_two_forms_obstructed", "lift_test",
                         "both double-cover forms obstruct at the golden place",
-                        partial(_two_forms, golden_cover),
-                        system_source=_COVER_SYSTEM_SOURCE))
+                        partial(_two_forms, golden, golden_cover),
+                        system_source=_COVER_SYSTEM_SOURCE, system_tower=golden_cover.tower))
     claims += from_text(K3_LIFTS_TEXT)
     claims.append(Claim("lemma91_property", "property_test",
                         "solvable equations force the cover factor to be a local square",

@@ -142,10 +142,11 @@ class _Parser:
     tokens have the texts the rules compare against.
     """
 
-    def __init__(self, text: str, line: int, column: int) -> None:
+    def __init__(self, text: str, line: int, column: int, divisors: dict) -> None:
         self.tokens = _tokenize(text, line, column)
         self.pos = 0
         self.open = 0
+        self.divisors = divisors
 
     def parse(self) -> Expr:
         node, _ = self.chain(0)
@@ -165,8 +166,11 @@ class _Parser:
         token = self.tokens[self.pos]
         while token[1] in operators:
             self.pos += 1
+            start = self.pos
             right, right_depth = self.chain(1) if level == 0 else self.factor()
             node = BinOp(token[1], node, right)
+            if token[1] == "/":
+                self.divisors[id(node)] = self.tokens[start][2:]
             depth = (depth if depth > right_depth else right_depth) + 1
             if depth > MAX_DEPTH:
                 raise _too_deep(token)
@@ -217,12 +221,17 @@ class _Parser:
         self.pos += 1
         if depth == MAX_DEPTH:
             raise _too_deep(caret)
-        return Pow(node, sign * _integer(text, line, column)), depth + 1
+        node = Pow(node, sign * _integer(text, line, column))
+        if node.exponent < 0:
+            self.divisors[id(node)] = token[2:]
+        return node, depth + 1
 
 
-def parse_expression(text: str, line: int = 1, column: int = 1) -> Expr:
-    """Parse one expression; raises ClaimSyntaxError with source position."""
-    return _Parser(text, line, column).parse()
+def parse_expression(text: str, line: int = 1, column: int = 1,
+                     divisors: dict | None = None) -> Expr:
+    """Parse one expression; raises ClaimSyntaxError with source position.  divisors, if given,
+    maps id() of each / and negative ^ node to where its divisor, or the power's base, starts."""
+    return _Parser(text, line, column, {} if divisors is None else divisors).parse()
 
 
 # -- pretty printer ---------------------------------------------------------------

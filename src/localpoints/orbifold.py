@@ -150,11 +150,8 @@ def profile_stats(profile: MultiplicityProfile) -> tuple[int, int, int]:
     The index equals the gcd of the multiplicities; the fibre is inf-multiple
     iff the minimum is >= 2 and divisible iff the gcd is >= 2.
     """
-    inf_mult = min(profile.generators)
-    gcd_mult = 0
-    for a in profile.generators:
-        gcd_mult = gcd(gcd_mult, a)
-    return inf_mult, gcd_mult, gcd_mult
+    gcd_mult = gcd(*profile.generators)
+    return min(profile.generators), gcd_mult, gcd_mult
 
 
 def semigroup_contains(profile: MultiplicityProfile, m: int) -> bool:

@@ -598,15 +598,11 @@ def r_function(tower: FieldTower, place: Place) -> RationalFunction:
 def t_function(tower: FieldTower, place: Place) -> RationalFunction:
     """The global coordinate t expanded at the place: center + r^e, or 1/r^e."""
     one = tower.one()
-    zero = tower.zero()
-    monomial = tuple([zero] * place.e + [one])
+    monomial = (tower.zero(),) * place.e + (one,)
     if place.is_infinity:
         return RationalFunction._coprime(tower, place, (one,), monomial)
-    center = embed(place.center, tower)
-    num = [zero] * (place.e + 1)
-    num[0] = center
-    num[place.e] = one
-    return RationalFunction._coprime(tower, place, tuple(num), (one,))
+    num = (embed(place.center, tower),) + monomial[1:]
+    return RationalFunction._coprime(tower, place, num, (one,))
 
 
 # -- truncated backend -----------------------------------------------------------

@@ -22,6 +22,7 @@ from .exprs import (
     Neg,
     Pow,
     Sym,
+    _tokenize,
     evaluate,
     free_symbols,
     odd_power_symbols,
@@ -58,7 +59,7 @@ class Equation:
     @cached_property
     def cleared(self) -> tuple[Expr, Expr, str | None]:
         """Both sides times every symbol-bearing denominator (i.e. powers of t), and its text."""
-        denominators = [d for side in (self.lhs, self.rhs) for d, _ in _denominators(side)
+        denominators = [d for side in (self.lhs, self.rhs) for _, d, _ in _denominators(side)
                         if free_symbols(d)]
         if not denominators:
             return self.lhs, self.rhs, None
@@ -100,17 +101,17 @@ class PolynomialSystem:
         return self._subsystems[index]
 
 
-def _denominators(expr: Expr) -> Iterator[tuple[Expr, str]]:
-    """Each denominator of expr, outermost first, with what makes it one if it holds a variable."""
+def _denominators(expr: Expr) -> Iterator[tuple[Expr, Expr, str]]:
+    """(node, denominator, error if it has a variable) per divisor of expr, outermost first."""
     if isinstance(expr, Neg):
         yield from _denominators(expr.operand)
     elif isinstance(expr, Pow):
         if expr.exponent < 0:
-            yield Pow(expr.base, -expr.exponent), "negative power of a variable"
+            yield expr, Pow(expr.base, -expr.exponent), "negative power of a variable"
         yield from _denominators(expr.base)
     elif isinstance(expr, BinOp):
         if expr.op == "/":
-            yield expr.right, "division by an expression containing variables"
+            yield expr, expr.right, "division by an expression containing variables"
         yield from _denominators(expr.left)
         yield from _denominators(expr.right)
 
@@ -119,14 +120,21 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     """Parse one equation or "!= 0" constraint per line.
 
     Identifiers that are not t or tower generators become system variables;
-    the local parameter r is reserved and rejected here.  A divisor in t and
-    the generators alone is evaluated exactly at t = r: a function of t that
-    vanishes at one place vanishes at every place, so a zero one is an error.
+    the local parameter r is reserved and rejected here, at its first use.  A
+    divisor in t and the generators alone is evaluated exactly at t = r: a
+    function of t that vanishes at one place vanishes at every place, so a
+    zero one is an error at the divisor, or at a negative power's base.
     """
     reserved = {"t"} | set(tower.generator_names)
     equations: list[Equation] = []
     inequations: list[Expr] = []
-    sides: list[tuple[int, Expr]] = []  # every parsed side, with its line
+    sides: list[tuple[Expr, str, int, int]] = []  # every parsed side: its text, line, column
+    divisors: dict = {}  # where each side's divisors start, by parse_expression
+
+    def side(text: str, lineno: int, column: int) -> Expr:
+        sides.append((parse_expression(text, lineno, column, divisors), text, lineno, column))
+        return sides[-1][0]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,34 +143,31 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
             lhs_text, _, rhs_text = line.partition("!=")
             if rhs_text.strip() != "0":
                 raise ClaimSyntaxError("constraints must end in != 0", lineno, line.index("!=") + 1)
-            expr = parse_expression(lhs_text, lineno)
-            inequations.append(expr)
-            sides.append((lineno, expr))
+            inequations.append(side(lhs_text, lineno, 1))
         elif "=" in line:
             lhs_text, _, rhs_text = line.partition("=")
-            lhs = parse_expression(lhs_text, lineno)
-            rhs = parse_expression(rhs_text, lineno, column=len(lhs_text) + 2)
-            equations.append(Equation(lhs, rhs))
-            sides += [(lineno, lhs), (lineno, rhs)]
+            equations.append(Equation(side(lhs_text, lineno, 1),
+                                      side(rhs_text, lineno, len(lhs_text) + 2)))
         else:
             raise ClaimSyntaxError("expected '=' or '!= 0'", lineno, 1)
-    seen = set().union(*(free_symbols(expr) for _, expr in sides))
+    seen = set().union(*(free_symbols(expr) for expr, *_ in sides))
     if LOCAL_PARAMETER in seen:
-        lineno = next(n for n, expr in sides if LOCAL_PARAMETER in free_symbols(expr))
-        raise ClaimSyntaxError("the local parameter r cannot appear in a system", lineno, 1)
+        at = next((line, column) for _, text, *start in sides
+                  for _, word, line, column in _tokenize(text, *start) if word == LOCAL_PARAMETER)
+        raise ClaimSyntaxError("the local parameter r cannot appear in a system", *at)
     variables = tuple(sorted(seen - reserved))
     var_set = set(variables)
     coordinates = _coordinates(t_function(tower, Place.finite(tower.zero())), tower)
-    for lineno, expr in sides:
-        for denominator, message in _denominators(expr):
+    for expr, *_ in sides:
+        for node, denominator, message in _denominators(expr):
             if free_symbols(denominator) & var_set:
-                raise ClaimSyntaxError(message, lineno, 1)
+                raise ClaimSyntaxError(message, *divisors[id(node)])
             try:
                 zero = evaluate(denominator, coordinates, coordinates["t"]._constant).is_zero()
             except ZeroDivisionError:  # a zero divisor inside this one
                 zero = True
             if zero:
-                raise ClaimSyntaxError("division by zero in system", lineno, 1)
+                raise ClaimSyntaxError("division by zero in system", *divisors[id(node)])
     return PolynomialSystem(tower, variables, tuple(equations), tuple(inequations))
 
 

@@ -16,6 +16,7 @@ from localpoints.claims import (
 )
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 from localpoints.field_tower import adjoin_quadratic
+from localpoints.variety import parse_system, print_system
 
 EXAMPLE = pathlib.Path(__file__).resolve().parent.parent / "claims_example.txt"
 
@@ -373,8 +374,10 @@ def test_bad_adjoin_polynomial_is_positioned(tmp_path, registry, minpoly):
 
 @pytest.mark.parametrize(
     "bad_line, column",
-    [("x^2 = 1/x", 3), ("x^2 = * 1", 9), ("1/x != 0", 3), ("x = r", 3)],
-    ids=["division_by_variable", "syntax", "inequation", "local_parameter"],
+    [("x^2 = 1/x", 11), ("x^2 = * 1", 9), ("1/x != 0", 5), ("x = r", 7), ("x^2 = 2*x^-2", 11),
+     ("x = 1/(t - 1) + 1/(t - t)", 21)],
+    ids=["division_by_variable", "syntax", "inequation", "local_parameter", "negative_power",
+         "second_divisor_is_zero"],
 )
 def test_system_error_reports_the_file_line(tmp_path, registry, bad_line, column):
     path = tmp_path / "claims.txt"
@@ -595,6 +598,64 @@ def test_golden_claims_share_the_registry_tower(monkeypatch):
     for name in ("golden_nonlift_n1", "golden_nonlift_n5", "k3_cover_two_forms_obstructed"):
         assert run_claim(name, registry).verdict == "pass"
     assert len(calls) == 2
+
+
+def test_golden_nonlift_claims_certify_their_squares_with_solve_square(monkeypatch, registry):
+    calls = []
+    monkeypatch.setattr(claims, "solve_square",
+                        lambda *args, f=claims.solve_square, **kwargs:
+                        calls.append(args) or f(*args, **kwargs))
+    for n in range(1, 6):
+        calls.clear()
+        report = run_claim(f"golden_nonlift_n{n}", registry)
+        assert report.verdict == "pass"
+        assert len(calls) == 2  # y and z
+        assert sorted(report.evidence["square_witnesses"]) == ["y", "z"]
+
+
+def test_golden_claim_reads_its_orders_from_the_cover_system():
+    # a first base equation with the left-hand side x^2 = alpha^2, of order 0
+    golden = parse_claim_file(claims.GOLDEN_POINT_TEXT)[0]
+    tower = claims._build_tower(golden, {})
+    source = claims._COVER_SYSTEM_SOURCE.replace("x^2 - t*u^2 + t =", "x^2 =", 1)
+    assert source != claims._COVER_SYSTEM_SOURCE
+    claim = claims._golden_nonlift_claim(1, golden, parse_system(source, tower))
+    outcome = claim.run(ClaimParams())
+    assert outcome.evidence["orders"] == {"cover_factor": 1, "lhs_1": 0, "lhs_2": 1}
+    assert outcome.verdict == "fail"
+
+
+def test_every_claim_system_roundtrips_over_its_own_tower(registry):
+    # a nonsquare claim has one expression, not a system, so it records no system
+    from localpoints.field_tower import QQ
+
+    generated = pathlib.Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
+    extended = load_claim_file(str(generated), load_claim_file(str(EXAMPLE), registry))
+    checked = 0
+    for claim in extended.values():
+        if claim.system_source is None:
+            continue
+        tower = claim.system_tower or QQ
+        system = parse_system(claim.system_source, tower)
+        assert parse_system(print_system(system), tower) == system
+        checked += 1
+    # 16 builtins, the example's half point and obstruction, and 10 generated points
+    assert checked == 16 + 2 + 10
+    for name in ("golden_nonlift_n1", "k3_cover_two_forms_obstructed"):
+        assert extended[name].system_tower.generator_names == ("alpha", "beta")
+    nonsquare = [parsed.name for parsed in parse_claim_file(EXAMPLE.read_text(encoding="utf-8"))
+                 if parsed.expect == "nonsquare"]
+    assert nonsquare and all(extended[name].system_source is None for name in nonsquare)
+
+
+def test_a_check_that_reads_a_square_root_let_names_the_rule(tmp_path):
+    path = tmp_path / "claims.txt"
+    path.write_text("claim sqrt_in_order\nplace: t = 0 ram 2\nsystem:\n  y^2 = t\n"
+                    "let y = sqrt(t)\norder k: y = 1\n", encoding="utf-8")
+    with pytest.raises(ClaimSyntaxError) as err:
+        run_claim("sqrt_in_order", load_claim_file(str(path), {}))
+    assert str(err.value) == ("line 6, column 10: 'y' is a square-root let; checks and "
+                              "nonsquare expressions read only exact lets")
 
 
 # inputs that ended in a traceback (and `general_type: yes`, which read as false);
@@ -1026,7 +1087,7 @@ STATIC_ERRORS = [
      "line 5, column 9: expected an expression, got '*'"),
     # a divisor in t and the generators that vanishes is zero at every place
     *((f"system_divides_by_zero_{name}", f"adjoin s : s^2 - 2 = 0\nsystem:\n  x = 1/({divisor})\n"
-       "place: t = 0 ram 1\nlet x = 1", "line 4, column 3: division by zero in system")
+       "place: t = 0 ram 1\nlet x = 1", "line 4, column 9: division by zero in system")
       for name, divisor in (("in_t", "t - t"), ("constant", "1 - 1"),
                             ("in_a_generator", "s^2 - 2"))),
     ("unbound_variable", "system:\n  x = y\nplace: t = 0 ram 1\nlet x = 1",
