@@ -50,6 +50,7 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
+    _denominators,
     _env,
     _exact_context,
     _lift,
@@ -325,11 +326,13 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
     """The exact value of an expression over env; const makes its constants (t's by default).
 
     An undeclared identifier, a let of lets that env leaves out (a check leaves
-    out the square-root lets) and a division by zero are positioned errors.
+    out the square-root lets) and a division by zero, at its zero divisor, are
+    positioned errors.
     cache is evaluate's, keyed on operand values: calls over one backend that
     share it (the lets of a run, say) evaluate each distinct operation once.
     """
-    expr = parse_expression(text, *position)
+    divisors: dict = {}
+    expr = parse_expression(text, *position, divisors)
     unknown = free_symbols(expr) - set(env)
     if unknown:
         name = sorted(unknown)[0]
@@ -339,10 +342,31 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
             raise ClaimSyntaxError(f"{name!r} is a square-root let; checks and nonsquare "
                                    "expressions read only exact lets", *at)
         raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *at)
+    const = const or env["t"]._constant
+    cache = {} if cache is None else cache
     try:
-        return evaluate(expr, env, const or env["t"]._constant, cache=cache)
+        return evaluate(expr, env, const, cache=cache)
     except ZeroDivisionError:
-        raise ClaimSyntaxError(f"division by zero in {where}", *position) from None
+        at = _zero_divisor(expr, divisors, env, const, cache) or position
+        raise ClaimSyntaxError(f"division by zero in {where}", *at) from None
+
+
+def _zero_divisor(expr: Expr, divisors: dict, env: dict, const: Callable,
+                  cache: dict) -> Position | None:
+    """Where the first zero divisor of expr starts, in source order, if one is zero.
+
+    A divisor that itself divides by zero is passed over: a later divisor, inside
+    it, is the zero one.
+    """
+    found = sorted(((divisors[id(node)], denominator) for node, denominator, _
+                    in _denominators(expr)), key=lambda pair: pair[0])
+    for at, denominator in found:
+        try:
+            if not evaluate(denominator, env, const, cache=cache):
+                return at
+        except ZeroDivisionError:
+            continue
+    return None
 
 
 def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:

@@ -13,10 +13,13 @@ Products are computed on integer vectors, scaled by S_k = D_k * S_{k-1}^2
 
     (a0 + a1*theta)(b0 + b1*theta) = (a0*b0 - c*a1*b1) + (a0*b1 + a1*b0 - b*a1*b1)*theta,
 
-where a0*b1 + a1*b0 = (a0 + a1)(b0 + b1) - a0*b0 - a1*b1 (Karatsuba), so each
-level above the first makes three sub-products instead of four.  A single
-multi-argument gcd puts the result in lowest terms.  Inverses use the same
-recursion on the norm against the conjugate root theta' = -b - theta.
+where a0*b1 + a1*b0 = (a0 + a1)(b0 + b1) - a0*b0 - a1*b1 (Karatsuba).  A level
+above the first takes that step only when all four halves are nonzero: three
+sub-products instead of four.  When a half is zero it multiplies only the half
+pairs that are both nonzero, one or two sub-products, and reduces by theta^2
+only when a1*b1 is among them.  A single multi-argument gcd puts the result in
+lowest terms.  Inverses use the same recursion on the norm against the
+conjugate root theta' = -b - theta.
 """
 
 from __future__ import annotations
@@ -84,25 +87,36 @@ def _scaled_sub(ds: int, x: list[int], const: _Constant, y: list[int],
 
 def _mul(a: Nums | list[int], b: Nums | list[int], levels: tuple[_Level, ...], k: int) -> list[int]:
     """The integer vector p with a * b = p / S_k in K_k, for k >= 1."""
-    level = levels[k - 1]
+    ds, bq, cq = levels[k - 1]
     if k == 1:
         # on scalars a Karatsuba step costs more additions than the product it saves
         a0, a1 = a
         b0, b1 = b
-        ds, bq, cq = level
         hh = a1 * b1
         lo = ds * a0 * b0 - (cq * hh if cq is not None else 0)
         hi = ds * (a0 * b1 + a1 * b0) - (bq * hh if bq is not None else 0)
         return [lo, hi]
     half = len(a) >> 1
     a0, a1, b0, b1 = a[:half], a[half:], b[:half], b[half:]
-    lolo = _mul(a0, b0, levels, k - 1)
-    hihi = _mul(a1, b1, levels, k - 1)
-    both = _mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], levels, k - 1)
-    cross = [s - x - y for s, x, y in zip(both, lolo, hihi)]
-    ds, bq, cq = level
-    return (_scaled_sub(ds, lolo, cq, hihi, levels, k - 1)
-            + _scaled_sub(ds, cross, bq, hihi, levels, k - 1))
+    sub = k - 1
+    n0, n1, m0, m1 = any(a0), any(a1), any(b0), any(b1)
+    if n0 and n1 and m0 and m1:
+        lolo = _mul(a0, b0, levels, sub)
+        hihi = _mul(a1, b1, levels, sub)
+        both = _mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], levels, sub)
+        cross = [s - x - y for s, x, y in zip(both, lolo, hihi)]
+    else:
+        # a zero half: at most one of the cross products a0*b1, a1*b0 is nonzero
+        zero = [0] * half
+        lolo = _mul(a0, b0, levels, sub) if n0 and m0 else zero
+        cross = (_mul(a0, b1, levels, sub) if n0 and m1
+                 else _mul(a1, b0, levels, sub) if n1 and m0 else zero)
+        if not (n1 and m1):
+            product = lolo + cross
+            return product if ds == 1 else [ds * x for x in product]
+        hihi = _mul(a1, b1, levels, sub)
+    return (_scaled_sub(ds, lolo, cq, hihi, levels, sub)
+            + _scaled_sub(ds, cross, bq, hihi, levels, sub))
 
 
 def _inv(v: Nums | list[int], levels: tuple[_Level, ...], k: int) -> tuple[list[int], int]:

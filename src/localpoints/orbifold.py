@@ -41,6 +41,13 @@ def _check_multiplicity(m: Multiplicity) -> None:
         raise ValueError(f"multiplicity must be a positive integer or inf, got {m!r}")
 
 
+def _check_marks(values) -> None:
+    """_check_multiplicity on each mark, with one test per plain positive int."""
+    for m in values:
+        if type(m) is not int or m < 1:
+            _check_multiplicity(m)
+
+
 @lru_cache(maxsize=64)
 def _labels(count: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(1, count + 1))
@@ -57,8 +64,7 @@ class OrbifoldCurve:
         labels = [label for label, _ in self.marks]
         if len(set(labels)) != len(labels):
             raise ValueError("mark labels must be distinct")
-        for _, m in self.marks:
-            _check_multiplicity(m)
+        _check_marks(m for _, m in self.marks)
 
     @classmethod
     def from_multiplicities(cls, genus: int, multiplicities) -> OrbifoldCurve:
@@ -70,11 +76,9 @@ class OrbifoldCurve:
         values = tuple(multiplicities)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        for m in values:
-            _check_multiplicity(m)
+        _check_marks(values)
         curve = object.__new__(cls)
-        object.__setattr__(curve, "genus", genus)
-        object.__setattr__(curve, "marks", tuple(zip(_labels(len(values)), values)))
+        curve.__dict__.update(genus=genus, marks=tuple(zip(_labels(len(values)), values)))
         return curve
 
     @property
@@ -92,10 +96,11 @@ def degree(curve: OrbifoldCurve) -> Fraction:
     Exact: with L the lcm of the finite marks (1 when there are none), the
     sum is the integer (2g - 2 + n) L - sum of L/m over n marks, over L.
     """
-    finite = [m for _, m in curve.marks if not isinstance(m, _InfiniteMultiplicity)]
+    marks = curve.marks
+    finite = [m for _, m in marks if m is not INF]
     common = lcm(*finite)
-    numerator = (2 * curve.genus - 2 + len(curve.marks)) * common
-    return Fraction(numerator - sum(common // m for m in finite), common)
+    numerator = (2 * curve.genus - 2 + len(marks)) * common
+    return Fraction(numerator - sum(map(common.__floordiv__, finite)), common)
 
 
 def is_general_type(curve: OrbifoldCurve) -> bool:
@@ -158,14 +163,16 @@ def semigroup_contains(profile: MultiplicityProfile, m: int) -> bool:
     """Is m a nonnegative integer combination of the generators?"""
     if m < 0:
         raise ValueError("membership is asked of nonnegative integers")
-    reachable = [False] * (m + 1)
-    reachable[0] = True
-    for k in range(1, m + 1):
-        for a in profile.generators:
-            if a <= k and reachable[k - a]:
-                reachable[k] = True
-                break
-    return reachable[m]
+    # bit k of reachable says k is a combination of the generators so far; the
+    # shifts by a, 2a, 4a, ... <= m add every multiple of a up to m
+    mask = (1 << (m + 1)) - 1
+    reachable = 1
+    for a in profile.generators:
+        shift = a
+        while shift <= m:
+            reachable |= (reachable << shift) & mask
+            shift <<= 1
+    return bool(reachable >> m & 1)
 
 
 def forced_component(a: int, m: int) -> bool:

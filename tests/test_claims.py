@@ -560,10 +560,15 @@ def test_square_root_of_series_zero_to_precision_is_undecided(registry, name, ov
 
 @pytest.mark.parametrize(
     "line, column",
-    [("let v = 1/(t - t)", 9), ("identity oops: 1/x = 1", 16)],
-    ids=["let", "identity"],
+    [("let v = 1/(t - t)", 11), ("identity oops: 1/x = 1", 18),
+     ("let v = 1 + 1/(t - t)", 15), ("let v = (t - t)^-1", 9),
+     ("let v = 1/(1/(t - t))", 14), ("let v = t/(t - 1) + 1/(t - t)^3", 23)],
+    ids=["let", "identity", "let_second_term", "let_negative_power", "let_nested",
+         "let_second_divisor"],
 )
 def test_division_by_zero_is_positioned(tmp_path, registry, line, column):
+    # at the zero divisor, a negative power's at its base; a divisor that itself
+    # divides by zero gives way to the zero one inside it
     path = tmp_path / "claims.txt"
     path.write_text(SQRT_POINT_CHECKS + line + "\n", encoding="utf-8")
     extended = load_claim_file(str(path), registry)
@@ -662,7 +667,7 @@ def test_a_check_that_reads_a_square_root_let_names_the_rule(tmp_path):
 # each is now a ClaimSyntaxError at the line and column of the fault
 POSITIONED_ERRORS = [
     ("place_center_divides_by_zero",
-     "adjoin s : s^2 - 2 = 0\nplace: t = 1/(s - s)\nsystem:\n  x = 1\nlet x = 1", 3, 12),
+     "adjoin s : s^2 - 2 = 0\nplace: t = 1/(s - s)\nsystem:\n  x = 1\nlet x = 1", 3, 14),
     ("ramification_zero", "place: t = 0 ram 0\nsystem:\n  x = 1\nlet x = 1", 2, 18),
     ("ramification_negative", "place: t = 0 ram -2\nsystem:\n  x = 1\nlet x = 1", 2, 18),
     ("nonsquare_target_uses_a_sqrt_let",
@@ -674,7 +679,7 @@ POSITIONED_ERRORS = [
     ("genus_negative", "orbifold genus -1 marks [2, 3]", 2, 16),
     ("mark_zero", "orbifold genus 0 marks [0, 2]", 2, 25),
     ("degree_not_a_rational", "orbifold genus 0 marks [2, 3]\ndegree: abc", 3, 9),
-    ("degree_divides_by_zero", "orbifold genus 0 marks [2, 3]\ndegree: 1/0", 3, 9),
+    ("degree_divides_by_zero", "orbifold genus 0 marks [2, 3]\ndegree: 1/0", 3, 11),
     ("general_type_not_a_boolean", "orbifold genus 0 marks [2, 3]\ngeneral_type: yes", 3, 15),
     ("variable_no_let_binds", "system:\n  x^2 = t\nplace: t = 0 ram 2", 3, 3),
     ("variable_no_let_binds_after_a_bound_one",

@@ -185,7 +185,7 @@ def test_division_by_zero_in_let_is_a_positioned_usage_error(tmp_path):
     )
     result = run_cli("load", str(bad), "run", "zero_division")
     assert result.returncode == 2
-    assert "line 5, column 9: division by zero in let" in result.stderr
+    assert "line 5, column 11: division by zero in let" in result.stderr
     assert "Traceback" not in result.stderr
 
 

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localpoints.errors import NotAPrefixError
 from localpoints.field_tower import (
@@ -386,6 +389,75 @@ def test_mul_and_inverse_match_fraction_oracle(towers):
             _assert_canonical(a + b)
             _assert_canonical(a - b)
             _assert_canonical(-a)
+
+
+# -- products above height one by which halves of the operands are zero ----------
+
+_SHAPES = ("lower half zero", "upper half zero", "sparse", "dense")
+
+
+_F = Fraction
+# the steps of fractional_towers, fractional_rational_step_towers and
+# golden_towers_to_height_three, as (name, b, c)
+_LITERAL_STEPS = (
+    (("u", (_F(1, 2),), (_F(1, 3),)), ("v", (_F(1, 5), _F(1, 3)), (_F(-1, 2), _F(2, 7))),
+     ("w", (_F(1, 3), 0, _F(1, 2), 0), (_F(2, 3), 0, 0, _F(1, 5)))),
+    (("u", (_F(1, 2),), (_F(1, 3),)), ("v", (_F(1, 5), 0), (_F(1, 7), 0)),
+     ("w", (_F(2, 3), 0, 0, 0), (_F(5, 11), 0, 0, 0))),
+    (("alpha", (-1,), (-1,)), ("beta", (0, 0), (0, 1)), ("gamma", (0, 0, 0, 0), (0, 0, -1, 0))),
+)
+
+
+@cache
+def _towers_at(height):
+    """The three towers of _LITERAL_STEPS cut to this height, built with no field
+    arithmetic, so a faulty product cannot break their construction."""
+    def step(name, b, c):
+        return TowerStep(name, tuple(map(Fraction, b)), tuple(map(Fraction, c)))
+
+    return tuple(FieldTower(tuple(step(*s) for s in steps[:height])) for steps in _LITERAL_STEPS)
+
+
+def test_the_literal_towers_are_the_adjoined_ones():
+    built = (fractional_towers(), [None, None] + fractional_rational_step_towers(),
+             golden_towers_to_height_three())
+    for height in (2, 3):
+        assert _towers_at(height) == tuple(towers[height] for towers in built)
+
+
+def _shaped(data, tower, shape):
+    """Fraction coordinates with the given half zero, with zeros scattered through
+    them (sparse), or with no zero coordinate at all (dense)."""
+    coordinate = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    if shape == "dense":
+        coordinate = coordinate.filter(bool)
+    coords = [data.draw(coordinate) for _ in range(tower.dim)]
+    half = tower.dim // 2
+    if shape == "lower half zero":
+        coords[:half] = [Fraction(0)] * half
+    elif shape == "upper half zero":
+        coords[half:] = [Fraction(0)] * half
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("height", [2, 3])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_products_with_a_zero_half_match_the_fraction_oracle(height, data):
+    # the top level multiplies only the nonzero half pairs unless all four are
+    # nonzero; every pair of shapes, on each kind of tower
+    tower = data.draw(st.sampled_from(_towers_at(height)))
+    for shape_a in _SHAPES:
+        a = tower.element(_shaped(data, tower, shape_a))
+        if not a.is_zero():
+            inverse = a.inverse()
+            _assert_canonical(inverse)
+            assert inverse.coords == _coords_inv(a.coords, tower.steps), shape_a
+        for shape_b in _SHAPES:
+            b = tower.element(_shaped(data, tower, shape_b))
+            got = a * b
+            _assert_canonical(got)
+            assert got.coords == _coords_mul(a.coords, b.coords, tower.steps), (shape_a, shape_b)
 
 
 def test_zero_is_canonical_and_cancellation_normalises():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -87,8 +88,14 @@ def test_pullback_threshold_and_degree_formula():
         assert is_general_type(pullback_half_marks(1, d))
 
 
+class _Mark(int):
+    """An int subclass, which the one-test fast path hands to the full check."""
+
+
 def test_from_multiplicities_matches_the_constructor():
-    for genus, multiplicities in [(0, []), (2, [3, 3, INF, 1]), (1, (2,) * 7)]:
+    good = [(0, []), (2, [3, 3, INF, 1]), (1, (2,) * 7), (0, [2, True, 3]), (1, [_Mark(5), 2]),
+            (0, [10**399 + 7, INF])]
+    for genus, multiplicities in good:
         marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
         built = curve(genus, multiplicities)
         assert built == OrbifoldCurve(genus, marks) == curve(genus, iter(multiplicities))
@@ -151,23 +158,31 @@ def test_semigroup_contains_examples():
     assert semigroup_contains(MultiplicityProfile((2, 3)), 0)
 
 
-def _bruteforce_contains(gens, m):
+def _bruteforce_sums(gens, bound):
+    """Every nonnegative combination of gens up to bound."""
     frontier = {0}
     for a in gens:
-        frontier = {s + a * k for s in frontier for k in range(m // a + 1) if s + a * k <= m}
-    return m in frontier
+        frontier = {s + a * k for s in frontier for k in range(bound // a + 1)
+                    if s + a * k <= bound}
+    return frontier
 
 
 def test_semigroup_agrees_with_bruteforce():
-    for a in range(1, 11):
-        for b in range(a, 11):
-            profile = MultiplicityProfile((a, b))
-            for m in range(61):
-                assert semigroup_contains(profile, m) == _bruteforce_contains((a, b), m), (
-                    a,
-                    b,
-                    m,
-                )
+    # one to three generators, repeats allowed, and generators above m
+    for size in range(1, 4):
+        for gens in combinations_with_replacement(range(1, 13), size):
+            profile, sums = MultiplicityProfile(gens), _bruteforce_sums(gens, 150)
+            for m in range(151):
+                assert semigroup_contains(profile, m) == (m in sums), (gens, m)
+
+
+def test_semigroup_contains_rejects_negatives_and_answers_large_m_fast():
+    with pytest.raises(ValueError, match="nonnegative"):
+        semigroup_contains(MultiplicityProfile((2, 3)), -1)
+    start = time.perf_counter()
+    assert semigroup_contains(MultiplicityProfile((2, 3)), 10**5)
+    assert not semigroup_contains(MultiplicityProfile((2,)), 10**5 + 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_forced_component_examples():

@@ -28,6 +28,10 @@ GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_
 # height-2 claim gen_0006_h2
 GEN_0006_H2_WORK = (2, 4, 2)
 
+# height-1 field_tower._mul calls of one golden_nonlift_n1 run (12,418 while
+# every product above height 1 took three sub-products)
+GOLDEN_NONLIFT_N1_H1_MULS = 3632
+
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
     num = tuple(tower.coerce(c) for c in coeffs)
@@ -109,6 +113,18 @@ def test_one_height_two_claim_runs_a_pinned_number_of_gcds(monkeypatch):
     assert report.verdict == "pass"
     assert {a[2].tower.height for a in gcds} == {2}
     assert (len(gcds), len(certified), certified.count(True)) == GEN_0006_H2_WORK
+
+
+def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatch):
+    from localpoints import builtin_registry, field_tower, run_claim
+
+    registry = builtin_registry()
+    heights = []
+    mul = field_tower._mul
+    monkeypatch.setattr(field_tower, "_mul",
+                        lambda a, b, levels, k: heights.append(k) or mul(a, b, levels, k))
+    assert run_claim("golden_nonlift_n1", registry).verdict == "pass"
+    assert heights.count(1) == GOLDEN_NONLIFT_N1_H1_MULS
 
 
 def test_rf_zero_denominator_is_rejected_after_trimming():
