@@ -42,6 +42,7 @@ from .series import (
     DEFAULT_PRECISION,
     Place,
     RationalFunction,
+    SquareOutcome,
     is_square_local,
     r_function,
 )
@@ -50,10 +51,10 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
-    _denominators,
     _env,
     _exact_context,
     _lift,
+    _zero_divisor,
     find_cover_equation,
     lift_along_cover,
     parse_system,
@@ -351,24 +352,6 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
         raise ClaimSyntaxError(f"division by zero in {where}", *at) from None
 
 
-def _zero_divisor(expr: Expr, divisors: dict, env: dict, const: Callable,
-                  cache: dict) -> Position | None:
-    """Where the first zero divisor of expr starts, in source order, if one is zero.
-
-    A divisor that itself divides by zero is passed over: a later divisor, inside
-    it, is the zero one.
-    """
-    found = sorted(((divisors[id(node)], denominator) for node, denominator, _
-                    in _denominators(expr)), key=lambda pair: pair[0])
-    for at, denominator in found:
-        try:
-            if not evaluate(denominator, env, const, cache=cache):
-                return at
-        except ZeroDivisionError:
-            continue
-    return None
-
-
 def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
     """The claim's tower: each adjoin line is a monic quadratic in its generator.
 
@@ -527,7 +510,7 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
     _, variable, g = cover_equation
     w_square = point.bindings[variable].square
     try:
-        lift = _lift(cover, variable, g, point, "over_c", precision)
+        lift = _lift(cover, g, point, "over_c", precision)
     except ZeroFunctionError:
         evidence["lift"] = "zero"
         return "fail"
@@ -609,7 +592,7 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
     if verdict != "pass":
         return verdict, evidence
     try:
-        outcome = _lift(cover, variable, g, point, "over_c", params.precision)
+        outcome = _lift(cover, g, point, "over_c", params.precision)
     except ZeroFunctionError:  # the cover factor vanishes at the point
         return "fail", {"cover_variable": variable, "result": "zero", "order": None}
     evidence = {"cover_variable": variable, "result": outcome.kind, "order": outcome.order}
@@ -766,16 +749,9 @@ def _golden_point(golden: ParsedClaim, cover: PolynomialSystem, n: int) -> tuple
                                           for eq in cover.without_equation(index).equations]
 
 
-def _cover_pair(cover: PolynomialSystem, point: PointAssignment, params: ClaimParams,
-                check_base: bool) -> list[dict]:
-    """The point lifted along the cover and along its twist by r^2: each lift's result and order.
-
-    check_base applies to the first lift; the second never checks the base again.
-    """
-    twist = r_function(cover.tower, point.place) ** 2
-    return [{"result": lift.kind, "order": lift.order} for lift in (
-        lift_along_cover(cover, point, precision=params.precision, twist=factor, check_base=check)
-        for factor, check in ((None, check_base), (twist, False)))]
+def _form(lift: SquareOutcome) -> dict:
+    """One cover form's evidence: the lift's result and order."""
+    return {"result": lift.kind, "order": lift.order}
 
 
 def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) -> Claim:
@@ -793,7 +769,10 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
                 "quotient_order": square.order,
                 "witness_precision": square.witness.precision if square.witness else None,
             }
-        plain, twisted = _cover_pair(cover, point, params, check_base=False)
+        # y and z are unbound, so there is no base point to check: both forms are lifted as is
+        twist = r_function(cover.tower, point.place) ** 2
+        plain, twisted = (_form(_lift(cover, g, point, "over_c", params.precision, factor))
+                          for factor in (None, twist))
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -823,13 +802,15 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
 
 
 def _two_forms(golden: ParsedClaim, cover: PolynomialSystem, params: ClaimParams) -> ClaimOutcome:
-    point, context, _, equations = _golden_point(golden, cover, 1)
+    point, context, g, equations = _golden_point(golden, cover, 1)
     # y and z are the square roots of the quotients LHS/C of the base equations
     point = PointAssignment(point.place, {**point.bindings, **{
         label: FormalSqrt(evaluate(lhs, *context) / evaluate(c, *context))
         for label, lhs, c in equations}}, point.cache)
-    # check_base on: the point really is a point of the base system
-    plain, twisted = _cover_pair(cover, point, params, check_base=True)
+    # lift_along_cover checks that the point really is a point of the base system
+    plain = _form(lift_along_cover(cover, point, precision=params.precision))
+    twisted = _form(_lift(cover, g, point, "over_c", params.precision,
+                          r_function(cover.tower, point.place) ** 2))
     ok = plain["result"] == twisted["result"] == "obstructed"
     return ClaimOutcome(
         "pass" if ok else "fail",

@@ -857,17 +857,18 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
 
 
 @dataclass(frozen=True)
-class LocalSquareCheck:
-    """Squareness verdict in the local field, with the valuation certificate."""
+class SquareOutcome:
+    """A local squareness verdict with its valuation; on a square, a series root and its tower."""
 
-    kind: str  # "yes" | "no"
+    kind: str  # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
     order: int
-    lead: FieldElement
+    witness: PuiseuxSeries | None = None
+    tower: FieldTower | None = None
 
 
 def is_square_local(
     f: RationalFunction | PuiseuxSeries, mode: str = "over_c"
-) -> LocalSquareCheck:
+) -> SquareOutcome:
     """Squareness of a nonzero local element.
 
     over_c: squares are exactly the even-order elements (the residue field is
@@ -879,10 +880,8 @@ def is_square_local(
     if f.is_zero():
         raise ZeroFunctionError("squareness of the zero function is undefined")
     order = f.order_at_zero()
-    lead = f.leading_coefficient()
     if order % 2:
-        return LocalSquareCheck("no", order, lead)
+        return SquareOutcome("no", order)
     if mode == "over_c":
-        return LocalSquareCheck("yes", order, lead)
-    check = is_square(f.tower, lead)
-    return LocalSquareCheck(check.kind, order, lead)
+        return SquareOutcome("yes", order)
+    return SquareOutcome(is_square(f.tower, f.leading_coefficient()).kind, order)

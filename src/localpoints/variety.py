@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError, ZeroFunctionError
 from .exprs import (
@@ -32,10 +32,10 @@ from .exprs import (
 from .field_tower import FieldTower, QQ
 from .series import (
     DEFAULT_PRECISION,
-    LocalSquareCheck,
     Place,
     PuiseuxSeries,
     RationalFunction,
+    SquareOutcome,
     is_square_local,
     r_function,
     series_sqrt,
@@ -116,6 +116,25 @@ def _denominators(expr: Expr) -> Iterator[tuple[Expr, Expr, str]]:
         yield from _denominators(expr.right)
 
 
+def _zero_divisor(expr: Expr, divisors: dict, env: dict, const: Callable,
+                  cache: dict) -> tuple[int, int] | None:
+    """Where the first zero divisor of expr starts, in source order, if one is zero.
+
+    divisors holds where each divisor starts, by parse_expression.  A divisor
+    that itself divides by zero is passed over: a later divisor, inside it, is
+    the zero one.
+    """
+    found = sorted(((divisors[id(node)], denominator) for node, denominator, _
+                    in _denominators(expr)), key=lambda pair: pair[0])
+    for at, denominator in found:
+        try:
+            if not evaluate(denominator, env, const, cache=cache):
+                return at
+        except ZeroDivisionError:
+            continue
+    return None
+
+
 def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     """Parse one equation or "!= 0" constraint per line.
 
@@ -123,7 +142,7 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     the local parameter r is reserved and rejected here, at its first use.  A
     divisor in t and the generators alone is evaluated exactly at t = r: a
     function of t that vanishes at one place vanishes at every place, so a
-    zero one is an error at the divisor, or at a negative power's base.
+    zero one is an error at its first zero divisor, or at a negative power's base.
     """
     reserved = {"t"} | set(tower.generator_names)
     equations: list[Equation] = []
@@ -158,16 +177,14 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
     variables = tuple(sorted(seen - reserved))
     var_set = set(variables)
     coordinates = _coordinates(t_function(tower, Place.finite(tower.zero())), tower)
+    const, cache = coordinates["t"]._constant, {}
     for expr, *_ in sides:
         for node, denominator, message in _denominators(expr):
             if free_symbols(denominator) & var_set:
                 raise ClaimSyntaxError(message, *divisors[id(node)])
-            try:
-                zero = evaluate(denominator, coordinates, coordinates["t"]._constant).is_zero()
-            except ZeroDivisionError:  # a zero divisor inside this one
-                zero = True
-            if zero:
-                raise ClaimSyntaxError("division by zero in system", *divisors[id(node)])
+        at = _zero_divisor(expr, divisors, coordinates, const, cache)
+        if at:
+            raise ClaimSyntaxError("division by zero in system", *at)
     return PolynomialSystem(tower, variables, tuple(equations), tuple(inequations))
 
 
@@ -367,32 +384,25 @@ def verify_point(
 # -- squareness and lifting ---------------------------------------------------------
 
 
-@dataclass
-class SquareOutcome:
-    kind: str  # "witness" | "nonsquare"
-    order: int | None = None
-    witness: PuiseuxSeries | None = None
-    tower: FieldTower | None = None
-
-
-def _local_root(
-    value: RationalFunction, mode: str, precision: int
-) -> tuple[LocalSquareCheck, PuiseuxSeries | None, FieldTower | None]:
-    """Squareness of a nonzero exact value, with a series root when it is a square.
+def _square_outcome(
+    value: RationalFunction, kinds: tuple[str, str], mode: str, precision: int
+) -> SquareOutcome:
+    """Squareness of a nonzero exact value, named by kinds (square, nonsquare), with a
+    series root when it is a square.
 
     A value whose expansion is zero to precision has no root to compute, so
     that raises PrecisionExhaustedError.
     """
+    square, nonsquare = kinds
     check = is_square_local(value, mode)
     if check.kind != "yes":
-        return check, None, None
+        return SquareOutcome(nonsquare, check.order)
     expansion = value.to_puiseux(precision)
     if expansion.is_zero():
         raise PrecisionExhaustedError(
             f"the square is zero to precision {precision}; its root has no known coefficient"
         )
-    witness, tower = series_sqrt(expansion)
-    return check, witness, tower
+    return SquareOutcome(square, check.order, *series_sqrt(expansion))
 
 
 def solve_square(
@@ -411,18 +421,7 @@ def solve_square(
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    check, witness, tower = _local_root(lhs_value / g_value, mode, precision)
-    kind = {"yes": "witness", "no": "nonsquare"}[check.kind]
-    return SquareOutcome(kind, order=check.order, witness=witness, tower=tower)
-
-
-@dataclass
-class LiftOutcome:
-    kind: str  # "lifts" | "obstructed"
-    variable: str
-    order: int | None = None
-    witness: PuiseuxSeries | None = None
-    tower: FieldTower | None = None
+    return _square_outcome(lhs_value / g_value, ("witness", "nonsquare"), mode, precision)
 
 
 def find_cover_equation(
@@ -448,33 +447,29 @@ def lift_along_cover(
     mode: str = "over_c",
     precision: int = DEFAULT_PRECISION,
     twist: RationalFunction | None = None,
-    check_base: bool = True,
-) -> LiftOutcome:
-    """Try to lift a verified base point along the double cover w^2 = g.
+) -> SquareOutcome:
+    """Try to lift a base point along the double cover w^2 = g.
 
-    An odd-valuation g is the obstruction certificate.  A fractional cover
-    factor, made integral by ramification, enters as the twist multiplier.
-    Callers that already verified the base point can pass check_base=False.
+    The base point must verify exactly on the base system, or this raises
+    ValueError.  An odd-valuation g is the obstruction certificate.  A
+    fractional cover factor, made integral by ramification, enters as the
+    twist multiplier.
     """
-    index, variable, g_expr = find_cover_equation(cover, base_point.bindings)
-    if check_base:
-        base_report = verify_point(cover.without_equation(index), base_point, mode="exact")
-        if not base_report.passed:
-            raise ValueError("base point does not verify on the base system")
-    return _lift(cover, variable, g_expr, base_point, mode, precision, twist)
+    index, _, g_expr = find_cover_equation(cover, base_point.bindings)
+    if not verify_point(cover.without_equation(index), base_point, mode="exact").passed:
+        raise ValueError("base point does not verify on the base system")
+    return _lift(cover, g_expr, base_point, mode, precision, twist)
 
 
-def _lift(cover: PolynomialSystem, variable: str, g_expr: Expr, point: PointAssignment,
-          mode: str, precision: int, twist: RationalFunction | None = None) -> LiftOutcome:
-    """lift_along_cover once its cover equation variable^2 = g_expr is found."""
+def _lift(cover: PolynomialSystem, g_expr: Expr, point: PointAssignment, mode: str,
+          precision: int, twist: RationalFunction | None = None) -> SquareOutcome:
+    """lift_along_cover, unchecked, once its cover factor g_expr is found."""
     g_value = evaluate(g_expr, *_env(cover, point))
     if twist is not None:
         g_value = g_value * twist
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    check, witness, tower = _local_root(g_value, mode, precision)
-    kind = {"yes": "lifts", "no": "obstructed"}[check.kind]
-    return LiftOutcome(kind, variable, order=check.order, witness=witness, tower=tower)
+    return _square_outcome(g_value, ("lifts", "obstructed"), mode, precision)
 
 
 # -- the eight-case valuation split --------------------------------------------------

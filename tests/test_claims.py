@@ -618,6 +618,22 @@ def test_golden_nonlift_claims_certify_their_squares_with_solve_square(monkeypat
         assert sorted(report.evidence["square_witnesses"]) == ["y", "z"]
 
 
+@pytest.mark.parametrize("name, verifications", [
+    ("golden_nonlift_n1", 0),  # y and z are unbound: there is no base point to verify
+    ("k3_cover_two_forms_obstructed", 1),  # lift_along_cover verifies the plain form's base
+])
+def test_golden_claims_verify_their_base_point_only_where_it_is_bound(
+        monkeypatch, registry, name, verifications):
+    from localpoints import variety
+
+    calls = []
+    for module in (variety, claims):
+        monkeypatch.setattr(module, "verify_point", lambda *args, f=variety.verify_point,
+                            **kwargs: calls.append(args) or f(*args, **kwargs))
+    assert run_claim(name, registry).verdict == "pass"
+    assert len(calls) == verifications
+
+
 def test_golden_claim_reads_its_orders_from_the_cover_system():
     # a first base equation with the left-hand side x^2 = alpha^2, of order 0
     golden = parse_claim_file(claims.GOLDEN_POINT_TEXT)[0]
@@ -1095,6 +1111,10 @@ STATIC_ERRORS = [
        "place: t = 0 ram 1\nlet x = 1", "line 4, column 9: division by zero in system")
       for name, divisor in (("in_t", "t - t"), ("constant", "1 - 1"),
                             ("in_a_generator", "s^2 - 2"))),
+    # at the zero divisor, as in a let, not at the divisor that contains it
+    ("system_divides_by_zero_inside_a_divisor",
+     "system:\n  x = 1/(1/(t - t))\nplace: t = 0 ram 1\nlet x = 1",
+     "line 3, column 12: division by zero in system"),
     ("unbound_variable", "system:\n  x = y\nplace: t = 0 ram 1\nlet x = 1",
      "line 3, column 7: unbound variable 'y': no let binds it"),
     ("no_cover_equation", "system:\n  x = 1\nplace: t = 0 ram 1\nlet x = 1\nexpect: obstructed",

@@ -29,8 +29,9 @@ GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_
 GEN_0006_H2_WORK = (2, 4, 2)
 
 # height-1 field_tower._mul calls of one golden_nonlift_n1 run (12,418 while
-# every product above height 1 took three sub-products)
-GOLDEN_NONLIFT_N1_H1_MULS = 3632
+# every product above height 1 took three sub-products, 3,632 while
+# is_square_local divided for a leading coefficient it did not read)
+GOLDEN_NONLIFT_N1_H1_MULS = 3602
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):

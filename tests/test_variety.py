@@ -15,6 +15,7 @@ from localpoints.variety import (
     FormalSqrt,
     PointAssignment,
     SeriesValue,
+    find_cover_equation,
     lift_along_cover,
     parse_system,
     print_system,
@@ -315,9 +316,10 @@ def test_golden_point_obstructs_both_cover_forms():
 
 def test_sqrt_t_point_lifts_with_i_r():
     cover = parse_system(BASE_SYSTEM + COVER_EQUATION)
-    outcome = lift_along_cover(cover, sqrt_t_point())
+    point = sqrt_t_point()
+    outcome = lift_along_cover(cover, point)
     assert outcome.kind == "lifts"
-    assert outcome.variable == "w"
+    assert find_cover_equation(cover, point.bindings)[1] == "w"
     witness = outcome.witness
     assert witness.lead == 1
     imaginary = witness.leading_coefficient()
@@ -327,6 +329,17 @@ def test_sqrt_t_point_lifts_with_i_r():
     assert square.coefficient(2) == outcome.tower.rational(-1)
     minus_t = -t_function(outcome.tower, witness.place)
     assert square.matches(minus_t.to_puiseux(square.precision))
+
+
+def test_lift_along_cover_refuses_a_point_off_the_base_system():
+    cover = parse_system(BASE_SYSTEM + COVER_EQUATION)
+    point = sqrt_t_point()
+    one = RationalFunction.constant(QQ, point.place, 1)
+    off_base = PointAssignment(point.place, {**point.bindings, "x": ExactValue(one)})
+    with pytest.raises(ValueError, match="^base point does not verify on the base system$"):
+        lift_along_cover(cover, off_base)
+    with pytest.raises(ValueError, match="^base point does not verify"):
+        lift_along_cover(cover, off_base, twist=r_function(QQ, point.place) ** 2)
 
 
 def test_solve_square_nonsquare_certificate():
