@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import textwrap
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
@@ -25,7 +24,15 @@ from .errors import (
     UnknownClaimError,
     ZeroFunctionError,
 )
-from .exprs import Expr, _tokenize, evaluate, free_symbols, parse_expression, read_integer
+from .exprs import (
+    MAX_RAMIFICATION,
+    Expr,
+    _tokenize,
+    evaluate,
+    free_symbols,
+    parse_expression,
+    read_integer,
+)
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
@@ -63,6 +70,7 @@ from .variety import (
     valuation_case_predicates,
     verify_point,
 )
+from .records import Record
 
 KINDS = (
     "point_verification",
@@ -76,37 +84,49 @@ KINDS = (
 DEFAULT_SEED = 1
 
 
-@dataclass(frozen=True)
-class ClaimParams:
-    precision: int = DEFAULT_PRECISION
-    samples: int = 500
-    seed: int = DEFAULT_SEED
-    mode: str = "exact"
+class ClaimParams(Record):
+    __slots__ = _fields = ("precision", "samples", "seed", "mode")
+
+    def __init__(self, precision: int = DEFAULT_PRECISION, samples: int = 500,
+                 seed: int = DEFAULT_SEED, mode: str = "exact") -> None:
+        self.precision = precision
+        self.samples = samples
+        self.seed = seed
+        self.mode = mode
 
 
-@dataclass
 class ClaimOutcome:
-    verdict: str  # "pass" | "fail" | "undecided"
-    evidence: dict
+    __slots__ = ("verdict", "evidence")
+
+    def __init__(self, verdict: str, evidence: dict) -> None:
+        self.verdict = verdict  # "pass" | "fail" | "undecided"
+        self.evidence = evidence
 
 
-@dataclass
 class Claim:
-    name: str
-    kind: str
-    description: str
-    run: Callable[[ClaimParams], ClaimOutcome]
-    system_source: str | None = None
-    system_tower: FieldTower | None = None  # tower the source's coefficients live in
+    __slots__ = ("name", "kind", "description", "run", "system_source", "system_tower")
+
+    def __init__(self, name: str, kind: str, description: str,
+                 run: Callable[[ClaimParams], ClaimOutcome], system_source: str | None = None,
+                 system_tower: FieldTower | None = None) -> None:
+        self.name = name
+        self.kind = kind
+        self.description = description
+        self.run = run
+        self.system_source = system_source
+        self.system_tower = system_tower  # tower the source's coefficients live in
 
 
-@dataclass
 class ClaimReport:
-    name: str
-    kind: str
-    verdict: str
-    evidence: dict
-    wall_time: float
+    __slots__ = ("name", "kind", "verdict", "evidence", "wall_time")
+
+    def __init__(self, name: str, kind: str, verdict: str, evidence: dict,
+                 wall_time: float) -> None:
+        self.name = name
+        self.kind = kind
+        self.verdict = verdict
+        self.evidence = evidence
+        self.wall_time = wall_time
 
     def as_dict(self) -> dict:
         return {
@@ -124,7 +144,7 @@ def run_claim(
     if name not in registry:
         raise UnknownClaimError(f"no claim named {name!r}; see `verify list`")
     claim = registry[name]
-    params = replace(ClaimParams(), **overrides)
+    params = ClaimParams(**overrides)
     start = time.perf_counter()
     try:
         outcome = claim.run(params)
@@ -163,20 +183,29 @@ def run_all(
 Position = tuple[int, int]  # (line, column) in the claim file where a fragment's text starts
 
 
-@dataclass
 class ParsedClaim:
-    name: str
-    line: int
-    adjoins: list[tuple[Position, str, str]] = field(default_factory=list)  # at, name, minpoly
-    system_lines: list[tuple[Position, str]] = field(default_factory=list)
-    place: tuple[Position, str, int] | None = None  # the center's position and text, ram
-    lets: list[tuple[Position, str, str, bool]] = field(default_factory=list)  # at, var, rhs, sqrt
-    expect: str = "pass"
-    orbifold: OrbifoldCurve | None = None
-    assertions: list[tuple[Position, str, str]] = field(default_factory=list)
-    description: str | None = None
-    # identity and order lines: kind, label, an order's integer, (text, position) of each side
-    checks: list[tuple] = field(default_factory=list)
+    """A claim block as parse_claim_file reads it; a list left out starts empty."""
+
+    __slots__ = ("name", "line", "adjoins", "system_lines", "place", "lets", "expect",
+                 "orbifold", "assertions", "description", "checks")
+
+    def __init__(self, name: str, line: int, adjoins: list | None = None,
+                 system_lines: list | None = None, place: tuple | None = None,
+                 lets: list | None = None, expect: str = "pass",
+                 orbifold: OrbifoldCurve | None = None, assertions: list | None = None,
+                 description: str | None = None, checks: list | None = None) -> None:
+        self.name = name
+        self.line = line
+        self.adjoins = [] if adjoins is None else adjoins  # (at, name, minpoly)
+        self.system_lines = [] if system_lines is None else system_lines  # (at, text)
+        self.place = place  # the center's position and text, ram
+        self.lets = [] if lets is None else lets  # (at, var, rhs, sqrt)
+        self.expect = expect
+        self.orbifold = orbifold
+        self.assertions = [] if assertions is None else assertions  # (at, key, text)
+        self.description = description
+        # identity and order lines: kind, label, an order's integer, (text, position) of each side
+        self.checks = [] if checks is None else checks
 
 
 _PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
@@ -250,6 +279,9 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             ram = 1 if match[2] is None else read_integer(
                 match[2], lineno, column + match.start(2),
                 "ramification must be a positive integer", 1)
+            if ram > MAX_RAMIFICATION:
+                raise ClaimSyntaxError(f"ramification is at most {MAX_RAMIFICATION}",
+                                       lineno, column + match.start(2))
             current.place = ((lineno, column + match.start(1)), match[1], ram)
         elif keyword == "let ":
             var, eq, _ = rest.partition("=")
@@ -588,7 +620,8 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
     """
     index, variable, g = cover_equation
     verdict, evidence = _verified(cover.without_equation(index), point,
-                                  replace(params, mode="exact"))
+                                  ClaimParams(params.precision, params.samples, params.seed,
+                                              mode="exact"))
     if verdict != "pass":
         return verdict, evidence
     try:
@@ -639,8 +672,15 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
 def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> dict[str, Claim]:
     """Parse a claim file and return the session registry extended with it."""
     base = dict(registry if registry is not None else builtin_registry())
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # an error at the first byte that does not decode, in parse_claim_file's lines
+        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        raise ClaimSyntaxError(f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})",
+                               len(lines), len(lines[-1])) from None
     towers: dict = {}
     systems: dict = {}
     for parsed in parse_claim_file(text):

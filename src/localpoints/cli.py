@@ -118,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "load":
             registry = load_claim_file(args.file, registry)
             command = args.action
+            if (args.name is None) == (command == "run"):
+                parser.error(f"load ... {command} " + ("needs a claim name" if command == "run"
+                                                       else "takes no claim name"))
         else:
             command = args.command
 
@@ -127,8 +130,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if command == "run":
-            if args.command == "load" and args.name is None:
-                parser.error("load ... run needs a claim name")
             report = run_claim(args.name, registry, **_overrides(args))
             if args.json:
                 _emit_json(report.as_dict())

@@ -18,39 +18,49 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, TypeVar
 
 from .errors import ClaimSyntaxError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
+class Sym(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: Expr
+class Neg(Record):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expr) -> None:
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: Expr
-    right: Expr
+class BinOp(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op = op  # one of + - * /
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: Expr
-    exponent: int
+class Pow(Record):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int) -> None:
+        self.base = base
+        self.exponent = exponent
 
 
 # a PEP 604 union: typing.Union caches its result process-wide, which would keep
@@ -105,6 +115,11 @@ def _tokenize(text: str, line: int, column: int) -> list[tuple[str, str, int, in
 # stay well inside the default recursion limit of 1000 with room for their callers;
 # the deepest expression of the claim corpus has 15 levels.
 MAX_DEPTH = 200
+
+# The largest ramification a claim file's place may take.  t becomes a polynomial of
+# degree e in r, so each power of t costs work in proportion to e: a sqrt-t point at
+# e = 5,000 runs in about 10 ms, and a place at e = 10**11 ran out of memory.
+MAX_RAMIFICATION = 10_000
 
 _LEVELS = (frozenset("+-"), frozenset("*/"))  # a sum's operators, then a product's
 

@@ -24,12 +24,12 @@ conjugate root theta' = -b - theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import NotAPrefixError
+from .records import Record
 
 Coords = tuple[Fraction, ...]
 Nums = tuple[int, ...]
@@ -575,11 +575,13 @@ class FieldElement:
 QQ = FieldTower()
 
 
-@dataclass(frozen=True)
-class AlreadySplit:
+class AlreadySplit(Record):
     """Returned by adjoin_quadratic when the quadratic factors; carries a root."""
 
-    witness: FieldElement
+    __slots__ = _fields = ("witness",)
+
+    def __init__(self, witness: FieldElement) -> None:
+        self.witness = witness
 
 
 def adjoin_quadratic(
@@ -611,12 +613,14 @@ def embed(element: FieldElement, target: FieldTower) -> FieldElement:
     return _element(target, element.nums + padding, element.den)
 
 
-@dataclass(frozen=True)
-class SquareCheck:
+class SquareCheck(Record):
     """Outcome of an exact squareness test: yes (with a witness root) or no."""
 
-    kind: str  # "yes" | "no"
-    witness: FieldElement | None = None
+    __slots__ = _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: FieldElement | None = None) -> None:
+        self.kind = kind  # "yes" | "no"
+        self.witness = witness
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:

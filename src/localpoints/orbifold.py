@@ -9,10 +9,11 @@ are the degrees over which local points can exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+from .records import Record
 
 
 class _InfiniteMultiplicity:
@@ -53,18 +54,18 @@ def _labels(count: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(1, count + 1))
 
 
-@dataclass(frozen=True)
-class OrbifoldCurve:
-    genus: int
-    marks: tuple[tuple[str, Multiplicity], ...]
+class OrbifoldCurve(Record):
+    __slots__ = _fields = ("genus", "marks")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
+    def __init__(self, genus: int, marks: tuple[tuple[str, Multiplicity], ...]) -> None:
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        labels = [label for label, _ in self.marks]
+        labels = [label for label, _ in marks]
         if len(set(labels)) != len(labels):
             raise ValueError("mark labels must be distinct")
-        _check_marks(m for _, m in self.marks)
+        _check_marks(m for _, m in marks)
+        self.genus = genus
+        self.marks = marks
 
     @classmethod
     def from_multiplicities(cls, genus: int, multiplicities) -> OrbifoldCurve:
@@ -78,7 +79,8 @@ class OrbifoldCurve:
             raise ValueError("genus must be nonnegative")
         _check_marks(values)
         curve = object.__new__(cls)
-        curve.__dict__.update(genus=genus, marks=tuple(zip(_labels(len(values)), values)))
+        curve.genus = genus
+        curve.marks = tuple(zip(_labels(len(values)), values))
         return curve
 
     @property
@@ -134,16 +136,16 @@ def perturb_finite(curve: OrbifoldCurve, replacement: int = 7) -> OrbifoldCurve:
     return OrbifoldCurve(curve.genus, marks)
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    generators: tuple[int, ...]
+class MultiplicityProfile(Record):
+    __slots__ = _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, generators: tuple[int, ...]) -> None:
+        if not generators:
             raise ValueError("a profile needs at least one multiplicity")
-        for a in self.generators:
+        for a in generators:
             if not isinstance(a, int) or a < 1:
                 raise ValueError(f"multiplicities are positive integers, got {a!r}")
+        self.generators = generators
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(a) for a in sorted(self.generators)) + "]"

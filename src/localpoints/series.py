@@ -9,7 +9,6 @@ from _Local and share one set of polynomial and power-series helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,6 +35,7 @@ from .field_tower import (
     embed,
     is_square,
 )
+from .records import Record
 
 DEFAULT_PRECISION = 40
 
@@ -302,16 +302,16 @@ def _pstr(p: Poly) -> str:
 # -- places --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """Substitution t = center + r^e, or t = 1/r^e when center is None."""
 
-    center: FieldElement | None
-    e: int = 1
+    __slots__ = _fields = ("center", "e")
 
-    def __post_init__(self) -> None:
-        if self.e < 1:
+    def __init__(self, center: FieldElement | None, e: int = 1) -> None:
+        if e < 1:
             raise ValueError("ramification index must be >= 1")
+        self.center = center
+        self.e = e
 
     @classmethod
     def finite(cls, center: FieldElement, e: int = 1) -> Place:
@@ -856,14 +856,18 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
     return result, tower
 
 
-@dataclass(frozen=True)
-class SquareOutcome:
+class SquareOutcome(Record):
     """A local squareness verdict with its valuation; on a square, a series root and its tower."""
 
-    kind: str  # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
-    order: int
-    witness: PuiseuxSeries | None = None
-    tower: FieldTower | None = None
+    __slots__ = _fields = ("kind", "order", "witness", "tower")
+
+    def __init__(self, kind: str, order: int, witness: PuiseuxSeries | None = None,
+                 tower: FieldTower | None = None) -> None:
+        # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
+        self.kind = kind
+        self.order = order
+        self.witness = witness
+        self.tower = tower
 
 
 def is_square_local(

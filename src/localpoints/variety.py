@@ -10,7 +10,6 @@ residual of every equation and constraint at the point's place.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Collection, Iterator, Mapping
@@ -30,6 +29,7 @@ from .exprs import (
     to_text,
 )
 from .field_tower import FieldTower, QQ
+from .records import Record
 from .series import (
     DEFAULT_PRECISION,
     Place,
@@ -45,12 +45,14 @@ from .series import (
 LOCAL_PARAMETER = "r"
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """lhs = rhs; each property depends on the text alone, so it is kept once worked out."""
 
-    lhs: Expr
-    rhs: Expr
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Expr, rhs: Expr) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
 
     @cached_property
     def text(self) -> str:
@@ -68,16 +70,21 @@ class Equation:
         return lhs, rhs, to_text(multiplier)
 
 
-@dataclass(frozen=True)
-class PolynomialSystem:
-    """Equations and "!= 0" constraints; as on Equation, each property is kept once worked out."""
+class PolynomialSystem(Record):
+    """Equations and "!= 0" constraints; as on Equation, each property is kept once worked out.
 
-    tower: FieldTower
-    variables: tuple[str, ...]
-    equations: tuple[Equation, ...]
-    inequations: tuple[Expr, ...]
-    _subsystems: dict[int, PolynomialSystem] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _subsystems, filled by without_equation, takes no part in equality.
+    """
+
+    _fields = ("tower", "variables", "equations", "inequations")
+
+    def __init__(self, tower: FieldTower, variables: tuple[str, ...],
+                 equations: tuple[Equation, ...], inequations: tuple[Expr, ...]) -> None:
+        self.tower = tower
+        self.variables = variables
+        self.equations = equations
+        self.inequations = inequations
+        self._subsystems: dict[int, PolynomialSystem] = {}
 
     @cached_property
     def inequation_texts(self) -> tuple[str, ...]:
@@ -195,28 +202,33 @@ def print_system(system: PolynomialSystem) -> str:
 # -- point assignments -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    value: RationalFunction
+class ExactValue(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: RationalFunction) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    value: PuiseuxSeries
+class SeriesValue(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: PuiseuxSeries) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class FormalSqrt:
+class FormalSqrt(Record):
     """The variable stands for a square root of this exact function."""
 
-    square: RationalFunction
+    __slots__ = _fields = ("square",)
+
+    def __init__(self, square: RationalFunction) -> None:
+        self.square = square
 
 
 Binding = ExactValue | SeriesValue | FormalSqrt  # PEP 604, not cached: see exprs.Expr
 
 
-@dataclass(frozen=True)
-class PointAssignment:
+class PointAssignment(Record):
     """Bindings of the variables at a place.
 
     cache is the point's exact evaluation state, filled by every exact
@@ -224,9 +236,14 @@ class PointAssignment:
     factors and, for a claim, its lets.  It never takes part in equality.
     """
 
-    place: Place
-    bindings: Mapping[str, Binding]
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("place", "bindings", "cache")
+    _fields = ("place", "bindings")
+
+    def __init__(self, place: Place, bindings: Mapping[str, Binding],
+                 cache: dict | None = None) -> None:
+        self.place = place
+        self.bindings = bindings
+        self.cache = {} if cache is None else cache
 
     def sqrt_variables(self) -> tuple[str, ...]:
         return tuple(v for v, b in self.bindings.items() if isinstance(b, FormalSqrt))
@@ -235,30 +252,40 @@ class PointAssignment:
 # -- verification ------------------------------------------------------------------
 
 
-@dataclass
 class EquationResult:
-    status: str  # "exact_zero" | "zero_to_precision" | "failed"
-    text: str
-    precision: int | None = None
-    residual_order: int | None = None
-    residual_lead: str | None = None
-    cleared_by: str | None = None
+    __slots__ = ("status", "text", "precision", "residual_order", "residual_lead", "cleared_by")
+
+    def __init__(self, status: str, text: str, precision: int | None = None,
+                 residual_order: int | None = None, residual_lead: str | None = None,
+                 cleared_by: str | None = None) -> None:
+        self.status = status  # "exact_zero" | "zero_to_precision" | "failed"
+        self.text = text
+        self.precision = precision
+        self.residual_order = residual_order
+        self.residual_lead = residual_lead
+        self.cleared_by = cleared_by
 
 
-@dataclass
 class InequationResult:
-    status: str  # "nonzero" | "zero" | "zero_to_precision"
-    text: str
-    order: int | None = None
-    lead: str | None = None
+    __slots__ = ("status", "text", "order", "lead")
+
+    def __init__(self, status: str, text: str, order: int | None = None,
+                 lead: str | None = None) -> None:
+        self.status = status  # "nonzero" | "zero" | "zero_to_precision"
+        self.text = text
+        self.order = order
+        self.lead = lead
 
 
-@dataclass
 class VerificationReport:
-    mode: str
-    place: str
-    equations: list[EquationResult] = field(default_factory=list)
-    inequations: list[InequationResult] = field(default_factory=list)
+    __slots__ = ("mode", "place", "equations", "inequations")
+
+    def __init__(self, mode: str, place: str, equations: list[EquationResult] | None = None,
+                 inequations: list[InequationResult] | None = None) -> None:
+        self.mode = mode
+        self.place = place
+        self.equations = [] if equations is None else equations
+        self.inequations = [] if inequations is None else inequations
 
     @property
     def passed(self) -> bool:
@@ -271,9 +298,14 @@ class VerificationReport:
             "mode": self.mode,
             "place": self.place,
             "passed": self.passed,
-            "equations": [vars(e) for e in self.equations],
-            "inequations": [vars(i) for i in self.inequations],
+            "equations": [_field_dict(e) for e in self.equations],
+            "inequations": [_field_dict(i) for i in self.inequations],
         }
+
+
+def _field_dict(result: EquationResult | InequationResult) -> dict:
+    """The result's fields by name, in the order of its __slots__, empty ones included."""
+    return {name: getattr(result, name) for name in result.__slots__}
 
 
 def _coordinates(t: RationalFunction | PuiseuxSeries, tower: FieldTower) -> dict:

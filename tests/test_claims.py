@@ -15,6 +15,7 @@ from localpoints.claims import (
     run_claim,
 )
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
+from localpoints.exprs import MAX_RAMIFICATION
 from localpoints.field_tower import adjoin_quadratic
 from localpoints.variety import parse_system, print_system
 
@@ -686,6 +687,9 @@ POSITIONED_ERRORS = [
      "adjoin s : s^2 - 2 = 0\nplace: t = 1/(s - s)\nsystem:\n  x = 1\nlet x = 1", 3, 14),
     ("ramification_zero", "place: t = 0 ram 0\nsystem:\n  x = 1\nlet x = 1", 2, 18),
     ("ramification_negative", "place: t = 0 ram -2\nsystem:\n  x = 1\nlet x = 1", 2, 18),
+    # past exprs.MAX_RAMIFICATION, refused at load: ram 99999999999 ran out of memory at run time
+    ("ramification_past_the_bound", "place: t = 0 ram 10001\nsystem:\n  x = 1\nlet x = 1", 2, 18),
+    ("ramification_huge", "place: t = 0 ram 99999999999\nsystem:\n  x = 1\nlet x = 1", 2, 18),
     ("nonsquare_target_uses_a_sqrt_let",
      "system:\n  1 + y\nplace: t = 0 ram 1\nlet y = sqrt(t)\nexpect: nonsquare", 3, 7),
     ("sqrt_let_with_an_odd_power",
@@ -720,6 +724,13 @@ def test_bad_input_is_a_positioned_error(tmp_path, registry, body, line, column)
     with pytest.raises(ClaimSyntaxError) as err:
         run_claim("broken", load_claim_file(str(path), registry))
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_place_at_the_ramification_bound_runs(tmp_path, registry):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim edge\nsystem:\n  x^2 = t\nplace: t = 0 ram {MAX_RAMIFICATION}\n"
+                    f"let x = r^{MAX_RAMIFICATION // 2}\n", encoding="utf-8")
+    assert run_claim("edge", load_claim_file(str(path), registry)).verdict == "pass"
 
 
 def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):

@@ -189,6 +189,45 @@ def test_division_by_zero_in_let_is_a_positioned_usage_error(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+# bytes that are not UTF-8, and where the error names the first of them: a bad start
+# byte after a claim name, and a cut-off sequence after two-byte characters, whose
+# column counts characters, past a CRLF line end
+NOT_UTF8 = [
+    (b"claim a\xff\xfe\n", "line 1, column 8: byte 0xff is not UTF-8 (invalid start byte)"),
+    (b"claim a\r\nsystem:\n  x = 1 # \xc3\xa9\xc3\xa9 \xe2\x82\n",
+     "line 3, column 14: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+]
+
+
+@pytest.mark.parametrize("data, message", NOT_UTF8, ids=["start_byte", "cut_sequence"])
+def test_a_claim_file_that_is_not_utf8_is_a_positioned_usage_error(tmp_path, capsys, data,
+                                                                   message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert main(["load", str(path), "list"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a claim name after an action that takes none, and no name after run
+NAME_USAGE = [
+    (["list", "a"], "load ... list takes no claim name"),
+    (["all", "a"], "load ... all takes no claim name"),
+    (["run"], "load ... run needs a claim name"),
+]
+
+
+@pytest.mark.parametrize("args, message", NAME_USAGE, ids=["list_name", "all_name", "run"])
+def test_a_claim_name_where_the_action_takes_none_is_a_usage_error(tmp_path, capsys, args,
+                                                                   message):
+    path = tmp_path / "claims.txt"
+    path.write_text("claim a\nsystem:\n  x = 1\nplace: t = 0\nlet x = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        main(["load", str(path), *args])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
+
 def test_failing_claim_gives_exit_one(tmp_path):
     failing = tmp_path / "failing.txt"
     failing.write_text(

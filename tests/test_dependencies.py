@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and not dataclasses."""
 
 import ast
 import sys
@@ -7,18 +7,26 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "localpoints"
 
 
-def test_package_imports_are_relative_or_standard_library():
+def _absolute_imports():
+    """(file name, module) for each absolute import of each package module."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    outside = []
     for source in sources:
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((source.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [f"{source.name}: {name}" for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
+                yield source.name, node.module
+
+
+def test_package_imports_are_relative_or_standard_library():
+    outside = [f"{source}: {name}" for source, name in _absolute_imports()
+               if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # each @dataclass generates and compiles its methods at import, which made up about a
+    # quarter of the package's import time; the records are plain __slots__ classes
+    users = [source for source, name in _absolute_imports() if name.split(".")[0] == "dataclasses"]
+    assert users == []
