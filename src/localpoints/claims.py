@@ -25,8 +25,11 @@ from .errors import (
     ZeroFunctionError,
 )
 from .exprs import (
+    MAX_EXPONENT,
+    MAX_POWER_DEGREE,
     MAX_RAMIFICATION,
     Expr,
+    _integer,
     _tokenize,
     evaluate,
     free_symbols,
@@ -214,12 +217,35 @@ _KEYWORDS = ("claim ", "adjoin ", "system:", "place:", "let ", "expect:", "orbif
              "degree:", "general_type:", "description:", "identity ", "order ")
 _ORBIFOLD_LINES = ("orbifold ", "degree:", "general_type:")
 _ONCE = ("place:", "expect:", "orbifold ", "description:")  # lines a claim takes at most once
+# an exponent literal, read from as many digits as the least bound on one has
+# (MAX_POWER_DEGREE // MAX_RAMIFICATION = 100): a shorter one is within every bound
+_POWER = re.compile(r"\^\s*-?\s*([0-9]{%d,})" % len(str(MAX_POWER_DEGREE // MAX_RAMIFICATION)))
+_OF_R = re.compile(r"(?<!\w)r\s*$")  # text that ends in the local parameter r
 
 
 def _rest(line: str, start: int, offset: int) -> tuple[str, int]:
     """line[offset:] stripped, with the file column where it starts."""
     text = line[offset:]
     return text.strip(), start + offset + len(text) - len(text.lstrip())
+
+
+def _check_exponents(parsed: ParsedClaim) -> None:
+    """Refuse an exponent literal past its bound, at the literal.  The work of a power of t
+    grows with its degree |k|*e in r and, off t = 0, with |k|; a power of r has degree |k|."""
+    e = parsed.place[2] if parsed.place else 1
+    texts = [(at, text, e) for at, text in parsed.system_lines]
+    texts += [(at, text, e) for at, _, text, _ in parsed.lets]
+    texts += [(at, text, e) for *_, left, right in parsed.checks for text, at in (left, right)]
+    texts += [(at, text, 1) for at, _, text in parsed.adjoins + parsed.assertions]
+    texts += [(parsed.place[0], parsed.place[1], 1)] if parsed.place else []
+    r_free = all(var != "r" for _, var, _, _ in parsed.lets)  # a let may shadow it in checks
+    for (line, column), text, scale in texts:
+        for found in _POWER.finditer(text):
+            at = line, column + found.start(1)
+            of_r = r_free and _OF_R.search(text, 0, found.start())
+            bound = MAX_POWER_DEGREE if of_r else min(MAX_EXPONENT, MAX_POWER_DEGREE // scale)
+            if _integer(found[1], *at) > bound:
+                raise ClaimSyntaxError(f"an exponent here is at most {bound}", *at)
 
 
 def parse_claim_file(text: str) -> list[ParsedClaim]:
@@ -340,6 +366,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
                                    else f"{word!r} needs an orbifold line", lineno, start)
         if not orbifold and parsed.place is None:
             raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
+        _check_exponents(parsed)
         if parsed.expect == "nonsquare" and len(parsed.system_lines) != 1:
             raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
         # a system reads t and the generators as themselves, so no let may rebind them

@@ -11,15 +11,12 @@ b and c, D_k is their common denominator and D_k*b, D_k*c are integer vectors.
 Products are computed on integer vectors, scaled by S_k = D_k * S_{k-1}^2
 (S_0 = 1): with theta^2 = -b*theta - c,
 
-    (a0 + a1*theta)(b0 + b1*theta) = (a0*b0 - c*a1*b1) + (a0*b1 + a1*b0 - b*a1*b1)*theta,
+    (a0 + a1*theta)(b0 + b1*theta) = (a0*b0 - c*a1*b1) + (a0*b1 + a1*b0 - b*a1*b1)*theta.
 
-where a0*b1 + a1*b0 = (a0 + a1)(b0 + b1) - a0*b0 - a1*b1 (Karatsuba).  A level
-above the first takes that step only when all four halves are nonzero: three
-sub-products instead of four.  When a half is zero it multiplies only the half
-pairs that are both nonzero, one or two sub-products, and reduces by theta^2
-only when a1*b1 is among them.  A single multi-argument gcd puts the result in
-lowest terms.  Inverses use the same recursion on the norm against the
-conjugate root theta' = -b - theta.
+A level above the first multiplies only the half pairs that are both nonzero,
+and reduces by theta^2 only when a1*b1 is among them.  A single multi-argument
+gcd puts the result in lowest terms.  Inverses use the same recursion on the
+norm against the conjugate root theta' = -b - theta.
 """
 
 from __future__ import annotations
@@ -89,7 +86,6 @@ def _mul(a: Nums | list[int], b: Nums | list[int], levels: tuple[_Level, ...], k
     """The integer vector p with a * b = p / S_k in K_k, for k >= 1."""
     ds, bq, cq = levels[k - 1]
     if k == 1:
-        # on scalars a Karatsuba step costs more additions than the product it saves
         a0, a1 = a
         b0, b1 = b
         hh = a1 * b1
@@ -100,21 +96,16 @@ def _mul(a: Nums | list[int], b: Nums | list[int], levels: tuple[_Level, ...], k
     a0, a1, b0, b1 = a[:half], a[half:], b[:half], b[half:]
     sub = k - 1
     n0, n1, m0, m1 = any(a0), any(a1), any(b0), any(b1)
-    if n0 and n1 and m0 and m1:
-        lolo = _mul(a0, b0, levels, sub)
-        hihi = _mul(a1, b1, levels, sub)
-        both = _mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], levels, sub)
-        cross = [s - x - y for s, x, y in zip(both, lolo, hihi)]
-    else:
-        # a zero half: at most one of the cross products a0*b1, a1*b0 is nonzero
-        zero = [0] * half
-        lolo = _mul(a0, b0, levels, sub) if n0 and m0 else zero
-        cross = (_mul(a0, b1, levels, sub) if n0 and m1
-                 else _mul(a1, b0, levels, sub) if n1 and m0 else zero)
-        if not (n1 and m1):
-            product = lolo + cross
-            return product if ds == 1 else [ds * x for x in product]
-        hihi = _mul(a1, b1, levels, sub)
+    zero = [0] * half
+    lolo = _mul(a0, b0, levels, sub) if n0 and m0 else zero
+    cross = _mul(a0, b1, levels, sub) if n0 and m1 else zero
+    if n1 and m0:
+        other = _mul(a1, b0, levels, sub)
+        cross = [x + y for x, y in zip(cross, other)] if n0 and m1 else other
+    if not (n1 and m1):
+        product = lolo + cross
+        return product if ds == 1 else [ds * x for x in product]
+    hihi = _mul(a1, b1, levels, sub)
     return (_scaled_sub(ds, lolo, cq, hihi, levels, sub)
             + _scaled_sub(ds, cross, bq, hihi, levels, sub))
 

@@ -685,10 +685,6 @@ class PuiseuxSeries(_Local):
             return self.coeffs[index]
         return self.tower.zero()
 
-    def truncate(self, precision: int) -> PuiseuxSeries:
-        precision = min(precision, self.precision)
-        return PuiseuxSeries(self.tower, self.place, self.lead, self.coeffs, precision)
-
     # -- constructor hooks ----------------------------------------------------------
 
     def _embedded(self, tower: FieldTower, place: Place) -> PuiseuxSeries:
@@ -808,11 +804,16 @@ def _fresh_root_name(tower: FieldTower) -> str:
 
 
 def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
-    """Square root of a truncated series by Newton iteration.
+    """Square root of a truncated series, one coefficient at a time.
 
     Odd leading order doubles the ramification first; a leading coefficient
-    that is not a square in the tower gets its root adjoined to it.  Returns
-    the root together with the (possibly extended) tower.
+    that is not a square in the tower gets its root adjoined to it.  The unit
+    part g, with g^2 = u the series over its leading term, stays in the
+    original tower: g_0 = 1 and 2*g_k = u_k - sum(g_j * g_{k-j}, 0 < j < k)
+    (Knuth, TAOCP vol. 2, 4.7), each g_k one multiply-accumulate
+    (field_tower._dot) over the products with j < k - j, which the sum holds
+    twice, and the middle square g_{k/2}^2 of an even k, which it holds once.
+    Returns the root together with the (possibly extended) tower.
     """
     if f.is_zero():
         raise ZeroFunctionError("square root of a series that is zero to precision")
@@ -820,39 +821,31 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
         f = f.ramify(2)
     half_lead = f.lead // 2
     tower = f.tower
-    lead_coeff = f.coeffs[0]
-
-    # Newton on the unit part stays in the original tower; only the root of the
-    # leading coefficient may live in an extension.  Iterates are exact
-    # polynomials, so each step can widen its working precision; the number of
-    # correct terms doubles per step.
     relative = f.precision - f.lead
-    inv_lead = lead_coeff.inverse()
-    unit = PuiseuxSeries(tower, f.place, 0, _pscale(f.coeffs, inv_lead), relative)
-    precisions: list[int] = []
-    p = relative
-    while p > 1:
-        precisions.append(p)
-        p = (p + 1) // 2
-    g = PuiseuxSeries.constant(tower, f.place, 1, 1)
-    for p in reversed(precisions):
-        widened = PuiseuxSeries(tower, f.place, 0, g.coeffs, p)
-        g = (widened + unit.truncate(p) / widened) * Fraction(1, 2)
+    zero = tower.zero()
+    coeffs = f.coeffs + (zero,) * (relative - len(f.coeffs))
+    lead_coeff = coeffs[0]
+    half = tower.rational(Fraction(1, 2))
+    scale = lead_coeff.inverse() * half  # u_k / 2 = coeffs[k] * scale
+    g, minus = [tower.one()], [zero]  # g_j and -g_j, for j >= 1
+    for k in range(1, relative):
+        xs = [coeffs[k], *g[1:(k + 1) // 2]]
+        ys = [scale, *minus[k - 1:k // 2:-1]]
+        if not k % 2:
+            xs.append(g[k // 2] * half)
+            ys.append(minus[k // 2])
+        g.append(_dot(tower, xs, ys))
+        minus.append(-g[k])
 
     extended = adjoin_quadratic(tower, _fresh_root_name(tower), 0, -lead_coeff)
     if isinstance(extended, AlreadySplit):
         root_of_lead = extended.witness
     else:
         tower = extended
-        g = g._lift(tower)
+        g = _pembed(g, tower)
         root_of_lead = tower.gen(tower.generator_names[-1])
-    result = PuiseuxSeries(
-        tower,
-        f.place,
-        half_lead,
-        _pscale(g.coeffs, root_of_lead),
-        half_lead + relative,
-    )
+    result = PuiseuxSeries(tower, f.place, half_lead, _pscale(g, root_of_lead),
+                           half_lead + relative)
     return result, tower
 
 

@@ -1,10 +1,11 @@
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
-from localpoints import claims
+from localpoints import claims, variety
 from localpoints.cli import main
 from localpoints.claims import (
     ClaimParams,
@@ -15,8 +16,9 @@ from localpoints.claims import (
     run_claim,
 )
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
-from localpoints.exprs import MAX_RAMIFICATION
+from localpoints.exprs import MAX_EXPONENT, MAX_POWER_DEGREE, MAX_RAMIFICATION
 from localpoints.field_tower import adjoin_quadratic
+from localpoints.series import SquareOutcome
 from localpoints.variety import parse_system, print_system
 
 EXAMPLE = pathlib.Path(__file__).resolve().parent.parent / "claims_example.txt"
@@ -107,6 +109,51 @@ def test_k3_lift_claims(registry):
     infinity = run_claim("k3_lift_infinity", registry)
     assert infinity.verdict == "pass"
     assert infinity.evidence["lift"] == "lifts"
+
+
+def _lifting(*args):
+    return SquareOutcome("lifts", 0)
+
+
+# each builtin computed in Python, with one function it checks broken, and how its
+# evidence then names the broken sub-check: no builtin passes because it checked nothing
+BROKEN_BUILTINS = [
+    ("golden_nonlift_n1", claims, "_lift", _lifting,
+     lambda ev: ev["plain_cover"]["result"] == ev["twisted_cover"]["result"] == "lifts"),
+    ("k3_cover_two_forms_obstructed", claims, "_lift", _lifting,
+     lambda ev: (ev["plain_form"]["result"], ev["twisted_form"]["result"])
+     == ("obstructed", "lifts")),
+    ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
+     lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),
+    ("lemma91_case_partition", claims, "valuation_case_predicates", lambda vu, vx: (True, True),
+     lambda ev: len(ev["violations"]) == ev["grid_points"]
+     and all(v["hits"] == 2 for v in ev["violations"])),
+    ("orbifold_gt_threshold", claims, "is_general_type", lambda curve: False,
+     lambda ev: [f["d"] for f in ev["failures"] if f["check"] == "threshold"]
+     == list(range(5, 51)) and len(ev["failures"]) == 46),
+    ("pullback_orbifold_bases", claims, "degree", lambda curve: Fraction(0),
+     lambda ev: [(f["d"], f["check"]) for f in ev["failures"]]
+     == [(5, "degree"), (1, "degree"), (1, "degree")]),
+    ("semigroup_facts", claims, "semigroup_contains", lambda profile, m: True,
+     lambda ev: "3 in <2,5>" in ev["failures"]),
+    ("index_facts", claims, "profile_stats", lambda profile: (1, 1, 1),
+     lambda ev: {"profile": (2, 3), "stats": (2, 1, 1), "got": (1, 1, 1)} in ev["failures"]),
+    # a degree of -11/2 for every curve: six infinite marks raise it to 1/2, but at 6/7
+    # each only to -5/14, so each curve is one violation
+    ("perturbation_sweep", claims, "degree", lambda curve: Fraction(-11, 2),
+     lambda ev: ev["violations"] and all(v["inf"] == 6 for v in ev["violations"])
+     and len(ev["violations"]) * 7 == ev["curves_checked"]),
+]
+
+
+@pytest.mark.parametrize("name, module, attribute, broken, named",
+                         BROKEN_BUILTINS, ids=[row[0] for row in BROKEN_BUILTINS])
+def test_a_builtin_fails_when_what_it_checks_is_broken(monkeypatch, registry, name, module,
+                                                         attribute, broken, named):
+    monkeypatch.setattr(module, attribute, broken)
+    report = run_claim(name, registry, samples=16)
+    assert report.verdict == "fail"
+    assert named(report.evidence)
 
 
 def test_run_all_filter(registry):
@@ -690,6 +737,28 @@ POSITIONED_ERRORS = [
     # past exprs.MAX_RAMIFICATION, refused at load: ram 99999999999 ran out of memory at run time
     ("ramification_past_the_bound", "place: t = 0 ram 10001\nsystem:\n  x = 1\nlet x = 1", 2, 18),
     ("ramification_huge", "place: t = 0 ram 99999999999\nsystem:\n  x = 1\nlet x = 1", 2, 18),
+    # past exprs.MAX_EXPONENT or exprs.MAX_POWER_DEGREE, refused at load at the literal:
+    # t^10000 at ram 10000 and t^100000000 at ram 1 ran out of memory at run time
+    ("exponent_at_the_ramification_bound",
+     "place: t = 0 ram 10000\nsystem:\n  x = 1\nlet x = 1 + t^10000", 5, 15),
+    ("exponent_huge", "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1 + t^100000000", 5, 15),
+    ("exponent_past_the_bound", "place: t = 1 ram 1\nsystem:\n  x = 1\nlet x = 1 + t^1001",
+     5, 15),
+    ("power_degree_past_the_bound",
+     "place: t = 0 ram 10000\nsystem:\n  x = 1\nlet x = 1 + t^101", 5, 15),
+    ("power_of_r_past_the_degree_bound",
+     "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = r^1000001", 5, 11),
+    ("power_of_a_let_named_r_past_the_bound",
+     "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\nlet r = t\nidentity i: r^1001 = 0",
+     7, 15),
+    ("negative_exponent_in_the_system",
+     "place: t = 0 ram 2\nsystem:\n  x = t^ - 500001\nlet x = 1", 4, 12),
+    ("exponent_in_an_order_check",
+     "place: t = 0 ram 1000\nsystem:\n  x = 1\nlet x = 1\norder g: t^1001 = 3", 6, 12),
+    ("exponent_in_an_adjoin", "adjoin s : s^2 - 2^1001 = 0\nplace: t = 0\nsystem:\n  x = 1",
+     2, 20),
+    ("exponent_in_a_place_center", "place: t = 2^1001 ram 1\nsystem:\n  x = 1\nlet x = 1", 2, 14),
+    ("exponent_in_a_degree", "orbifold genus 0 marks [2, 3]\ndegree: 2^1001", 3, 11),
     ("nonsquare_target_uses_a_sqrt_let",
      "system:\n  1 + y\nplace: t = 0 ram 1\nlet y = sqrt(t)\nexpect: nonsquare", 3, 7),
     ("sqrt_let_with_an_odd_power",
@@ -731,6 +800,22 @@ def test_a_place_at_the_ramification_bound_runs(tmp_path, registry):
     path.write_text(f"claim edge\nsystem:\n  x^2 = t\nplace: t = 0 ram {MAX_RAMIFICATION}\n"
                     f"let x = r^{MAX_RAMIFICATION // 2}\n", encoding="utf-8")
     assert run_claim("edge", load_claim_file(str(path), registry)).verdict == "pass"
+
+
+# each bound's largest literal loads; the costliest to run, the largest exponent off t = 0,
+# also runs (in about 0.2 s), while the other two take about a second each
+@pytest.mark.parametrize("place, power, runs", [
+    ("1 ram 1", f"t^{MAX_EXPONENT}", True),
+    ("0 ram 10000", f"t^-{MAX_POWER_DEGREE // 10000}", False),
+    ("0 ram 1", f"r^{MAX_POWER_DEGREE}", False),
+], ids=["exponent", "degree_of_a_power_of_t", "degree_of_a_power_of_r"])
+def test_an_exponent_at_the_bound_loads(tmp_path, registry, place, power, runs):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim edge\nsystem:\n  x = x\nplace: t = {place}\nlet x = 1 + {power}\n",
+                    encoding="utf-8")
+    loaded = load_claim_file(str(path), registry)
+    if runs:
+        assert run_claim("edge", loaded).verdict == "pass"
 
 
 def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):

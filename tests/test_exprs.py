@@ -410,8 +410,15 @@ def _nested(levels: int) -> str:
     [(_chain(MAX_DEPTH + 1), MAX_DEPTH + 1, _chain(MAX_DEPTH + 2), 2 * MAX_DEPTH + 2),
      (_nested(MAX_DEPTH), 1, _nested(MAX_DEPTH + 1), MAX_DEPTH + 1),
      ("-" * MAX_DEPTH + "t", 1, "-" * (MAX_DEPTH + 1) + "t", MAX_DEPTH + 1),
-     ("t^2" + "*t" * (MAX_DEPTH - 1), 1, "t^2" + "*t" * MAX_DEPTH, 2 * MAX_DEPTH + 2)],
-    ids=["sum", "parentheses", "minus_signs", "power_times"],
+     ("t^2" + "*t" * (MAX_DEPTH - 1), 1, "t^2" + "*t" * MAX_DEPTH, 2 * MAX_DEPTH + 2),
+     # a minus sign, a pair of parentheses and a power over an operand already
+     # MAX_DEPTH - 1 levels deep: each fails at its own token, the pair at its (
+     ("-(" + _chain(MAX_DEPTH - 1) + ")", 1 - MAX_DEPTH, "-(" + _chain(MAX_DEPTH) + ")", 1),
+     ("(" + _chain(MAX_DEPTH) + ")", MAX_DEPTH, "(" + _chain(MAX_DEPTH + 1) + ")", 1),
+     ("(" + _chain(MAX_DEPTH - 1) + ")^2", (MAX_DEPTH - 1) ** 2,
+      "(" + _chain(MAX_DEPTH) + ")^2", 2 * MAX_DEPTH + 2)],
+    ids=["sum", "parentheses", "minus_signs", "power_times", "minus_over_a_sum",
+         "parentheses_over_a_sum", "power_over_a_sum"],
 )
 def test_depth_is_bounded_at_the_token_that_crosses_it(deepest, value, too_deep, column):
     tree = parse_expression(deepest)

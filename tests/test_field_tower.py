@@ -382,10 +382,17 @@ def test_mul_and_inverse_match_fraction_oracle(towers):
             product = a * b
             _assert_canonical(product)
             assert product.coords == _coords_mul(a.coords, b.coords, tower.steps)
+            three = (Fraction(3),) + (Fraction(0),) * (tower.dim - 1)
+            assert (a ** 0).coords == tower.one().coords
+            # an int on the left: __rsub__, and __rtruediv__ below
+            assert (3 - a).coords == _coords_sub(three, a.coords)
             if not a.is_zero():
                 inverse = a.inverse()
                 _assert_canonical(inverse)
                 assert inverse.coords == _coords_inv(a.coords, tower.steps)
+                assert (3 / a).coords == _coords_mul(three, inverse.coords, tower.steps)
+                square = _coords_mul(a.coords, a.coords, tower.steps)
+                assert (a ** -2).coords == _coords_inv(square, tower.steps)
             _assert_canonical(a + b)
             _assert_canonical(a - b)
             _assert_canonical(-a)
@@ -444,8 +451,8 @@ def _shaped(data, tower, shape):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_products_with_a_zero_half_match_the_fraction_oracle(height, data):
-    # the top level multiplies only the nonzero half pairs unless all four are
-    # nonzero; every pair of shapes, on each kind of tower
+    # the top level multiplies only the nonzero half pairs, all four of them when
+    # no half is zero; every pair of shapes, on each kind of tower
     tower = data.draw(st.sampled_from(_towers_at(height)))
     for shape_a in _SHAPES:
         a = tower.element(_shaped(data, tower, shape_a))

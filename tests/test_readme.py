@@ -1,9 +1,14 @@
 """The examples in README.md run: the library example gives the results its comments
-state, and the claim-file example loads and passes."""
+state, and the claim-file example loads and passes.  Every module and name it cites
+resolves."""
 
 import ast
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
+import localpoints
 from localpoints.claims import load_claim_file, run_claim
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +40,33 @@ def test_readme_claim_file_block_loads_and_passes(tmp_path):
     registry = load_claim_file(str(path), {})
     assert list(registry) == ["my_point"]
     assert run_claim("my_point", registry).verdict == "pass"
+
+
+PACKAGE_MODULES = {info.name for info in pkgutil.iter_modules(localpoints.__path__)}
+FILE_SUFFIXES = ("txt", "md", "json", "py", "toml")
+
+
+def _resolve(dotted):
+    """The object a dotted name stands for: a module of the package, a name the package
+    exports, or a module of the standard library, then the attributes after it."""
+    head, *names = dotted.removeprefix("localpoints.").split(".")
+    if head in PACKAGE_MODULES:
+        found = importlib.import_module(f"localpoints.{head}")
+    elif hasattr(localpoints, head):
+        found = getattr(localpoints, head)
+    else:
+        found = importlib.import_module(head)
+    for name in names:
+        found = getattr(found, name)
+    return found
+
+
+def test_every_module_and_name_the_readme_cites_resolves():
+    # `localpoints.series`, `variety.solve_square`, `sys.get_int_max_str_digits()`, ...;
+    # a rename or deletion that leaves the README behind fails here
+    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\(\))?`",
+                           README.read_text(encoding="utf-8")))
+    cited = {name for name in cited if name.rsplit(".", 1)[1] not in FILE_SUFFIXES}
+    assert {"localpoints.series", "variety.solve_square", "exprs.MAX_DEPTH"} <= cited
+    for name in sorted(cited):
+        _resolve(name)

@@ -9,7 +9,14 @@ from localpoints.claims import builtin_registry, run_claim
 from localpoints.exprs import BinOp, Neg, Num, Pow, Sym, parse_expression
 from localpoints.field_tower import QQ
 from localpoints.orbifold import MultiplicityProfile
-from localpoints.series import Place, RationalFunction, SquareOutcome, r_function, t_function
+from localpoints.series import (
+    Place,
+    PuiseuxSeries,
+    RationalFunction,
+    SquareOutcome,
+    r_function,
+    t_function,
+)
 from localpoints.variety import ExactValue, FormalSqrt, PointAssignment, parse_system, verify_point
 
 
@@ -59,6 +66,30 @@ def test_profiles_and_square_outcomes_compare_hash_and_print_by_value():
                         [SquareOutcome("yes", 3), SquareOutcome("no", 1), ("no", 3)])
     assert repr(SquareOutcome("no", 3)) == (
         "SquareOutcome(kind='no', order=3, witness=None, tower=None)")
+
+
+def test_local_values_that_compare_equal_hash_alike():
+    place = Place.finite(QQ.zero(), 1)
+
+    def rf(num, den):
+        return RationalFunction(QQ, place, tuple(map(QQ.rational, num)),
+                                tuple(map(QQ.rational, den)))
+
+    # the same function as a multiple and with a common factor 1 + r
+    f = rf([1, 2, 3], [1, -1, 5])
+    _same_and_different(
+        [f, rf([2, 4, 6], [2, -2, 10]), rf([1, 3, 5, 3], [1, 0, 4, 5])],
+        [rf([1, 2, 3], [1, -1, 4]), RationalFunction(QQ, Place.finite(QQ.zero(), 2), f.num, f.den)])
+
+    def series(lead, coeffs, precision, at=place):
+        return PuiseuxSeries(QQ, at, lead, tuple(map(QQ.rational, coeffs)), precision)
+
+    # the same series with a leading and a trailing zero, and from its terms
+    _same_and_different(
+        [series(0, [1, 0, 3], 6), series(-1, [0, 1, 0, 3, 0], 6),
+         PuiseuxSeries.from_terms(QQ, place, {0: 1, 2: 3}, 6)],
+        [series(0, [1, 0, 3], 7), series(1, [1, 0, 3], 6), series(0, [1, 0, 4], 6),
+         series(0, [1, 0, 3], 6, Place.finite(QQ.zero(), 2)), rf([1, 0, 3], [1])])
 
 
 def test_point_equality_ignores_the_evaluation_cache():

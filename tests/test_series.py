@@ -30,8 +30,9 @@ GEN_0006_H2_WORK = (2, 4, 2)
 
 # height-1 field_tower._mul calls of one golden_nonlift_n1 run (12,418 while
 # every product above height 1 took three sub-products, 3,632 while
-# is_square_local divided for a leading coefficient it did not read)
-GOLDEN_NONLIFT_N1_H1_MULS = 3602
+# is_square_local divided for a leading coefficient it did not read, 3,602
+# while series_sqrt took Newton steps)
+GOLDEN_NONLIFT_N1_H1_MULS = 2274
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -472,14 +473,42 @@ def test_sqrt_of_minus_alpha_stays_in_the_golden_tower():
 
 def test_sqrt_roundtrip_randomized():
     rng = random.Random(31)
-    for _ in range(100):
-        lead = 2 * rng.randint(-3, 3)
-        terms = {lead: Fraction(rng.randint(1, 5)) ** 2}
-        for offset in range(1, rng.randint(2, 6)):
-            terms[lead + offset] = Fraction(rng.randint(-5, 5))
-        f = PuiseuxSeries.from_terms(QQ, ORIGIN, terms, lead + 15)
-        root, _ = series_sqrt(f)
-        assert (root * root).matches(f)
+    for height, tower in enumerate(_towers()):
+        place = Place.finite(tower.zero(), 1)
+
+        def coefficient(low):
+            return tower.element([Fraction(rng.randint(low, 5)) for _ in range(tower.dim)])
+
+        for _ in range(100 if height == 0 else 25):
+            # over Q an even lead and a square leading coefficient; above it any lead,
+            # and a leading coefficient whose root the result may have to adjoin
+            lead = 2 * rng.randint(-3, 3) if height == 0 else rng.randint(-6, 6)
+            terms = {lead: Fraction(rng.randint(1, 5)) ** 2 if height == 0 else coefficient(1)}
+            for offset in range(1, rng.randint(2, 6)):
+                terms[lead + offset] = coefficient(-5)
+            f = PuiseuxSeries.from_terms(tower, place, terms, lead + 15)
+            root, root_tower = series_sqrt(f)
+            even = f.ramify(2) if lead % 2 else f
+            assert (root.lead, root.precision) == (even.lead // 2,
+                                                   even.precision - even.lead // 2)
+            assert (root * root).matches(even._lift(root_tower))
+
+
+def test_a_square_root_takes_one_dot_per_known_term_past_the_first(monkeypatch):
+    from localpoints import series
+
+    calls = []
+    dot = series._dot
+    monkeypatch.setattr(series, "_dot", lambda *args: calls.append(args) or dot(*args))
+    for tower in _towers():
+        place = Place.finite(tower.zero(), 1)
+        for lead, precision in ((0, 1), (0, 2), (2, 9), (-4, 16), (1, 6)):
+            f = PuiseuxSeries.from_terms(tower, place, {lead: 2, lead + 1: -1}, precision)
+            # the terms known past the lead, doubled when an odd lead ramifies
+            relative = (precision - lead) * (2 if lead % 2 else 1)
+            calls.clear()
+            series_sqrt(f)
+            assert len(calls) == relative - 1
 
 
 def test_is_square_local_parity():
