@@ -345,7 +345,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             genus = read_integer(match[1], lineno, column + match.start(1),
                                  "the genus is a nonnegative integer", 0)
             marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
-            current.orbifold = OrbifoldCurve.from_multiplicities(genus, [
+            current.orbifold = OrbifoldCurve(genus, [
                 INF if mark == "inf" else read_integer(
                     mark, lineno, column + match.start(2), "marks are positive integers or inf", 1)
                 for mark in marks])
@@ -1011,7 +1011,7 @@ def _perturbations(params: ClaimParams) -> dict:
     for genus in range(3):
         for size in range(7):
             for finite in combinations_with_replacement(range(1, 11), size):
-                base = degree(OrbifoldCurve.from_multiplicities(genus, finite))
+                base = degree(OrbifoldCurve(genus, finite))
                 num, den = base.numerator, base.denominator
                 for n_inf in range(7):
                     checked += 1

@@ -540,7 +540,15 @@ class FieldElement:
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:
-        return hash((self.tower, self.nums, self.den))
+        # == embeds a prefix tower, which pads nums with zeros, and coerces
+        # rationals: so hash nums without trailing zeros, a rational as its Fraction
+        nums = self.nums
+        top = len(nums)
+        while top > 1 and not nums[top - 1]:
+            top -= 1
+        if top == 1:
+            return hash(Fraction(nums[0], self.den))
+        return hash((nums[:top], self.den))
 
     def __str__(self) -> str:
         names = self.tower.generator_names

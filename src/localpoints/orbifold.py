@@ -1,8 +1,8 @@
 """Orbifold curves, fibre multiplicity profiles, and the semigroup calculus.
 
-An orbifold curve is a genus plus marked points with multiplicities in
-{1, 2, ...} or infinity; its degree is 2g - 2 + sum(1 - 1/m) with an infinite
-mark contributing 1.  A multiplicity profile holds the component
+An orbifold curve is a genus and the multiplicities of its marked points,
+each in {1, 2, ...} or infinity; its degree is 2g - 2 + sum(1 - 1/m) with an
+infinite mark contributing 1.  A multiplicity profile holds the component
 multiplicities of a degenerate fibre; its nonnegative integer combinations
 are the degrees over which local points can exist.
 """
@@ -10,7 +10,6 @@ are the degrees over which local points can exist.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .records import Record
@@ -32,60 +31,30 @@ class _InfiniteMultiplicity:
 
 INF = _InfiniteMultiplicity()
 
-Multiplicity = int | _InfiniteMultiplicity
-
-
-def _check_multiplicity(m: Multiplicity) -> None:
-    if isinstance(m, _InfiniteMultiplicity):
-        return
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"multiplicity must be a positive integer or inf, got {m!r}")
-
 
 def _check_marks(values) -> None:
-    """_check_multiplicity on each mark, with one test per plain positive int."""
+    """Each mark is a positive int or INF: one test per plain positive int."""
     for m in values:
-        if type(m) is not int or m < 1:
-            _check_multiplicity(m)
-
-
-@lru_cache(maxsize=64)
-def _labels(count: int) -> tuple[str, ...]:
-    return tuple(f"p{i}" for i in range(1, count + 1))
+        if type(m) is int and m >= 1 or m is INF:
+            continue
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"multiplicity must be a positive integer or inf, got {m!r}")
 
 
 class OrbifoldCurve(Record):
-    __slots__ = _fields = ("genus", "marks")
+    __slots__ = _fields = ("genus", "multiplicities")
 
-    def __init__(self, genus: int, marks: tuple[tuple[str, Multiplicity], ...]) -> None:
+    def __init__(self, genus: int, multiplicities) -> None:
+        multiplicities = tuple(multiplicities)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        labels = [label for label, _ in marks]
-        if len(set(labels)) != len(labels):
-            raise ValueError("mark labels must be distinct")
-        _check_marks(m for _, m in marks)
+        _check_marks(multiplicities)
         self.genus = genus
-        self.marks = marks
+        self.multiplicities = multiplicities
 
     @classmethod
     def from_multiplicities(cls, genus: int, multiplicities) -> OrbifoldCurve:
-        """The curve with marks p1, p2, ... of these multiplicities.
-
-        The labels are distinct by construction, so this checks only the genus
-        and the marks, with the constructor's checks and messages.
-        """
-        values = tuple(multiplicities)
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
-        _check_marks(values)
-        curve = object.__new__(cls)
-        curve.genus = genus
-        curve.marks = tuple(zip(_labels(len(values)), values))
-        return curve
-
-    @property
-    def multiplicities(self) -> tuple[Multiplicity, ...]:
-        return tuple(m for _, m in self.marks)
+        return cls(genus, multiplicities)
 
     def __str__(self) -> str:
         inside = ", ".join(str(m) for m in self.multiplicities)
@@ -98,8 +67,8 @@ def degree(curve: OrbifoldCurve) -> Fraction:
     Exact: with L the lcm of the finite marks (1 when there are none), the
     sum is the integer (2g - 2 + n) L - sum of L/m over n marks, over L.
     """
-    marks = curve.marks
-    finite = [m for _, m in marks if m is not INF]
+    marks = curve.multiplicities
+    finite = [m for m in marks if m is not INF]
     common = lcm(*finite)
     numerator = (2 * curve.genus - 2 + len(marks)) * common
     return Fraction(numerator - sum(map(common.__floordiv__, finite)), common)
@@ -118,7 +87,7 @@ def pullback_half_marks(genus: int, cover_degree: int) -> OrbifoldCurve:
     """
     if cover_degree < 1:
         raise ValueError("cover degree must be >= 1")
-    return OrbifoldCurve.from_multiplicities(genus, [2] * cover_degree)
+    return OrbifoldCurve(genus, [2] * cover_degree)
 
 
 def perturb_finite(curve: OrbifoldCurve, replacement: int = 7) -> OrbifoldCurve:
@@ -129,10 +98,7 @@ def perturb_finite(curve: OrbifoldCurve, replacement: int = 7) -> OrbifoldCurve:
     """
     if replacement < 2:
         raise ValueError("replacement multiplicity must be >= 2 to stay an orbifold mark")
-    marks = tuple(
-        (label, replacement if isinstance(m, _InfiniteMultiplicity) else m)
-        for label, m in curve.marks
-    )
+    marks = [replacement if m is INF else m for m in curve.multiplicities]
     return OrbifoldCurve(curve.genus, marks)
 
 

@@ -546,7 +546,10 @@ class RationalFunction(_Local):
         return (a.num, a.den) == (b.num, b.den)
 
     def __hash__(self) -> int:
-        return hash((self.tower, self.num, self.den))
+        # == lifts to a common tower and coerces scalars: a constant hashes as its value
+        if len(self.num) <= 1 and len(self.den) == 1:
+            return hash(self.num[0] if self.num else 0)
+        return hash((self.num, self.den))
 
     # -- local data ----------------------------------------------------------------
 
@@ -713,9 +716,9 @@ class PuiseuxSeries(_Local):
         precision = min(a.precision + b.lead, b.precision + a.lead)
         if a.is_zero() or b.is_zero():
             return PuiseuxSeries.zero(a.tower, a.place, precision)
+        # a nonzero series has lead < precision, so precision - lead =
+        # min(a.precision - a.lead, b.precision - b.lead) >= 1, here and in a quotient
         lead = a.lead + b.lead
-        if precision <= lead:
-            raise PrecisionExhaustedError("product has no known coefficients")
         size = min(precision - lead, len(a.coeffs) + len(b.coeffs) - 1)
         out = _convolve(a.coeffs, b.coeffs, size, a.tower)
         return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
@@ -743,10 +746,7 @@ class PuiseuxSeries(_Local):
         if a.is_zero():
             return PuiseuxSeries.zero(a.tower, a.place, precision)
         lead = a.lead - b.lead
-        nterms = precision - lead
-        if nterms <= 0:
-            raise PrecisionExhaustedError("quotient has no known coefficients")
-        coeffs = _series_quotient(a.coeffs, b.coeffs, nterms, a.tower.zero())
+        coeffs = _series_quotient(a.coeffs, b.coeffs, precision - lead, a.tower.zero())
         return PuiseuxSeries(a.tower, a.place, lead, coeffs, precision)
 
     def ramify(self, k: int) -> PuiseuxSeries:

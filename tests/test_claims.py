@@ -115,14 +115,22 @@ def _lifting(*args):
     return SquareOutcome("lifts", 0)
 
 
-# each builtin computed in Python, with one function it checks broken, and how its
-# evidence then names the broken sub-check: no builtin passes because it checked nothing
+def _doubled_witness(*args, lift=claims._lift):
+    outcome = lift(*args)
+    return SquareOutcome(outcome.kind, outcome.order, 2 * outcome.witness, outcome.tower)
+
+
+# each builtin computed in Python, and a lift claim, with one function it checks
+# broken, and how its evidence then names the broken sub-check: no builtin passes
+# because it checked nothing
 BROKEN_BUILTINS = [
     ("golden_nonlift_n1", claims, "_lift", _lifting,
      lambda ev: ev["plain_cover"]["result"] == ev["twisted_cover"]["result"] == "lifts"),
     ("k3_cover_two_forms_obstructed", claims, "_lift", _lifting,
      lambda ev: (ev["plain_form"]["result"], ev["twisted_form"]["result"])
      == ("obstructed", "lifts")),
+    ("k3_lift_sqrt_t", claims, "_lift", _doubled_witness,
+     lambda ev: ev["lift"] == "lifts" and ev["witness_square_matches"] is False),
     ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
      lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),
     ("lemma91_case_partition", claims, "valuation_case_predicates", lambda vu, vx: (True, True),

@@ -1,6 +1,7 @@
 """Hardening tests for unusual places, precisions, and tri-state outcomes."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_products_of_normalized_series_keep_their_leading_term():
     assert (low * low).precision == 7
     assert (low * lower).lead == -2
     assert (low / low).coefficient(0) == QQ.one()
+    # a nonzero series has lead < precision, so a product or quotient knows
+    # min(a.precision - a.lead, b.precision - b.lead) >= 1 coefficients
+    for a_lead, a_known, b_lead, b_known in product(range(-3, 4), range(1, 4), repeat=2):
+        a = PuiseuxSeries.from_terms(QQ, origin, {a_lead: 1, a_lead + 1: 2}, a_lead + a_known)
+        b = PuiseuxSeries.from_terms(QQ, origin, {b_lead: 3, b_lead + 1: 1}, b_lead + b_known)
+        known = min(a_known, b_known)
+        for result, lead in ((a * b, a_lead + b_lead), (a / b, a_lead - b_lead)):
+            assert result.lead == lead and result.precision - lead == known
 
 
 def test_zero_series_arithmetic_keeps_precision_honest():
@@ -106,6 +115,16 @@ def test_solve_square_nonsquare_in_exact_mode():
         system, parse_expression("2"), parse_expression("1"), point, mode="exact"
     )
     assert outcome.kind == "nonsquare"
+
+
+def test_solve_square_refuses_a_vanishing_factor_or_left_hand_side():
+    place = Place.finite(QQ.zero(), 1)
+    system = parse_system("x^2 = t\n")
+    point = PointAssignment(place, {"x": ExactValue(RationalFunction.constant(QQ, place, 1))})
+    with pytest.raises(ZeroDivisionError, match="^square factor vanishes at the point$"):
+        solve_square(system, parse_expression("t"), parse_expression("x - 1"), point)
+    with pytest.raises(ZeroFunctionError, match="^left-hand side vanishes at the point$"):
+        solve_square(system, parse_expression("x^2 - 1"), parse_expression("t"), point)
 
 
 def test_truncated_verification_precision_is_min_of_bindings():

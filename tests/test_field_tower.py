@@ -113,6 +113,8 @@ def test_embed_rejects_non_prefix():
     golden = golden_tower()
     with pytest.raises(NotAPrefixError):
         embed(gauss.gen("i"), golden)
+    # == answers across towers where neither is a prefix of the other
+    assert gauss.gen("i") != golden.gen("alpha") and not gauss.gen("i") == golden.gen("alpha")
 
 
 def test_is_square_rationals():
@@ -360,6 +362,18 @@ def fractional_rational_step_towers() -> list[FieldTower]:
     return [t2, t3]
 
 
+def prime_denominator_towers() -> list[FieldTower]:
+    """Steps whose c, then b, has the first residue-prime candidate as denominator."""
+    from localpoints.field_tower import _RESIDUE_PRIME_CANDIDATES, _is_prime
+
+    first = next(p for p in _RESIDUE_PRIME_CANDIDATES if _is_prime(p))
+    t1 = adjoin_quadratic(QQ, "s", 0, Fraction(-2, first))
+    assert isinstance(t1, FieldTower)
+    t2 = adjoin_quadratic(t1, "v", t1.gen("s") / first, -3)
+    assert isinstance(t2, FieldTower)
+    return [t1, t2]
+
+
 def _assert_canonical(element):
     assert len(element.nums) == element.tower.dim
     assert all(type(x) is int for x in element.nums)
@@ -494,7 +508,8 @@ def test_equal_elements_hash_equal():
 
 
 @pytest.mark.parametrize(
-    "towers", [fractional_towers, fractional_rational_step_towers, golden_towers_to_height_three]
+    "towers", [fractional_towers, fractional_rational_step_towers, golden_towers_to_height_three,
+               prime_denominator_towers]
 )
 def test_residue_map_is_a_ring_map_onto_f_p(towers):
     from localpoints.field_tower import _residue_map
@@ -505,8 +520,10 @@ def test_residue_map_is_a_ring_map_onto_f_p(towers):
         assert p > 1 << 30 and math.gcd(p, math.prod(range(2, 1000))) == 1
         # deterministic: a tower with the same steps picks the same prime and roots
         assert _residue_map(FieldTower(tower.steps)) == (p, monomials)
-        # every step's root satisfies its polynomial under the roots below it
+        # every step's root satisfies its polynomial under the roots below it, and
+        # its constants are p-integral: a prime dividing a denominator is passed over
         for k, step in enumerate(tower.steps):
+            assert all(q.denominator % p for q in step.b + step.c)
             below = monomials[: 1 << k]
             b, c = (sum(q.numerator * pow(q.denominator, -1, p) * m for q, m in zip(v, below))
                     for v in (step.b, step.c))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -18,8 +20,7 @@ from localpoints.orbifold import (
 )
 
 
-def curve(genus, multiplicities):
-    return OrbifoldCurve.from_multiplicities(genus, multiplicities)
+curve = OrbifoldCurve
 
 
 def test_degree_examples():
@@ -92,22 +93,30 @@ class _Mark(int):
     """An int subclass, which the one-test fast path hands to the full check."""
 
 
-def test_from_multiplicities_matches_the_constructor():
+def test_the_constructor_checks_each_mark_with_one_message():
     good = [(0, []), (2, [3, 3, INF, 1]), (1, (2,) * 7), (0, [2, True, 3]), (1, [_Mark(5), 2]),
             (0, [10**399 + 7, INF])]
     for genus, multiplicities in good:
-        marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
-        built = curve(genus, multiplicities)
-        assert built == OrbifoldCurve(genus, marks) == curve(genus, iter(multiplicities))
-        assert hash(built) == hash(OrbifoldCurve(genus, marks))
-    bad = [(-1, [2])] + [(0, [2, m, 3]) for m in (0, -2, 2.5, "2", None, [2])]
-    for genus, multiplicities in bad:
-        marks = tuple((f"p{i}", m) for i, m in enumerate(multiplicities, start=1))
-        with pytest.raises(ValueError) as from_constructor:
-            OrbifoldCurve(genus, marks)
-        with pytest.raises(ValueError) as from_list:
-            curve(genus, multiplicities)
-        assert str(from_list.value) == str(from_constructor.value)
+        built = OrbifoldCurve(genus, multiplicities)
+        assert built.genus == genus and built.multiplicities == tuple(multiplicities)
+        again = OrbifoldCurve(genus, iter(multiplicities))
+        assert built == again == OrbifoldCurve.from_multiplicities(genus, multiplicities)
+        assert hash(built) == hash(again)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        OrbifoldCurve(-1, [2])
+    # a labelled (name, m) pair is no mark
+    for m in (0, -2, 2.5, "2", None, [2], ("p1", 2)):
+        with pytest.raises(ValueError) as refused:
+            OrbifoldCurve(0, [2, m, 3])
+        assert str(refused.value) == f"multiplicity must be a positive integer or inf, got {m!r}"
+    # degree and perturb_finite know an infinite mark only as `m is INF`
+    built = curve(0, [INF, INF, 2])
+    for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built)),
+                   curve(0, [copy.copy(INF), pickle.loads(pickle.dumps(INF)), 2])):
+        assert copied == built and str(copied) == "(genus 0; [inf, inf, 2])"
+        assert all(m is INF for m in copied.multiplicities[:2])
+        assert degree(copied) == degree(built) == Fraction(1, 2)
+        assert perturb_finite(copied).multiplicities == (7, 7, 2)
 
 
 def test_perturb_finite():

@@ -3,12 +3,20 @@ overrides and the key order of a verification report's dictionary."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+from fractions import Fraction
+
 import pytest
+
+import localpoints
 
 from localpoints.claims import builtin_registry, run_claim
 from localpoints.exprs import BinOp, Neg, Num, Pow, Sym, parse_expression
-from localpoints.field_tower import QQ
+from localpoints.field_tower import QQ, adjoin_quadratic, embed
 from localpoints.orbifold import MultiplicityProfile
+from localpoints.records import Record
 from localpoints.series import (
     Place,
     PuiseuxSeries,
@@ -29,6 +37,26 @@ def _same_and_different(same, different):
     assert len(set(same)) == 1
     for other in different:
         assert other != first and not other == first
+
+
+# constructor arguments that are caches, not values, after a record's fields
+TRAILING_CACHES = {PointAssignment: ("cache",)}
+
+
+def test_each_record_compares_exactly_its_constructor_arguments():
+    # equality, hashing and repr read _fields, so each record's fields must be its
+    # constructor's arguments, in order, with only a trailing cache left out
+    for module in pkgutil.iter_modules(localpoints.__path__):
+        importlib.import_module(f"localpoints.{module.name}")
+    records, todo = [], [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        records += subclasses
+        todo += subclasses
+    assert len(records) == 18
+    for record in records:
+        arguments = list(inspect.signature(record.__init__).parameters)[1:]
+        assert arguments == [*record._fields, *TRAILING_CACHES.get(record, ())], record
 
 
 def test_expression_nodes_compare_hash_and_print_by_value():
@@ -69,6 +97,21 @@ def test_profiles_and_square_outcomes_compare_hash_and_print_by_value():
 
 
 def test_local_values_that_compare_equal_hash_alike():
+    # a value and its copy in a taller tower, and a rational and its Fraction and int
+    with_i = adjoin_quadratic(QQ, "i", 0, 1)
+    with_j = adjoin_quadratic(with_i, "j", 0, 2)
+    three = QQ.rational(3)
+    _same_and_different([three, with_i.rational(3), 3, Fraction(3), with_j.rational(3)],
+                        [QQ.rational(2), with_i.gen("i") + 3, Fraction(3, 2), "3", None])
+    _same_and_different([with_i.gen("i") + 3, embed(with_i.gen("i") + 3, with_j)],
+                        [with_i.gen("i") - 3, with_j.gen("j") + 3, three])
+    constant = RationalFunction.constant(QQ, Place.finite(three), 3)
+    _same_and_different([constant, constant._lift(with_i), three, 3],
+                        [RationalFunction.constant(QQ, Place.finite(three), 2),
+                         t_function(QQ, Place.finite(three))])
+    _same_and_different([Place.finite(three, 2), Place.finite(with_i.rational(3), 2)],
+                        [Place.finite(with_i.rational(3)), Place.finite(with_i.gen("i"), 2)])
+
     place = Place.finite(QQ.zero(), 1)
 
     def rf(num, den):

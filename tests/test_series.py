@@ -370,6 +370,7 @@ def test_a_power_of_a_negative_lead_series_knows_what_its_product_knows():
     x = PuiseuxSeries.from_terms(QQ, ORIGIN, {-2: 1, 0: 3}, 10)
     assert (x ** 2).precision == (x * x).precision == 8
     assert (x ** 2).matches(x * x)
+    assert not (x ** 2).matches(x * x + PuiseuxSeries.from_terms(QQ, ORIGIN, {7: 1}, 10))
     assert (x ** 0).precision == 10
 
 
