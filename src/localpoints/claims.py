@@ -57,6 +57,8 @@ from .series import (
     r_function,
 )
 from .variety import (
+    GRID_NUMERATORS,
+    GRID_RAMIFICATIONS,
     ExactValue,
     FormalSqrt,
     PointAssignment,
@@ -569,7 +571,7 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
     _, variable, g = cover_equation
     w_square = point.bindings[variable].square
     try:
-        lift = _lift(cover, g, point, "over_c", precision)
+        lift = _lift(cover, g, point, precision)
     except ZeroFunctionError:
         evidence["lift"] = "zero"
         return "fail"
@@ -577,7 +579,7 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
     if lift.witness is None:  # only a lift that succeeds has a witness
         return "fail"
     square = lift.witness * lift.witness
-    matches = square.matches(w_square._lift(lift.tower).to_puiseux(square.precision))
+    matches = square.matches(w_square._lift(lift.witness.tower).to_puiseux(square.precision))
     evidence["witness"] = str(lift.witness)
     evidence["witness_order"] = lift.witness.order_at_zero()
     evidence["witness_square_matches"] = matches
@@ -652,7 +654,7 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
     if verdict != "pass":
         return verdict, evidence
     try:
-        outcome = _lift(cover, g, point, "over_c", params.precision)
+        outcome = _lift(cover, g, point, params.precision)
     except ZeroFunctionError:  # the cover factor vanishes at the point
         return "fail", {"cover_variable": variable, "result": "zero", "order": None}
     evidence = {"cover_variable": variable, "result": outcome.kind, "order": outcome.order}
@@ -838,7 +840,7 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
         twist = r_function(cover.tower, point.place) ** 2
-        plain, twisted = (_form(_lift(cover, g, point, "over_c", params.precision, factor))
+        plain, twisted = (_form(_lift(cover, g, point, params.precision, factor))
                           for factor in (None, twist))
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
@@ -876,7 +878,7 @@ def _two_forms(golden: ParsedClaim, cover: PolynomialSystem, params: ClaimParams
         for label, lhs, c in equations}}, point.cache)
     # lift_along_cover checks that the point really is a point of the base system
     plain = _form(lift_along_cover(cover, point, precision=params.precision))
-    twisted = _form(_lift(cover, g, point, "over_c", params.precision,
+    twisted = _form(_lift(cover, g, point, params.precision,
                           r_function(cover.tower, point.place) ** 2))
     ok = plain["result"] == twisted["result"] == "obstructed"
     return ClaimOutcome(
@@ -915,9 +917,9 @@ def _square_lift_property(params: ClaimParams) -> ClaimOutcome:
 def _case_partition(params: ClaimParams) -> dict:
     violations = []
     points = 0
-    for e in range(1, 7):
-        for a in range(-12, 13):
-            for b in range(-12, 13):
+    for e in GRID_RAMIFICATIONS:
+        for a in GRID_NUMERATORS:
+            for b in GRID_NUMERATORS:
                 points += 1
                 hits = sum(valuation_case_predicates(Fraction(a, e), Fraction(b, e)))
                 if hits != 1:

@@ -533,10 +533,11 @@ class FieldElement:
             other = self.tower.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except NotAPrefixError:
-            return False
+        if self.tower is not other.tower and not (any(self.nums[1:]) or any(other.nums[1:])):
+            # rationals compare by value over any towers; otherwise incomparable
+            # towers raise NotAPrefixError, as arithmetic does
+            return self.nums[0] == other.nums[0] and self.den == other.den
+        a, b = self._pair(other)
         return a.den == b.den and a.nums == b.nums
 
     def __hash__(self) -> int:

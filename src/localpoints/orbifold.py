@@ -90,15 +90,13 @@ def pullback_half_marks(genus: int, cover_degree: int) -> OrbifoldCurve:
     return OrbifoldCurve(genus, [2] * cover_degree)
 
 
-def perturb_finite(curve: OrbifoldCurve, replacement: int = 7) -> OrbifoldCurve:
-    """Replace every infinite multiplicity by a finite one (default 7).
+def perturb_finite(curve: OrbifoldCurve) -> OrbifoldCurve:
+    """Replace every infinite multiplicity by 7.
 
     Support and finite multiplicities are unchanged, so the result is a
     finite perturbation of the input.
     """
-    if replacement < 2:
-        raise ValueError("replacement multiplicity must be >= 2 to stay an orbifold mark")
-    marks = [replacement if m is INF else m for m in curve.multiplicities]
+    marks = [7 if m is INF else m for m in curve.multiplicities]
     return OrbifoldCurve(curve.genus, marks)
 
 

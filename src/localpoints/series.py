@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (
-    NotAPrefixError,
     PlaceMismatchError,
     PrecisionExhaustedError,
     ZeroFunctionError,
@@ -33,7 +32,6 @@ from .field_tower import (
     _sum,
     adjoin_quadratic,
     embed,
-    is_square,
 )
 from .records import Record
 
@@ -328,13 +326,6 @@ class Place(Record):
     def ramified(self, k: int) -> Place:
         return Place(self.center, self.e * k)
 
-    def same_locus(self, other: Place) -> bool:
-        if self.e != other.e or self.is_infinity != other.is_infinity:
-            return False
-        if self.is_infinity:
-            return True
-        return self.center == other.center
-
     def __str__(self) -> str:
         if self.is_infinity:
             return f"t = 1/r^{self.e}"
@@ -342,7 +333,7 @@ class Place(Record):
 
 
 def _check_place(a: _Local, b: _Local) -> None:
-    if not a.place.same_locus(b.place):
+    if a.place != b.place:
         raise PlaceMismatchError(f"places differ: {a.place} vs {b.place}")
 
 
@@ -536,20 +527,30 @@ class RationalFunction(_Local):
             a.tower, a.place, _pmul(num_a, den_b, zero), _pmul(den_a, num_b, zero)
         )
 
+    def _value(self) -> FieldElement | int | None:
+        """The value of a constant, else None."""
+        if len(self.num) <= 1 and len(self.den) == 1:
+            return self.num[0] if self.num else 0
+        return None
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (RationalFunction, FieldElement, Fraction, int)):
+        if isinstance(other, RationalFunction):
+            if self.place != other.place:
+                return False
+            value = other._value()
+            other = other if value is None else value
+        elif not isinstance(other, (FieldElement, Fraction, int)):
             return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except (NotAPrefixError, PlaceMismatchError):
-            return False
+        value = self._value()
+        if value is not None and not isinstance(other, RationalFunction):
+            return value == other  # FieldElement's ==: rationals by value over any towers
+        a, b = self._pair(other)
         return (a.num, a.den) == (b.num, b.den)
 
     def __hash__(self) -> int:
         # == lifts to a common tower and coerces scalars: a constant hashes as its value
-        if len(self.num) <= 1 and len(self.den) == 1:
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
+        value = self._value()
+        return hash((self.num, self.den) if value is None else value)
 
     # -- local data ----------------------------------------------------------------
 
@@ -780,7 +781,7 @@ class PuiseuxSeries(_Local):
             return NotImplemented
         return (
             self.tower == other.tower
-            and self.place.same_locus(other.place)
+            and self.place == other.place
             and self.lead == other.lead
             and self.coeffs == other.coeffs
             and self.precision == other.precision
@@ -803,7 +804,7 @@ def _fresh_root_name(tower: FieldTower) -> str:
     return f"rt{k}"
 
 
-def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
+def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
     """Square root of a truncated series, one coefficient at a time.
 
     Odd leading order doubles the ramification first; a leading coefficient
@@ -813,7 +814,8 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
     (Knuth, TAOCP vol. 2, 4.7), each g_k one multiply-accumulate
     (field_tower._dot) over the products with j < k - j, which the sum holds
     twice, and the middle square g_{k/2}^2 of an even k, which it holds once.
-    Returns the root together with the (possibly extended) tower.
+    The root's tower is the input's, or that tower with the root of the
+    leading coefficient adjoined.
     """
     if f.is_zero():
         raise ZeroFunctionError("square root of a series that is zero to precision")
@@ -844,41 +846,30 @@ def series_sqrt(f: PuiseuxSeries) -> tuple[PuiseuxSeries, FieldTower]:
         tower = extended
         g = _pembed(g, tower)
         root_of_lead = tower.gen(tower.generator_names[-1])
-    result = PuiseuxSeries(tower, f.place, half_lead, _pscale(g, root_of_lead),
-                           half_lead + relative)
-    return result, tower
+    return PuiseuxSeries(tower, f.place, half_lead, _pscale(g, root_of_lead),
+                         half_lead + relative)
 
 
 class SquareOutcome(Record):
-    """A local squareness verdict with its valuation; on a square, a series root and its tower."""
+    """A local squareness verdict with its valuation; on a square, a series root."""
 
-    __slots__ = _fields = ("kind", "order", "witness", "tower")
+    __slots__ = _fields = ("kind", "order", "witness")
 
-    def __init__(self, kind: str, order: int, witness: PuiseuxSeries | None = None,
-                 tower: FieldTower | None = None) -> None:
+    def __init__(self, kind: str, order: int, witness: PuiseuxSeries | None = None) -> None:
         # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
         self.kind = kind
         self.order = order
         self.witness = witness
-        self.tower = tower
 
 
-def is_square_local(
-    f: RationalFunction | PuiseuxSeries, mode: str = "over_c"
-) -> SquareOutcome:
-    """Squareness of a nonzero local element.
+def is_square_local(f: RationalFunction | PuiseuxSeries) -> SquareOutcome:
+    """Squareness of a nonzero local element over an algebraically closed residue
+    field: the squares are exactly the even-order elements.
 
-    over_c: squares are exactly the even-order elements (the residue field is
-    algebraically closed).  exact: even order and a leading coefficient that is
-    a square in the coefficient tower, decided by is_square at every height.
+    Whether the leading coefficient is a square in the tower itself is
+    field_tower.is_square(f.tower, f.leading_coefficient()).
     """
-    if mode not in ("over_c", "exact"):
-        raise ValueError(f"unknown squareness mode {mode!r}")
     if f.is_zero():
         raise ZeroFunctionError("squareness of the zero function is undefined")
     order = f.order_at_zero()
-    if order % 2:
-        return SquareOutcome("no", order)
-    if mode == "over_c":
-        return SquareOutcome("yes", order)
-    return SquareOutcome(is_square(f.tower, f.leading_coefficient()).kind, order)
+    return SquareOutcome("no" if order % 2 else "yes", order)

@@ -417,7 +417,7 @@ def verify_point(
 
 
 def _square_outcome(
-    value: RationalFunction, kinds: tuple[str, str], mode: str, precision: int
+    value: RationalFunction, kinds: tuple[str, str], precision: int
 ) -> SquareOutcome:
     """Squareness of a nonzero exact value, named by kinds (square, nonsquare), with a
     series root when it is a square.
@@ -426,7 +426,7 @@ def _square_outcome(
     that raises PrecisionExhaustedError.
     """
     square, nonsquare = kinds
-    check = is_square_local(value, mode)
+    check = is_square_local(value)
     if check.kind != "yes":
         return SquareOutcome(nonsquare, check.order)
     expansion = value.to_puiseux(precision)
@@ -434,7 +434,7 @@ def _square_outcome(
         raise PrecisionExhaustedError(
             f"the square is zero to precision {precision}; its root has no known coefficient"
         )
-    return SquareOutcome(square, check.order, *series_sqrt(expansion))
+    return SquareOutcome(square, check.order, series_sqrt(expansion))
 
 
 def solve_square(
@@ -442,7 +442,6 @@ def solve_square(
     lhs: Expr,
     g: Expr,
     point: PointAssignment,
-    mode: str = "over_c",
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
     """Decide whether lhs/g is a local square at the point; witness on success."""
@@ -453,7 +452,7 @@ def solve_square(
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    return _square_outcome(lhs_value / g_value, ("witness", "nonsquare"), mode, precision)
+    return _square_outcome(lhs_value / g_value, ("witness", "nonsquare"), precision)
 
 
 def find_cover_equation(
@@ -476,7 +475,6 @@ def find_cover_equation(
 def lift_along_cover(
     cover: PolynomialSystem,
     base_point: PointAssignment,
-    mode: str = "over_c",
     precision: int = DEFAULT_PRECISION,
     twist: RationalFunction | None = None,
 ) -> SquareOutcome:
@@ -490,18 +488,18 @@ def lift_along_cover(
     index, _, g_expr = find_cover_equation(cover, base_point.bindings)
     if not verify_point(cover.without_equation(index), base_point, mode="exact").passed:
         raise ValueError("base point does not verify on the base system")
-    return _lift(cover, g_expr, base_point, mode, precision, twist)
+    return _lift(cover, g_expr, base_point, precision, twist)
 
 
-def _lift(cover: PolynomialSystem, g_expr: Expr, point: PointAssignment, mode: str,
-          precision: int, twist: RationalFunction | None = None) -> SquareOutcome:
+def _lift(cover: PolynomialSystem, g_expr: Expr, point: PointAssignment, precision: int,
+          twist: RationalFunction | None = None) -> SquareOutcome:
     """lift_along_cover, unchecked, once its cover factor g_expr is found."""
     g_value = evaluate(g_expr, *_env(cover, point))
     if twist is not None:
         g_value = g_value * twist
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    return _square_outcome(g_value, ("lifts", "obstructed"), mode, precision)
+    return _square_outcome(g_value, ("lifts", "obstructed"), precision)
 
 
 # -- the eight-case valuation split --------------------------------------------------
@@ -597,39 +595,36 @@ def _laurent_text(e: int, order: int, coeffs: list[int]) -> str:
     return str(unit * shift if order >= 0 else unit / shift)
 
 
-def _grid_cases(e_max: int, max_numerator: int) -> dict[int, list[tuple[int, int, int]]]:
-    """The grid triples (e, a, b), |a|, |b| <= max_numerator, grouped by the case of (a/e, b/e).
+# The sweep's grid of valuations (a/e, b/e): ramifications e and numerators a, b.
+GRID_RAMIFICATIONS = range(1, 7)
+GRID_NUMERATORS = range(-12, 13)
+
+
+def _grid_cases() -> dict[int, list[tuple[int, int, int]]]:
+    """The grid triples (e, a, b) grouped by the case of (a/e, b/e).
 
     Each list keeps grid order: e, then a, then b.
     """
     by_case: dict[int, list[tuple[int, int, int]]] = {case: [] for case in range(1, 9)}
-    span = range(-max_numerator, max_numerator + 1)
-    for e in range(1, e_max + 1):
-        values = [(n, Fraction(n, e)) for n in span]
+    for e in GRID_RAMIFICATIONS:
+        values = [(n, Fraction(n, e)) for n in GRID_NUMERATORS]
         for a, vu in values:
             for b, vx in values:
                 by_case[valuation_case(vu, vx)].append((e, a, b))
     return by_case
 
 
-def _draws(
-    samples: int, seed: int, e_max: int, max_numerator: int
-) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
+def _draws(samples: int, seed: int) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
     """The sweep's draws (case, e, a, u, b, x), in the order the seeded stream makes them.
 
     (e, a, b) is drawn uniformly from the grid triples in the wanted case, the
     distribution that rejection from the whole grid gives; u and x are the
-    units of the Laurent polynomials of orders a and b.  A wanted case with
-    no grid triple raises ValueError before any draw.
+    units of the Laurent polynomials of orders a and b.  Every case has grid
+    triples, so every draw finds one.
     """
-    if samples < 0 or e_max < 1 or max_numerator < 0:
-        raise ValueError(f"a sweep needs samples >= 0, e_max >= 1 and max_numerator >= 0; "
-                         f"got {samples}, {e_max}, {max_numerator}")
-    by_case = _grid_cases(e_max, max_numerator)
-    empty = [case for case in range(1, min(samples, 8) + 1) if not by_case[case]]
-    if empty:
-        raise ValueError(f"no grid triple with e <= {e_max} and |a|, |b| <= {max_numerator} "
-                         f"falls in case {', '.join(map(str, empty))}")
+    if samples < 0:
+        raise ValueError(f"a sweep needs samples >= 0; got {samples}")
+    by_case = _grid_cases()
     rng = random.Random(seed)
     for k in range(samples):
         case = k % 8 + 1
@@ -637,24 +632,22 @@ def _draws(
         yield case, e, a, _random_unit(rng), b, _random_unit(rng)
 
 
-def sample_square_lift_property(
-    samples: int = 500, seed: int = 1, e_max: int = 6, max_numerator: int = 12
-) -> dict:
+def sample_square_lift_property(samples: int = 500, seed: int = 1) -> dict:
     """Stratified random check: solvable-for-y-and-z forces the cover factor square.
 
-    Draws (v(u), v(x)) from each of the eight case regions in equal proportion,
+    Draws (v(u), v(x)) = (a/e, b/e) from the grid GRID_RAMIFICATIONS x
+    GRID_NUMERATORS^2, from each of the eight case regions in equal proportion,
     with random Laurent polynomial u, x realizing those valuations.  Whenever
     both residual quotients for y^2 and z^2 have even order (squares over the
     complex numbers) and no constraint vanishes, the cover factor u^2 t^2 - t
     must have even order as well.  Counterexamples are returned, expected none.
-    Orders are read from coefficient lists, with no gcd.  A grid with no
-    triple in a case the sweep draws from raises ValueError.
+    Orders are read from coefficient lists, with no gcd.
     """
     counts = {case: 0 for case in range(1, 9)}
     hypothesis_hits = 0
     degenerate = 0
     counterexamples: list[dict] = []
-    for case, e, a, u, b, x in _draws(samples, seed, e_max, max_numerator):
+    for case, e, a, u, b, x in _draws(samples, seed):
         counts[case] += 1
         g_order, lhs1_order, lhs2_order = _sample_orders(e, a, u, b, x)
         if None in (g_order, lhs1_order, lhs2_order):

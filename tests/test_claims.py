@@ -18,6 +18,7 @@ from localpoints.claims import (
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 from localpoints.exprs import MAX_EXPONENT, MAX_POWER_DEGREE, MAX_RAMIFICATION
 from localpoints.field_tower import adjoin_quadratic
+from localpoints.orbifold import OrbifoldCurve
 from localpoints.series import SquareOutcome
 from localpoints.variety import parse_system, print_system
 
@@ -117,7 +118,12 @@ def _lifting(*args):
 
 def _doubled_witness(*args, lift=claims._lift):
     outcome = lift(*args)
-    return SquareOutcome(outcome.kind, outcome.order, 2 * outcome.witness, outcome.tower)
+    return SquareOutcome(outcome.kind, outcome.order, 2 * outcome.witness)
+
+
+def _with_a_mark_of_one(genus, cover_degree, pullback=claims.pullback_half_marks):
+    # a mark of multiplicity one adds nothing to the degree, but changes the marks
+    return OrbifoldCurve(genus, pullback(genus, cover_degree).multiplicities + (1,))
 
 
 # each builtin computed in Python, and a lift claim, with one function it checks
@@ -139,11 +145,28 @@ BROKEN_BUILTINS = [
     ("orbifold_gt_threshold", claims, "is_general_type", lambda curve: False,
      lambda ev: [f["d"] for f in ev["failures"] if f["check"] == "threshold"]
      == list(range(5, 51)) and len(ev["failures"]) == 46),
+    # only genus 0 with four half-marks has degree 0
+    ("orbifold_gt_threshold", claims, "degree", lambda curve: Fraction(0),
+     lambda ev: [(f["d"], f["genus"], f["check"]) for f in ev["failures"]]
+     == [(d, genus, "degree") for d in range(1, 51) for genus in range(4) if (d, genus) != (4, 0)]),
     ("pullback_orbifold_bases", claims, "degree", lambda curve: Fraction(0),
      lambda ev: [(f["d"], f["check"]) for f in ev["failures"]]
      == [(5, "degree"), (1, "degree"), (1, "degree")]),
+    ("pullback_orbifold_bases", claims, "pullback_half_marks", _with_a_mark_of_one,
+     lambda ev: [(f["d"], f["check"]) for f in ev["failures"]]
+     == [(5, "marks"), (1, "marks"), (1, "marks"), (4, "marks")]),
+    ("pullback_orbifold_bases", claims, "is_general_type", lambda curve: True,
+     lambda ev: [(f["d"], f["check"]) for f in ev["failures"]]
+     == [(1, "general_type"), (4, "general_type")]),
     ("semigroup_facts", claims, "semigroup_contains", lambda profile, m: True,
      lambda ev: "3 in <2,5>" in ev["failures"]),
+    ("semigroup_facts", claims, "semigroup_contains", lambda profile, m: False,
+     lambda ev: ev["failures"][:11]
+     == ["7 not in <2,3>", *(f"{a} not in <{a}>" for a in range(1, 11))]
+     and ev["failures"][-1].endswith("DP/bruteforce mismatches")),
+    ("semigroup_facts", claims, "forced_component", lambda a, b: False,
+     lambda ev: ev["failures"] == ["forced_component(2, 3) != True",
+                                   "forced_component(3, 5) != True"]),
     ("index_facts", claims, "profile_stats", lambda profile: (1, 1, 1),
      lambda ev: {"profile": (2, 3), "stats": (2, 1, 1), "got": (1, 1, 1)} in ev["failures"]),
     # a degree of -11/2 for every curve: six infinite marks raise it to 1/2, but at 6/7
@@ -154,8 +177,13 @@ BROKEN_BUILTINS = [
 ]
 
 
-@pytest.mark.parametrize("name, module, attribute, broken, named",
-                         BROKEN_BUILTINS, ids=[row[0] for row in BROKEN_BUILTINS])
+# a row is named by its claim, and a further row of the same claim by the claim and
+# what it breaks
+BROKEN_IDS = [row[0] if all(row[0] != other[0] for other in BROKEN_BUILTINS[:index])
+              else f"{row[0]}-{row[2]}" for index, row in enumerate(BROKEN_BUILTINS)]
+
+
+@pytest.mark.parametrize("name, module, attribute, broken, named", BROKEN_BUILTINS, ids=BROKEN_IDS)
 def test_a_builtin_fails_when_what_it_checks_is_broken(monkeypatch, registry, name, module,
                                                          attribute, broken, named):
     monkeypatch.setattr(module, attribute, broken)

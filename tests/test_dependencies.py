@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library, and not dataclasses."""
+"""The package imports nothing outside the standard library, not dataclasses, and
+nothing it does not read."""
 
 import ast
 import sys
@@ -30,3 +31,22 @@ def test_no_module_imports_dataclasses():
     # quarter of the package's import time; the records are plain __slots__ classes
     users = [source for source, name in _absolute_imports() if name.split(".")[0] == "dataclasses"]
     assert users == []
+
+
+def test_each_module_reads_every_name_it_imports():
+    # __init__ imports to re-export; every other module imports only what it reads
+    unread = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        imported = {}  # bound name: line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                               and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{source.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []

@@ -104,19 +104,6 @@ def test_embed_through_three_levels():
     assert gamma * gamma == with_gamma.rational(2)
 
 
-def test_solve_square_nonsquare_in_exact_mode():
-    golden = adjoin_quadratic(QQ, "alpha", -1, -1)
-    tower = adjoin_quadratic(golden, "beta", 0, golden.gen("alpha"))
-    place = Place.finite(tower.zero(), 1)
-    system = parse_system("x^2 = t\n", tower)
-    two = RationalFunction.constant(tower, place, 2)
-    point = PointAssignment(place, {"x": ExactValue(two)})
-    outcome = solve_square(
-        system, parse_expression("2"), parse_expression("1"), point, mode="exact"
-    )
-    assert outcome.kind == "nonsquare"
-
-
 def test_solve_square_refuses_a_vanishing_factor_or_left_hand_side():
     place = Place.finite(QQ.zero(), 1)
     system = parse_system("x^2 = t\n")

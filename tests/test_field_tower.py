@@ -113,8 +113,27 @@ def test_embed_rejects_non_prefix():
     golden = golden_tower()
     with pytest.raises(NotAPrefixError):
         embed(gauss.gen("i"), golden)
-    # == answers across towers where neither is a prefix of the other
-    assert gauss.gen("i") != golden.gen("alpha") and not gauss.gen("i") == golden.gen("alpha")
+    # as arithmetic does, == refuses towers where neither is a prefix of the other
+    with pytest.raises(NotAPrefixError):
+        gauss.gen("i") != golden.gen("alpha")
+
+
+def test_equality_is_an_equivalence_across_towers():
+    # 3 in Q(i) and 3 in Q(alpha) each equal 3, so they equal each other, though
+    # neither tower is a prefix of the other
+    three_i, three_alpha = gauss_tower().rational(3), golden_tower().rational(3)
+    assert three_i == 3 == three_alpha
+    assert three_i == three_alpha and three_alpha == three_i and not three_i != three_alpha
+    assert three_i != golden_tower().rational(Fraction(3, 2))
+    # sqrt(3) in Q(sqrt(2), sqrt(3)) and in Q(sqrt(3)): no common tower holds both
+    root_3 = adjoin_quadratic(QQ, "s", 0, -3).gen("s")
+    root_2 = adjoin_quadratic(QQ, "q", 0, -2)
+    root_2_3 = adjoin_quadratic(root_2, "s", 0, -3).gen("s")
+    for a, b in ((root_3, root_2_3), (root_2_3, root_3), (root_3, three_i), (three_i, root_3)):
+        with pytest.raises(NotAPrefixError):
+            a == b
+        with pytest.raises(NotAPrefixError):
+            a + b
 
 
 def test_is_square_rationals():

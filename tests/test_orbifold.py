@@ -128,8 +128,6 @@ def test_perturb_finite():
     assert degree(genus_one) == Fraction(6, 7)
     unchanged = perturb_finite(curve(0, [2, 3]))
     assert unchanged.multiplicities == (2, 3)
-    with pytest.raises(ValueError):
-        perturb_finite(curve(0, [INF]), replacement=1)
 
 
 def test_perturbation_preserves_general_type_on_sweep():

@@ -90,26 +90,28 @@ def test_profiles_and_square_outcomes_compare_hash_and_print_by_value():
     _same_and_different([MultiplicityProfile((2, 3)), MultiplicityProfile((2, 3))],
                         [MultiplicityProfile((3, 2)), MultiplicityProfile((2, 3, 3))])
     assert repr(MultiplicityProfile((2, 3))) == "MultiplicityProfile(generators=(2, 3))"
-    _same_and_different([SquareOutcome("no", 3), SquareOutcome("no", 3, None, None)],
+    _same_and_different([SquareOutcome("no", 3), SquareOutcome("no", 3, None)],
                         [SquareOutcome("yes", 3), SquareOutcome("no", 1), ("no", 3)])
-    assert repr(SquareOutcome("no", 3)) == (
-        "SquareOutcome(kind='no', order=3, witness=None, tower=None)")
+    assert repr(SquareOutcome("no", 3)) == "SquareOutcome(kind='no', order=3, witness=None)"
 
 
 def test_local_values_that_compare_equal_hash_alike():
     # a value and its copy in a taller tower, and a rational and its Fraction and int
     with_i = adjoin_quadratic(QQ, "i", 0, 1)
     with_j = adjoin_quadratic(with_i, "j", 0, 2)
+    golden = adjoin_quadratic(QQ, "alpha", -1, -1)  # neither Q(i) nor Q(alpha) is a prefix
     three = QQ.rational(3)
-    _same_and_different([three, with_i.rational(3), 3, Fraction(3), with_j.rational(3)],
+    _same_and_different([three, with_i.rational(3), 3, Fraction(3), with_j.rational(3),
+                         golden.rational(3)],
                         [QQ.rational(2), with_i.gen("i") + 3, Fraction(3, 2), "3", None])
     _same_and_different([with_i.gen("i") + 3, embed(with_i.gen("i") + 3, with_j)],
                         [with_i.gen("i") - 3, with_j.gen("j") + 3, three])
     constant = RationalFunction.constant(QQ, Place.finite(three), 3)
-    _same_and_different([constant, constant._lift(with_i), three, 3],
+    _same_and_different([constant, constant._lift(with_i), three, 3, constant._lift(golden)],
                         [RationalFunction.constant(QQ, Place.finite(three), 2),
                          t_function(QQ, Place.finite(three))])
-    _same_and_different([Place.finite(three, 2), Place.finite(with_i.rational(3), 2)],
+    _same_and_different([Place.finite(three, 2), Place.finite(with_i.rational(3), 2),
+                         Place.finite(golden.rational(3), 2)],
                         [Place.finite(with_i.rational(3)), Place.finite(with_i.gen("i"), 2)])
 
     place = Place.finite(QQ.zero(), 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpoints.errors import PlaceMismatchError, ZeroFunctionError
+from localpoints.errors import NotAPrefixError, PlaceMismatchError, ZeroFunctionError
 from localpoints.field_tower import QQ, adjoin_quadratic, is_square
 from localpoints.series import (
     Place,
@@ -149,7 +149,12 @@ def test_rf_equality_compares_normal_forms():
     assert f.__eq__("f") is NotImplemented
     assert f != rf([1, 2, 3], [1, -1, 5], place=Place.finite(QQ.zero(), 2))
     other = adjoin_quadratic(QQ, "s", 0, -2)
-    assert RationalFunction.constant(tower, ORIGIN, 1) != RationalFunction.constant(other, ORIGIN, 1)
+    # constants with rational values compare by value over any towers; other
+    # values over towers where neither is a prefix of the other are refused
+    one, other_one = (RationalFunction.constant(k, ORIGIN, 1) for k in (tower, other))
+    assert one == other_one and not one != other_one
+    with pytest.raises(NotAPrefixError):
+        RationalFunction.constant(tower, ORIGIN, i) != other_one
 
 
 def test_rf_place_mismatch_rejected():
@@ -289,7 +294,7 @@ def test_rf_results_are_in_normal_form_and_match_the_constructor():
                 assert result.den == (result.tower.one(),)
             expected = RationalFunction(result.tower, result_place, raw_num, raw_den)
             assert (result.num, result.den) == (expected.num, expected.den)
-            assert result.place.same_locus(expected.place)
+            assert result.place == expected.place
 
 
 def test_coprimality_certificate_never_certifies_a_common_factor():
@@ -430,8 +435,8 @@ def test_valuation_additivity_randomized():
 
 def test_sqrt_of_one_plus_two_r():
     f = PuiseuxSeries.from_terms(QQ, ORIGIN, {0: 1, 1: 2}, 12)
-    root, tower = series_sqrt(f)
-    assert tower == QQ
+    root = series_sqrt(f)
+    assert root.tower == QQ
     assert root.coefficient(0) == QQ.one()
     assert root.coefficient(1) == QQ.one()
     assert root.coefficient(2) == QQ.rational(Fraction(-1, 2))
@@ -441,15 +446,16 @@ def test_sqrt_of_one_plus_two_r():
 
 def test_sqrt_of_even_monomial():
     f = PuiseuxSeries.from_terms(QQ, ORIGIN, {2: 1}, 10)
-    root, tower = series_sqrt(f)
-    assert tower == QQ
+    root = series_sqrt(f)
+    assert root.tower == QQ
     assert root.lead == 1
     assert (root * root).matches(f)
 
 
 def test_sqrt_of_minus_t_extends_tower_and_ramifies():
     minus_t = PuiseuxSeries.from_terms(QQ, ORIGIN, {1: -1}, 20)
-    root, tower = series_sqrt(minus_t)
+    root = series_sqrt(minus_t)
+    tower = root.tower
     assert tower.height == 1
     imaginary = tower.gen(tower.generator_names[0])
     assert imaginary * imaginary == tower.rational(-1)
@@ -465,8 +471,8 @@ def test_sqrt_of_minus_alpha_stays_in_the_golden_tower():
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
     place = Place.finite(tower.zero(), 1)
     minus_alpha = PuiseuxSeries.constant(tower, place, -tower.gen("alpha"), 10)
-    root, root_tower = series_sqrt(minus_alpha)
-    assert root_tower == tower
+    root = series_sqrt(minus_alpha)
+    assert root.tower == tower
     assert root.lead == 0
     assert root.leading_coefficient() == tower.gen("beta")
     assert (root * root).matches(minus_alpha)
@@ -488,11 +494,11 @@ def test_sqrt_roundtrip_randomized():
             for offset in range(1, rng.randint(2, 6)):
                 terms[lead + offset] = coefficient(-5)
             f = PuiseuxSeries.from_terms(tower, place, terms, lead + 15)
-            root, root_tower = series_sqrt(f)
+            root = series_sqrt(f)
             even = f.ramify(2) if lead % 2 else f
             assert (root.lead, root.precision) == (even.lead // 2,
                                                    even.precision - even.lead // 2)
-            assert (root * root).matches(even._lift(root_tower))
+            assert (root * root).matches(even._lift(root.tower))
 
 
 def test_a_square_root_takes_one_dot_per_known_term_past_the_first(monkeypatch):
@@ -522,15 +528,21 @@ def test_is_square_local_parity():
 
 
 def test_is_square_local_exact_mode():
+    # squareness in the coefficient tower itself: an even order, and a leading
+    # coefficient that is_square finds to be a square there
+    def exact(f):
+        even = is_square_local(f).kind == "yes"
+        return "yes" if even and is_square(f.tower, f.leading_coefficient()).kind == "yes" else "no"
+
     minus_one = rf([-1])
-    check = is_square_local(minus_one, mode="exact")
-    assert check.kind == "no"
+    assert is_square_local(minus_one).kind == "yes"
+    assert exact(minus_one) == "no"
     four = rf([4])
-    assert is_square_local(four, mode="exact").kind == "yes"
+    assert exact(four) == "yes"
     base = adjoin_quadratic(QQ, "alpha", -1, -1)
     tower = adjoin_quadratic(base, "beta", 0, base.gen("alpha"))
     two = RationalFunction.constant(tower, Place.finite(tower.zero(), 1), 2)
-    assert is_square_local(two, mode="exact").kind == "no"
+    assert exact(two) == "no"
     assert is_square(tower, tower.rational(2)).kind == "no"
 
 

@@ -1,6 +1,4 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -127,14 +125,14 @@ def test_formal_sqrt_and_series_binding_verdicts_match():
     system = parse_system(BASE_SYSTEM)
     place = Place.finite(QQ.zero(), 2)
     point = sqrt_t_point(place)
-    y_series, tower = series_sqrt(point.bindings["y"].square.to_puiseux(30))
-    z_series, tower2 = series_sqrt(point.bindings["z"].square._lift(tower).to_puiseux(30))
+    y_series = series_sqrt(point.bindings["y"].square.to_puiseux(30))
+    z_series = series_sqrt(point.bindings["z"].square._lift(y_series.tower).to_puiseux(30))
     series_point = PointAssignment(
         place,
         {
             "u": point.bindings["u"],
             "x": point.bindings["x"],
-            "y": SeriesValue(y_series._lift(tower2)),
+            "y": SeriesValue(y_series._lift(z_series.tower)),
             "z": SeriesValue(z_series),
         },
     )
@@ -161,14 +159,14 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_infinity():
     )
     exact = verify_point(system, point)
     assert exact.passed
-    y_series, tower = series_sqrt(y_square.to_puiseux(30))
-    z_series, tower2 = series_sqrt(z_square._lift(tower).to_puiseux(30))
+    y_series = series_sqrt(y_square.to_puiseux(30))
+    z_series = series_sqrt(z_square._lift(y_series.tower).to_puiseux(30))
     series_point = PointAssignment(
         place,
         {
             "u": ExactValue(one),
             "x": ExactValue(one),
-            "y": SeriesValue(y_series._lift(tower2)),
+            "y": SeriesValue(y_series._lift(z_series.tower)),
             "z": SeriesValue(z_series),
         },
     )
@@ -194,8 +192,8 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_cbrt_point():
         },
     )
     assert verify_point(system, exact_point).passed
-    y_series, _ = series_sqrt(y_square.to_puiseux(30))
-    z_series, _ = series_sqrt(z_square.to_puiseux(30))
+    y_series = series_sqrt(y_square.to_puiseux(30))
+    z_series = series_sqrt(z_square.to_puiseux(30))
     series_point = PointAssignment(
         place,
         {
@@ -213,10 +211,9 @@ def test_series_binding_verdict_matches_at_golden_point():
     # coefficients (undecidable at height two) and still verifies
     tower, place, point, g = golden_point()
     system = parse_system(BASE_SYSTEM, tower)
-    y_series, tower_y = series_sqrt(point.bindings["y"].square.to_puiseux(24))
-    z_series, tower_z = series_sqrt(
-        point.bindings["z"].square._lift(tower_y).to_puiseux(24)
-    )
+    y_series = series_sqrt(point.bindings["y"].square.to_puiseux(24))
+    z_series = series_sqrt(point.bindings["z"].square._lift(y_series.tower).to_puiseux(24))
+    tower_z = z_series.tower
     assert tower_z.height == 4  # two formal roots on top of the golden tower
     series_point = PointAssignment(
         place,
@@ -323,11 +320,11 @@ def test_sqrt_t_point_lifts_with_i_r():
     witness = outcome.witness
     assert witness.lead == 1
     imaginary = witness.leading_coefficient()
-    assert imaginary * imaginary == outcome.tower.rational(-1)
+    assert imaginary * imaginary == witness.tower.rational(-1)
     # witness squared is exactly -t
     square = witness * witness
-    assert square.coefficient(2) == outcome.tower.rational(-1)
-    minus_t = -t_function(outcome.tower, witness.place)
+    assert square.coefficient(2) == witness.tower.rational(-1)
+    minus_t = -t_function(witness.tower, witness.place)
     assert square.matches(minus_t.to_puiseux(square.precision))
 
 
@@ -479,7 +476,7 @@ def _oracle_draws(samples, seed):
 def test_sample_orders_match_rational_function_oracle(seed):
     # 3 x 667 draws, each seed with degenerate ones among them
     degenerate = 0
-    draws = variety._draws(667, seed, 6, 12)
+    draws = variety._draws(667, seed)
     for (case, e, a, u, b, x), (key, u_oracle, x_oracle, orders) in zip(
         draws, _oracle_draws(667, seed), strict=True
     ):
@@ -494,7 +491,7 @@ def test_sample_orders_match_rational_function_oracle(seed):
 def test_grid_cases_are_the_triples_in_each_case():
     # each list holds exactly the triples that rejection from the whole grid
     # accepted for its case, in grid order, and the eight cover the grid once
-    by_case = variety._grid_cases(6, 12)
+    by_case = variety._grid_cases()
     assert by_case == _oracle_grid_cases()
     triples = [triple for case in range(1, 9) for triple in by_case[case]]
     assert len(triples) == len(set(triples)) == 6 * 25 * 25
@@ -516,32 +513,6 @@ def test_sampled_square_lift_property_reads_each_grid_case_once(monkeypatch):
     assert len(calls) == 2 * first
 
 
-def test_sweep_over_a_grid_missing_a_case_raises():
-    # drawing by rejection from these grids never ended, so the sweeps run in
-    # a child process that the timeout stops
-    code = (
-        "from localpoints.variety import sample_square_lift_property as sweep\n"
-        "for grid in ({'e_max': 1}, {'e_max': 2, 'max_numerator': 0}):\n"
-        "    try:\n"
-        "        sweep(8, 1, **grid)\n"
-        "    except ValueError as err:\n"
-        "        print(err)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=60, check=True)
-    assert result.stdout.splitlines() == [
-        "no grid triple with e <= 1 and |a|, |b| <= 12 falls in case 2, 3, 4, 5, 6",
-        "no grid triple with e <= 2 and |a|, |b| <= 0 falls in case 1, 2, 3, 4, 5, 6, 7",
-    ]
-
-
-@pytest.mark.parametrize("samples, e_max, max_numerator", [(-1, 6, 12), (8, 0, 12), (8, 6, -1)])
-def test_sweep_rejects_negative_sizes(samples, e_max, max_numerator):
-    with pytest.raises(ValueError, match="a sweep needs samples >= 0"):
-        sample_square_lift_property(samples, 1, e_max, max_numerator)
-
-
-def test_sweep_needs_only_the_cases_it_draws():
-    # fewer than eight samples draw from the first cases only; e = 1 has case 1
-    assert sample_square_lift_property(0, 1, e_max=1)["case_counts"][1] == 0
-    assert sample_square_lift_property(1, 1, e_max=1)["case_counts"][1] == 1
+def test_sweep_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="^a sweep needs samples >= 0; got -1$"):
+        sample_square_lift_property(-1, 1)
