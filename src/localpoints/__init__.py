@@ -33,11 +33,9 @@ from .series import (
     t_function,
 )
 from .variety import (
-    ExactValue,
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
-    SeriesValue,
     VerificationReport,
     lift_along_cover,
     parse_system,

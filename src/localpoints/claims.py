@@ -44,6 +44,7 @@ from .orbifold import (
     degree,
     forced_component,
     is_general_type,
+    perturb_finite,
     profile_stats,
     pullback_half_marks,
     semigroup_contains,
@@ -59,7 +60,6 @@ from .series import (
 from .variety import (
     GRID_NUMERATORS,
     GRID_RAMIFICATIONS,
-    ExactValue,
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
@@ -100,26 +100,17 @@ class ClaimParams(Record):
         self.mode = mode
 
 
-class ClaimOutcome:
-    __slots__ = ("verdict", "evidence")
-
-    def __init__(self, verdict: str, evidence: dict) -> None:
-        self.verdict = verdict  # "pass" | "fail" | "undecided"
-        self.evidence = evidence
-
-
 class Claim:
-    __slots__ = ("name", "kind", "description", "run", "system_source", "system_tower")
+    __slots__ = ("name", "kind", "description", "run", "system")
 
     def __init__(self, name: str, kind: str, description: str,
-                 run: Callable[[ClaimParams], ClaimOutcome], system_source: str | None = None,
-                 system_tower: FieldTower | None = None) -> None:
+                 run: Callable[[ClaimParams], tuple[str, dict]],  # (verdict, evidence)
+                 system: PolynomialSystem | None = None) -> None:
         self.name = name
         self.kind = kind
         self.description = description
         self.run = run
-        self.system_source = system_source
-        self.system_tower = system_tower  # tower the source's coefficients live in
+        self.system = system  # the system the claim checks its point on, if it has one
 
 
 class ClaimReport:
@@ -129,7 +120,7 @@ class ClaimReport:
                  wall_time: float) -> None:
         self.name = name
         self.kind = kind
-        self.verdict = verdict
+        self.verdict = verdict  # "pass" | "fail" | "undecided"
         self.evidence = evidence
         self.wall_time = wall_time
 
@@ -152,13 +143,13 @@ def run_claim(
     params = ClaimParams(**overrides)
     start = time.perf_counter()
     try:
-        outcome = claim.run(params)
+        verdict, evidence = claim.run(params)
     except PrecisionExhaustedError as err:
-        outcome = ClaimOutcome("undecided", {
+        verdict, evidence = "undecided", {
             "reason": "precision_exhausted", "precision": params.precision, "detail": str(err),
-        })
+        }
     elapsed = time.perf_counter() - start
-    return ClaimReport(claim.name, claim.kind, outcome.verdict, outcome.evidence, elapsed)
+    return ClaimReport(claim.name, claim.kind, verdict, evidence, elapsed)
 
 
 def run_all(
@@ -256,6 +247,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
     let_names: dict[int, list[tuple[str, int, int]]] = {}  # name, line, column, by claim line
     current: ParsedClaim | None = None
     once: set[str] = set()  # the _ONCE keywords the current claim has used
+    taken: set[str] = set()  # the evidence keys the current claim and its checks write
     in_system = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -277,7 +269,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if rest in claims:
                 raise DuplicateClaimError(f"claim {rest!r} declared twice")
             current = claims[rest] = ParsedClaim(rest, lineno)
-            once = set()
+            once, taken = set(), set(EVIDENCE_KEYS)
             continue
         if current is None:
             raise ClaimSyntaxError("directives must follow a `claim NAME` line", lineno, start)
@@ -315,8 +307,11 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             var, eq, _ = rest.partition("=")
             if not eq:
                 raise ClaimSyntaxError("let VAR = EXPR", lineno, column)
-            let_names.setdefault(current.line, []).append(
-                (var.strip(), lineno, column + len(var) - len(var.lstrip())))
+            # a let name follows the rule of every identifier, and is one identifier
+            if [kind for kind, *_ in _tokenize(var, lineno, column)] != ["ident", "end"]:
+                raise ClaimSyntaxError(f"a let binds one identifier, not {var.strip()!r}",
+                                       lineno, column)
+            let_names.setdefault(current.line, []).append((var.strip(), lineno, column))
             rhs, column = _rest(rest, column, len(var) + 1)
             is_sqrt = rhs.startswith("sqrt(") and rhs.endswith(")")
             if is_sqrt:
@@ -331,14 +326,21 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
         elif keyword in ("identity ", "order "):
             kind = keyword.strip()
             label, colon, _ = rest.partition(":")
+            label_column = column
             body, column = _rest(rest, column, len(label) + 1)
+            label = label.strip()
             left, eq, _ = body.rpartition("=") if kind == "order" else body.partition("=")
-            if not (colon and label.strip().isidentifier() and eq and left.strip()):
+            if not (colon and label.isidentifier() and eq and left.strip()):
                 raise ClaimSyntaxError(f"expected {kind} LABEL: EXPR = EXPR", lineno, start)
             right, right_column = _rest(body, column, len(left) + 1)
             order = None if kind == "identity" else read_integer(
                 right, lineno, right_column, "an order is an integer")
-            current.checks.append((kind, label.strip(), order, (left, (lineno, column)),
+            keys = {label} if kind == "identity" else {f"{label}_order", f"{label}_valuation"}
+            if keys & taken:
+                raise ClaimSyntaxError(f"the evidence key {min(keys & taken)!r} is already taken",
+                                       lineno, label_column)
+            taken |= keys
+            current.checks.append((kind, label, order, (left, (lineno, column)),
                                    (right, (lineno, right_column))))
         elif keyword == "orbifold ":
             match = _ORBIFOLD.fullmatch(rest)
@@ -457,19 +459,20 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
 
 
 def _build_system(
-    parsed: ParsedClaim, source: str, tower: FieldTower, systems: dict
+    parsed: ParsedClaim, tower: FieldTower, systems: dict
 ) -> tuple[PolynomialSystem, tuple[int, str, Expr] | None]:
     """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
 
-    source is the claim's system lines joined.  An error in it names the line
-    and column of the claim file.  So do an obstructed or lifts claim with no
-    cover equation, a variable no let binds, at its first use, and a
-    square-root let whose variable the system uses with an odd power; the
-    last let of a name binds it.  An obstructed claim leaves its cover
-    variable w unbound when w occurs only as the w^2 of its cover equation; a
-    lifts claim binds w to a square root, so its cover equation is found past
-    those lets.  systems is shared by _shared_system.
+    An error in the claim's system lines names the line and column of the
+    claim file.  So do an obstructed or lifts claim with no cover equation, a
+    variable no let binds, at its first use, and a square-root let whose
+    variable the system uses with an odd power; the last let of a name binds
+    it.  An obstructed claim leaves its cover variable w unbound when w occurs
+    only as the w^2 of its cover equation; a lifts claim binds w to a square
+    root, so its cover equation is found past those lets.  systems is shared
+    by _shared_system.
     """
+    source = "\n".join(text for _, text in parsed.system_lines)
     try:
         system = _shared_system(systems, source, tower)
     except ClaimSyntaxError as err:
@@ -513,7 +516,7 @@ def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
 
 def _build_bindings(
     parsed: ParsedClaim, tower: FieldTower, place: Place, cache: dict
-) -> tuple[dict[str, ExactValue | FormalSqrt], dict[str, RationalFunction]]:
+) -> tuple[dict[str, RationalFunction | FormalSqrt], dict[str, RationalFunction]]:
     """The point's bindings, and the values a check sees: t, r, generators, exact lets.
 
     cache becomes the point's: the lets read t and the generators from its
@@ -524,12 +527,19 @@ def _build_bindings(
     """
     coordinates, evaluated = _exact_context(cache, tower, place)
     env = {**coordinates, "r": r_function(tower, place)}
-    bindings: dict[str, ExactValue | FormalSqrt] = {}
+    bindings: dict[str, RationalFunction | FormalSqrt] = {}
     for position, var, rhs, is_sqrt in parsed.lets:
         value = _evaluate(rhs, position, env, "let", cache=evaluated)
-        bindings[var] = FormalSqrt(value) if is_sqrt else ExactValue(value)
-    exact = {var: b.value for var, b in bindings.items() if isinstance(b, ExactValue)}
+        bindings[var] = FormalSqrt(value) if is_sqrt else value
+    exact = {var: b for var, b in bindings.items() if not isinstance(b, FormalSqrt)}
     return bindings, {**env, **exact}
+
+
+# the evidence keys of a claim on a point, written by verify_point, _verified, run_claim,
+# _obstructed, _nonsquare and _lift_verdict: no check may write one of them
+EVIDENCE_KEYS = frozenset((
+    "mode place passed equations inequations bindings reason precision detail cover_variable "
+    "result order expression lift witness witness_order witness_square_matches").split())
 
 
 def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
@@ -598,14 +608,14 @@ def _orbifold_claim(parsed: ParsedClaim) -> Claim:
         else:
             raise ClaimSyntaxError("general_type is true or false", *position)
 
-    def run(params: ClaimParams) -> ClaimOutcome:
+    def run(params: ClaimParams) -> tuple[str, dict]:
         actual = {"degree": degree(curve), "general_type": is_general_type(curve)}
         evidence = {"curve": str(curve), "degree": str(actual["degree"]),
                     "general_type": actual["general_type"]}
         evidence.update((f"{key}_expected", str(value) if key == "degree" else value)
                         for key, value in expected)
         held = all(actual[key] == value for key, value in expected)
-        return ClaimOutcome("pass" if held else "fail", evidence)
+        return ("pass" if held else "fail"), evidence
 
     return Claim(parsed.name, "orbifold_fact",
                  parsed.description or "orbifold fact from claim file", run)
@@ -619,14 +629,13 @@ def _kind(parsed: ParsedClaim) -> str:
 
 
 def _verified(
-    system: PolynomialSystem, point: PointAssignment, params: ClaimParams
+    system: PolynomialSystem, point: PointAssignment, mode: str, precision: int
 ) -> tuple[str, dict]:
     """The point checked on the system: verdict and evidence."""
-    report = verify_point(system, point, mode=params.mode, precision=params.precision)
+    report = verify_point(system, point, mode, precision)
     evidence = report.as_dict()
     evidence["bindings"] = {
-        var: (f"sqrt({binding.square})" if isinstance(binding, FormalSqrt)
-              else str(binding.value))
+        var: f"sqrt({binding.square})" if isinstance(binding, FormalSqrt) else str(binding)
         for var, binding in point.bindings.items()
     }
     if report.passed:
@@ -635,7 +644,7 @@ def _verified(
         i.status != "zero" for i in report.inequations
     ):
         # only constraints that vanish to precision: the precision decides, not the point
-        evidence.update(reason="precision_exhausted", precision=params.precision)
+        evidence.update(reason="precision_exhausted", precision=precision)
         return "undecided", evidence
     return "fail", evidence
 
@@ -648,9 +657,8 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
     a cover factor that vanishes certifies nothing, so it fails as well.
     """
     index, variable, g = cover_equation
-    verdict, evidence = _verified(cover.without_equation(index), point,
-                                  ClaimParams(params.precision, params.samples, params.seed,
-                                              mode="exact"))
+    verdict, evidence = _verified(cover.without_equation(index), point, "exact",
+                                  params.precision)
     if verdict != "pass":
         return verdict, evidence
     try:
@@ -672,11 +680,11 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
     if not (parsed.system_lines or parsed.checks):
         raise ClaimSyntaxError(f"claim {parsed.name!r} checks nothing: it has no system "
                                "and no identity or order line", parsed.line, 1)
-    source = "\n".join(text for _, text in parsed.system_lines)
+    system = cover = None
     if parsed.expect != "nonsquare":
-        system, cover = _build_system(parsed, source, tower, systems)
+        system, cover = _build_system(parsed, tower, systems)
 
-    def run(params: ClaimParams) -> ClaimOutcome:
+    def run(params: ClaimParams) -> tuple[str, dict]:
         cache: dict = {}  # one run's exact evaluations: lets, system pass and cover factor
         bindings, values = _build_bindings(parsed, tower, place, cache)
         point = PointAssignment(place, bindings, cache)
@@ -685,17 +693,16 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         elif parsed.expect == "obstructed":
             verdict, evidence = _obstructed(system, cover, point, params)
         else:
-            verdict, evidence = _verified(system, point, params)
+            verdict, evidence = _verified(system, point, params.mode, params.precision)
         if not _checks_hold(parsed, values, evidence):
             verdict = "fail"
         if parsed.expect == "lifts" and verdict == "pass":
             verdict = _lift_verdict(system, cover, point, params.precision, evidence)
-        return ClaimOutcome(verdict, evidence)
+        return verdict, evidence
 
     return Claim(parsed.name, _kind(parsed),
                  parsed.description or f"claim-file check ({parsed.expect})",
-                 run, system_source=source if parsed.expect != "nonsquare" and source else None,
-                 system_tower=tower if parsed.adjoins else None)
+                 run, system if parsed.system_lines else None)
 
 
 def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> dict[str, Claim]:
@@ -824,7 +831,7 @@ def _form(lift: SquareOutcome) -> dict:
 
 
 def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) -> Claim:
-    def run(params: ClaimParams) -> ClaimOutcome:
+    def run(params: ClaimParams) -> tuple[str, dict]:
         point, context, g, equations = _golden_point(golden, cover, n)
         orders = {"cover_factor": evaluate(g, *context).order_at_zero()}
         orders.update((f"lhs_{k}", evaluate(lhs, *context).order_at_zero())
@@ -847,30 +854,22 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
             and all(s["result"] == "witness" for s in squares.values())
             and plain["result"] == twisted["result"] == "obstructed"
         )
-        return ClaimOutcome(
-            "pass" if ok else "fail",
-            {
-                "n": n,
-                "ramification": 2 * n,
-                "orders": orders,
-                "cover_factor_valuation": str(Fraction(orders["cover_factor"], 2 * n)),
-                "square_witnesses": squares,
-                "plain_cover": plain,
-                "twisted_cover": twisted,
-            },
-        )
+        return ("pass" if ok else "fail"), {
+            "n": n,
+            "ramification": 2 * n,
+            "orders": orders,
+            "cover_factor_valuation": str(Fraction(orders["cover_factor"], 2 * n)),
+            "square_witnesses": squares,
+            "plain_cover": plain,
+            "twisted_cover": twisted,
+        }
 
-    return Claim(
-        f"golden_nonlift_n{n}",
-        "squareness_certificate",
-        "golden-ratio point: valuation certificates and cover obstructions",
-        run,
-        system_source=_COVER_SYSTEM_SOURCE,
-        system_tower=cover.tower,
-    )
+    return Claim(f"golden_nonlift_n{n}", "squareness_certificate",
+                 "golden-ratio point: valuation certificates and cover obstructions", run, cover)
 
 
-def _two_forms(golden: ParsedClaim, cover: PolynomialSystem, params: ClaimParams) -> ClaimOutcome:
+def _two_forms(golden: ParsedClaim, cover: PolynomialSystem,
+               params: ClaimParams) -> tuple[str, dict]:
     point, context, g, equations = _golden_point(golden, cover, 1)
     # y and z are the square roots of the quotients LHS/C of the base equations
     point = PointAssignment(point.place, {**point.bindings, **{
@@ -881,14 +880,11 @@ def _two_forms(golden: ParsedClaim, cover: PolynomialSystem, params: ClaimParams
     twisted = _form(_lift(cover, g, point, params.precision,
                           r_function(cover.tower, point.place) ** 2))
     ok = plain["result"] == twisted["result"] == "obstructed"
-    return ClaimOutcome(
-        "pass" if ok else "fail",
-        {
-            "plain_form": plain,
-            "twisted_form": twisted,
-            "base_point_verified": True,
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "plain_form": plain,
+        "twisted_form": twisted,
+        "base_point_verified": True,
+    }
 
 
 def _fact(
@@ -896,22 +892,22 @@ def _fact(
 ) -> Claim:
     """A claim computed in Python; it fails when its evidence lists failures or violations."""
 
-    def run(params: ClaimParams) -> ClaimOutcome:
+    def run(params: ClaimParams) -> tuple[str, dict]:
         evidence = check(params)
         failed = evidence.get("failures") or evidence.get("violations")
-        return ClaimOutcome("fail" if failed else "pass", evidence)
+        return ("fail" if failed else "pass"), evidence
 
     return Claim(name, kind, description, run)
 
 
-def _square_lift_property(params: ClaimParams) -> ClaimOutcome:
+def _square_lift_property(params: ClaimParams) -> tuple[str, dict]:
     result = sample_square_lift_property(samples=params.samples, seed=params.seed)
     if result["counterexamples"]:
-        return ClaimOutcome("fail", result)
+        return "fail", result
     if not result["hypothesis_hits"]:
         # no sample met the hypothesis, so the sweep tested nothing
-        return ClaimOutcome("undecided", {**result, "reason": "no_hypothesis_hits"})
-    return ClaimOutcome("pass", result)
+        return "undecided", {**result, "reason": "no_hypothesis_hits"}
+    return "pass", result
 
 
 def _case_partition(params: ClaimParams) -> dict:
@@ -1008,6 +1004,7 @@ def _indices(params: ClaimParams) -> dict:
 
 
 def _perturbations(params: ClaimParams) -> dict:
+    m = perturb_finite(OrbifoldCurve(0, [INF])).multiplicities[0]  # what replaces inf
     checked = 0
     violations = []
     for genus in range(3):
@@ -1017,13 +1014,13 @@ def _perturbations(params: ClaimParams) -> dict:
                 num, den = base.numerator, base.denominator
                 for n_inf in range(7):
                     checked += 1
-                    # the degrees base + n_inf, and base + n_inf * 6/7 once each
-                    # inf is 7, times the positive den and 7 * den
+                    # the degrees base + n_inf, and base + n_inf * (m - 1)/m once each
+                    # inf is m, times the positive den and m * den
                     if num + n_inf * den <= 0:
                         continue
-                    if 7 * num + 6 * n_inf * den <= 0:
+                    if m * num + (m - 1) * n_inf * den <= 0:
                         violations.append({"genus": genus, "finite": list(finite), "inf": n_inf})
-    return {"curves_checked": checked, "replacement": 7, "violations": violations}
+    return {"curves_checked": checked, "replacement": m, "violations": violations}
 
 
 def builtin_registry() -> dict[str, Claim]:
@@ -1044,8 +1041,7 @@ def builtin_registry() -> dict[str, Claim]:
     claims += shifted_form
     claims.append(Claim("k3_cover_two_forms_obstructed", "lift_test",
                         "both double-cover forms obstruct at the golden place",
-                        partial(_two_forms, golden, golden_cover),
-                        system_source=_COVER_SYSTEM_SOURCE, system_tower=golden_cover.tower))
+                        partial(_two_forms, golden, golden_cover), golden_cover))
     claims += from_text(K3_LIFTS_TEXT)
     claims.append(Claim("lemma91_property", "property_test",
                         "solvable equations force the cover factor to be a local square",

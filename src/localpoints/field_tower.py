@@ -452,9 +452,7 @@ class FieldElement:
         return not self.is_zero()
 
     def _pair(self, other: FieldElement | Fraction | int) -> tuple[FieldElement, FieldElement]:
-        if not isinstance(other, FieldElement):
-            if not isinstance(other, (int, Fraction)):
-                raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
+        if not isinstance(other, FieldElement):  # an int or a Fraction: callers check _known
             return self, self.tower.rational(other)
         if self.tower is other.tower:
             return self, other

@@ -111,9 +111,6 @@ class MultiplicityProfile(Record):
                 raise ValueError(f"multiplicities are positive integers, got {a!r}")
         self.generators = generators
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(a) for a in sorted(self.generators)) + "]"
-
 
 def profile_stats(profile: MultiplicityProfile) -> tuple[int, int, int]:
     """(inf-multiplicity, gcd-multiplicity, index).

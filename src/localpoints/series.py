@@ -138,9 +138,7 @@ def _pscale(p: Poly, scalar: FieldElement) -> Poly:
 
 
 def _pdivmod(p: Poly, q: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
-    """(quotient, remainder) of p by q; each step subtracts factor * b for the nonzero b of q."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+    """(quotient, remainder) of p by nonzero q: each step subtracts factor * b per nonzero b."""
     rem = list(p)
     quot = [zero] * max(0, len(p) - len(q) + 1)
     inv_lead = q[-1].inverse()
@@ -465,10 +463,6 @@ class RationalFunction(_Local):
     @classmethod
     def constant(cls, tower: FieldTower, place: Place, value: Scalar) -> RationalFunction:
         return cls._coprime(tower, place, _trim([tower.coerce(value)]), (tower.one(),))
-
-    @classmethod
-    def zero(cls, tower: FieldTower, place: Place) -> RationalFunction:
-        return cls._coprime(tower, place, (), (tower.one(),))
 
     @classmethod
     def from_coeffs(

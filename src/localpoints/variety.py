@@ -202,20 +202,6 @@ def print_system(system: PolynomialSystem) -> str:
 # -- point assignments -----------------------------------------------------------
 
 
-class ExactValue(Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: RationalFunction) -> None:
-        self.value = value
-
-
-class SeriesValue(Record):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: PuiseuxSeries) -> None:
-        self.value = value
-
-
 class FormalSqrt(Record):
     """The variable stands for a square root of this exact function."""
 
@@ -225,7 +211,7 @@ class FormalSqrt(Record):
         self.square = square
 
 
-Binding = ExactValue | SeriesValue | FormalSqrt  # PEP 604, not cached: see exprs.Expr
+Binding = RationalFunction | PuiseuxSeries | FormalSqrt  # PEP 604, not cached: see exprs.Expr
 
 
 class PointAssignment(Record):
@@ -244,9 +230,6 @@ class PointAssignment(Record):
         self.place = place
         self.bindings = bindings
         self.cache = {} if cache is None else cache
-
-    def sqrt_variables(self) -> tuple[str, ...]:
-        return tuple(v for v, b in self.bindings.items() if isinstance(b, FormalSqrt))
 
 
 # -- verification ------------------------------------------------------------------
@@ -351,15 +334,15 @@ def _env(system: PolynomialSystem, point: PointAssignment, precision: int | None
         raise ValueError(f"a binding may not shadow {shadowed!r}: the system reads it as "
                          "t or a generator")
     square_env = {}
-    for variable, binding in point.bindings.items():
-        if isinstance(binding, ExactValue):
-            env[variable] = expand(binding.value)
-        elif isinstance(binding, FormalSqrt):
-            square_env[variable] = expand(binding.square)
+    for variable, value in point.bindings.items():
+        if isinstance(value, FormalSqrt):
+            square_env[variable] = expand(value.square)
+        elif isinstance(value, RationalFunction):
+            env[variable] = expand(value)
         elif precision is None:
             raise ValueError(f"exact mode needs exact bindings; {variable!r} is a series")
         else:
-            env[variable] = binding.value
+            env[variable] = value
     return env, const, square_env, cache
 
 
@@ -381,7 +364,8 @@ def verify_point(
     unbound = [v for v in system.variables if v not in point.bindings]
     if unbound:
         raise ValueError(f"unbound variables: {', '.join(unbound)}")
-    odd = next((v for v in point.sqrt_variables() if v in system.odd_powers), None)
+    odd = next((v for v, value in point.bindings.items()
+                if isinstance(value, FormalSqrt) and v in system.odd_powers), None)
     if odd is not None:
         raise OddPowerError(f"square-root variable {odd!r} occurs with an odd power")
     env, const, square_env, cache = _env(system, point, None if mode == "exact" else precision)

@@ -240,10 +240,9 @@ def test_criterion_12_library_property_suites(registry):
     # parser roundtrip on the full builtin corpus
     corpus = 0
     for claim in registry.values():
-        if claim.system_source:
-            tower = claim.system_tower or QQ
-            system = parse_system(claim.system_source, tower)
-            assert parse_system(print_system(system), tower) == system
+        if claim.system is not None:
+            system = claim.system
+            assert parse_system(print_system(system), system.tower) == system
             corpus += 1
     assert corpus >= 10
     _announce(12, "library property suites")

@@ -18,7 +18,7 @@ from localpoints.claims import (
 from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
 from localpoints.exprs import MAX_EXPONENT, MAX_POWER_DEGREE, MAX_RAMIFICATION
 from localpoints.field_tower import adjoin_quadratic
-from localpoints.orbifold import OrbifoldCurve
+from localpoints.orbifold import INF, OrbifoldCurve
 from localpoints.series import SquareOutcome
 from localpoints.variety import parse_system, print_system
 
@@ -174,6 +174,11 @@ BROKEN_BUILTINS = [
     ("perturbation_sweep", claims, "degree", lambda curve: Fraction(-11, 2),
      lambda ev: ev["violations"] and all(v["inf"] == 6 for v in ev["violations"])
      and len(ev["violations"]) * 7 == ev["curves_checked"]),
+    # inf replaced by 1, which adds nothing to the degree: every curve of degree <= 0
+    # that its infinite marks make positive is a violation
+    ("perturbation_sweep", claims, "perturb_finite",
+     lambda curve: OrbifoldCurve(curve.genus, [1 if m is INF else m for m in curve.multiplicities]),
+     lambda ev: ev["replacement"] == 1 and len(ev["violations"]) == 2063),
 ]
 
 
@@ -355,7 +360,6 @@ TEXT_BUILTINS = [
 def test_parser_roundtrip_on_builtin_corpus(registry):
     from localpoints.claims import K3_LIFTS_TEXT, POINTS_TEXT, SHIFTED_FORM_TEXT
     from localpoints.exprs import parse_expression, to_text
-    from localpoints.field_tower import QQ
     from localpoints.variety import parse_system, print_system
 
     def roundtrips(text):
@@ -367,9 +371,8 @@ def test_parser_roundtrip_on_builtin_corpus(registry):
     assert [name for name in registry if name in TEXT_BUILTINS] == TEXT_BUILTINS
     for parsed in corpus:
         claim = registry[parsed.name]
-        tower = claim.system_tower or QQ
-        system = parse_system(claim.system_source, tower)
-        assert parse_system(print_system(system), tower) == system
+        system = claim.system
+        assert parse_system(print_system(system), system.tower) == system
         assert all(roundtrips(rhs) for _, _, rhs, _ in parsed.lets)
         for _, _, _, (left, _), (right, _) in parsed.checks:
             assert roundtrips(left) and roundtrips(right)
@@ -425,7 +428,7 @@ def test_shipped_example_claim_file(registry):
 
 
 def test_run_all_reports_corrupted_entry():
-    from localpoints.claims import Claim, ClaimOutcome, run_all as run_all_fn
+    from localpoints.claims import Claim, run_all as run_all_fn
 
     registry = builtin_registry()
     broken = dict(registry)
@@ -433,7 +436,7 @@ def test_run_all_reports_corrupted_entry():
         "deliberately_broken",
         "property_test",
         "always fails",
-        lambda params: ClaimOutcome("fail", {"reason": "corrupted entry"}),
+        lambda params: ("fail", {"reason": "corrupted entry"}),
     )
     reports, summary = run_all_fn(broken, kind="property_test")
     assert summary["failed"] == 1
@@ -725,32 +728,29 @@ def test_golden_claim_reads_its_orders_from_the_cover_system():
     source = claims._COVER_SYSTEM_SOURCE.replace("x^2 - t*u^2 + t =", "x^2 =", 1)
     assert source != claims._COVER_SYSTEM_SOURCE
     claim = claims._golden_nonlift_claim(1, golden, parse_system(source, tower))
-    outcome = claim.run(ClaimParams())
-    assert outcome.evidence["orders"] == {"cover_factor": 1, "lhs_1": 0, "lhs_2": 1}
-    assert outcome.verdict == "fail"
+    verdict, evidence = claim.run(ClaimParams())
+    assert evidence["orders"] == {"cover_factor": 1, "lhs_1": 0, "lhs_2": 1}
+    assert verdict == "fail"
 
 
 def test_every_claim_system_roundtrips_over_its_own_tower(registry):
     # a nonsquare claim has one expression, not a system, so it records no system
-    from localpoints.field_tower import QQ
-
     generated = pathlib.Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
     extended = load_claim_file(str(generated), load_claim_file(str(EXAMPLE), registry))
     checked = 0
     for claim in extended.values():
-        if claim.system_source is None:
+        system = claim.system
+        if system is None:
             continue
-        tower = claim.system_tower or QQ
-        system = parse_system(claim.system_source, tower)
-        assert parse_system(print_system(system), tower) == system
+        assert parse_system(print_system(system), system.tower) == system
         checked += 1
     # 16 builtins, the example's half point and obstruction, and 10 generated points
     assert checked == 16 + 2 + 10
     for name in ("golden_nonlift_n1", "k3_cover_two_forms_obstructed"):
-        assert extended[name].system_tower.generator_names == ("alpha", "beta")
+        assert extended[name].system.tower.generator_names == ("alpha", "beta")
     nonsquare = [parsed.name for parsed in parse_claim_file(EXAMPLE.read_text(encoding="utf-8"))
                  if parsed.expect == "nonsquare"]
-    assert nonsquare and all(extended[name].system_source is None for name in nonsquare)
+    assert nonsquare and all(extended[name].system is None for name in nonsquare)
 
 
 def test_a_check_that_reads_a_square_root_let_names_the_rule(tmp_path):
@@ -816,6 +816,25 @@ POSITIONED_ERRORS = [
     ("obstructed_cover_variable_used_elsewhere",
      "system:\n  x^2 = t\n  w^2 = t\n  w != 0\nplace: t = 0 ram 2\nlet x = r\n"
      "expect: obstructed", 4, 3),
+    # a let name no expression could read loaded and bound it
+    ("let_name_of_two_words", "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\nlet X y = 1",
+     6, 5),
+    ("let_name_starting_with_a_digit",
+     "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\nlet 2x = 1", 6, 5),
+    ("let_without_a_name", "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\nlet = 1", 6, 5),
+    # a check label overwrote the claim's own evidence, or an earlier check's
+    ("identity_label_a_claim_key",
+     "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\nidentity equations: x = 0", 6, 10),
+    ("identity_label_passed",
+     "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\nidentity passed: x = 1", 6, 10),
+    ("order_label_writing_a_claim_key",
+     "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\norder witness: t = 1", 6, 7),
+    ("identity_label_twice",
+     "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\nidentity k: x = 0\nidentity k: x = 0",
+     7, 10),
+    ("identity_label_an_order_key",
+     "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\norder k: t = 1\nidentity k_order: x = 0",
+     7, 10),
 ]
 
 
@@ -860,6 +879,78 @@ def test_bad_input_exits_two_from_the_command_line(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["load", str(path), "run", "broken"]) == 2
     assert capsys.readouterr().err.startswith("error: line 5, column 9:")
+
+
+# a check labelled `equations` ended in a TypeError traceback from the truncated headline
+@pytest.mark.parametrize("line, message", [
+    ("identity equations: x = 0", "line 6, column 10: the evidence key 'equations' is already taken"),
+    ("let X y = 1", "line 6, column 5: identifiers are lowercase: 'X'"),
+], ids=["check_label", "let_name"])
+def test_a_taken_key_or_a_bad_let_name_exits_two(tmp_path, capsys, line, message):
+    path = tmp_path / "claims.txt"
+    path.write_text(f"claim a\nplace: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\n{line}\n",
+                    encoding="utf-8")
+    for mode in ("exact", "truncated"):
+        assert main(["load", str(path), "run", "a", "--mode", mode]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a claim on a point of each outcome, each with an identity and an order check
+EVERY_OUTCOME = """\
+claim passes
+system:
+  x = t
+place: t = 0 ram 1
+let x = t
+claim fails
+system:
+  x = t
+place: t = 0 ram 1
+let x = 1
+claim undecided
+system:
+  x = t
+  x - t + t^5 != 0
+place: t = 0 ram 1
+let x = t
+claim obstructed
+system:
+  w^2 = t
+place: t = 0 ram 1
+expect: obstructed
+claim lifts
+system:
+  w^2 = t
+place: t = 0 ram 2
+let w = sqrt(t)
+expect: lifts
+claim nonsquare
+system:
+  t
+place: t = 0 ram 1
+expect: nonsquare
+"""
+
+
+def test_every_evidence_key_of_a_claim_is_one_its_checks_may_not_take(tmp_path):
+    checks = "identity same: t = t\norder of_r: r = 1\n"
+    path = tmp_path / "claims.txt"
+    path.write_text(EVERY_OUTCOME.replace("claim ", checks + "claim ")[len(checks):] + checks,
+                    encoding="utf-8")
+    registry = load_claim_file(str(path), {})
+    check_keys = {"same", "of_r_order", "of_r_valuation"}
+    verdicts, written = set(), set()
+    for mode, precision in (("exact", 40), ("truncated", 2)):
+        for name in registry:
+            report = run_claim(name, registry, mode=mode, precision=precision)
+            verdicts.add((name, report.verdict))
+            written |= set(report.evidence) - check_keys
+    assert written == claims.EVIDENCE_KEYS
+    # every claim in exact mode; at a truncation too short for t^5, the undecided one,
+    # and the lift, whose cover factor t = r^2 is zero to precision 2
+    assert {("passes", "pass"), ("fails", "fail"), ("undecided", "undecided"),
+            ("obstructed", "pass"), ("lifts", "pass"), ("lifts", "undecided"),
+            ("nonsquare", "pass")} <= verdicts
 
 
 # claim-file expressions that ended in a traceback or were misread: a superscript

@@ -127,15 +127,12 @@ def _oracle_only_even_powers(expr, name: str) -> bool:
 
 def test_odd_power_symbols_agrees_with_the_per_name_oracle():
     from localpoints.claims import builtin_registry, load_claim_file
-    from localpoints.field_tower import QQ
-    from localpoints.variety import parse_system
 
     generated = ROOT / "tests" / "data" / "generated_points_seed1.txt"
     claims = [*builtin_registry().values(), *load_claim_file(str(generated), {}).values()]
-    systems = {(c.system_source, c.system_tower or QQ) for c in claims if c.system_source}
+    systems = {c.system for c in claims if c.system is not None}
     sides = []
-    for source, tower in systems:
-        system = parse_system(source, tower)
+    for system in systems:
         sides += [side for eq in system.equations for side in (eq.lhs, eq.rhs)]
         sides += system.inequations
     assert sides

@@ -25,7 +25,7 @@ from localpoints.series import (
     r_function,
     t_function,
 )
-from localpoints.variety import ExactValue, FormalSqrt, PointAssignment, parse_system, verify_point
+from localpoints.variety import FormalSqrt, PointAssignment, parse_system, verify_point
 
 
 def _same_and_different(same, different):
@@ -53,7 +53,7 @@ def test_each_record_compares_exactly_its_constructor_arguments():
         subclasses = todo.pop().__subclasses__()
         records += subclasses
         todo += subclasses
-    assert len(records) == 18
+    assert len(records) == 16
     for record in records:
         arguments = list(inspect.signature(record.__init__).parameters)[1:]
         assert arguments == [*record._fields, *TRAILING_CACHES.get(record, ())], record
@@ -140,13 +140,13 @@ def test_local_values_that_compare_equal_hash_alike():
 def test_point_equality_ignores_the_evaluation_cache():
     place = Place.finite(QQ.zero(), 2)
     one = RationalFunction.constant(QQ, place, 1)
-    point = PointAssignment(place, {"x": ExactValue(one), "y": FormalSqrt(one)})
-    cached = PointAssignment(place, {"x": ExactValue(one), "y": FormalSqrt(one)},
+    point = PointAssignment(place, {"x": one, "y": FormalSqrt(one)})
+    cached = PointAssignment(place, {"x": one, "y": FormalSqrt(one)},
                              {QQ: "filled"})
     assert point.cache == {} and point.cache is not PointAssignment(place, {}).cache
     assert point == cached and not point != cached
     assert point != PointAssignment(place, {"x": FormalSqrt(one), "y": FormalSqrt(one)})
-    assert point != PointAssignment(place, {"x": ExactValue(one)})
+    assert point != PointAssignment(place, {"x": one})
     assert point != PointAssignment(Place.finite(QQ.zero(), 1), point.bindings)
     assert "filled" not in repr(cached)
 
@@ -170,8 +170,7 @@ def test_a_report_dictionary_keeps_its_key_order_and_empty_fields():
     place = Place.finite(QQ.zero(), 2)
     t = t_function(QQ, place)
     system = parse_system("x^2 = t\nx*y = 1/t\nx != 0\nx - x != 0")
-    point = PointAssignment(place, {"x": ExactValue(r_function(QQ, place)),
-                                    "y": ExactValue(t ** -1)})
+    point = PointAssignment(place, {"x": r_function(QQ, place), "y": t ** -1})
     report = verify_point(system, point).as_dict()
     assert list(report) == ["mode", "place", "passed", "equations", "inequations"]
     assert report["equations"] == [

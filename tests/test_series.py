@@ -684,7 +684,7 @@ def test_constants_and_coordinates_skip_the_constructor_with_the_same_result():
                 (RationalFunction.constant(tower, place, 0), (zero,), (one,)),
                 (RationalFunction.constant(tower, place, Fraction(-3, 4)), (quarter,), (one,)),
                 (RationalFunction.constant(tower, place, top), (top,), (one,)),
-                (RationalFunction.zero(tower, place), (), (one,)),
+                (RationalFunction.constant(tower, place, 0), (), (one,)),
                 (RationalFunction.from_coeffs(tower, place, [1, 0, top, 0, 0]),
                  (one, zero, top, zero, zero), (one,)),
                 (RationalFunction.from_coeffs(tower, place, [0, 0]), (zero, zero), (one,)),

@@ -9,10 +9,8 @@ from localpoints.exprs import parse_expression
 from localpoints.field_tower import QQ, adjoin_quadratic
 from localpoints.series import Place, RationalFunction, r_function, series_sqrt, t_function
 from localpoints.variety import (
-    ExactValue,
     FormalSqrt,
     PointAssignment,
-    SeriesValue,
     find_cover_equation,
     lift_along_cover,
     parse_system,
@@ -36,14 +34,14 @@ COVER_EQUATION = "w^2 = t^2*u^2 - t\n"
 
 def sqrt_t_point(place=None):
     place = place or Place.finite(QQ.zero(), 2)
-    zero = RationalFunction.zero(QQ, place)
+    zero = RationalFunction.constant(QQ, place, 0)
     minus_one = RationalFunction.constant(QQ, place, -1)
     t = t_function(QQ, place)
     return PointAssignment(
         place,
         {
-            "u": ExactValue(zero),
-            "x": ExactValue(zero),
+            "u": zero,
+            "x": zero,
             "y": FormalSqrt(minus_one),
             "z": FormalSqrt(minus_one / t**3),
         },
@@ -91,14 +89,14 @@ def test_sqrt_t_point_verifies_exactly():
 def test_wrong_sign_fails_with_residual():
     system = parse_system(BASE_SYSTEM)
     place = Place.finite(QQ.zero(), 2)
-    zero = RationalFunction.zero(QQ, place)
+    zero = RationalFunction.constant(QQ, place, 0)
     one = RationalFunction.constant(QQ, place, 1)
     t = t_function(QQ, place)
     point = PointAssignment(
         place,
         {
-            "u": ExactValue(zero),
-            "x": ExactValue(zero),
+            "u": zero,
+            "x": zero,
             "y": FormalSqrt(one),
             "z": FormalSqrt(-one / t**3),
         },
@@ -132,8 +130,8 @@ def test_formal_sqrt_and_series_binding_verdicts_match():
         {
             "u": point.bindings["u"],
             "x": point.bindings["x"],
-            "y": SeriesValue(y_series._lift(z_series.tower)),
-            "z": SeriesValue(z_series),
+            "y": y_series._lift(z_series.tower),
+            "z": z_series,
         },
     )
     exact = verify_point(system, point)
@@ -151,8 +149,8 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_infinity():
     point = PointAssignment(
         place,
         {
-            "u": ExactValue(one),
-            "x": ExactValue(one),
+            "u": one,
+            "x": one,
             "y": FormalSqrt(y_square),
             "z": FormalSqrt(z_square),
         },
@@ -164,10 +162,10 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_infinity():
     series_point = PointAssignment(
         place,
         {
-            "u": ExactValue(one),
-            "x": ExactValue(one),
-            "y": SeriesValue(y_series._lift(z_series.tower)),
-            "z": SeriesValue(z_series),
+            "u": one,
+            "x": one,
+            "y": y_series._lift(z_series.tower),
+            "z": z_series,
         },
     )
     truncated = verify_point(system, series_point, mode="truncated", precision=16)
@@ -185,8 +183,8 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_cbrt_point():
     exact_point = PointAssignment(
         place,
         {
-            "u": ExactValue(u),
-            "x": ExactValue(x),
+            "u": u,
+            "x": x,
             "y": FormalSqrt(y_square),
             "z": FormalSqrt(z_square),
         },
@@ -197,10 +195,10 @@ def test_formal_sqrt_and_series_binding_verdicts_match_at_cbrt_point():
     series_point = PointAssignment(
         place,
         {
-            "u": ExactValue(u),
-            "x": ExactValue(x),
-            "y": SeriesValue(y_series),
-            "z": SeriesValue(z_series),
+            "u": u,
+            "x": x,
+            "y": y_series,
+            "z": z_series,
         },
     )
     assert verify_point(system, series_point, mode="truncated", precision=16).passed
@@ -220,8 +218,8 @@ def test_series_binding_verdict_matches_at_golden_point():
         {
             "u": point.bindings["u"],
             "x": point.bindings["x"],
-            "y": SeriesValue(y_series._lift(tower_z)),
-            "z": SeriesValue(z_series),
+            "y": y_series._lift(tower_z),
+            "z": z_series,
         },
     )
     report = verify_point(system, series_point, mode="truncated", precision=12)
@@ -245,14 +243,15 @@ def test_unbound_variable_is_an_error():
         verify_point(system, PointAssignment(place, {}))
 
 
-@pytest.mark.parametrize("name, kind", [("t", ExactValue), ("t", FormalSqrt),
-                                         ("alpha", ExactValue), ("alpha", FormalSqrt)])
+@pytest.mark.parametrize("name, kind", [("t", "RationalFunction"), ("t", "FormalSqrt"),
+                                         ("alpha", "RationalFunction"), ("alpha", "FormalSqrt")])
 def test_a_binding_that_shadows_t_or_a_generator_is_an_error(name, kind):
     tower = adjoin_quadratic(QQ, "alpha", 0, -2)
     place = Place.finite(tower.zero(), 1)
     system = parse_system("x = alpha^2*t^2\n", tower)  # even powers, as a square root needs
     one = RationalFunction.constant(tower, place, 1)
-    point = PointAssignment(place, {"x": ExactValue(one), name: kind(one)})
+    binding = FormalSqrt(one) if kind == "FormalSqrt" else one
+    point = PointAssignment(place, {"x": one, name: binding})
     for mode in ("exact", "truncated"):
         with pytest.raises(ValueError, match=f"may not shadow '{name}'"):
             verify_point(system, point, mode=mode)
@@ -273,8 +272,8 @@ def golden_point(n=1):
     point = PointAssignment(
         place,
         {
-            "u": ExactValue(u),
-            "x": ExactValue(x),
+            "u": u,
+            "x": x,
             "y": FormalSqrt(lhs1 / g),
             "z": FormalSqrt(lhs2 / (t * g)),
         },
@@ -332,7 +331,7 @@ def test_lift_along_cover_refuses_a_point_off_the_base_system():
     cover = parse_system(BASE_SYSTEM + COVER_EQUATION)
     point = sqrt_t_point()
     one = RationalFunction.constant(QQ, point.place, 1)
-    off_base = PointAssignment(point.place, {**point.bindings, "x": ExactValue(one)})
+    off_base = PointAssignment(point.place, {**point.bindings, "x": one})
     with pytest.raises(ValueError, match="^base point does not verify on the base system$"):
         lift_along_cover(cover, off_base)
     with pytest.raises(ValueError, match="^base point does not verify"):
@@ -342,7 +341,7 @@ def test_lift_along_cover_refuses_a_point_off_the_base_system():
 def test_solve_square_nonsquare_certificate():
     system = parse_system("x^2 = t\n")
     place = Place.finite(QQ.zero(), 1)
-    point = PointAssignment(place, {"x": ExactValue(RationalFunction.constant(QQ, place, 1))})
+    point = PointAssignment(place, {"x": RationalFunction.constant(QQ, place, 1)})
     outcome = solve_square(
         system, parse_expression("t"), parse_expression("1"), point
     )
