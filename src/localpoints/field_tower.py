@@ -550,20 +550,22 @@ class FieldElement:
         return hash((nums[:top], self.den))
 
     def __str__(self) -> str:
+        # each coefficient x/den printed as str(Fraction(x, den)) prints it
         names = self.tower.generator_names
+        den = self.den
         terms = []
-        for index, coeff in enumerate(self.coords):
-            if coeff == 0:
+        for index, x in enumerate(self.nums):
+            if not x:
                 continue
             monomial = "*".join(names[i] for i in range(len(names)) if index >> i & 1)
-            if not monomial:
-                terms.append(str(coeff))
-            elif coeff == 1:
+            if monomial and x == den:
                 terms.append(monomial)
-            elif coeff == -1:
+            elif monomial and x == -den:
                 terms.append(f"-{monomial}")
             else:
-                terms.append(f"{coeff}*{monomial}")
+                divisor = gcd(x, den)
+                coeff = str(x // divisor) if divisor == den else f"{x // divisor}/{den // divisor}"
+                terms.append(f"{coeff}*{monomial}" if monomial else coeff)
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
     def __repr__(self) -> str:

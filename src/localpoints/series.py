@@ -232,16 +232,32 @@ def _coprime_mod_p(num: Poly, den: Poly, zero: FieldElement) -> bool:
 
 
 def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
-    """num and den, both divided by their monic gcd."""
+    """num and den divided by a common factor that leaves them coprime, up to
+    one constant they share; only their ratio is defined.
+
+    A monomial operand cancels a power of r; otherwise the modular certificate
+    (_coprime_mod_p) proves most pairs coprime.  When it fails, the longer
+    operand is divided by the shorter one once.  A zero remainder makes the
+    shorter one the gcd, up to a constant, and the quotient is the answer;
+    otherwise Euclid's algorithm goes on from that remainder (Knuth, TAOCP
+    vol. 2, 4.6.1) and both operands are divided by the gcd.
+    """
     if len(num) < 2 or len(den) < 2:
         return num, den
-    if any(sum(1 for a in p if not a.is_zero()) == 1 for p in (num, den)):
-        # against a monomial the gcd is a power of r
+    if not any(any(a.nums) for a in num[:-1]) or not any(any(a.nums) for a in den[:-1]):
+        # one of them has no nonzero coefficient below its leading one: against
+        # a monomial the gcd is a power of r
         shift = min(_porder(num), _porder(den))
         return num[shift:], den[shift:]
     if _coprime_mod_p(num, den, zero):
         return num, den
-    g = _pgcd(num, den, zero)
+    swapped = len(num) < len(den)
+    longer, shorter = (den, num) if swapped else (num, den)
+    quot, rem = _pdivmod(longer, shorter, zero)
+    if not rem:
+        one = (zero.tower.one(),)
+        return (one, quot) if swapped else (quot, one)
+    g = _pgcd(shorter, rem, zero)
     if len(g) > 1:
         num, _ = _pdivmod(num, g, zero)
         den, _ = _pdivmod(den, g, zero)
@@ -331,7 +347,7 @@ class Place(Record):
 
 
 def _check_place(a: _Local, b: _Local) -> None:
-    if a.place != b.place:
+    if a.place is not b.place and a.place != b.place:
         raise PlaceMismatchError(f"places differ: {a.place} vs {b.place}")
 
 
@@ -425,9 +441,12 @@ class RationalFunction(_Local):
 
     Normal form: numerator and denominator coprime, denominator monic.  It is
     unique, so equality and hashing compare num and den.  The constructor
-    proves coprimality in _cross_cancel: a modular certificate, then Euclid's
-    algorithm when the certificate fails.  Results whose operands are already
-    coprime skip it and come from _coprime, which only makes den monic:
+    proves coprimality in _cross_cancel: a modular certificate, then, when
+    it fails, one division of the longer operand by the shorter and Euclid's
+    algorithm from its remainder unless that is zero.  The cancelled pair is
+    right up to a constant they share, which _monic removes.  Results whose
+    operands are already coprime skip the proof and come from _coprime,
+    which only makes den monic:
     -f, f*g and f/g (after their cross-cancellations), ramify and the
     embedding into a taller tower.  Their coprimality follows from Bezout: a
     coprime pair has u*num + v*den = 1, which survives r -> r^k and a field

@@ -311,6 +311,44 @@ def test_element_str_renders_generators():
     assert "alpha*beta" in str(alpha * beta)
 
 
+def _str_oracle(element):
+    """The text of an element built from its Fraction coordinates."""
+    names = element.tower.generator_names
+    terms = []
+    for index, coeff in enumerate(element.coords):
+        if coeff == 0:
+            continue
+        monomial = "*".join(names[i] for i in range(len(names)) if index >> i & 1)
+        if not monomial:
+            terms.append(str(coeff))
+        elif coeff == 1:
+            terms.append(monomial)
+        elif coeff == -1:
+            terms.append(f"-{monomial}")
+        else:
+            terms.append(f"{coeff}*{monomial}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def test_element_str_matches_the_fraction_rendering():
+    rng = random.Random(28)
+    values = [Fraction(0)] * 3 + [Fraction(1), Fraction(-1), Fraction(-5), Fraction(7)]
+    kinds = set()
+    for tower in golden_towers_to_height_three():
+        assert str(tower.zero()) == _str_oracle(tower.zero()) == "0"
+        for _ in range(200):
+            coords = tuple(
+                rng.choice(values) if rng.random() < 0.5
+                else Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 12]))
+                for _ in range(tower.dim)
+            )
+            element = FieldElement(tower, coords)
+            assert str(element) == _str_oracle(element)
+            kinds.update(c if c in (0, 1, -1) else (c < 0, c.denominator > 1) for c in coords)
+    # zero, one, minus one, and positive and negative integers and fractions
+    assert len(kinds) == 7
+
+
 # -- reference oracle: the per-coordinate Fraction arithmetic on TowerSteps ----
 
 

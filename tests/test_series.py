@@ -24,15 +24,19 @@ ORIGIN = Place.finite(QQ.zero(), 1)
 
 GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
 
-# (_pgcd calls, certificate calls, certificate hits) of the exact run of the
-# height-2 claim gen_0006_h2
-GEN_0006_H2_WORK = (2, 4, 2)
+# (_pgcd calls, _pdivmod calls, certificate calls, certificate hits) of the
+# exact run of the height-2 claim gen_0006_h2 ((2, 8, 4, 2) while a failed
+# certificate always ran _pgcd and then divided both operands by the gcd;
+# both failures are pairs where one operand divides the other, so now each
+# takes one division)
+GEN_0006_H2_WORK = (0, 2, 4, 2)
 
 # height-1 field_tower._mul calls of one golden_nonlift_n1 run (12,418 while
 # every product above height 1 took three sub-products, 3,632 while
 # is_square_local divided for a leading coefficient it did not read, 3,602
-# while series_sqrt took Newton steps)
-GOLDEN_NONLIFT_N1_H1_MULS = 2274
+# while series_sqrt took Newton steps, 2,274 while a cross-cancel whose
+# operands divide one another ran _pgcd and two more divisions)
+GOLDEN_NONLIFT_N1_H1_MULS = 2228
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -67,7 +71,7 @@ def test_rf_negation_skips_the_gcd(monkeypatch):
 
     f = rf([1, 2, 3], [1, -1, 5])
     expected_negation, expected_one_minus = rf([-1, -2, -3], [1, -1, 5]), rf([0, -3, 2], [1, -1, 5])
-    # a coprimality proof is the modular certificate, then _pgcd if it fails
+    # a coprimality proof is the modular certificate, then a division and _pgcd if it fails
     calls, gcds = [], []
     certificate, pgcd = series._coprime_mod_p, series._pgcd
     monkeypatch.setattr(series, "_coprime_mod_p", lambda *args: calls.append(args) or certificate(*args))
@@ -105,16 +109,18 @@ def test_one_height_two_claim_runs_a_pinned_number_of_gcds(monkeypatch):
     from localpoints import builtin_registry, load_claim_file, run_claim, series
 
     registry = load_claim_file(str(GENERATED_CLAIMS), builtin_registry())
-    gcds, certified = [], []
-    pgcd, certificate = series._pgcd, series._coprime_mod_p
+    gcds, divisions, certified = [], [], []
+    pgcd, pdivmod, certificate = series._pgcd, series._pdivmod, series._coprime_mod_p
     monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
+    monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
     monkeypatch.setattr(
         series, "_coprime_mod_p", lambda *a: certified.append(certificate(*a)) or certified[-1]
     )
     report = run_claim("gen_0006_h2", registry)
     assert report.verdict == "pass"
-    assert {a[2].tower.height for a in gcds} == {2}
-    assert (len(gcds), len(certified), certified.count(True)) == GEN_0006_H2_WORK
+    assert {a[2].tower.height for a in divisions} == {2}
+    work = (len(gcds), len(divisions), len(certified), certified.count(True))
+    assert work == GEN_0006_H2_WORK
 
 
 def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatch):
@@ -316,6 +322,66 @@ def test_coprimality_certificate_never_certifies_a_common_factor():
         certified += says_coprime
     # and it settles nearly every coprime pair without Euclid's algorithm
     assert coprime > 200 and certified >= 0.95 * coprime
+
+
+def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
+    from localpoints import series
+
+    pgcd, pdivmod, pmul = series._pgcd, series._pdivmod, series._pmul
+    gcds, divisions = [], []
+    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
+    monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
+
+    def with_two_terms(rng, tower, degree):
+        # a monomial operand takes the power-of-r shortcut, not a division
+        while True:
+            p = _random_poly(rng, tower, degree)
+            if sum(1 for a in p if a) > 1:
+                return p
+
+    def reference(tower, place, num, den):
+        # the normal form through the monic gcd and a division of each operand by it
+        g = pgcd(num, den, tower.zero())
+        return RationalFunction._coprime(tower, place, pdivmod(num, g, tower.zero())[0],
+                                         pdivmod(den, g, tower.zero())[0])
+
+    def work(make):
+        gcds.clear()
+        divisions.clear()
+        made = make()
+        return made, (len(gcds), len(divisions))
+
+    rng = random.Random(28)
+    towers = _towers()
+    for n in range(36):
+        tower = towers[n % 3]
+        zero = tower.zero()
+        place = Place.finite(zero, 1)
+        shorter = with_two_terms(rng, tower, rng.randint(1, 3))
+        # a constant cofactor gives operands of equal length, num = c*den
+        longer = pmul(shorter, _random_poly(rng, tower, n // 3 % 3), zero)
+        for num, den in ((shorter, longer), (longer, shorter)):
+            expected = reference(tower, place, num, den)
+            # num/1 times 1/den, and num/1 over den/1: one cross-cancel each
+            top, bottom = (RationalFunction.from_coeffs(tower, place, list(p)) for p in (num, den))
+            inverse = bottom ** -1
+            for make in (lambda: RationalFunction(tower, place, num, den),
+                         lambda: top * inverse, lambda: top / bottom):
+                made, counts = work(make)
+                assert counts == (0, 1)
+                assert (made.num, made.den) == (expected.num, expected.den)
+
+    # a proper common factor still goes on to Euclid's algorithm
+    for tower in towers:
+        zero = tower.zero()
+        place = Place.finite(zero, 1)
+        factor = with_two_terms(rng, tower, 2)
+        num = pmul(factor, tuple(map(tower.coerce, (1, 1))), zero)
+        den = pmul(factor, tuple(map(tower.coerce, (2, 1))), zero)
+        made, counts = work(lambda: RationalFunction(tower, place, num, den))
+        assert counts[0] == 1
+        expected = reference(tower, place, num, den)
+        assert (made.num, made.den) == (expected.num, expected.den)
 
 
 def test_coprimality_certificate_falls_back_when_the_reduction_fails():
