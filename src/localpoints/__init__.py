@@ -36,7 +36,6 @@ from .variety import (
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
-    VerificationReport,
     lift_along_cover,
     parse_system,
     print_system,

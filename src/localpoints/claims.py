@@ -35,6 +35,7 @@ from .exprs import (
     free_symbols,
     parse_expression,
     read_integer,
+    source_lines,
 )
 from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
 from .orbifold import (
@@ -180,28 +181,25 @@ Position = tuple[int, int]  # (line, column) in the claim file where a fragment'
 
 
 class ParsedClaim:
-    """A claim block as parse_claim_file reads it; a list left out starts empty."""
+    """A claim block as parse_claim_file reads it; its lists start empty."""
 
-    __slots__ = ("name", "line", "adjoins", "system_lines", "place", "lets", "expect",
+    __slots__ = ("name", "line", "column", "adjoins", "system_lines", "place", "lets", "expect",
                  "orbifold", "assertions", "description", "checks")
 
-    def __init__(self, name: str, line: int, adjoins: list | None = None,
-                 system_lines: list | None = None, place: tuple | None = None,
-                 lets: list | None = None, expect: str = "pass",
-                 orbifold: OrbifoldCurve | None = None, assertions: list | None = None,
-                 description: str | None = None, checks: list | None = None) -> None:
+    def __init__(self, name: str, line: int, column: int) -> None:
         self.name = name
         self.line = line
-        self.adjoins = [] if adjoins is None else adjoins  # (at, name, minpoly)
-        self.system_lines = [] if system_lines is None else system_lines  # (at, text)
-        self.place = place  # the center's position and text, ram
-        self.lets = [] if lets is None else lets  # (at, var, rhs, sqrt)
-        self.expect = expect
-        self.orbifold = orbifold
-        self.assertions = [] if assertions is None else assertions  # (at, key, text)
-        self.description = description
+        self.column = column  # where the name starts on the claim line
+        self.adjoins: list = []  # (at, name, minpoly)
+        self.system_lines: list = []  # (at, text)
+        self.place: tuple | None = None  # the center's position and text, ram
+        self.lets: list = []  # (at, var, rhs, sqrt)
+        self.expect = "pass"
+        self.orbifold: OrbifoldCurve | None = None
+        self.assertions: list = []  # (at, key, text)
+        self.description: str | None = None
         # identity and order lines: kind, label, an order's integer, (text, position) of each side
-        self.checks = [] if checks is None else checks
+        self.checks: list = []
 
 
 _PLACE = re.compile(r"t\s*=\s*(.+?)(?:\s+ram\s+(\S+))?")
@@ -249,7 +247,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
     once: set[str] = set()  # the _ONCE keywords the current claim has used
     taken: set[str] = set()  # the evidence keys the current claim and its checks write
     in_system = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(source_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,8 +265,8 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if not rest or not rest.replace("_", "").isalnum():
                 raise ClaimSyntaxError(f"bad claim name {rest!r}", lineno, column)
             if rest in claims:
-                raise DuplicateClaimError(f"claim {rest!r} declared twice")
-            current = claims[rest] = ParsedClaim(rest, lineno)
+                raise DuplicateClaimError(f"claim {rest!r} declared twice", lineno, column)
+            current = claims[rest] = ParsedClaim(rest, lineno, column)
             once, taken = set(), set(EVIDENCE_KEYS)
             continue
         if current is None:
@@ -632,17 +630,15 @@ def _verified(
     system: PolynomialSystem, point: PointAssignment, mode: str, precision: int
 ) -> tuple[str, dict]:
     """The point checked on the system: verdict and evidence."""
-    report = verify_point(system, point, mode, precision)
-    evidence = report.as_dict()
+    evidence = verify_point(system, point, mode, precision)
     evidence["bindings"] = {
         var: f"sqrt({binding.square})" if isinstance(binding, FormalSqrt) else str(binding)
         for var, binding in point.bindings.items()
     }
-    if report.passed:
+    if evidence["passed"]:
         return "pass", evidence
-    if all(e.status != "failed" for e in report.equations) and all(
-        i.status != "zero" for i in report.inequations
-    ):
+    statuses = {c["status"] for c in evidence["equations"] + evidence["inequations"]}
+    if not statuses & {"failed", "zero"}:
         # only constraints that vanish to precision: the precision decides, not the point
         evidence.update(reason="precision_exhausted", precision=precision)
         return "undecided", evidence
@@ -653,20 +649,21 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
                 point: PointAssignment, params: ClaimParams) -> tuple[str, dict]:
     """The point verified exactly on the base system, then its cover factor a non-square.
 
-    A base point that does not verify fails with the verification evidence;
-    a cover factor that vanishes certifies nothing, so it fails as well.
+    Both are exact, so the precision never decides.  A base point that does not verify
+    fails with the verification evidence; a cover factor that vanishes certifies nothing,
+    so it fails as well.
     """
     index, variable, g = cover_equation
     verdict, evidence = _verified(cover.without_equation(index), point, "exact",
                                   params.precision)
     if verdict != "pass":
         return verdict, evidence
-    try:
-        outcome = _lift(cover, g, point, params.precision)
-    except ZeroFunctionError:  # the cover factor vanishes at the point
+    g_value = evaluate(g, *_env(cover, point))
+    if g_value.is_zero():
         return "fail", {"cover_variable": variable, "result": "zero", "order": None}
-    evidence = {"cover_variable": variable, "result": outcome.kind, "order": outcome.order}
-    return ("pass" if outcome.kind == "obstructed" else "fail"), evidence
+    check = is_square_local(g_value)
+    verdict, result = ("pass", "obstructed") if check.kind == "no" else ("fail", "lifts")
+    return verdict, {"cover_variable": variable, "result": result, "order": check.order}
 
 
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
@@ -714,14 +711,15 @@ def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> d
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         # an error at the first byte that does not decode, in parse_claim_file's lines
-        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        lines = source_lines(data[:err.start].decode("utf-8") + "?")
         raise ClaimSyntaxError(f"byte 0x{data[err.start]:02x} is not UTF-8 ({err.reason})",
                                len(lines), len(lines[-1])) from None
     towers: dict = {}
     systems: dict = {}
     for parsed in parse_claim_file(text):
         if parsed.name in base:
-            raise DuplicateClaimError(f"claim {parsed.name!r} already registered")
+            raise DuplicateClaimError(f"claim {parsed.name!r} already registered",
+                                      parsed.line, parsed.column)
         base[parsed.name] = _claim_from_parsed(parsed, towers, systems)
     return base
 

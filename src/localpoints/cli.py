@@ -20,7 +20,7 @@ from .claims import (
     run_all,
     run_claim,
 )
-from .errors import ClaimSyntaxError, DuplicateClaimError, UnknownClaimError
+from .errors import ClaimSyntaxError, UnknownClaimError
 from .exprs import read_integer
 
 
@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                 + (f", failures: {', '.join(summary['failures'])}" if summary["failures"] else "")
             )
         return _exit_code(reports)
-    except (UnknownClaimError, ClaimSyntaxError, DuplicateClaimError, OSError) as err:
+    except (UnknownClaimError, ClaimSyntaxError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -39,5 +39,5 @@ class UnknownClaimError(LocalPointsError):
     """Raised when a claim name is not in the registry."""
 
 
-class DuplicateClaimError(LocalPointsError):
-    """Raised when a claim file re-declares an existing claim name."""
+class DuplicateClaimError(ClaimSyntaxError):
+    """Raised when a claim file re-declares an existing claim name, at the name."""

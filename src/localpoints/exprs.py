@@ -82,6 +82,10 @@ _TOKEN = re.compile(
     r"(?P<num>[0-9]+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<newline>\n)|(?P<space>[^\S\n]+)"
 )
 
+# the lines of a claim file or system text: only \n, \r\n and \r end one, as in Python's
+# tokenizer; str.splitlines also ends one at \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029
+source_lines = re.compile(r"\r\n?|\n").split
+
 
 def _tokenize(text: str, line: int, column: int) -> list[tuple[str, str, int, int]]:
     tokens = []

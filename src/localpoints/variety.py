@@ -26,6 +26,7 @@ from .exprs import (
     free_symbols,
     odd_power_symbols,
     parse_expression,
+    source_lines,
     to_text,
 )
 from .field_tower import FieldTower, QQ
@@ -161,7 +162,7 @@ def parse_system(text: str, tower: FieldTower = QQ) -> PolynomialSystem:
         sides.append((parse_expression(text, lineno, column, divisors), text, lineno, column))
         return sides[-1][0]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(source_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -235,62 +236,6 @@ class PointAssignment(Record):
 # -- verification ------------------------------------------------------------------
 
 
-class EquationResult:
-    __slots__ = ("status", "text", "precision", "residual_order", "residual_lead", "cleared_by")
-
-    def __init__(self, status: str, text: str, precision: int | None = None,
-                 residual_order: int | None = None, residual_lead: str | None = None,
-                 cleared_by: str | None = None) -> None:
-        self.status = status  # "exact_zero" | "zero_to_precision" | "failed"
-        self.text = text
-        self.precision = precision
-        self.residual_order = residual_order
-        self.residual_lead = residual_lead
-        self.cleared_by = cleared_by
-
-
-class InequationResult:
-    __slots__ = ("status", "text", "order", "lead")
-
-    def __init__(self, status: str, text: str, order: int | None = None,
-                 lead: str | None = None) -> None:
-        self.status = status  # "nonzero" | "zero" | "zero_to_precision"
-        self.text = text
-        self.order = order
-        self.lead = lead
-
-
-class VerificationReport:
-    __slots__ = ("mode", "place", "equations", "inequations")
-
-    def __init__(self, mode: str, place: str, equations: list[EquationResult] | None = None,
-                 inequations: list[InequationResult] | None = None) -> None:
-        self.mode = mode
-        self.place = place
-        self.equations = [] if equations is None else equations
-        self.inequations = [] if inequations is None else inequations
-
-    @property
-    def passed(self) -> bool:
-        return all(e.status in ("exact_zero", "zero_to_precision") for e in self.equations) and all(
-            i.status == "nonzero" for i in self.inequations
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "place": self.place,
-            "passed": self.passed,
-            "equations": [_field_dict(e) for e in self.equations],
-            "inequations": [_field_dict(i) for i in self.inequations],
-        }
-
-
-def _field_dict(result: EquationResult | InequationResult) -> dict:
-    """The result's fields by name, in the order of its __slots__, empty ones included."""
-    return {name: getattr(result, name) for name in result.__slots__}
-
-
 def _coordinates(t: RationalFunction | PuiseuxSeries, tower: FieldTower) -> dict:
     """t and the generator constants, in t's backend."""
     return {"t": t, **{name: t._constant(tower.gen(name)) for name in tower.generator_names}}
@@ -351,9 +296,13 @@ def verify_point(
     point: PointAssignment,
     mode: str = "exact",
     precision: int = DEFAULT_PRECISION,
-) -> VerificationReport:
+) -> dict:
     """Substitute the point into every equation and constraint and classify.
 
+    The report is the evidence dict: mode, place, passed, and per equation its
+    status (exact_zero, zero_to_precision or failed), text, precision,
+    residual_order, residual_lead and cleared_by, per constraint its status
+    (nonzero, zero or zero_to_precision), text, order and lead; an empty one is None.
     Exact mode certifies true zero residuals and true nonzero constraints;
     truncated mode reports agreement to the stated precision, never more.
     Exact mode evaluates over the point's cache (_exact_context), so it makes
@@ -370,31 +319,35 @@ def verify_point(
         raise OddPowerError(f"square-root variable {odd!r} occurs with an odd power")
     env, const, square_env, cache = _env(system, point, None if mode == "exact" else precision)
 
-    report = VerificationReport(mode=mode, place=str(point.place))
+    exact = mode == "exact"
+    equations = []
     for eq in system.equations:
         lhs_expr, rhs_expr, cleared_by = eq.cleared
         residual = (evaluate(lhs_expr, env, const, square_env, cache)
                     - evaluate(rhs_expr, env, const, square_env, cache))
-        known_to = None if mode == "exact" else residual.precision
-        if residual.is_zero():
-            status = "exact_zero" if mode == "exact" else "zero_to_precision"
-            result = EquationResult(status, eq.text, precision=known_to, cleared_by=cleared_by)
-        else:
-            result = EquationResult("failed", eq.text, precision=known_to,
-                                    residual_order=residual.order_at_zero(),
-                                    residual_lead=str(residual.leading_coefficient()),
-                                    cleared_by=cleared_by)
-        report.equations.append(result)
-
+        zero = residual.is_zero()
+        equations.append({
+            "status": ("exact_zero" if exact else "zero_to_precision") if zero else "failed",
+            "text": eq.text,
+            "precision": None if exact else residual.precision,
+            "residual_order": None if zero else residual.order_at_zero(),
+            "residual_lead": None if zero else str(residual.leading_coefficient()),
+            "cleared_by": cleared_by,
+        })
+    inequations = []
     for ineq, text in zip(system.inequations, system.inequation_texts):
         value = evaluate(ineq, env, const, square_env, cache)
-        if value.is_zero():
-            status = "zero" if mode == "exact" else "zero_to_precision"
-            report.inequations.append(InequationResult(status, text))
-        else:
-            report.inequations.append(InequationResult("nonzero", text, order=value.order_at_zero(),
-                                                       lead=str(value.leading_coefficient())))
-    return report
+        zero = value.is_zero()
+        inequations.append({
+            "status": ("zero" if exact else "zero_to_precision") if zero else "nonzero",
+            "text": text,
+            "order": None if zero else value.order_at_zero(),
+            "lead": None if zero else str(value.leading_coefficient()),
+        })
+    passed = (all(e["status"] != "failed" for e in equations)
+              and all(i["status"] == "nonzero" for i in inequations))
+    return {"mode": mode, "place": str(point.place), "passed": passed,
+            "equations": equations, "inequations": inequations}
 
 
 # -- squareness and lifting ---------------------------------------------------------
@@ -470,7 +423,7 @@ def lift_along_cover(
     twist multiplier.
     """
     index, _, g_expr = find_cover_equation(cover, base_point.bindings)
-    if not verify_point(cover.without_equation(index), base_point, mode="exact").passed:
+    if not verify_point(cover.without_equation(index), base_point, mode="exact")["passed"]:
         raise ValueError("base point does not verify on the base system")
     return _lift(cover, g_expr, base_point, precision, twist)
 

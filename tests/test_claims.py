@@ -296,6 +296,30 @@ def test_load_obstruction_claim_file(tmp_path, registry):
     assert report.evidence["cover_variable"] == "w"
 
 
+# the cover factor t*u = r^2 is a square at every precision; the verdict read a series
+# root of it, which is zero to precision 1 and 2, so those were undecided
+SQUARE_COVER_FACTOR = """\
+claim b
+system:
+  u = 1
+  w^2 = t*u
+place: t = 0 ram 2
+let u = 1
+expect: obstructed
+"""
+
+
+@pytest.mark.parametrize("precision", [1, 2, None])
+def test_an_obstructed_claim_whose_cover_factor_is_a_square_fails_at_every_precision(
+        tmp_path, precision):
+    path = tmp_path / "claims.txt"
+    path.write_text(SQUARE_COVER_FACTOR, encoding="utf-8")
+    options = {} if precision is None else {"mode": "truncated", "precision": precision}
+    report = run_claim("b", load_claim_file(str(path), {}), **options)
+    assert (report.verdict, report.evidence) == (
+        "fail", {"cover_variable": "w", "result": "lifts", "order": 2})
+
+
 def test_load_nonsquare_claim_file(tmp_path, registry):
     path = tmp_path / "claims.txt"
     path.write_text(NONSQUARE_FILE, encoding="utf-8")
@@ -835,6 +859,10 @@ POSITIONED_ERRORS = [
     ("identity_label_an_order_key",
      "place: t = 0 ram 1\nsystem:\n  x = 0\nlet x = 0\norder k: t = 1\nidentity k_order: x = 0",
      7, 10),
+    # only \n, \r\n and \r end a line: str.splitlines ended one at each of these too, and
+    # every later error named the line below its own
+    *((f"line_break_{ord(ch):#06x}", f"place: t = 0{ch}\nlet x = q\nsystem:\n  x = 0", 3, 9)
+      for ch in "\f\v\x1c\x1d\x1e\x85\u2028\u2029"),
 ]
 
 

@@ -196,16 +196,38 @@ NOT_UTF8 = [
     (b"claim a\xff\xfe\n", "line 1, column 8: byte 0xff is not UTF-8 (invalid start byte)"),
     (b"claim a\r\nsystem:\n  x = 1 # \xc3\xa9\xc3\xa9 \xe2\x82\n",
      "line 3, column 14: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+    # a form feed ends no line
+    (b"claim a\x0c\nsystem:\n  x = 1 \xff\n",
+     "line 3, column 9: byte 0xff is not UTF-8 (invalid start byte)"),
 ]
 
 
-@pytest.mark.parametrize("data, message", NOT_UTF8, ids=["start_byte", "cut_sequence"])
+@pytest.mark.parametrize("data, message", NOT_UTF8,
+                         ids=["start_byte", "cut_sequence", "after_a_form_feed"])
 def test_a_claim_file_that_is_not_utf8_is_a_positioned_usage_error(tmp_path, capsys, data,
                                                                    message):
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
     assert main(["load", str(path), "list"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a claim name declared twice in a file, and one the builtins have, named at the name
+DUPLICATE_NAMES = [
+    ("claim a\nplace: t = 0\nsystem:\n  x = 0\nlet x = 0\nclaim a\nplace: t = 0\n",
+     "line 6, column 7: claim 'a' declared twice"),
+    ("claim  point_sqrt_t\nplace: t = 0\nsystem:\n  x = 0\nlet x = 0\n",
+     "line 1, column 8: claim 'point_sqrt_t' already registered"),
+]
+
+
+@pytest.mark.parametrize("text, message", DUPLICATE_NAMES, ids=["in_the_file", "a_builtin"])
+def test_a_duplicate_claim_name_is_a_positioned_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "claims.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["load", str(path), "list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 # a claim name after an action that takes none, and no name after run

@@ -50,3 +50,12 @@ def test_each_module_reads_every_name_it_imports():
         unread += [f"{source.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unread == []
+
+
+def test_no_module_calls_splitlines():
+    # str.splitlines also ends a line at \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029, which
+    # misnumbers every later line of a claim file; exprs.source_lines ends one where Python does
+    calls = [f"{source.name}:{node.lineno}" for source in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
+    assert calls == []

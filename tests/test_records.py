@@ -171,7 +171,7 @@ def test_a_report_dictionary_keeps_its_key_order_and_empty_fields():
     t = t_function(QQ, place)
     system = parse_system("x^2 = t\nx*y = 1/t\nx != 0\nx - x != 0")
     point = PointAssignment(place, {"x": r_function(QQ, place), "y": t ** -1})
-    report = verify_point(system, point).as_dict()
+    report = verify_point(system, point)
     assert list(report) == ["mode", "place", "passed", "equations", "inequations"]
     assert report["equations"] == [
         {"status": "exact_zero", "text": "x^2 = t", "precision": None,
@@ -184,7 +184,7 @@ def test_a_report_dictionary_keeps_its_key_order_and_empty_fields():
         {"status": "nonzero", "text": "x != 0", "order": 1, "lead": "1"},
         {"status": "zero", "text": "x - x != 0", "order": None, "lead": None}]
     assert [list(i) for i in report["inequations"]] == [["status", "text", "order", "lead"]] * 2
-    truncated = verify_point(system, point, mode="truncated", precision=6).as_dict()
+    truncated = verify_point(system, point, mode="truncated", precision=6)
     assert list(truncated) == list(report)
     assert [list(e.items()) for e in truncated["equations"]] == [
         [("status", "zero_to_precision"), ("text", "x^2 = t"), ("precision", 6),
