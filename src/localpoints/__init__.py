@@ -3,7 +3,6 @@ with an orbifold-curve multiplicity calculus and a claim-runner CLI."""
 
 from .field_tower import (
     QQ,
-    AlreadySplit,
     FieldElement,
     FieldTower,
     adjoin_quadratic,

@@ -22,7 +22,6 @@ from .errors import (
     DuplicateClaimError,
     PrecisionExhaustedError,
     UnknownClaimError,
-    ZeroFunctionError,
 )
 from .exprs import (
     MAX_EXPONENT,
@@ -37,7 +36,7 @@ from .exprs import (
     read_integer,
     source_lines,
 )
-from .field_tower import QQ, AlreadySplit, FieldTower, adjoin_quadratic
+from .field_tower import QQ, FieldElement, FieldTower, adjoin_quadratic
 from .orbifold import (
     INF,
     MultiplicityProfile,
@@ -54,7 +53,6 @@ from .series import (
     DEFAULT_PRECISION,
     Place,
     RationalFunction,
-    SquareOutcome,
     is_square_local,
     r_function,
 )
@@ -66,7 +64,7 @@ from .variety import (
     PolynomialSystem,
     _env,
     _exact_context,
-    _lift,
+    _square_outcome,
     _zero_divisor,
     find_cover_equation,
     lift_along_cover,
@@ -434,9 +432,9 @@ def _build_tower(parsed: ParsedClaim, towers: dict) -> FieldTower:
         if minpoly.den != (one,) or len(minpoly.num) != 3 or minpoly.num[2] != one:
             raise ClaimSyntaxError(f"adjoin needs a monic quadratic in {gen_name!r}", *position)
         result = adjoin_quadratic(tower, gen_name, minpoly.num[1], minpoly.num[0])
-        if isinstance(result, AlreadySplit):
+        if isinstance(result, FieldElement):
             raise ClaimSyntaxError(
-                f"{gen_name!r} would not extend the field: root {result.witness} exists",
+                f"{gen_name!r} would not extend the field: root {result} exists",
                 *position)
         tower = towers[chain] = result
     return tower
@@ -534,7 +532,7 @@ def _build_bindings(
 
 
 # the evidence keys of a claim on a point, written by verify_point, _verified, run_claim,
-# _obstructed, _nonsquare and _lift_verdict: no check may write one of them
+# _obstructed, _nonsquare, _parity and _lift_verdict: no check may write one of them
 EVIDENCE_KEYS = frozenset((
     "mode place passed equations inequations bindings reason precision detail cover_variable "
     "result order expression lift witness witness_order witness_square_matches").split())
@@ -557,16 +555,21 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
     return holds
 
 
+def _parity(value: RationalFunction, names: tuple[str, str]) -> dict:
+    """The squareness evidence of an exact value, its result named by names (square,
+    nonsquare); the zero function has no order, so it is "zero" and certifies nothing."""
+    if value.is_zero():
+        return {"result": "zero", "order": None}
+    check = is_square_local(value)
+    return {"result": names[check.kind == "no"], "order": check.order}
+
+
 def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     """The claim's one expression, over the check values, certified a local non-square."""
     position, text = parsed.system_lines[0]
     value = _evaluate(text, position, values, "nonsquare", lets=parsed.lets)
-    if value.is_zero():  # the zero function has no order, so it certifies nothing
-        return "fail", {"expression": text, "result": "zero", "order": None}
-    check = is_square_local(value)
-    evidence = {"expression": text, "result": "nonsquare" if check.kind == "no" else "witness",
-                "order": check.order}
-    return ("pass" if check.kind == "no" else "fail"), evidence
+    evidence = {"expression": text, **_parity(value, ("witness", "nonsquare"))}
+    return ("pass" if evidence["result"] == "nonsquare" else "fail"), evidence
 
 
 def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
@@ -578,11 +581,11 @@ def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr]
     """
     _, variable, g = cover_equation
     w_square = point.bindings[variable].square
-    try:
-        lift = _lift(cover, g, point, precision)
-    except ZeroFunctionError:
+    g_value = evaluate(g, *_env(cover, point))
+    if g_value.is_zero():
         evidence["lift"] = "zero"
         return "fail"
+    lift = _square_outcome(g_value, ("lifts", "obstructed"), precision)
     evidence["lift"] = lift.kind
     if lift.witness is None:  # only a lift that succeeds has a witness
         return "fail"
@@ -658,12 +661,9 @@ def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
                                   params.precision)
     if verdict != "pass":
         return verdict, evidence
-    g_value = evaluate(g, *_env(cover, point))
-    if g_value.is_zero():
-        return "fail", {"cover_variable": variable, "result": "zero", "order": None}
-    check = is_square_local(g_value)
-    verdict, result = ("pass", "obstructed") if check.kind == "no" else ("fail", "lifts")
-    return verdict, {"cover_variable": variable, "result": result, "order": check.order}
+    evidence = {"cover_variable": variable,
+                **_parity(evaluate(g, *_env(cover, point)), ("lifts", "obstructed"))}
+    return ("pass" if evidence["result"] == "obstructed" else "fail"), evidence
 
 
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
@@ -823,15 +823,11 @@ def _golden_point(golden: ParsedClaim, cover: PolynomialSystem, n: int) -> tuple
                                           for eq in cover.without_equation(index).equations]
 
 
-def _form(lift: SquareOutcome) -> dict:
-    """One cover form's evidence: the lift's result and order."""
-    return {"result": lift.kind, "order": lift.order}
-
-
 def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) -> Claim:
     def run(params: ClaimParams) -> tuple[str, dict]:
         point, context, g, equations = _golden_point(golden, cover, n)
-        orders = {"cover_factor": evaluate(g, *context).order_at_zero()}
+        g_value = evaluate(g, *context)
+        orders = {"cover_factor": g_value.order_at_zero()}
         orders.update((f"lhs_{k}", evaluate(lhs, *context).order_at_zero())
                       for k, (_, lhs, _) in enumerate(equations, start=1))
         squares = {}
@@ -845,8 +841,8 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
         twist = r_function(cover.tower, point.place) ** 2
-        plain, twisted = (_form(_lift(cover, g, point, params.precision, factor))
-                          for factor in (None, twist))
+        plain, twisted = (_parity(value, ("lifts", "obstructed"))
+                          for value in (g_value, g_value * twist))
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -874,12 +870,12 @@ def _two_forms(golden: ParsedClaim, cover: PolynomialSystem,
         label: FormalSqrt(evaluate(lhs, *context) / evaluate(c, *context))
         for label, lhs, c in equations}}, point.cache)
     # lift_along_cover checks that the point really is a point of the base system
-    plain = _form(lift_along_cover(cover, point, precision=params.precision))
-    twisted = _form(_lift(cover, g, point, params.precision,
-                          r_function(cover.tower, point.place) ** 2))
-    ok = plain["result"] == twisted["result"] == "obstructed"
+    plain = lift_along_cover(cover, point, precision=params.precision)
+    twisted = _parity(evaluate(g, *context) * r_function(cover.tower, point.place) ** 2,
+                      ("lifts", "obstructed"))
+    ok = plain.kind == twisted["result"] == "obstructed"
     return ("pass" if ok else "fail"), {
-        "plain_form": plain,
+        "plain_form": {"result": plain.kind, "order": plain.order},
         "twisted_form": twisted,
         "base_point_verified": True,
     }

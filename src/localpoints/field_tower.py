@@ -575,22 +575,13 @@ class FieldElement:
 QQ = FieldTower()
 
 
-class AlreadySplit(Record):
-    """Returned by adjoin_quadratic when the quadratic factors; carries a root."""
-
-    __slots__ = _fields = ("witness",)
-
-    def __init__(self, witness: FieldElement) -> None:
-        self.witness = witness
-
-
 def adjoin_quadratic(
     tower: FieldTower,
     name: str,
     b: FieldElement | Fraction | int,
     c: FieldElement | Fraction | int,
-) -> FieldTower | AlreadySplit:
-    """Adjoin a root of x^2 + b*x + c, or report a root that already exists."""
+) -> FieldTower | FieldElement:
+    """Adjoin a root of x^2 + b*x + c, or return a root that already exists."""
     if name in tower.generator_names:
         raise ValueError(f"generator name {name!r} already used in {tower!r}")
     b = tower.coerce(b)
@@ -598,8 +589,7 @@ def adjoin_quadratic(
     disc = b * b - 4 * c
     check = is_square(tower, disc)
     if check.kind == "yes":
-        root = (check.witness - b) / 2
-        return AlreadySplit(root)
+        return (check.witness - b) / 2
     return FieldTower(tower.steps + (TowerStep(name, b.coords, c.coords),))
 
 

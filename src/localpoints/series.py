@@ -18,7 +18,6 @@ from .errors import (
     ZeroFunctionError,
 )
 from .field_tower import (
-    AlreadySplit,
     FieldElement,
     FieldTower,
     Nums,
@@ -853,8 +852,8 @@ def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
         minus.append(-g[k])
 
     extended = adjoin_quadratic(tower, _fresh_root_name(tower), 0, -lead_coeff)
-    if isinstance(extended, AlreadySplit):
-        root_of_lead = extended.witness
+    if isinstance(extended, FieldElement):
+        root_of_lead = extended
     else:
         tower = extended
         g = _pembed(g, tower)

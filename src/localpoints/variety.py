@@ -413,27 +413,16 @@ def lift_along_cover(
     cover: PolynomialSystem,
     base_point: PointAssignment,
     precision: int = DEFAULT_PRECISION,
-    twist: RationalFunction | None = None,
 ) -> SquareOutcome:
     """Try to lift a base point along the double cover w^2 = g.
 
     The base point must verify exactly on the base system, or this raises
-    ValueError.  An odd-valuation g is the obstruction certificate.  A
-    fractional cover factor, made integral by ramification, enters as the
-    twist multiplier.
+    ValueError.  An odd-valuation g is the obstruction certificate.
     """
     index, _, g_expr = find_cover_equation(cover, base_point.bindings)
     if not verify_point(cover.without_equation(index), base_point, mode="exact")["passed"]:
         raise ValueError("base point does not verify on the base system")
-    return _lift(cover, g_expr, base_point, precision, twist)
-
-
-def _lift(cover: PolynomialSystem, g_expr: Expr, point: PointAssignment, precision: int,
-          twist: RationalFunction | None = None) -> SquareOutcome:
-    """lift_along_cover, unchecked, once its cover factor g_expr is found."""
-    g_value = evaluate(g_expr, *_env(cover, point))
-    if twist is not None:
-        g_value = g_value * twist
+    g_value = evaluate(g_expr, *_env(cover, base_point))
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
     return _square_outcome(g_value, ("lifts", "obstructed"), precision)

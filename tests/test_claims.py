@@ -112,11 +112,11 @@ def test_k3_lift_claims(registry):
     assert infinity.evidence["lift"] == "lifts"
 
 
-def _lifting(*args):
-    return SquareOutcome("lifts", 0)
+def _a_square(*args):
+    return SquareOutcome("yes", 0)
 
 
-def _doubled_witness(*args, lift=claims._lift):
+def _doubled_witness(*args, lift=claims._square_outcome):
     outcome = lift(*args)
     return SquareOutcome(outcome.kind, outcome.order, 2 * outcome.witness)
 
@@ -130,12 +130,13 @@ def _with_a_mark_of_one(genus, cover_degree, pullback=claims.pullback_half_marks
 # broken, and how its evidence then names the broken sub-check: no builtin passes
 # because it checked nothing
 BROKEN_BUILTINS = [
-    ("golden_nonlift_n1", claims, "_lift", _lifting,
+    ("golden_nonlift_n1", claims, "is_square_local", _a_square,
      lambda ev: ev["plain_cover"]["result"] == ev["twisted_cover"]["result"] == "lifts"),
-    ("k3_cover_two_forms_obstructed", claims, "_lift", _lifting,
+    # the plain form goes through lift_along_cover, which the patch does not reach
+    ("k3_cover_two_forms_obstructed", claims, "is_square_local", _a_square,
      lambda ev: (ev["plain_form"]["result"], ev["twisted_form"]["result"])
      == ("obstructed", "lifts")),
-    ("k3_lift_sqrt_t", claims, "_lift", _doubled_witness,
+    ("k3_lift_sqrt_t", claims, "_square_outcome", _doubled_witness,
      lambda ev: ev["lift"] == "lifts" and ev["witness_square_matches"] is False),
     ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
      lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),
@@ -318,6 +319,20 @@ def test_an_obstructed_claim_whose_cover_factor_is_a_square_fails_at_every_preci
     report = run_claim("b", load_claim_file(str(path), {}), **options)
     assert (report.verdict, report.evidence) == (
         "fail", {"cover_variable": "w", "result": "lifts", "order": 2})
+
+
+def test_file_nonsquare_and_obstructed_claims_fail_when_squareness_is_broken(
+        tmp_path, monkeypatch, registry):
+    # both take their squareness from claims._parity, so a broken squareness test must
+    # fail them both, not pass them
+    path = tmp_path / "claims.txt"
+    path.write_text(NONSQUARE_FILE + "\n" + OBSTRUCTED_FILE, encoding="utf-8")
+    extended = load_claim_file(str(path), registry)
+    monkeypatch.setattr(claims, "is_square_local", _a_square)
+    nonsquare = run_claim("file_t_not_square", extended)
+    obstructed = run_claim("file_golden_obstruction", extended)
+    assert (nonsquare.verdict, nonsquare.evidence["result"]) == ("fail", "witness")
+    assert (obstructed.verdict, obstructed.evidence["result"]) == ("fail", "lifts")
 
 
 def test_load_nonsquare_claim_file(tmp_path, registry):

@@ -59,3 +59,23 @@ def test_no_module_calls_splitlines():
              for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
     assert calls == []
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    # nothing outside the package may keep a private name alive: a private top-level
+    # function or class that no other statement of the package reads is dead code
+    trees = {source.name: ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(PACKAGE.glob("*.py"))}
+    readers = {}  # name: the top-level statements that read it
+    for tree in trees.values():
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault(node.id, set()).add(statement)
+    private = [(source, statement) for source, tree in trees.items() for statement in tree.body
+               if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+               and statement.name.startswith("_") and not statement.name.startswith("__")]
+    assert private
+    unread = [f"{source}:{statement.lineno} {statement.name}" for source, statement in private
+              if not readers.get(statement.name, set()) - {statement}]
+    assert unread == []

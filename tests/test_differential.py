@@ -6,6 +6,9 @@ exact `fail`, and an exact `pass` allows only a truncated `pass` or
 `undecided`.  The points are the generated claims of
 tests/data/generated_points_seed1.txt (towers of height 0 to 2), and mutants
 of each whose x is moved by r^k, which its square-root lets no longer fit.
+
+The library's lift_along_cover and an `expect: obstructed` claim read the
+same cover factor at the same point, so they report the same result and order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from localpoints.claims import load_claim_file, run_claim
+from localpoints.claims import (
+    _build_bindings,
+    _build_place,
+    load_claim_file,
+    parse_claim_file,
+    run_claim,
+)
+from localpoints.variety import PointAssignment, lift_along_cover
 
 GENERATED = Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
 SHIFTS = (-4, -1, 0, 2, 6)  # the k of each mutant's x -> (x) + r^k
@@ -53,3 +63,19 @@ def test_truncated_verdicts_never_contradict_exact_ones(tmp_path):
             seen.add((exact, truncated))
     # both rules were put to the test: truncated fails, and exact passes
     assert {("fail", "fail"), ("pass", "pass"), ("pass", "undecided")} <= seen
+
+
+def test_the_library_lift_agrees_with_each_obstructed_claim():
+    registry = load_claim_file(str(GENERATED), {})
+    obstructed = [parsed for parsed in parse_claim_file(GENERATED.read_text(encoding="utf-8"))
+                  if parsed.expect == "obstructed"]
+    assert len(obstructed) == 2
+    for parsed in obstructed:
+        system = registry[parsed.name].system
+        place = _build_place(parsed, system.tower)
+        cache: dict = {}
+        point = PointAssignment(place, _build_bindings(parsed, system.tower, place, cache)[0],
+                                cache)
+        lift = lift_along_cover(system, point)
+        evidence = run_claim(parsed.name, registry).evidence
+        assert (lift.kind, lift.order) == (evidence["result"], evidence["order"]), parsed.name
