@@ -14,7 +14,6 @@ import textwrap
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
 from typing import Callable, Collection, Mapping
 
 from .errors import (
@@ -344,11 +343,13 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
                 raise ClaimSyntaxError("orbifold genus G marks [m1, ...]", lineno, column)
             genus = read_integer(match[1], lineno, column + match.start(1),
                                  "the genus is a nonnegative integer", 0)
-            marks = [mark.strip() for mark in match[2].split(",")] if match[2].strip() else []
-            current.orbifold = OrbifoldCurve(genus, [
-                INF if mark == "inf" else read_integer(
-                    mark, lineno, column + match.start(2), "marks are positive integers or inf", 1)
-                for mark in marks])
+            marks, at = [], column + match.start(2)  # the file column of each mark's text
+            for text in match[2].split(",") if match[2].strip() else []:
+                mark, mark_column = _rest(text, at, 0)
+                marks.append(INF if mark == "inf" else read_integer(
+                    mark, lineno, mark_column, "marks are positive integers or inf", 1))
+                at += len(text) + 1
+            current.orbifold = OrbifoldCurve(genus, marks)
         else:  # degree: or general_type:
             current.assertions.append(((lineno, column), keyword[:-1], rest))
         if keyword in _ONCE:
@@ -998,23 +999,53 @@ def _indices(params: ClaimParams) -> dict:
 
 
 def _perturbations(params: ClaimParams) -> dict:
+    """D > 0 implies D - n/m > 0 on every orbifold curve, m being what perturb_finite
+    puts in place of each of the n infinite marks.
+
+    Write D = 2g - 2 + S + n, with S the sum of 1 - 1/a over the finite marks a.  With
+    every infinite mark replaced by m the degree is D - n/m = 2g - 2 + S + n(1 - 1/m).
+    A mark a adds 0 to S when a = 1 and at least 1/2 otherwise, and each infinite mark
+    adds 1 - 1/m >= 0, so in each case D - n/m is least at the case's boundary curve:
+      g >= 2            2                 at (2; [])
+      g = 1, n >= 1     1 - 1/m           at (1; [inf])
+      g = 0, n >= 3     1 - 3/m           at (0; [inf, inf, inf])
+      g = 0, n = 2      1/2 - 2/m         at (0; [2, inf, inf]): D = S > 0, so S >= 1/2
+      g = 0, n = 1      1/6 - 1/m         at (0; [2, 3, inf]): D = S - 1 > 0, so S >= 7/6
+      n = 0             1/42              at (0; [2, 3, 7]): nothing is replaced, so
+                                          D - n/m = D > 0, least at Hurwitz's 1/42
+    The two least-S facts: the least positive S is 1/2, since a mark a >= 2 adds
+    1 - 1/a >= 1/2.  The least S above 1 is 7/6: one mark adds less than 1, three marks
+    >= 2 add at least 3/2, and two marks a <= b add 2 - 1/a - 1/b, above 1 only when
+    1/a + 1/b < 1, which is then at most 1/2 + 1/3 (a = 2 needs b >= 3, and a, b >= 3
+    give at most 2/3).  Every bound is positive from m = 7.  At m - 1 in place of inf,
+    (0; [2, 3, inf]) has degree 1/6 - 1/(m - 1), which is 0 at m = 7: the (2, 3, 7)
+    bound of Hurwitz makes 7 the least replacement.
+
+    Each boundary curve goes through OrbifoldCurve, degree and perturb_finite, and its
+    case is a violation unless the library's degree, less n/m, equals the degree of the
+    perturbed curve and the bound, and the bound is positive.
+    """
     m = perturb_finite(OrbifoldCurve(0, [INF])).multiplicities[0]  # what replaces inf
-    checked = 0
-    violations = []
-    for genus in range(3):
-        for size in range(7):
-            for finite in combinations_with_replacement(range(1, 11), size):
-                base = degree(OrbifoldCurve(genus, finite))
-                num, den = base.numerator, base.denominator
-                for n_inf in range(7):
-                    checked += 1
-                    # the degrees base + n_inf, and base + n_inf * (m - 1)/m once each
-                    # inf is m, times the positive den and m * den
-                    if num + n_inf * den <= 0:
-                        continue
-                    if m * num + (m - 1) * n_inf * den <= 0:
-                        violations.append({"genus": genus, "finite": list(finite), "inf": n_inf})
-    return {"curves_checked": checked, "replacement": m, "violations": violations}
+    cases, violations = [], []
+    for case, genus, marks, bound in (
+        ("genus >= 2", 2, [], Fraction(2)),
+        ("genus 1, n >= 1", 1, [INF], 1 - Fraction(1, m)),
+        ("genus 0, n >= 3", 0, [INF] * 3, 1 - Fraction(3, m)),
+        ("genus 0, n = 2", 0, [2, INF, INF], Fraction(1, 2) - Fraction(2, m)),
+        ("genus 0, n = 1", 0, [2, 3, INF], Fraction(1, 6) - Fraction(1, m)),
+        ("n = 0", 0, [2, 3, 7], Fraction(1, 42)),
+    ):
+        curve = OrbifoldCurve(genus, marks)
+        entry = {"case": case, "curve": str(curve), "bound": str(bound)}
+        cases.append(entry)
+        before, after = degree(curve), degree(perturb_finite(curve))
+        if not before - Fraction(marks.count(INF), m) == after == bound > 0:
+            violations.append({**entry, "degree": str(before), "perturbed_degree": str(after)})
+    evidence = {"replacement": m, "cases": cases, "violations": violations}
+    if m > 1:  # a smaller positive replacement, and the curve it fails on
+        witness = OrbifoldCurve(0, [2, 3, m - 1])
+        evidence["minimality"] = {"curve": str(witness), "degree": str(degree(witness))}
+    return evidence
 
 
 def builtin_registry() -> dict[str, Claim]:
@@ -1054,7 +1085,7 @@ def builtin_registry() -> dict[str, Claim]:
         _fact("index_facts", "semigroup_fact",
               "inf/gcd multiplicities and the index from fibre profiles", _indices),
         _fact("perturbation_sweep", "orbifold_fact",
-              "replacing infinite marks by 7 preserves positive degree on the sweep",
-              _perturbations),
+              "replacing infinite marks by 7 preserves positive degree on every "
+              "orbifold curve", _perturbations),
     ]
     return {claim.name: claim for claim in claims}

@@ -2,6 +2,7 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
+from itertools import chain, count
 
 import pytest
 
@@ -126,6 +127,12 @@ def _with_a_mark_of_one(genus, cover_degree, pullback=claims.pullback_half_marks
     return OrbifoldCurve(genus, pullback(genus, cover_degree).multiplicities + (1,))
 
 
+def _replacing_inf_by(m):
+    # perturb_finite with m in place of its replacement
+    return lambda curve: OrbifoldCurve(curve.genus,
+                                       [m if a is INF else a for a in curve.multiplicities])
+
+
 # each builtin computed in Python, and a lift claim, with one function it checks
 # broken, and how its evidence then names the broken sub-check: no builtin passes
 # because it checked nothing
@@ -170,23 +177,37 @@ BROKEN_BUILTINS = [
                                    "forced_component(3, 5) != True"]),
     ("index_facts", claims, "profile_stats", lambda profile: (1, 1, 1),
      lambda ev: {"profile": (2, 3), "stats": (2, 1, 1), "got": (1, 1, 1)} in ev["failures"]),
-    # a degree of -11/2 for every curve: six infinite marks raise it to 1/2, but at 6/7
-    # each only to -5/14, so each curve is one violation
+    # a degree of -11/2 for every curve meets no case's bound
     ("perturbation_sweep", claims, "degree", lambda curve: Fraction(-11, 2),
-     lambda ev: ev["violations"] and all(v["inf"] == 6 for v in ev["violations"])
-     and len(ev["violations"]) * 7 == ev["curves_checked"]),
-    # inf replaced by 1, which adds nothing to the degree: every curve of degree <= 0
-    # that its infinite marks make positive is a violation
-    ("perturbation_sweep", claims, "perturb_finite",
-     lambda curve: OrbifoldCurve(curve.genus, [1 if m is INF else m for m in curve.multiplicities]),
-     lambda ev: ev["replacement"] == 1 and len(ev["violations"]) == 2063),
+     lambda ev: ev["violations"] == [{**case, "degree": "-11/2", "perturbed_degree": "-11/2"}
+                                     for case in ev["cases"]]),
+    # inf replaced by 1, which adds nothing to the degree: the four cases with infinite
+    # marks and a bound that falls with m reach bounds <= 0
+    ("perturbation_sweep", claims, "perturb_finite", _replacing_inf_by(1),
+     lambda ev: ev["replacement"] == 1
+     and [(v["curve"], v["bound"]) for v in ev["violations"]]
+     == [("(genus 1; [inf])", "0"), ("(genus 0; [inf, inf, inf])", "-2"),
+         ("(genus 0; [2, inf, inf])", "-3/2"), ("(genus 0; [2, 3, inf])", "-5/6")]),
+    # inf replaced by 6, one short of the least replacement: only Hurwitz's curve fails
+    ("perturbation_sweep", claims, "perturb_finite", _replacing_inf_by(6),
+     lambda ev: ev["replacement"] == 6
+     and [(v["curve"], v["bound"], v["perturbed_degree"]) for v in ev["violations"]]
+     == [("(genus 0; [2, 3, inf])", "0", "0")]),
 ]
 
 
-# a row is named by its claim, and a further row of the same claim by the claim and
-# what it breaks
-BROKEN_IDS = [row[0] if all(row[0] != other[0] for other in BROKEN_BUILTINS[:index])
-              else f"{row[0]}-{row[2]}" for index, row in enumerate(BROKEN_BUILTINS)]
+# a row is named by its claim, a further row of the same claim by the claim and what
+# it breaks, and a further row breaking the same function by its number among those
+def _row_ids(rows):
+    ids = []
+    for name, _, attribute, *_ in rows:
+        numbered = (f"{name}-{attribute}-{k}" for k in count(2))
+        ids.append(next(row_id for row_id in chain((name, f"{name}-{attribute}"), numbered)
+                        if row_id not in ids))
+    return ids
+
+
+BROKEN_IDS = _row_ids(BROKEN_BUILTINS)
 
 
 @pytest.mark.parametrize("name, module, attribute, broken, named", BROKEN_BUILTINS, ids=BROKEN_IDS)
@@ -659,13 +680,10 @@ def test_check_expression_error_is_positioned(tmp_path, registry, line, column):
     assert (err.value.line, err.value.column) == (9, column)
 
 
-_SLOW_SWEEPS = ("lemma91_property", "perturbation_sweep")
-
-
 @pytest.mark.parametrize("mode", ["exact", "truncated"])
 @pytest.mark.parametrize("precision", [1, 2, 3])
 @pytest.mark.parametrize(
-    "name", [name for name in builtin_registry() if name not in _SLOW_SWEEPS]
+    "name", [name for name in builtin_registry() if name != "lemma91_property"]
 )
 def test_low_precision_never_fails(registry, name, precision, mode):
     report = run_claim(name, registry, precision=precision, mode=mode)
@@ -702,6 +720,16 @@ def test_division_by_zero_is_positioned(tmp_path, registry, line, column):
         run_claim("checked_point", extended)
     assert (err.value.line, err.value.column) == (9, column)
     assert "division by zero in " + line.split()[0] in str(err.value)
+
+
+def test_perturbation_sweep_calls_degree_on_its_boundary_curves_only(monkeypatch, registry):
+    calls = []
+    monkeypatch.setattr(claims, "degree",
+                        lambda curve, counted=claims.degree: calls.append(curve) or counted(curve))
+    assert run_claim("perturbation_sweep", registry).verdict == "pass"
+    # each of the six cases' curves, before and after the replacement, and the witness
+    # that one less than the replacement fails
+    assert len(calls) == 13
 
 
 def test_text_claim_builds_its_tower_once(monkeypatch):
@@ -1023,7 +1051,7 @@ UNREADABLE_EXPRESSIONS = [
     ("long_ramification",
      "place: t = 0 ram " + "1" * (DIGITS + 1) + "\nsystem:\n  x = 1\nlet x = 1", 3, 18, TOO_LONG),
     ("long_genus", "orbifold genus " + "1" * (DIGITS + 1) + " marks [2, 3]", 3, 16, TOO_LONG),
-    ("long_mark", "orbifold genus 0 marks [2, " + "1" * (DIGITS + 1) + "]", 3, 25, TOO_LONG),
+    ("long_mark", "orbifold genus 0 marks [2, " + "1" * (DIGITS + 1) + "]", 3, 28, TOO_LONG),
 ]
 
 
@@ -1337,7 +1365,10 @@ STATIC_ERRORS = [
     ("genus_arabic_indic", "orbifold genus ٢ marks [2, 3]",
      "line 2, column 16: the genus is a nonnegative integer"),
     ("mark_arabic_indic", "orbifold genus 0 marks [2, ٢]",
-     "line 2, column 25: marks are positive integers or inf"),
+     "line 2, column 28: marks are positive integers or inf"),
+    # each mark at its own column, past the spaces before it
+    ("third_mark_not_an_integer", "orbifold genus 0 marks [  2,3 ,   x ]",
+     "line 2, column 35: marks are positive integers or inf"),
     # a line of the other kind of claim would be ignored, and the verdict vacuous
     ("point_with_orbifold_assertions",
      "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\ndegree: 99\ngeneral_type: true",

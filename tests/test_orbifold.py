@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from localpoints.claims import builtin_registry, run_claim
 from localpoints.orbifold import (
     INF,
     MultiplicityProfile,
@@ -130,18 +131,49 @@ def test_perturb_finite():
     assert unchanged.multiplicities == (2, 3)
 
 
+def _perturbation_case(genus, n_inf):
+    """The boundary curve of the perturbation_sweep case a curve falls in."""
+    if genus >= 2:
+        return "(genus 2; [])"
+    if n_inf == 0:
+        return "(genus 0; [2, 3, 7])"
+    if genus == 1:
+        return "(genus 1; [inf])"
+    return {1: "(genus 0; [2, 3, inf])", 2: "(genus 0; [2, inf, inf])"}.get(
+        n_inf, "(genus 0; [inf, inf, inf])")
+
+
 def test_perturbation_preserves_general_type_on_sweep():
-    # genus <= 2, up to six finite marks with multiplicities <= 10, up to six
-    # infinite marks: positive degree stays positive after replacing inf by 7
+    # the perturbation_sweep proof against brute force: genus <= 2, up to six finite
+    # marks <= 10, up to six infinite marks, each replaced by what perturb_finite puts
+    # in.  Positive degree stays positive, and over the curves of positive degree each
+    # case's least D - n/m is the bound the claim proves, so every bound is attained
+    m = perturb_finite(curve(0, [INF])).multiplicities[0]
+    least = {}
     for genus in range(3):
         for size in range(7):
             for finite in combinations_with_replacement(range(1, 11), size):
-                base = Fraction(2 * genus - 2) + sum(1 - Fraction(1, m) for m in finite)
+                base = Fraction(2 * genus - 2) + sum(1 - Fraction(1, a) for a in finite)
                 for n_inf in range(7):
                     before = base + n_inf
                     if before > 0:
-                        after = base + n_inf * Fraction(6, 7)
+                        after = base + n_inf * (1 - Fraction(1, m))
                         assert after > 0, (genus, finite, n_inf)
+                        case = _perturbation_case(genus, n_inf)
+                        least[case] = min(least.get(case, after), after)
+    evidence = run_claim("perturbation_sweep", builtin_registry()).evidence
+    assert least == {case["curve"]: Fraction(case["bound"]) for case in evidence["cases"]}
+
+
+def test_the_least_mark_sums_of_the_perturbation_proof():
+    # S, the sum of 1 - 1/a over finite marks a, on up to four marks <= 12: its least
+    # positive value is 1/2, its least above 1 is 7/6 at (2, 3), and its least above 2
+    # is Hurwitz's 2 + 1/42 at (2, 3, 7)
+    sums = {sum((1 - Fraction(1, a) for a in marks), Fraction(0))
+            for size in range(5) for marks in combinations_with_replacement(range(1, 13), size)}
+    assert min(s for s in sums if s > 0) == Fraction(1, 2)
+    assert min(s for s in sums if s > 1) == Fraction(7, 6)
+    assert min(s for s in sums if s > 2) == 2 + Fraction(1, 42)
 
 
 def test_profile_stats_examples():
