@@ -40,7 +40,6 @@ from .variety import (
     print_system,
     sample_square_lift_property,
     solve_square,
-    valuation_case,
     valuation_case_predicates,
     verify_point,
 )

@@ -56,13 +56,12 @@ from .series import (
     r_function,
 )
 from .variety import (
-    GRID_NUMERATORS,
-    GRID_RAMIFICATIONS,
     FormalSqrt,
     PointAssignment,
     PolynomialSystem,
     _env,
     _exact_context,
+    _grid_cases,
     _square_outcome,
     _zero_divisor,
     find_cover_equation,
@@ -70,7 +69,6 @@ from .variety import (
     parse_system,
     sample_square_lift_property,
     solve_square,
-    valuation_case_predicates,
     verify_point,
 )
 from .records import Record
@@ -457,8 +455,8 @@ def _shared_system(systems: dict, source: str, tower: FieldTower) -> PolynomialS
 
 def _build_system(
     parsed: ParsedClaim, tower: FieldTower, systems: dict
-) -> tuple[PolynomialSystem, tuple[int, str, Expr] | None]:
-    """The claim's system, and find_cover_equation's result for an obstructed or lifts claim.
+) -> tuple[PolynomialSystem, tuple[PolynomialSystem, str, Expr] | None]:
+    """The claim's system, and its cover's (base, w, g) for an obstructed or lifts claim.
 
     An error in the claim's system lines names the line and column of the
     claim file.  So do an obstructed or lifts claim with no cover equation, a
@@ -481,12 +479,11 @@ def _build_system(
     if parsed.expect in ("obstructed", "lifts"):
         bound = lets if parsed.expect == "obstructed" else [v for v in lets if not lets[v]]
         try:
-            cover = index, variable, g = find_cover_equation(system, bound)
+            cover = base, variable, g = find_cover_equation(system, bound)
         except ValueError:
             raise ClaimSyntaxError(f"{parsed.expect}: no cover equation w^2 = g",
                                    parsed.line, 1) from None
-        if parsed.expect == "obstructed" and variable not in {
-                *system.without_equation(index).variables, *free_symbols(g)}:
+        if parsed.expect == "obstructed" and variable not in {*base.variables, *free_symbols(g)}:
             unbound.discard(variable)
     for (line, column), text in parsed.system_lines if unbound else ():
         # the line parsed, so with its = or != blanked it tokenizes, each token in place
@@ -573,16 +570,16 @@ def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     return ("pass" if evidence["result"] == "nonsquare" else "fail"), evidence
 
 
-def _lift_verdict(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
-                  point: PointAssignment, precision: int, evidence: dict) -> str:
-    """Lift a verified point along its cover equation w^2 = g.
+def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignment,
+                  precision: int, evidence: dict) -> str:
+    """Lift a verified point along its cover equation w^2 = g; cover is (base, w, g).
 
     The lift's witness must square to the square root the claim bound w to;
     a cover factor that vanishes at the point has no lift to check.
     """
-    _, variable, g = cover_equation
+    base, variable, g = cover
     w_square = point.bindings[variable].square
-    g_value = evaluate(g, *_env(cover, point))
+    g_value = evaluate(g, *_env(base, point))
     if g_value.is_zero():
         evidence["lift"] = "zero"
         return "fail"
@@ -649,21 +646,20 @@ def _verified(
     return "fail", evidence
 
 
-def _obstructed(cover: PolynomialSystem, cover_equation: tuple[int, str, Expr],
-                point: PointAssignment, params: ClaimParams) -> tuple[str, dict]:
+def _obstructed(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignment,
+                params: ClaimParams) -> tuple[str, dict]:
     """The point verified exactly on the base system, then its cover factor a non-square.
 
     Both are exact, so the precision never decides.  A base point that does not verify
     fails with the verification evidence; a cover factor that vanishes certifies nothing,
     so it fails as well.
     """
-    index, variable, g = cover_equation
-    verdict, evidence = _verified(cover.without_equation(index), point, "exact",
-                                  params.precision)
+    base, variable, g = cover
+    verdict, evidence = _verified(base, point, "exact", params.precision)
     if verdict != "pass":
         return verdict, evidence
     evidence = {"cover_variable": variable,
-                **_parity(evaluate(g, *_env(cover, point)), ("lifts", "obstructed"))}
+                **_parity(evaluate(g, *_env(base, point)), ("lifts", "obstructed"))}
     return ("pass" if evidence["result"] == "obstructed" else "fail"), evidence
 
 
@@ -689,13 +685,13 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         if parsed.expect == "nonsquare":
             verdict, evidence = _nonsquare(parsed, values)
         elif parsed.expect == "obstructed":
-            verdict, evidence = _obstructed(system, cover, point, params)
+            verdict, evidence = _obstructed(cover, point, params)
         else:
             verdict, evidence = _verified(system, point, params.mode, params.precision)
         if not _checks_hold(parsed, values, evidence):
             verdict = "fail"
         if parsed.expect == "lifts" and verdict == "pass":
-            verdict = _lift_verdict(system, cover, point, params.precision, evidence)
+            verdict = _lift_verdict(cover, point, params.precision, evidence)
         return verdict, evidence
 
     return Claim(parsed.name, _kind(parsed),
@@ -819,9 +815,9 @@ def _golden_point(golden: ParsedClaim, cover: PolynomialSystem, n: int) -> tuple
     place = _build_place(golden, cover.tower).ramified(n)
     cache: dict = {}
     point = PointAssignment(place, _build_bindings(golden, cover.tower, place, cache)[0], cache)
-    index, _, g = find_cover_equation(cover, point.bindings)
+    base, _, g = find_cover_equation(cover, point.bindings)
     return point, _env(cover, point), g, [(eq.rhs.right.base.name, eq.lhs, eq.rhs.left)
-                                          for eq in cover.without_equation(index).equations]
+                                          for eq in base.equations]
 
 
 def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) -> Claim:
@@ -851,9 +847,9 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
         )
         return ("pass" if ok else "fail"), {
             "n": n,
-            "ramification": 2 * n,
+            "ramification": point.place.e,
             "orders": orders,
-            "cover_factor_valuation": str(Fraction(orders["cover_factor"], 2 * n)),
+            "cover_factor_valuation": str(g_value.valuation()),
             "square_witnesses": squares,
             "plain_cover": plain,
             "twisted_cover": twisted,
@@ -906,17 +902,10 @@ def _square_lift_property(params: ClaimParams) -> tuple[str, dict]:
 
 
 def _case_partition(params: ClaimParams) -> dict:
-    violations = []
-    points = 0
-    for e in GRID_RAMIFICATIONS:
-        for a in GRID_NUMERATORS:
-            for b in GRID_NUMERATORS:
-                points += 1
-                hits = sum(valuation_case_predicates(Fraction(a, e), Fraction(b, e)))
-                if hits != 1:
-                    violations.append({"e": e, "vu": f"{a}/{e}", "vx": f"{b}/{e}",
-                                       "hits": hits})
-    return {"grid_points": points, "violations": violations}
+    """The grid's points and violations, read off the sweep's own walk (_grid_cases)."""
+    by_case, violations = _grid_cases()
+    return {"grid_points": sum(map(len, by_case.values())) + len(violations),
+            "violations": violations}
 
 
 def _gt_threshold(params: ClaimParams) -> dict:
@@ -998,6 +987,11 @@ def _indices(params: ClaimParams) -> dict:
     }
 
 
+def _replacement() -> int:
+    """What perturb_finite puts in place of an infinite mark."""
+    return perturb_finite(OrbifoldCurve(0, [INF])).multiplicities[0]
+
+
 def _perturbations(params: ClaimParams) -> dict:
     """D > 0 implies D - n/m > 0 on every orbifold curve, m being what perturb_finite
     puts in place of each of the n infinite marks.
@@ -1025,7 +1019,7 @@ def _perturbations(params: ClaimParams) -> dict:
     case is a violation unless the library's degree, less n/m, equals the degree of the
     perturbed curve and the bound, and the bound is positive.
     """
-    m = perturb_finite(OrbifoldCurve(0, [INF])).multiplicities[0]  # what replaces inf
+    m = _replacement()
     cases, violations = [], []
     for case, genus, marks, bound in (
         ("genus >= 2", 2, [], Fraction(2)),
@@ -1085,7 +1079,7 @@ def builtin_registry() -> dict[str, Claim]:
         _fact("index_facts", "semigroup_fact",
               "inf/gcd multiplicities and the index from fibre profiles", _indices),
         _fact("perturbation_sweep", "orbifold_fact",
-              "replacing infinite marks by 7 preserves positive degree on every "
-              "orbifold curve", _perturbations),
+              f"replacing infinite marks by {_replacement()} preserves positive degree on "
+              "every orbifold curve", _perturbations),
     ]
     return {claim.name: claim for claim in claims}

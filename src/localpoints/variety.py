@@ -394,8 +394,9 @@ def solve_square(
 
 def find_cover_equation(
     cover: PolynomialSystem, bound: Collection[str]
-) -> tuple[int, str, Expr]:
-    """Locate the unique equation w^2 = g whose variable is not among the bound names."""
+) -> tuple[PolynomialSystem, str, Expr]:
+    """(base, w, g) of the unique equation w^2 = g whose variable is not among the bound
+    names; base is the cover less that equation, built once (without_equation)."""
     for index, eq in enumerate(cover.equations):
         for side, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
             if (
@@ -405,7 +406,7 @@ def find_cover_equation(
                 and side.base.name in cover.variables
                 and side.base.name not in bound
             ):
-                return index, side.base.name, other
+                return cover.without_equation(index), side.base.name, other
     raise ValueError("no cover equation w^2 = g with an unbound variable")
 
 
@@ -419,8 +420,8 @@ def lift_along_cover(
     The base point must verify exactly on the base system, or this raises
     ValueError.  An odd-valuation g is the obstruction certificate.
     """
-    index, _, g_expr = find_cover_equation(cover, base_point.bindings)
-    if not verify_point(cover.without_equation(index), base_point, mode="exact")["passed"]:
+    base, _, g_expr = find_cover_equation(cover, base_point.bindings)
+    if not verify_point(base, base_point, mode="exact")["passed"]:
         raise ValueError("base point does not verify on the base system")
     g_value = evaluate(g_expr, *_env(cover, base_point))
     if g_value.is_zero():
@@ -453,15 +454,6 @@ def valuation_case_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
         p >= 0 and 2 * m + n <= 0,
         p >= 0 and 2 * m + n > 0,
     )
-
-
-def valuation_case(vu: Fraction, vx: Fraction) -> int:
-    """Index (1-8) of the unique case region containing (v(u), v(x))."""
-    predicates = valuation_case_predicates(vu, vx)
-    matches = [k for k, hit in enumerate(predicates, start=1) if hit]
-    if len(matches) != 1:
-        raise AssertionError(f"case predicates not a partition at ({vu}, {vx}): {matches}")
-    return matches[0]
 
 
 # -- sampled square-lift property ------------------------------------------------------
@@ -526,18 +518,25 @@ GRID_RAMIFICATIONS = range(1, 7)
 GRID_NUMERATORS = range(-12, 13)
 
 
-def _grid_cases() -> dict[int, list[tuple[int, int, int]]]:
-    """The grid triples (e, a, b) grouped by the case of (a/e, b/e).
+def _grid_cases() -> tuple[dict[int, list[tuple[int, int, int]]], list[dict]]:
+    """The grid triples (e, a, b) grouped by the case of (a/e, b/e), and the grid's violations.
 
-    Each list keeps grid order: e, then a, then b.
+    Each list keeps grid order: e, then a, then b, as the violations do: the
+    points where other than one case predicate holds, with the number that do.
     """
     by_case: dict[int, list[tuple[int, int, int]]] = {case: [] for case in range(1, 9)}
+    violations: list[dict] = []
     for e in GRID_RAMIFICATIONS:
         values = [(n, Fraction(n, e)) for n in GRID_NUMERATORS]
         for a, vu in values:
             for b, vx in values:
-                by_case[valuation_case(vu, vx)].append((e, a, b))
-    return by_case
+                predicates = valuation_case_predicates(vu, vx)
+                hits = sum(predicates)
+                if hits == 1:
+                    by_case[predicates.index(True) + 1].append((e, a, b))
+                else:
+                    violations.append({"e": e, "vu": f"{a}/{e}", "vx": f"{b}/{e}", "hits": hits})
+    return by_case, violations
 
 
 def _draws(samples: int, seed: int) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
@@ -546,11 +545,14 @@ def _draws(samples: int, seed: int) -> Iterator[tuple[int, int, int, list[int], 
     (e, a, b) is drawn uniformly from the grid triples in the wanted case, the
     distribution that rejection from the whole grid gives; u and x are the
     units of the Laurent polynomials of orders a and b.  Every case has grid
-    triples, so every draw finds one.
+    triples, so every draw finds one.  A grid point where the case predicates
+    do not partition raises AssertionError.
     """
     if samples < 0:
         raise ValueError(f"a sweep needs samples >= 0; got {samples}")
-    by_case = _grid_cases()
+    by_case, violations = _grid_cases()
+    if violations:
+        raise AssertionError(f"case predicates not a partition at {violations[0]}")
     rng = random.Random(seed)
     for k in range(samples):
         case = k % 8 + 1

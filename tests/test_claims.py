@@ -147,7 +147,7 @@ BROKEN_BUILTINS = [
      lambda ev: ev["lift"] == "lifts" and ev["witness_square_matches"] is False),
     ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
      lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),
-    ("lemma91_case_partition", claims, "valuation_case_predicates", lambda vu, vx: (True, True),
+    ("lemma91_case_partition", variety, "valuation_case_predicates", lambda vu, vx: (True, True),
      lambda ev: len(ev["violations"]) == ev["grid_points"]
      and all(v["hits"] == 2 for v in ev["violations"])),
     ("orbifold_gt_threshold", claims, "is_general_type", lambda curve: False,
@@ -720,6 +720,27 @@ def test_division_by_zero_is_positioned(tmp_path, registry, line, column):
         run_claim("checked_point", extended)
     assert (err.value.line, err.value.column) == (9, column)
     assert "division by zero in " + line.split()[0] in str(err.value)
+
+
+def test_both_grid_builtins_read_the_one_grid_walk(monkeypatch, registry):
+    # no predicate holds anywhere: the partition claim lists every grid point, and the
+    # sweep, whose draws need a partition, stops
+    monkeypatch.setattr(variety, "valuation_case_predicates", lambda vu, vx: (False,) * 8)
+    report = run_claim("lemma91_case_partition", registry)
+    assert report.verdict == "fail"
+    assert report.evidence["grid_points"] == len(report.evidence["violations"]) == 6 * 25 * 25
+    assert report.evidence["violations"][:2] == [{"e": 1, "vu": "-12/1", "vx": "-12/1", "hits": 0},
+                                                 {"e": 1, "vu": "-12/1", "vx": "-11/1", "hits": 0}]
+    with pytest.raises(AssertionError, match="case predicates not a partition"):
+        run_claim("lemma91_property", registry, samples=16)
+
+
+def test_the_perturbation_description_names_the_replacement(monkeypatch):
+    monkeypatch.setattr(claims, "perturb_finite", _replacing_inf_by(6))
+    claim = builtin_registry()["perturbation_sweep"]
+    assert claim.description == ("replacing infinite marks by 6 preserves positive degree on "
+                                 "every orbifold curve")
+    assert claim.run(ClaimParams())[1]["replacement"] == 6
 
 
 def test_perturbation_sweep_calls_degree_on_its_boundary_curves_only(monkeypatch, registry):

@@ -171,9 +171,9 @@ def _reducible(height):
     return tower.gen("x") - 1
 
 
-def _valuation_case_over_broken_predicates():
+def _sweep_over_broken_predicates():
     with mock.patch.object(variety, "valuation_case_predicates", lambda vu, vx: (True,) * 8):
-        return variety.valuation_case(Fraction(0), Fraction(0))
+        return variety.sample_square_lift_property(8)
 
 
 def _series_binding_in_exact_mode():
@@ -229,8 +229,8 @@ INPUT_CHECKS = [
      ClaimSyntaxError, "line 4, column 1: expected '=' or '!= 0'"),
     ("unknown_mode", lambda: verify_point(parse_system("x = t"), PointAssignment(ORIGIN, {}),
                                           mode="fast"), ValueError, "unknown mode 'fast'"),
-    ("case_predicates_not_a_partition", _valuation_case_over_broken_predicates, AssertionError,
-     "case predicates not a partition at (0, 0): [1, 2, 3, 4, 5, 6, 7, 8]"),
+    ("case_predicates_not_a_partition", _sweep_over_broken_predicates, AssertionError,
+     "case predicates not a partition at {'e': 1, 'vu': '-12/1', 'vx': '-12/1', 'hits': 8}"),
     ("series_binding_in_exact_mode", _series_binding_in_exact_mode, ValueError,
      "exact mode needs exact bindings; 'x' is a series"),
 ]

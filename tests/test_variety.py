@@ -24,7 +24,6 @@ from localpoints.variety import (
     print_system,
     sample_square_lift_property,
     solve_square,
-    valuation_case,
     valuation_case_predicates,
     verify_point,
 )
@@ -400,9 +399,11 @@ def test_integer_case_predicates_off_the_grid():
 
 
 def test_valuation_case_examples():
-    assert valuation_case(Fraction(-1), Fraction(0)) == 1
-    assert valuation_case(Fraction(-1, 2), Fraction(0)) == 3
-    assert valuation_case(Fraction(0), Fraction(5)) == 8
+    # (v(u), v(x)) = (a/e, b/e): (-1, 0) in case 1, (-1/2, 0) in case 3, (0, 5) in case 8
+    by_case = variety._grid_cases()[0]
+    assert (1, -1, 0) in by_case[1]
+    assert (2, -1, 0) in by_case[3]
+    assert (1, 0, 5) in by_case[8]
 
 
 def test_valuation_cases_partition_grid():
@@ -505,8 +506,9 @@ def test_sample_orders_match_rational_function_oracle(seed):
 def test_grid_cases_are_the_triples_in_each_case():
     # each list holds exactly the triples that rejection from the whole grid
     # accepted for its case, in grid order, and the eight cover the grid once
-    by_case = variety._grid_cases()
+    by_case, violations = variety._grid_cases()
     assert by_case == _oracle_grid_cases()
+    assert violations == []
     triples = [triple for case in range(1, 9) for triple in by_case[case]]
     assert len(triples) == len(set(triples)) == 6 * 25 * 25
     assert all(by_case[case] for case in range(1, 9))
