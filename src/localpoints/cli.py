@@ -1,14 +1,17 @@
 """The `verify` command line: list, run, and batch-run claims.
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 usage or parse
-error.  With --json the report is a machine-readable document that is
+Exit codes: 0 all checks passed, 1 at least one failed or the reader closed
+the output pipe (nothing is printed to stderr then), 2 usage or parse error.
+With --json the report is a machine-readable document that is
 byte-identical across runs with the same seed (timings are omitted there).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Callable
 
@@ -114,44 +117,60 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        registry = builtin_registry()
-        if args.command == "load":
-            registry = load_claim_file(args.file, registry)
-            command = args.action
-            if (args.name is None) == (command == "run"):
-                parser.error(f"load ... {command} " + ("needs a claim name" if command == "run"
-                                                       else "takes no claim name"))
-        else:
-            command = args.command
-
-        if command == "list":
-            for claim in registry.values():
-                print(f"{claim.name:34s} {claim.kind:24s} {claim.description}")
-            return 0
-
-        if command == "run":
-            report = run_claim(args.name, registry, **_overrides(args))
-            if args.json:
-                _emit_json(report.as_dict())
-            else:
-                _print_report(report, verbose=True)
-            return _exit_code([report])
-
-        kind = getattr(args, "kind", None)
-        reports, summary = run_all(registry, kind=kind, **_overrides(args))
-        if args.json:
-            _emit_json({"claims": [r.as_dict() for r in reports], "summary": summary})
-        else:
-            for report in reports:
-                _print_report(report)
-            print(
-                f"-- {summary['passed']}/{summary['total']} passed"
-                + (f", failures: {', '.join(summary['failures'])}" if summary["failures"] else "")
-            )
-        return _exit_code(reports)
+        code = _dispatch(parser, args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`verify all --json | head -1`): point stdout at
+        # os.devnull so the flush at exit stays silent, as the note on SIGPIPE in the
+        # Python signal module's docs does; a stdout with no descriptor has none
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (UnknownClaimError, ClaimSyntaxError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed command; its exit code."""
+    registry = builtin_registry()
+    if args.command == "load":
+        registry = load_claim_file(args.file, registry)
+        command = args.action
+        if (args.name is None) == (command == "run"):
+            parser.error(f"load ... {command} " + ("needs a claim name" if command == "run"
+                                                   else "takes no claim name"))
+    else:
+        command = args.command
+
+    if command == "list":
+        for claim in registry.values():
+            print(f"{claim.name:34s} {claim.kind:24s} {claim.description}")
+        return 0
+
+    if command == "run":
+        report = run_claim(args.name, registry, **_overrides(args))
+        if args.json:
+            _emit_json(report.as_dict())
+        else:
+            _print_report(report, verbose=True)
+        return _exit_code([report])
+
+    kind = getattr(args, "kind", None)
+    reports, summary = run_all(registry, kind=kind, **_overrides(args))
+    if args.json:
+        _emit_json({"claims": [r.as_dict() for r in reports], "summary": summary})
+    else:
+        for report in reports:
+            _print_report(report)
+        print(
+            f"-- {summary['passed']}/{summary['total']} passed"
+            + (f", failures: {', '.join(summary['failures'])}" if summary["failures"] else "")
+        )
+    return _exit_code(reports)
 
 
 if __name__ == "__main__":

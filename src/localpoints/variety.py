@@ -37,6 +37,7 @@ from .series import (
     PuiseuxSeries,
     RationalFunction,
     SquareOutcome,
+    UnreducedQuotient,
     is_square_local,
     r_function,
     series_sqrt,
@@ -354,10 +355,11 @@ def verify_point(
 
 
 def _square_outcome(
-    value: RationalFunction, kinds: tuple[str, str], precision: int
+    value: RationalFunction | UnreducedQuotient, kinds: tuple[str, str], precision: int
 ) -> SquareOutcome:
     """Squareness of a nonzero exact value, named by kinds (square, nonsquare), with a
-    series root when it is a square.
+    series root when it is a square.  Only the value's order and expansion are read,
+    so an UnreducedQuotient does as well as its reduced RationalFunction.
 
     A value whose expansion is zero to precision has no root to compute, so
     that raises PrecisionExhaustedError.
@@ -381,7 +383,14 @@ def solve_square(
     point: PointAssignment,
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
-    """Decide whether lhs/g is a local square at the point; witness on success."""
+    """Decide whether lhs/g is a local square at the point; witness on success.
+
+    lhs/g is read as the unreduced pair (lhs.num*g.den, lhs.den*g.num), an
+    UnreducedQuotient, so no gcd runs: the outcome reads only the quotient's
+    order, the difference of the pair's orders, and its expansion, which a
+    factor the pair shares does not change.  A vanishing g raises
+    ZeroDivisionError, a vanishing lhs ZeroFunctionError.
+    """
     context = _env(system, point)
     lhs_value = evaluate(lhs, *context)
     g_value = evaluate(g, *context)
@@ -389,7 +398,8 @@ def solve_square(
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    return _square_outcome(lhs_value / g_value, ("witness", "nonsquare"), precision)
+    return _square_outcome(UnreducedQuotient(lhs_value, g_value), ("witness", "nonsquare"),
+                           precision)
 
 
 def find_cover_equation(

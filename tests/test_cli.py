@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -138,6 +141,41 @@ def test_negative_samples_is_usage_error():
         assert "samples must be an integer >= 0" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_output_pipe_exits_1_silently_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["list"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args, bytes_read", [
+    (["all", "--json"], 1),  # the reader closes the pipe mid-report
+    (["list"], 0),  # the pipe is closed before the buffered listing is flushed
+], ids=["mid_report", "before_flush"])
+def test_a_reader_that_closes_the_pipe_gets_exit_1_and_no_stderr(args, bytes_read):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe whose capacity can be set")
+    read_end, write_end = os.pipe()
+    # one page holds less than the report, so the writer is still writing when
+    # the reader closes, whatever the scheduling
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    # stdout block-buffered, as it is by default on a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(CLI + args, stdout=write_end, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.read(bytes_read) == b"{"[:bytes_read]
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_load_then_run(tmp_path):

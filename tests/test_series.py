@@ -31,12 +31,18 @@ GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_
 # takes one division)
 GEN_0006_H2_WORK = (0, 2, 4, 2)
 
+# (_pgcd calls, _pdivmod calls) of each golden_nonlift_n* run ((2, 13) to
+# (2, 20) while solve_square gcd-reduced lhs/g, whose order and expansion are
+# all it reads)
+GOLDEN_NONLIFT_WORK = (0, 0)
+
 # height-1 field_tower._mul calls of one golden_nonlift_n1 run (12,418 while
 # every product above height 1 took three sub-products, 3,632 while
 # is_square_local divided for a leading coefficient it did not read, 3,602
 # while series_sqrt took Newton steps, 2,274 while a cross-cancel whose
-# operands divide one another ran _pgcd and two more divisions)
-GOLDEN_NONLIFT_N1_H1_MULS = 2228
+# operands divide one another ran _pgcd and two more divisions, 2,228 while
+# solve_square gcd-reduced lhs/g)
+GOLDEN_NONLIFT_N1_H1_MULS = 1957
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -121,6 +127,19 @@ def test_one_height_two_claim_runs_a_pinned_number_of_gcds(monkeypatch):
     assert {a[2].tower.height for a in divisions} == {2}
     work = (len(gcds), len(divisions), len(certified), certified.count(True))
     assert work == GEN_0006_H2_WORK
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_golden_claims_run_a_pinned_number_of_gcds(monkeypatch, n):
+    from localpoints import builtin_registry, run_claim, series
+
+    registry = builtin_registry()
+    gcds, divisions = [], []
+    pgcd, pdivmod = series._pgcd, series._pdivmod
+    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
+    monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
+    assert run_claim(f"golden_nonlift_n{n}", registry).verdict == "pass"
+    assert (len(gcds), len(divisions)) == GOLDEN_NONLIFT_WORK
 
 
 def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatch):

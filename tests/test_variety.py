@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from localpoints import variety
-from localpoints.errors import ClaimSyntaxError, OddPowerError
-from localpoints.exprs import parse_expression
+from localpoints import builtin_registry, claims, variety
+from localpoints.errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError
+from localpoints.exprs import evaluate, parse_expression
 from localpoints.field_tower import QQ, adjoin_quadratic
 from localpoints.series import (
     Place,
@@ -352,15 +352,82 @@ def test_lift_along_cover_refuses_a_point_off_the_base_system():
         lift_along_cover(cover, off_base)
 
 
-def test_solve_square_nonsquare_certificate():
-    system = parse_system("x^2 = t\n")
+def unit_point():
+    """The system x^2 = t and its point x = 1 at t = r."""
     place = Place.finite(QQ.zero(), 1)
-    point = PointAssignment(place, {"x": RationalFunction.constant(QQ, place, 1)})
+    return parse_system("x^2 = t\n"), PointAssignment(
+        place, {"x": RationalFunction.constant(QQ, place, 1)})
+
+
+def test_solve_square_nonsquare_certificate():
+    system, point = unit_point()
     outcome = solve_square(
         system, parse_expression("t"), parse_expression("1"), point
     )
     assert outcome.kind == "nonsquare"
     assert outcome.order == 1
+
+
+def _outcome_fields(outcome):
+    witness = outcome.witness
+    if witness is None:
+        return outcome.kind, outcome.order, None
+    return (outcome.kind, outcome.order, witness.lead, witness.coeffs, witness.precision,
+            witness.tower.generator_names)
+
+
+def _reduced_outcome(system, lhs, g, point, precision):
+    """solve_square's outcome as read from the reduced quotient lhs/g."""
+    context = variety._env(system, point)
+    quotient = evaluate(lhs, *context) / evaluate(g, *context)
+    return variety._square_outcome(quotient, ("witness", "nonsquare"), precision)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """The golden point's claim and the cover system of the golden claims."""
+    return (claims.parse_claim_file(claims.GOLDEN_POINT_TEXT)[0],
+            builtin_registry()["golden_nonlift_n1"].system)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("precision", (1, 2, 3, 40, 80))
+def test_solve_square_reads_the_unreduced_quotient_as_the_reduced_one(golden, n, precision):
+    point_claim, cover = golden
+    point, _, _, equations = claims._golden_point(point_claim, cover, n)
+    assert len(equations) == 2
+    for _, lhs, c in equations:
+        fast = solve_square(cover, lhs, c, point, precision=precision)
+        reference = _reduced_outcome(cover, lhs, c, point, precision)
+        assert fast.kind == "witness"
+        assert _outcome_fields(fast) == _outcome_fields(reference)
+
+
+# (1 + t) divides both sides, so the unreduced pair shares it
+@pytest.mark.parametrize("lhs, g, precision, kind, order", [
+    ("t^3*(1 + t)", "1 + t", 2, "nonsquare", 3),  # odd order at or above precision
+    ("t^2*(1 + t)*(2 + t)", "(1 + t)*(3 - t)", 5, "witness", 2),
+])
+def test_solve_square_outcomes_past_a_common_factor(lhs, g, precision, kind, order):
+    system, point = unit_point()
+    lhs, g = parse_expression(lhs), parse_expression(g)
+    fast = solve_square(system, lhs, g, point, precision=precision)
+    assert (fast.kind, fast.order) == (kind, order)
+    assert _outcome_fields(fast) == _outcome_fields(
+        _reduced_outcome(system, lhs, g, point, precision))
+
+
+def test_solve_square_of_an_even_order_at_or_above_precision_raises_as_the_reduced_one():
+    system, point = unit_point()
+    lhs, g = parse_expression("t^4*(1 + t)"), parse_expression("1 + t")
+    messages = []
+    for solve in (solve_square, _reduced_outcome):
+        with pytest.raises(PrecisionExhaustedError) as raised:
+            solve(system, lhs, g, point, 3)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == ("the square is zero to precision 3; its root has no known "
+                           "coefficient")
 
 
 def _fraction_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
