@@ -828,13 +828,15 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
         orders.update((f"lhs_{k}", evaluate(lhs, *context).order_at_zero())
                       for k, (_, lhs, _) in enumerate(equations, start=1))
         squares = {}
-        # y^2 and z^2 are the quotients LHS/C of the base equations
+        # y^2 and z^2 are the quotients LHS/C of the base equations; series_sqrt knows the
+        # root of a square of even order k to precision k/2 + (P - k), so it is not taken
         for label, lhs, c in equations:
             square = solve_square(cover, lhs, c, point, precision=params.precision)
             squares[label] = {
                 "result": square.kind,
                 "quotient_order": square.order,
-                "witness_precision": square.witness.precision if square.witness else None,
+                "witness_precision": (params.precision - square.order // 2
+                                      if square.kind == "witness" else None),
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
         twist = r_function(cover.tower, point.place) ** 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Callable
 
 from .errors import (
     PlaceMismatchError,
@@ -903,15 +904,34 @@ def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
 
 
 class SquareOutcome(Record):
-    """A local squareness verdict with its valuation; on a square, a series root."""
+    """A local squareness verdict with its valuation; on a square, a series root.
 
-    __slots__ = _fields = ("kind", "order", "witness")
+    The root of an outcome built by _deferred is worked out the first time
+    witness is read, and kept.
+    """
+
+    __slots__ = ("kind", "order", "_witness", "_root")
+    _fields = ("kind", "order", "witness")
 
     def __init__(self, kind: str, order: int, witness: PuiseuxSeries | None = None) -> None:
         # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
         self.kind = kind
         self.order = order
-        self.witness = witness
+        self._witness = witness
+        self._root = None
+
+    @classmethod
+    def _deferred(cls, kind: str, order: int,
+                  root: Callable[[], PuiseuxSeries]) -> SquareOutcome:
+        outcome = cls(kind, order)
+        outcome._root = root
+        return outcome
+
+    @property
+    def witness(self) -> PuiseuxSeries | None:
+        if self._root is not None:
+            self._witness, self._root = self._root(), None
+        return self._witness
 
 
 def is_square_local(f: RationalFunction | PuiseuxSeries | UnreducedQuotient) -> SquareOutcome:

@@ -357,23 +357,26 @@ def verify_point(
 def _square_outcome(
     value: RationalFunction | UnreducedQuotient, kinds: tuple[str, str], precision: int
 ) -> SquareOutcome:
-    """Squareness of a nonzero exact value, named by kinds (square, nonsquare), with a
-    series root when it is a square.  Only the value's order and expansion are read,
-    so an UnreducedQuotient does as well as its reduced RationalFunction.
+    """Squareness of a nonzero exact value, named by kinds (square, nonsquare), decided
+    from the parity of its order.  A square's witness, series_sqrt of the value's
+    expansion to precision, is worked out the first time it is read.  Only the
+    value's order and expansion are read, so an UnreducedQuotient does as well as
+    its reduced RationalFunction.
 
-    A value whose expansion is zero to precision has no root to compute, so
-    that raises PrecisionExhaustedError.
+    A square whose order is at least precision expands to zero, so its root has
+    no known coefficient: that raises PrecisionExhaustedError here, not when the
+    witness is read.
     """
     square, nonsquare = kinds
     check = is_square_local(value)
     if check.kind != "yes":
         return SquareOutcome(nonsquare, check.order)
-    expansion = value.to_puiseux(precision)
-    if expansion.is_zero():
+    if check.order >= precision:
         raise PrecisionExhaustedError(
             f"the square is zero to precision {precision}; its root has no known coefficient"
         )
-    return SquareOutcome(square, check.order, series_sqrt(expansion))
+    return SquareOutcome._deferred(square, check.order,
+                                   lambda: series_sqrt(value.to_puiseux(precision)))
 
 
 def solve_square(
@@ -383,7 +386,8 @@ def solve_square(
     point: PointAssignment,
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
-    """Decide whether lhs/g is a local square at the point; witness on success.
+    """Decide whether lhs/g is a local square at the point, from the parity of its
+    order; on success the witness root is worked out when it is first read.
 
     lhs/g is read as the unreduced pair (lhs.num*g.den, lhs.den*g.num), an
     UnreducedQuotient, so no gcd runs: the outcome reads only the quotient's

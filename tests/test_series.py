@@ -41,8 +41,14 @@ GOLDEN_NONLIFT_WORK = (0, 0)
 # is_square_local divided for a leading coefficient it did not read, 3,602
 # while series_sqrt took Newton steps, 2,274 while a cross-cancel whose
 # operands divide one another ran _pgcd and two more divisions, 2,228 while
-# solve_square gcd-reduced lhs/g)
-GOLDEN_NONLIFT_N1_H1_MULS = 1957
+# solve_square gcd-reduced lhs/g, 1,957 while solve_square took a root the
+# claim never read)
+GOLDEN_NONLIFT_N1_H1_MULS = 87
+
+# (series_sqrt calls, _series_quotient calls) of each golden_nonlift_n* run
+# (2 of each while solve_square expanded each quotient and took its root; the
+# claim reads only the quotient's order)
+GOLDEN_NONLIFT_ROOTS = (0, 0)
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -140,6 +146,22 @@ def test_golden_claims_run_a_pinned_number_of_gcds(monkeypatch, n):
     monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
     assert run_claim(f"golden_nonlift_n{n}", registry).verdict == "pass"
     assert (len(gcds), len(divisions)) == GOLDEN_NONLIFT_WORK
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_golden_claims_take_a_pinned_number_of_series_roots(monkeypatch, n):
+    from localpoints import builtin_registry, run_claim, series, variety
+
+    registry = builtin_registry()
+    roots, quotients = [], []
+    sqrt, quotient = series.series_sqrt, series._series_quotient
+    # variety imports series_sqrt by name, so both modules' bindings are counted
+    for module in (series, variety):
+        monkeypatch.setattr(module, "series_sqrt", lambda *a: roots.append(a) or sqrt(*a))
+    monkeypatch.setattr(series, "_series_quotient",
+                        lambda *a: quotients.append(a) or quotient(*a))
+    assert run_claim(f"golden_nonlift_n{n}", registry).verdict == "pass"
+    assert (len(roots), len(quotients)) == GOLDEN_NONLIFT_ROOTS
 
 
 def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatch):

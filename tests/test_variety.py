@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from localpoints import builtin_registry, claims, variety
+from localpoints import builtin_registry, claims, run_claim, series, variety
 from localpoints.errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError
-from localpoints.exprs import evaluate, parse_expression
+from localpoints.exprs import BinOp, evaluate, parse_expression
 from localpoints.field_tower import QQ, adjoin_quadratic
 from localpoints.series import (
     Place,
     RationalFunction,
+    SquareOutcome,
     is_square_local,
     r_function,
     series_sqrt,
@@ -384,10 +385,15 @@ def _reduced_outcome(system, lhs, g, point, precision):
 
 
 @pytest.fixture(scope="module")
-def golden():
+def registry():
+    return builtin_registry()
+
+
+@pytest.fixture(scope="module")
+def golden(registry):
     """The golden point's claim and the cover system of the golden claims."""
     return (claims.parse_claim_file(claims.GOLDEN_POINT_TEXT)[0],
-            builtin_registry()["golden_nonlift_n1"].system)
+            registry["golden_nonlift_n1"].system)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -428,6 +434,71 @@ def test_solve_square_of_an_even_order_at_or_above_precision_raises_as_the_reduc
     assert messages[0] == messages[1]
     assert messages[0] == ("the square is zero to precision 3; its root has no known "
                            "coefficient")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("precision", (1, 2, 3, 40, 80))
+def test_a_deferred_square_root_is_the_root_the_claim_reports(golden, registry, n,
+                                                             precision):
+    point_claim, cover = golden
+    point, context, _, equations = claims._golden_point(point_claim, cover, n)
+    report = run_claim(f"golden_nonlift_n{n}", registry, precision=precision)
+    for label, lhs, c in equations:
+        outcome = solve_square(cover, lhs, c, point, precision=precision)
+        quotient = evaluate(lhs, *context) / evaluate(c, *context)
+        expansion = quotient.to_puiseux(precision)
+        eager = SquareOutcome(outcome.kind, outcome.order, series_sqrt(expansion))
+        witness = outcome.witness
+        assert witness.precision == report.evidence["square_witnesses"][label][
+            "witness_precision"]
+        square = witness * witness
+        assert square.precision == precision and square.matches(expansion)
+        assert _outcome_fields(outcome) == _outcome_fields(eager)
+        assert outcome.witness is witness  # worked out once, then kept
+
+
+def test_an_outcome_built_with_a_witness_returns_it():
+    root = series_sqrt(t_function(QQ, Place.finite(QQ.zero(), 2)).to_puiseux(6))
+    outcome = SquareOutcome("lifts", 2, root)
+    assert outcome.witness is root
+    assert outcome == SquareOutcome("lifts", 2, root)
+    assert repr(outcome) == f"SquareOutcome(kind='lifts', order=2, witness={root!r})"
+
+
+def _unexpanded(*args):
+    raise AssertionError("the square was expanded")
+
+
+def test_an_even_order_at_or_above_precision_raises_before_any_expansion(monkeypatch):
+    place = Place.finite(QQ.zero(), 1)
+    t4 = t_function(QQ, place) ** 4
+    monkeypatch.setattr(RationalFunction, "to_puiseux", _unexpanded)
+    for precision in (3, 4):
+        with pytest.raises(PrecisionExhaustedError) as raised:
+            variety._square_outcome(t4, ("lifts", "obstructed"), precision)
+        assert str(raised.value) == (f"the square is zero to precision {precision}; its root "
+                                     "has no known coefficient")
+    # one order below precision the square has a root, and nothing is expanded until it is read
+    outcome = variety._square_outcome(t4, ("lifts", "obstructed"), 5)
+    assert (outcome.kind, outcome.order) == ("lifts", 4)
+    with pytest.raises(AssertionError, match="^the square was expanded$"):
+        outcome.witness
+
+
+def test_solve_square_raises_at_the_golden_point_before_any_expansion(golden, monkeypatch):
+    point_claim, cover = golden
+    point, _, _, equations = claims._golden_point(point_claim, cover, 1)
+    _, lhs, c = equations[0]
+    # t + alpha is r^2 at the golden point at ramification 2, so lhs/c gains order 2
+    lhs = BinOp("*", lhs, parse_expression("t + alpha"))
+    monkeypatch.setattr(series.UnreducedQuotient, "to_puiseux", _unexpanded)
+    with pytest.raises(PrecisionExhaustedError, match=(
+            "^the square is zero to precision 2; its root has no known coefficient$")):
+        solve_square(cover, lhs, c, point, precision=2)
+    outcome = solve_square(cover, lhs, c, point, precision=3)
+    assert (outcome.kind, outcome.order) == ("witness", 2)
+    monkeypatch.undo()
+    assert outcome.witness.precision == 3 - 2 // 2
 
 
 def _fraction_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
