@@ -54,6 +54,7 @@ from .series import (
     RationalFunction,
     is_square_local,
     r_function,
+    series_sqrt,
 )
 from .variety import (
     FormalSqrt,
@@ -583,14 +584,15 @@ def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignm
     if g_value.is_zero():
         evidence["lift"] = "zero"
         return "fail"
-    lift = _square_outcome(g_value, ("lifts", "obstructed"), precision)
+    lift = _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"), precision)
     evidence["lift"] = lift.kind
-    if lift.witness is None:  # only a lift that succeeds has a witness
+    if lift.kind != "lifts":  # only a lift that succeeds has a witness
         return "fail"
-    square = lift.witness * lift.witness
-    matches = square.matches(w_square._lift(lift.witness.tower).to_puiseux(square.precision))
-    evidence["witness"] = str(lift.witness)
-    evidence["witness_order"] = lift.witness.order_at_zero()
+    witness = series_sqrt(g_value.to_puiseux(precision))
+    square = witness * witness
+    matches = square.matches(w_square._lift(witness.tower).to_puiseux(square.precision))
+    evidence["witness"] = str(witness)
+    evidence["witness_order"] = witness.order_at_zero()
     evidence["witness_square_matches"] = matches
     return "pass" if matches else "fail"
 
@@ -828,8 +830,9 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
         orders.update((f"lhs_{k}", evaluate(lhs, *context).order_at_zero())
                       for k, (_, lhs, _) in enumerate(equations, start=1))
         squares = {}
-        # y^2 and z^2 are the quotients LHS/C of the base equations; series_sqrt knows the
-        # root of a square of even order k to precision k/2 + (P - k), so it is not taken
+        # y^2 and z^2 are the quotients LHS/C of the base equations, squares by the parity
+        # of their orders; series_sqrt would give the root of an even order k to precision
+        # k/2 + (P - k), which is reported without taking it
         for label, lhs, c in equations:
             square = solve_square(cover, lhs, c, point, precision=params.precision)
             squares[label] = {

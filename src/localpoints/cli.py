@@ -43,8 +43,11 @@ def _integer_option(name: str, minimum: int | None = None) -> Callable[[str], in
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision", type=_integer_option("precision", 1), default=None,
-                        help="truncated mode: expand each input series modulo r^P "
-                             "(a truncated pass prints the order its residuals are known to)")
+                        help="series precision P: truncated mode expands each input series "
+                             "modulo r^P (a truncated pass prints the order its residuals are "
+                             "known to); in both modes square roots, so a lift's witness and "
+                             "a golden claim's witness_precision, are taken of expansions "
+                             "modulo r^P, and a square of order P or more is undecided")
     parser.add_argument("--samples", type=_integer_option("samples", 0), default=None,
                         help="property-test samples")
     parser.add_argument("--seed", type=_integer_option("seed"), default=None,

@@ -3,15 +3,15 @@
 Everything lives at a place: the substitution t = c + r^e (or t = 1/r^e at
 infinity) turns fractional powers of t into integer powers of the parameter r.
 The RationalFunction backend is exact and authoritative; PuiseuxSeries is the
-truncated backend used for square-root expansions and sampling.  Both derive
-from _Local and share one set of polynomial and power-series helpers.
+truncated backend, used for truncated-mode evaluation and for square roots
+(series_sqrt).  Both derive from _Local and share one set of polynomial and
+power-series helpers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
 from .errors import (
     PlaceMismatchError,
@@ -592,59 +592,19 @@ class RationalFunction(_Local):
         """Expand at r = 0, agreeing with the exact function modulo r^precision."""
         if self.is_zero():
             return PuiseuxSeries.zero(self.tower, self.place, precision)
-        return _expansion(self.tower, self.place, self.num, self.den, precision)
+        a = _porder(self.num)
+        b = _porder(self.den)
+        lead = a - b
+        nterms = precision - lead
+        if nterms <= 0:
+            return PuiseuxSeries.zero(self.tower, self.place, precision)
+        coeffs = _series_quotient(self.num[a:], self.den[b:], nterms, self.tower.zero())
+        return PuiseuxSeries(self.tower, self.place, lead, coeffs, precision)
 
     def __str__(self) -> str:
         if self.den == (self.tower.one(),):
             return _pstr(self.num)
         return f"({_pstr(self.num)}) / ({_pstr(self.den)})"
-
-
-def _expansion(tower: FieldTower, place: Place, num: Poly, den: Poly,
-               precision: int) -> PuiseuxSeries:
-    """num/den expanded at r = 0 to precision, for nonzero num and den.
-
-    num and den need not be coprime: a factor they share cancels in the
-    power-series quotient, so the series is that of the reduced quotient
-    (Knuth, TAOCP vol. 2, 4.7).
-    """
-    a = _porder(num)
-    b = _porder(den)
-    lead = a - b
-    nterms = precision - lead
-    if nterms <= 0:
-        return PuiseuxSeries.zero(tower, place, precision)
-    coeffs = _series_quotient(num[a:], den[b:], nterms, tower.zero())
-    return PuiseuxSeries(tower, place, lead, coeffs, precision)
-
-
-class UnreducedQuotient:
-    """a/b for nonzero rational functions a and b, held as the pair
-    (a.num*b.den, a.den*b.num) with no gcd run.
-
-    Only its order and its expansion are read, and a factor the pair shares
-    changes neither: the order is a difference of orders, and _expansion
-    expands any pair.  It is not a RationalFunction, whose normal form is
-    coprime; is_square_local takes it like one.
-    """
-
-    __slots__ = ("tower", "place", "num", "den")
-
-    def __init__(self, a: RationalFunction, b: RationalFunction) -> None:
-        a, b = a._pair(b)
-        zero = a.tower.zero()
-        self.tower, self.place = a.tower, a.place
-        self.num = _pmul(a.num, b.den, zero)
-        self.den = _pmul(a.den, b.num, zero)
-
-    def is_zero(self) -> bool:
-        return False
-
-    def order_at_zero(self) -> int:
-        return _porder(self.num) - _porder(self.den)
-
-    def to_puiseux(self, precision: int = DEFAULT_PRECISION) -> PuiseuxSeries:
-        return _expansion(self.tower, self.place, self.num, self.den, precision)
 
 
 def r_function(tower: FieldTower, place: Place) -> RationalFunction:
@@ -904,37 +864,20 @@ def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
 
 
 class SquareOutcome(Record):
-    """A local squareness verdict with its valuation; on a square, a series root.
+    """A local squareness verdict: its kind and the order it was decided from.
 
-    The root of an outcome built by _deferred is worked out the first time
-    witness is read, and kept.
+    The root of a square f, when one is wanted, is series_sqrt(f.to_puiseux(P)).
     """
 
-    __slots__ = ("kind", "order", "_witness", "_root")
-    _fields = ("kind", "order", "witness")
+    __slots__ = _fields = ("kind", "order")
 
-    def __init__(self, kind: str, order: int, witness: PuiseuxSeries | None = None) -> None:
+    def __init__(self, kind: str, order: int) -> None:
         # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
         self.kind = kind
         self.order = order
-        self._witness = witness
-        self._root = None
-
-    @classmethod
-    def _deferred(cls, kind: str, order: int,
-                  root: Callable[[], PuiseuxSeries]) -> SquareOutcome:
-        outcome = cls(kind, order)
-        outcome._root = root
-        return outcome
-
-    @property
-    def witness(self) -> PuiseuxSeries | None:
-        if self._root is not None:
-            self._witness, self._root = self._root(), None
-        return self._witness
 
 
-def is_square_local(f: RationalFunction | PuiseuxSeries | UnreducedQuotient) -> SquareOutcome:
+def is_square_local(f: RationalFunction | PuiseuxSeries) -> SquareOutcome:
     """Squareness of a nonzero local element over an algebraically closed residue
     field: the squares are exactly the even-order elements.
 

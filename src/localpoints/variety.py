@@ -37,10 +37,7 @@ from .series import (
     PuiseuxSeries,
     RationalFunction,
     SquareOutcome,
-    UnreducedQuotient,
-    is_square_local,
     r_function,
-    series_sqrt,
     t_function,
 )
 
@@ -354,29 +351,21 @@ def verify_point(
 # -- squareness and lifting ---------------------------------------------------------
 
 
-def _square_outcome(
-    value: RationalFunction | UnreducedQuotient, kinds: tuple[str, str], precision: int
-) -> SquareOutcome:
-    """Squareness of a nonzero exact value, named by kinds (square, nonsquare), decided
-    from the parity of its order.  A square's witness, series_sqrt of the value's
-    expansion to precision, is worked out the first time it is read.  Only the
-    value's order and expansion are read, so an UnreducedQuotient does as well as
-    its reduced RationalFunction.
+def _square_outcome(order: int, kinds: tuple[str, str], precision: int) -> SquareOutcome:
+    """The squareness of a nonzero exact value of this order, named by kinds (square,
+    nonsquare): the parity of the order.
 
     A square whose order is at least precision expands to zero, so its root has
-    no known coefficient: that raises PrecisionExhaustedError here, not when the
-    witness is read.
+    no known coefficient: that raises PrecisionExhaustedError.
     """
     square, nonsquare = kinds
-    check = is_square_local(value)
-    if check.kind != "yes":
-        return SquareOutcome(nonsquare, check.order)
-    if check.order >= precision:
+    if order % 2:
+        return SquareOutcome(nonsquare, order)
+    if order >= precision:
         raise PrecisionExhaustedError(
             f"the square is zero to precision {precision}; its root has no known coefficient"
         )
-    return SquareOutcome._deferred(square, check.order,
-                                   lambda: series_sqrt(value.to_puiseux(precision)))
+    return SquareOutcome(square, order)
 
 
 def solve_square(
@@ -387,13 +376,9 @@ def solve_square(
     precision: int = DEFAULT_PRECISION,
 ) -> SquareOutcome:
     """Decide whether lhs/g is a local square at the point, from the parity of its
-    order; on success the witness root is worked out when it is first read.
+    order, order(lhs) - order(g): no quotient is formed.
 
-    lhs/g is read as the unreduced pair (lhs.num*g.den, lhs.den*g.num), an
-    UnreducedQuotient, so no gcd runs: the outcome reads only the quotient's
-    order, the difference of the pair's orders, and its expansion, which a
-    factor the pair shares does not change.  A vanishing g raises
-    ZeroDivisionError, a vanishing lhs ZeroFunctionError.
+    A vanishing g raises ZeroDivisionError, a vanishing lhs ZeroFunctionError.
     """
     context = _env(system, point)
     lhs_value = evaluate(lhs, *context)
@@ -402,8 +387,8 @@ def solve_square(
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    return _square_outcome(UnreducedQuotient(lhs_value, g_value), ("witness", "nonsquare"),
-                           precision)
+    return _square_outcome(lhs_value.order_at_zero() - g_value.order_at_zero(),
+                           ("witness", "nonsquare"), precision)
 
 
 def find_cover_equation(
@@ -440,7 +425,7 @@ def lift_along_cover(
     g_value = evaluate(g_expr, *_env(cover, base_point))
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    return _square_outcome(g_value, ("lifts", "obstructed"), precision)
+    return _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"), precision)
 
 
 # -- the eight-case valuation split --------------------------------------------------

@@ -117,9 +117,8 @@ def _a_square(*args):
     return SquareOutcome("yes", 0)
 
 
-def _doubled_witness(*args, lift=claims._square_outcome):
-    outcome = lift(*args)
-    return SquareOutcome(outcome.kind, outcome.order, 2 * outcome.witness)
+def _doubled_witness(f, root=claims.series_sqrt):
+    return 2 * root(f)
 
 
 def _with_a_mark_of_one(genus, cover_degree, pullback=claims.pullback_half_marks):
@@ -143,7 +142,7 @@ BROKEN_BUILTINS = [
     ("k3_cover_two_forms_obstructed", claims, "is_square_local", _a_square,
      lambda ev: (ev["plain_form"]["result"], ev["twisted_form"]["result"])
      == ("obstructed", "lifts")),
-    ("k3_lift_sqrt_t", claims, "_square_outcome", _doubled_witness,
+    ("k3_lift_sqrt_t", claims, "series_sqrt", _doubled_witness,
      lambda ev: ev["lift"] == "lifts" and ev["witness_square_matches"] is False),
     ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
      lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),

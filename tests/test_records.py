@@ -45,7 +45,8 @@ TRAILING_CACHES = {PointAssignment: ("cache",)}
 
 def test_each_record_compares_exactly_its_constructor_arguments():
     # equality, hashing and repr read _fields, so each record's fields must be its
-    # constructor's arguments, in order, with only a trailing cache left out
+    # constructor's arguments, in order, with only a trailing cache left out; and a
+    # record with __slots__ holds nothing else, so no state hides from them
     for module in pkgutil.iter_modules(localpoints.__path__):
         importlib.import_module(f"localpoints.{module.name}")
     records, todo = [], [Record]
@@ -57,6 +58,8 @@ def test_each_record_compares_exactly_its_constructor_arguments():
     for record in records:
         arguments = list(inspect.signature(record.__init__).parameters)[1:]
         assert arguments == [*record._fields, *TRAILING_CACHES.get(record, ())], record
+        if "__slots__" in vars(record):
+            assert record.__slots__ == (*record._fields, *TRAILING_CACHES.get(record, ())), record
 
 
 def test_expression_nodes_compare_hash_and_print_by_value():
@@ -90,9 +93,9 @@ def test_profiles_and_square_outcomes_compare_hash_and_print_by_value():
     _same_and_different([MultiplicityProfile((2, 3)), MultiplicityProfile((2, 3))],
                         [MultiplicityProfile((3, 2)), MultiplicityProfile((2, 3, 3))])
     assert repr(MultiplicityProfile((2, 3))) == "MultiplicityProfile(generators=(2, 3))"
-    _same_and_different([SquareOutcome("no", 3), SquareOutcome("no", 3, None)],
+    _same_and_different([SquareOutcome("no", 3), SquareOutcome("no", 3)],
                         [SquareOutcome("yes", 3), SquareOutcome("no", 1), ("no", 3)])
-    assert repr(SquareOutcome("no", 3)) == "SquareOutcome(kind='no', order=3, witness=None)"
+    assert repr(SquareOutcome("no", 3)) == "SquareOutcome(kind='no', order=3)"
 
 
 def test_local_values_that_compare_equal_hash_alike():

@@ -42,13 +42,20 @@ GOLDEN_NONLIFT_WORK = (0, 0)
 # while series_sqrt took Newton steps, 2,274 while a cross-cancel whose
 # operands divide one another ran _pgcd and two more divisions, 2,228 while
 # solve_square gcd-reduced lhs/g, 1,957 while solve_square took a root the
-# claim never read)
-GOLDEN_NONLIFT_N1_H1_MULS = 87
+# claim never read, 87 while solve_square multiplied lhs/g out as a pair)
+GOLDEN_NONLIFT_N1_H1_MULS = 71
 
-# (series_sqrt calls, _series_quotient calls) of each golden_nonlift_n* run
-# (2 of each while solve_square expanded each quotient and took its root; the
-# claim reads only the quotient's order)
-GOLDEN_NONLIFT_ROOTS = (0, 0)
+# (series_sqrt calls, _series_quotient calls) of one run of each builtin that
+# decides a local square (2 of each per golden_nonlift_n* while solve_square
+# expanded each quotient and took its root; the claim reads only the quotient's
+# order).  Only a lift claim takes a root: the one it prints and checks, from
+# the expansions of the cover factor and of the square bound to w.
+SERIES_ROOTS = {
+    **{f"golden_nonlift_n{n}": (0, 0) for n in range(1, 6)},
+    "k3_cover_two_forms_obstructed": (0, 0),
+    "k3_lift_sqrt_t": (1, 2),
+    "k3_lift_infinity": (1, 2),
+}
 
 
 def rf(coeffs, den=None, place=ORIGIN, tower=QQ):
@@ -148,20 +155,21 @@ def test_golden_claims_run_a_pinned_number_of_gcds(monkeypatch, n):
     assert (len(gcds), len(divisions)) == GOLDEN_NONLIFT_WORK
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_golden_claims_take_a_pinned_number_of_series_roots(monkeypatch, n):
-    from localpoints import builtin_registry, run_claim, series, variety
+@pytest.mark.parametrize("name", SERIES_ROOTS,
+                         ids=lambda name: name.removeprefix("golden_nonlift_n"))
+def test_golden_claims_take_a_pinned_number_of_series_roots(monkeypatch, name):
+    from localpoints import builtin_registry, claims, run_claim, series
 
     registry = builtin_registry()
     roots, quotients = [], []
     sqrt, quotient = series.series_sqrt, series._series_quotient
-    # variety imports series_sqrt by name, so both modules' bindings are counted
-    for module in (series, variety):
+    # claims imports series_sqrt by name, so both modules' bindings are counted
+    for module in (series, claims):
         monkeypatch.setattr(module, "series_sqrt", lambda *a: roots.append(a) or sqrt(*a))
     monkeypatch.setattr(series, "_series_quotient",
                         lambda *a: quotients.append(a) or quotient(*a))
-    assert run_claim(f"golden_nonlift_n{n}", registry).verdict == "pass"
-    assert (len(roots), len(quotients)) == GOLDEN_NONLIFT_ROOTS
+    assert run_claim(name, registry).verdict == "pass"
+    assert (len(roots), len(quotients)) == SERIES_ROOTS[name]
 
 
 def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatch):
