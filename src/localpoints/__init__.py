@@ -20,6 +20,7 @@ from .orbifold import (
     profile_stats,
     pullback_half_marks,
     semigroup_contains,
+    semigroup_members,
 )
 from .series import (
     DEFAULT_PRECISION,

@@ -47,6 +47,7 @@ from .orbifold import (
     profile_stats,
     pullback_half_marks,
     semigroup_contains,
+    semigroup_members,
 )
 from .series import (
     DEFAULT_PRECISION,
@@ -571,6 +572,12 @@ def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
     return ("pass" if evidence["result"] == "nonsquare" else "fail"), evidence
 
 
+def _root_precision(order: int, precision: int) -> int:
+    """The precision a square of this order is expanded to for its root: precision, or
+    order + 1 where that would leave the root no known coefficient."""
+    return max(precision, order + 1)
+
+
 def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignment,
                   precision: int, evidence: dict) -> str:
     """Lift a verified point along its cover equation w^2 = g; cover is (base, w, g).
@@ -584,11 +591,11 @@ def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignm
     if g_value.is_zero():
         evidence["lift"] = "zero"
         return "fail"
-    lift = _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"), precision)
+    lift = _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"))
     evidence["lift"] = lift.kind
     if lift.kind != "lifts":  # only a lift that succeeds has a witness
         return "fail"
-    witness = series_sqrt(g_value.to_puiseux(precision))
+    witness = series_sqrt(g_value.to_puiseux(_root_precision(lift.order, precision)))
     square = witness * witness
     matches = square.matches(w_square._lift(witness.tower).to_puiseux(square.precision))
     evidence["witness"] = str(witness)
@@ -831,15 +838,15 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
                       for k, (_, lhs, _) in enumerate(equations, start=1))
         squares = {}
         # y^2 and z^2 are the quotients LHS/C of the base equations, squares by the parity
-        # of their orders; series_sqrt would give the root of an even order k to precision
-        # k/2 + (P - k), which is reported without taking it
+        # of their orders; series_sqrt would give the root of an even order k, expanded to
+        # _root_precision Q, to precision k/2 + (Q - k), which is reported without taking it
         for label, lhs, c in equations:
-            square = solve_square(cover, lhs, c, point, precision=params.precision)
+            square = solve_square(cover, lhs, c, point)
             squares[label] = {
                 "result": square.kind,
                 "quotient_order": square.order,
-                "witness_precision": (params.precision - square.order // 2
-                                      if square.kind == "witness" else None),
+                "witness_precision": (_root_precision(square.order, params.precision)
+                                      - square.order // 2 if square.kind == "witness" else None),
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
         twist = r_function(cover.tower, point.place) ** 2
@@ -872,7 +879,7 @@ def _two_forms(golden: ParsedClaim, cover: PolynomialSystem,
         label: FormalSqrt(evaluate(lhs, *context) / evaluate(c, *context))
         for label, lhs, c in equations}}, point.cache)
     # lift_along_cover checks that the point really is a point of the base system
-    plain = lift_along_cover(cover, point, precision=params.precision)
+    plain = lift_along_cover(cover, point)
     twisted = _parity(evaluate(g, *context) * r_function(cover.tower, point.place) ** 2,
                       ("lifts", "obstructed"))
     ok = plain.kind == twisted["result"] == "obstructed"
@@ -961,9 +968,9 @@ def _semigroups(params: ClaimParams) -> dict:
     for a in range(1, 11):
         for b in range(a, 11):
             # the membership DP against every i*a + j*b up to 60, enumerated
-            sums = {i * a + j * b for i in range(60 // a + 1) for j in range(60 // b + 1)}
-            profile = MultiplicityProfile((a, b))
-            mismatches += sum(semigroup_contains(profile, m) != (m in sums) for m in range(61))
+            sums = {i * a + j * b for i in range(60 // a + 1)
+                    for j in range((60 - i * a) // b + 1)}
+            mismatches += len(semigroup_members(MultiplicityProfile((a, b)), 60) ^ sums)
     if mismatches:
         failures.append(f"{mismatches} DP/bruteforce mismatches")
     return {"pairs_checked": 55, "membership_bound": 60, "failures": failures}

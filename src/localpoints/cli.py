@@ -47,7 +47,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              "modulo r^P (a truncated pass prints the order its residuals are "
                              "known to); in both modes square roots, so a lift's witness and "
                              "a golden claim's witness_precision, are taken of expansions "
-                             "modulo r^P, and a square of order P or more is undecided")
+                             "modulo r^P, or modulo r^(k+1) for a square of order k >= P")
     parser.add_argument("--samples", type=_integer_option("samples", 0), default=None,
                         help="property-test samples")
     parser.add_argument("--seed", type=_integer_option("seed"), default=None,

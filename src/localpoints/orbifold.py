@@ -122,20 +122,33 @@ def profile_stats(profile: MultiplicityProfile) -> tuple[int, int, int]:
     return min(profile.generators), gcd_mult, gcd_mult
 
 
-def semigroup_contains(profile: MultiplicityProfile, m: int) -> bool:
-    """Is m a nonnegative integer combination of the generators?"""
-    if m < 0:
+def _reachable(profile: MultiplicityProfile, bound: int) -> int:
+    """The members of the semigroup up to bound, as the bits of one integer.
+
+    Bit k says k is a combination of the generators so far; the shifts by a,
+    2a, 4a, ... <= bound add every multiple of a up to bound.
+    """
+    if bound < 0:
         raise ValueError("membership is asked of nonnegative integers")
-    # bit k of reachable says k is a combination of the generators so far; the
-    # shifts by a, 2a, 4a, ... <= m add every multiple of a up to m
-    mask = (1 << (m + 1)) - 1
+    mask = (1 << (bound + 1)) - 1
     reachable = 1
     for a in profile.generators:
         shift = a
-        while shift <= m:
+        while shift <= bound:
             reachable |= (reachable << shift) & mask
             shift <<= 1
-    return bool(reachable >> m & 1)
+    return reachable
+
+
+def semigroup_members(profile: MultiplicityProfile, bound: int) -> frozenset[int]:
+    """Every nonnegative integer combination of the generators up to bound."""
+    reachable = _reachable(profile, bound)
+    return frozenset(m for m in range(bound + 1) if reachable >> m & 1)
+
+
+def semigroup_contains(profile: MultiplicityProfile, m: int) -> bool:
+    """Is m a nonnegative integer combination of the generators?"""
+    return bool(_reachable(profile, m) >> m & 1)
 
 
 def forced_component(a: int, m: int) -> bool:

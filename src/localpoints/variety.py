@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Collection, Iterator, Mapping
 
-from .errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError, ZeroFunctionError
+from .errors import ClaimSyntaxError, OddPowerError, ZeroFunctionError
 from .exprs import (
     BinOp,
     Expr,
@@ -351,30 +351,15 @@ def verify_point(
 # -- squareness and lifting ---------------------------------------------------------
 
 
-def _square_outcome(order: int, kinds: tuple[str, str], precision: int) -> SquareOutcome:
+def _square_outcome(order: int, kinds: tuple[str, str]) -> SquareOutcome:
     """The squareness of a nonzero exact value of this order, named by kinds (square,
-    nonsquare): the parity of the order.
-
-    A square whose order is at least precision expands to zero, so its root has
-    no known coefficient: that raises PrecisionExhaustedError.
-    """
+    nonsquare): the parity of the order, at any precision."""
     square, nonsquare = kinds
-    if order % 2:
-        return SquareOutcome(nonsquare, order)
-    if order >= precision:
-        raise PrecisionExhaustedError(
-            f"the square is zero to precision {precision}; its root has no known coefficient"
-        )
-    return SquareOutcome(square, order)
+    return SquareOutcome(nonsquare if order % 2 else square, order)
 
 
-def solve_square(
-    system: PolynomialSystem,
-    lhs: Expr,
-    g: Expr,
-    point: PointAssignment,
-    precision: int = DEFAULT_PRECISION,
-) -> SquareOutcome:
+def solve_square(system: PolynomialSystem, lhs: Expr, g: Expr,
+                 point: PointAssignment) -> SquareOutcome:
     """Decide whether lhs/g is a local square at the point, from the parity of its
     order, order(lhs) - order(g): no quotient is formed.
 
@@ -388,7 +373,7 @@ def solve_square(
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
     return _square_outcome(lhs_value.order_at_zero() - g_value.order_at_zero(),
-                           ("witness", "nonsquare"), precision)
+                           ("witness", "nonsquare"))
 
 
 def find_cover_equation(
@@ -409,11 +394,7 @@ def find_cover_equation(
     raise ValueError("no cover equation w^2 = g with an unbound variable")
 
 
-def lift_along_cover(
-    cover: PolynomialSystem,
-    base_point: PointAssignment,
-    precision: int = DEFAULT_PRECISION,
-) -> SquareOutcome:
+def lift_along_cover(cover: PolynomialSystem, base_point: PointAssignment) -> SquareOutcome:
     """Try to lift a base point along the double cover w^2 = g.
 
     The base point must verify exactly on the base system, or this raises
@@ -425,7 +406,7 @@ def lift_along_cover(
     g_value = evaluate(g_expr, *_env(cover, base_point))
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    return _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"), precision)
+    return _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"))
 
 
 # -- the eight-case valuation split --------------------------------------------------
@@ -480,10 +461,19 @@ def _square(coeffs: list[int]) -> list[int]:
 
 
 def _order_of_sum(*terms: tuple[int, int, list[int]]) -> int | None:
-    """Order at r = 0 of the sum of scale * r^shift * coeffs; None when the sum is zero."""
+    """Order at r = 0 of the sum of scale * r^shift * unit^2; None when the sum is zero.
+
+    A unit's first coefficient is nonzero, and so is its square's, so a term's
+    order is its shift: a lowest shift that one term alone has is the order of
+    the sum.  Only a tie squares the units and sums their coefficients.
+    """
+    shifts = [shift for shift, _, _ in terms]
+    lowest = min(shifts)
+    if shifts.count(lowest) == 1:
+        return lowest
     total: dict[int, int] = {}
-    for shift, scale, coeffs in terms:
-        for exponent, c in enumerate(coeffs, start=shift):
+    for shift, scale, unit in terms:
+        for exponent, c in enumerate(_square(unit), start=shift):
             total[exponent] = total.get(exponent, 0) + scale * c
     return min((exponent for exponent, c in total.items() if c), default=None)
 
@@ -495,12 +485,12 @@ def _sample_orders(
 
     g = u^2 t^2 - t, lhs1 = x^2 - t u^2 + t, lhs2_cleared = x^2 t - 2 t^2 u^2 + 1;
     None marks a sum that vanishes.  The lists hold 6 u(r) and 6 x(r), so each
-    sum is taken times 36.
+    sum is taken times 36, and its constant 36 is the square of the unit 6.
     """
-    u2, x2 = _square(u), _square(x)
-    g = _order_of_sum((2 * a + 2 * e, 1, u2), (e, -36, [1]))
-    lhs1 = _order_of_sum((2 * b, 1, x2), (2 * a + e, -1, u2), (e, 36, [1]))
-    lhs2 = _order_of_sum((2 * b + e, 1, x2), (2 * a + 2 * e, -2, u2), (0, 36, [1]))
+    six = [6]
+    g = _order_of_sum((2 * a + 2 * e, 1, u), (e, -1, six))
+    lhs1 = _order_of_sum((2 * b, 1, x), (2 * a + e, -1, u), (e, 1, six))
+    lhs2 = _order_of_sum((2 * b + e, 1, x), (2 * a + 2 * e, -2, u), (0, 1, six))
     return g, lhs1, lhs2
 
 

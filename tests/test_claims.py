@@ -167,10 +167,14 @@ BROKEN_BUILTINS = [
      == [(1, "general_type"), (4, "general_type")]),
     ("semigroup_facts", claims, "semigroup_contains", lambda profile, m: True,
      lambda ev: "3 in <2,5>" in ev["failures"]),
+    # the spot checks ask semigroup_contains; the pairs read semigroup_members
     ("semigroup_facts", claims, "semigroup_contains", lambda profile, m: False,
-     lambda ev: ev["failures"][:11]
-     == ["7 not in <2,3>", *(f"{a} not in <{a}>" for a in range(1, 11))]
-     and ev["failures"][-1].endswith("DP/bruteforce mismatches")),
+     lambda ev: ev["failures"]
+     == ["7 not in <2,3>", *(f"{a} not in <{a}>" for a in range(1, 11))]),
+    # with no members, every enumerated sum is a mismatch: the 55 pairs' semigroups hold
+    # 2,163 members up to 60 between them
+    ("semigroup_facts", claims, "semigroup_members", lambda profile, bound: frozenset(),
+     lambda ev: ev["failures"] == ["2163 DP/bruteforce mismatches"]),
     ("semigroup_facts", claims, "forced_component", lambda a, b: False,
      lambda ev: ev["failures"] == ["forced_component(2, 3) != True",
                                    "forced_component(3, 5) != True"]),
@@ -686,19 +690,30 @@ def test_check_expression_error_is_positioned(tmp_path, registry, line, column):
 )
 def test_low_precision_never_fails(registry, name, precision, mode):
     report = run_claim(name, registry, precision=precision, mode=mode)
-    assert report.verdict in ("pass", "undecided"), report.evidence
+    # exact mode decides every claim at every precision; truncated mode may not
+    allowed = ("pass", "undecided") if mode == "truncated" else ("pass",)
+    assert report.verdict in allowed, report.evidence
     if report.verdict == "undecided":
         assert report.evidence["reason"] == "precision_exhausted"
 
 
+# a square whose order reaches the precision is decided by the parity of its order, and
+# its root is taken to order + 1, so the root's first coefficient is known
 @pytest.mark.parametrize(
-    "name, overrides",
-    [("k3_lift_sqrt_t", {"precision": 1}), ("golden_nonlift_n1", {"precision": 0})],
+    "name, overrides, evidence",
+    [("k3_lift_sqrt_t", {"precision": 1},
+      {"lift": "lifts", "witness": "rt1*r + O(r^2)", "witness_order": 1,
+       "witness_square_matches": True}),
+     ("golden_nonlift_n1", {"precision": 0},
+      {"square_witnesses": {label: {"result": "witness", "quotient_order": 0,
+                                    "witness_precision": 1} for label in ("y", "z")}})],
+    ids=["k3_lift_sqrt_t", "golden_nonlift_n1"],
 )
-def test_square_root_of_series_zero_to_precision_is_undecided(registry, name, overrides):
+def test_a_square_whose_order_reaches_the_precision_is_decided(registry, name, overrides,
+                                                               evidence):
     report = run_claim(name, registry, **overrides)
-    assert report.verdict == "undecided"
-    assert report.evidence["reason"] == "precision_exhausted"
+    assert report.verdict == "pass"
+    assert {key: report.evidence[key] for key in evidence} == evidence
 
 
 @pytest.mark.parametrize(
@@ -1015,6 +1030,11 @@ system:
 place: t = 0 ram 2
 let w = sqrt(t)
 expect: lifts
+claim exhausted
+system:
+  x = 1/t
+place: t = 0 ram 2
+let x = 1/t
 claim nonsquare
 system:
   t
@@ -1038,10 +1058,10 @@ def test_every_evidence_key_of_a_claim_is_one_its_checks_may_not_take(tmp_path):
             written |= set(report.evidence) - check_keys
     assert written == claims.EVIDENCE_KEYS
     # every claim in exact mode; at a truncation too short for t^5, the undecided one,
-    # and the lift, whose cover factor t = r^2 is zero to precision 2
+    # and the one whose 1/t divides by t = r^2, zero to precision 2 (the run's detail)
     assert {("passes", "pass"), ("fails", "fail"), ("undecided", "undecided"),
-            ("obstructed", "pass"), ("lifts", "pass"), ("lifts", "undecided"),
-            ("nonsquare", "pass")} <= verdicts
+            ("obstructed", "pass"), ("lifts", "pass"), ("exhausted", "pass"),
+            ("exhausted", "undecided"), ("nonsquare", "pass")} <= verdicts
 
 
 # claim-file expressions that ended in a traceback or were misread: a superscript

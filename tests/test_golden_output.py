@@ -22,7 +22,7 @@ GENERATED = str(DATA / "generated_points_seed1.txt")
 GOLDEN = [
     (["all", "--samples", "60", "--json"], "verify_all_samples60.json"),
     # both ends of the precision range: the golden claims' witness_precision, and at
-    # P = 1 a lift claim whose square is zero to precision
+    # P = 1 a lift claim whose square's order reaches P, its root taken past that order
     (["all", "--precision", "1", "--samples", "60", "--json"], "verify_all_p1_samples60.json"),
     (["all", "--precision", "80", "--samples", "60", "--json"], "verify_all_p80_samples60.json"),
     (["all", "--kind", "point_verification", "--mode", "truncated", "--json"],

@@ -3,9 +3,11 @@ import pickle
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 
+from localpoints import orbifold
 from localpoints.claims import builtin_registry, run_claim
 from localpoints.orbifold import (
     INF,
@@ -18,6 +20,7 @@ from localpoints.orbifold import (
     profile_stats,
     pullback_half_marks,
     semigroup_contains,
+    semigroup_members,
 )
 
 
@@ -222,6 +225,41 @@ def test_semigroup_contains_rejects_negatives_and_answers_large_m_fast():
     assert semigroup_contains(MultiplicityProfile((2, 3)), 10**5)
     assert not semigroup_contains(MultiplicityProfile((2,)), 10**5 + 1)
     assert time.perf_counter() - start < 0.5
+
+
+def test_semigroup_members_of_two_coprime_generators_follow_sylvester():
+    # <a, b> with gcd 1 misses (a - 1)(b - 1)/2 integers, the largest ab - a - b
+    for a in range(1, 11):
+        for b in range(a + 1, 11):
+            if gcd(a, b) == 1:
+                bound = a * b
+                gaps = set(range(bound + 1)) - semigroup_members(MultiplicityProfile((a, b)),
+                                                                 bound)
+                assert len(gaps) == (a - 1) * (b - 1) // 2, (a, b)
+                assert max(gaps, default=-1) == a * b - a - b, (a, b)
+
+
+def test_semigroup_members_agree_with_semigroup_contains():
+    for size in range(1, 4):
+        for gens in combinations_with_replacement(range(1, 11), size):
+            profile = MultiplicityProfile(gens)
+            assert semigroup_members(profile, 60) == {
+                m for m in range(61) if semigroup_contains(profile, m)}, gens
+
+
+def test_semigroup_facts_builds_one_bitset_per_pair(monkeypatch):
+    calls = []
+
+    def counted(profile, bound, reachable=orbifold._reachable):
+        calls.append(profile.generators)
+        return reachable(profile, bound)
+
+    monkeypatch.setattr(orbifold, "_reachable", counted)
+    assert run_claim("semigroup_facts", builtin_registry()).verdict == "pass"
+    pairs = [(a, b) for a in range(1, 11) for b in range(a, 11)]
+    # 12 spot checks, then one bitset for each of the 55 pairs
+    assert len(calls) == 12 + 55
+    assert calls[12:] == pairs
 
 
 def test_forced_component_examples():

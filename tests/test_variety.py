@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localpoints import builtin_registry, claims, run_claim, variety
-from localpoints.errors import ClaimSyntaxError, OddPowerError, PrecisionExhaustedError
+from localpoints.errors import ClaimSyntaxError, OddPowerError
 from localpoints.exprs import BinOp, evaluate, parse_expression
 from localpoints.field_tower import QQ, adjoin_quadratic
 from localpoints.series import (
@@ -309,7 +311,7 @@ def test_golden_point_verifies_and_solves_squares():
     g_expr = parse_expression("t^2*u^2 - t")
     tg_expr = parse_expression("t*(t^2*u^2 - t)")
     for lhs, denom in ((lhs1, g_expr), (lhs2, tg_expr)):
-        outcome = solve_square(system, lhs, denom, point, precision=12)
+        outcome = solve_square(system, lhs, denom, point)
         assert outcome.kind == "witness"
         assert outcome.order == 0
 
@@ -370,12 +372,15 @@ def test_solve_square_nonsquare_certificate():
     assert outcome.order == 1
 
 
-def _reduced_outcome(system, lhs, g, point, precision):
-    """solve_square's outcome as read from the order of the reduced quotient lhs/g."""
+def _reduced_quotient(system, lhs, g, point):
     context = variety._env(system, point)
-    quotient = evaluate(lhs, *context) / evaluate(g, *context)
-    return variety._square_outcome(quotient.order_at_zero(), ("witness", "nonsquare"),
-                                   precision)
+    return evaluate(lhs, *context) / evaluate(g, *context)
+
+
+def _reduced_outcome(system, lhs, g, point):
+    """solve_square's outcome as read from the order of the reduced quotient lhs/g."""
+    return variety._square_outcome(_reduced_quotient(system, lhs, g, point).order_at_zero(),
+                                   ("witness", "nonsquare"))
 
 
 @pytest.fixture(scope="module")
@@ -392,40 +397,41 @@ def golden(registry):
 
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("precision", (1, 2, 3, 40, 80))
-def test_solve_square_reads_the_unreduced_quotient_as_the_reduced_one(golden, n, precision):
+def test_solve_square_reads_the_unreduced_quotient_as_the_reduced_one(golden, registry, n,
+                                                                     precision):
     point_claim, cover = golden
     point, _, _, equations = claims._golden_point(point_claim, cover, n)
     assert len(equations) == 2
-    for _, lhs, c in equations:
-        fast = solve_square(cover, lhs, c, point, precision=precision)
+    # the claim at this precision reports the outcome, which no precision changes
+    witnesses = run_claim(f"golden_nonlift_n{n}", registry,
+                          precision=precision).evidence["square_witnesses"]
+    for label, lhs, c in equations:
+        fast = solve_square(cover, lhs, c, point)
         assert fast.kind == "witness"
-        assert fast == _reduced_outcome(cover, lhs, c, point, precision)
+        assert fast == _reduced_outcome(cover, lhs, c, point)
+        assert (witnesses[label]["result"], witnesses[label]["quotient_order"]) == (
+            fast.kind, fast.order)
 
 
-# (1 + t) divides both sides, so the unreduced pair shares it
+# (1 + t) divides both sides, so the unreduced pair shares it; a square's root, taken
+# as the claims take one at this precision, has its first coefficient known
 @pytest.mark.parametrize("lhs, g, precision, kind, order", [
     ("t^3*(1 + t)", "1 + t", 2, "nonsquare", 3),  # odd order at or above precision
     ("t^2*(1 + t)*(2 + t)", "(1 + t)*(3 - t)", 5, "witness", 2),
+    ("t^4*(1 + t)", "1 + t", 3, "witness", 4),  # even order at or above precision
 ])
 def test_solve_square_outcomes_past_a_common_factor(lhs, g, precision, kind, order):
     system, point = unit_point()
     lhs, g = parse_expression(lhs), parse_expression(g)
-    fast = solve_square(system, lhs, g, point, precision=precision)
+    fast = solve_square(system, lhs, g, point)
     assert fast == SquareOutcome(kind, order)
-    assert fast == _reduced_outcome(system, lhs, g, point, precision)
-
-
-def test_solve_square_of_an_even_order_at_or_above_precision_raises_as_the_reduced_one():
-    system, point = unit_point()
-    lhs, g = parse_expression("t^4*(1 + t)"), parse_expression("1 + t")
-    messages = []
-    for solve in (solve_square, _reduced_outcome):
-        with pytest.raises(PrecisionExhaustedError) as raised:
-            solve(system, lhs, g, point, 3)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
-    assert messages[0] == ("the square is zero to precision 3; its root has no known "
-                           "coefficient")
+    assert fast == _reduced_outcome(system, lhs, g, point)
+    if kind == "witness":
+        expansion = _reduced_quotient(system, lhs, g, point).to_puiseux(
+            claims._root_precision(order, precision))
+        root = series_sqrt(expansion)
+        assert root.order_at_zero() == order // 2 < root.precision
+        assert (root * root).matches(expansion)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -449,34 +455,20 @@ def _unexpanded(*args):
     raise AssertionError("the square was expanded")
 
 
-def test_an_even_order_at_or_above_precision_raises_before_any_expansion():
-    # the outcome is read from the order alone, so the raise needs no expansion
-    for precision in (3, 4):
-        with pytest.raises(PrecisionExhaustedError) as raised:
-            variety._square_outcome(4, ("lifts", "obstructed"), precision)
-        assert str(raised.value) == (f"the square is zero to precision {precision}; its root "
-                                     "has no known coefficient")
-    # one order below precision the square has a root; an odd order never raises
-    assert variety._square_outcome(4, ("lifts", "obstructed"), 5) == SquareOutcome("lifts", 4)
-    assert variety._square_outcome(5, ("lifts", "obstructed"), 3) == SquareOutcome(
-        "obstructed", 5)
-
-
-def test_solve_square_raises_at_the_golden_point_before_any_expansion(golden, monkeypatch):
+def test_solve_square_decides_a_square_at_the_golden_point_without_expansion(golden,
+                                                                             monkeypatch):
     point_claim, cover = golden
     point, context, _, equations = claims._golden_point(point_claim, cover, 1)
     _, lhs, c = equations[0]
     # t + alpha is r^2 at the golden point at ramification 2, so lhs/c gains order 2
     lhs = BinOp("*", lhs, parse_expression("t + alpha"))
     monkeypatch.setattr(RationalFunction, "to_puiseux", _unexpanded)
-    with pytest.raises(PrecisionExhaustedError, match=(
-            "^the square is zero to precision 2; its root has no known coefficient$")):
-        solve_square(cover, lhs, c, point, precision=2)
-    outcome = solve_square(cover, lhs, c, point, precision=3)
-    assert outcome == SquareOutcome("witness", 2)
+    assert solve_square(cover, lhs, c, point) == SquareOutcome("witness", 2)
     monkeypatch.undo()
+    # at precision 2 its root is taken to order + 1 = 3, so one coefficient is known
     quotient = evaluate(lhs, *context) / evaluate(c, *context)
-    assert series_sqrt(quotient.to_puiseux(3)).precision == 3 - 2 // 2
+    root = series_sqrt(quotient.to_puiseux(claims._root_precision(2, 2)))
+    assert (root.order_at_zero(), root.precision) == (1, 2)
 
 
 def _fraction_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
@@ -617,6 +609,41 @@ def test_sample_orders_match_rational_function_oracle(seed):
         assert variety._laurent_text(e, b, x) == str(x_oracle)
         degenerate += None in orders
     assert degenerate > 0
+
+
+_UNIT = st.builds(lambda lead, tail: [lead, *tail], st.integers(-3, 3).filter(bool),
+                  st.lists(st.integers(-3, 3), max_size=2))
+_TERM = st.tuples(st.integers(0, 3), st.integers(-3, 3).filter(bool), _UNIT)
+
+
+@st.composite
+def _terms_with_ties(draw):
+    """Terms, some of them mirrored: the mirror has the negated scale and a unit with the
+    same lead, so the two leads cancel at a tied shift, and with the same tail too the
+    two terms cancel outright."""
+    terms = draw(st.lists(_TERM, min_size=1, max_size=4))
+    for shift, scale, unit in draw(st.lists(st.sampled_from(terms), max_size=3)):
+        tail = draw(st.one_of(st.just(unit[1:]), st.lists(st.integers(-3, 3), max_size=2)))
+        terms.append((shift, -scale, [unit[0], *tail]))
+    return draw(st.permutations(terms))
+
+
+def _order_by_summing(terms):
+    """The order of the sum of scale * r^shift * unit^2, every coefficient summed."""
+    total = {}
+    for shift, scale, unit in terms:
+        for i, a in enumerate(unit):
+            for j, b in enumerate(unit):
+                total[shift + i + j] = total.get(shift + i + j, 0) + scale * a * b
+    return min((exponent for exponent, c in total.items() if c), default=None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_terms_with_ties())
+@example([(0, 1, [1, 1]), (0, -1, [1, 2])])  # the leads cancel: order 1
+@example([(1, 2, [1, -1]), (1, -2, [1, -1])])  # the sum vanishes
+def test_order_of_sum_reads_a_unique_lowest_shift_and_sums_only_at_a_tie(terms):
+    assert variety._order_of_sum(*terms) == _order_by_summing(terms)
 
 
 def test_grid_cases_are_the_triples_in_each_case():
