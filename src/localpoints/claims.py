@@ -64,7 +64,6 @@ from .variety import (
     _env,
     _exact_context,
     _grid_cases,
-    _square_outcome,
     _zero_divisor,
     find_cover_equation,
     lift_along_cover,
@@ -510,17 +509,18 @@ def _build_place(parsed: ParsedClaim, tower: FieldTower) -> Place:
         _evaluate(center, position, generators, "place center", tower.rational), ram)
 
 
-def _build_bindings(
-    parsed: ParsedClaim, tower: FieldTower, place: Place, cache: dict
-) -> tuple[dict[str, RationalFunction | FormalSqrt], dict[str, RationalFunction]]:
-    """The point's bindings, and the values a check sees: t, r, generators, exact lets.
+def _build_point(
+    parsed: ParsedClaim, tower: FieldTower, place: Place
+) -> tuple[PointAssignment, dict[str, RationalFunction]]:
+    """The claim's point at place, and the values a check sees: t, r, generators, exact lets.
 
-    cache becomes the point's: the lets read t and the generators from its
+    The point gets a new cache: the lets read t and the generators from its
     _exact_context and fill its evaluate cache, so the exact system pass and
     the cover factor of the run reuse every operation the lets made.  Lets
     see only env, never each other.  The checks, where a let may shadow t,
     evaluate without the cache.
     """
+    cache: dict = {}
     coordinates, evaluated = _exact_context(cache, tower, place)
     env = {**coordinates, "r": r_function(tower, place)}
     bindings: dict[str, RationalFunction | FormalSqrt] = {}
@@ -528,7 +528,7 @@ def _build_bindings(
         value = _evaluate(rhs, position, env, "let", cache=evaluated)
         bindings[var] = FormalSqrt(value) if is_sqrt else value
     exact = {var: b for var, b in bindings.items() if not isinstance(b, FormalSqrt)}
-    return bindings, {**env, **exact}
+    return PointAssignment(place, bindings, cache), {**env, **exact}
 
 
 # the evidence keys of a claim on a point, written by verify_point, _verified, run_claim,
@@ -583,19 +583,16 @@ def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignm
     """Lift a verified point along its cover equation w^2 = g; cover is (base, w, g).
 
     The lift's witness must square to the square root the claim bound w to;
-    a cover factor that vanishes at the point has no lift to check.
+    a cover factor that vanishes at the point (_parity's "zero") has no lift to check.
     """
     base, variable, g = cover
     w_square = point.bindings[variable].square
     g_value = evaluate(g, *_env(base, point))
-    if g_value.is_zero():
-        evidence["lift"] = "zero"
+    lift = _parity(g_value, ("lifts", "obstructed"))
+    evidence["lift"] = lift["result"]
+    if lift["result"] != "lifts":  # only a lift that succeeds has a witness
         return "fail"
-    lift = _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"))
-    evidence["lift"] = lift.kind
-    if lift.kind != "lifts":  # only a lift that succeeds has a witness
-        return "fail"
-    witness = series_sqrt(g_value.to_puiseux(_root_precision(lift.order, precision)))
+    witness = series_sqrt(g_value.to_puiseux(_root_precision(lift["order"], precision)))
     square = witness * witness
     matches = square.matches(w_square._lift(witness.tower).to_puiseux(square.precision))
     evidence["witness"] = str(witness)
@@ -688,9 +685,7 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         system, cover = _build_system(parsed, tower, systems)
 
     def run(params: ClaimParams) -> tuple[str, dict]:
-        cache: dict = {}  # one run's exact evaluations: lets, system pass and cover factor
-        bindings, values = _build_bindings(parsed, tower, place, cache)
-        point = PointAssignment(place, bindings, cache)
+        point, values = _build_point(parsed, tower, place)
         if parsed.expect == "nonsquare":
             verdict, evidence = _nonsquare(parsed, values)
         elif parsed.expect == "obstructed":
@@ -822,8 +817,7 @@ def _golden_point(golden: ParsedClaim, cover: PolynomialSystem, n: int) -> tuple
     cache holds the lets' evaluations; the cover factor g of w^2 = g; and each base equation
     LHS = C*v^2 as (v, LHS, C)."""
     place = _build_place(golden, cover.tower).ramified(n)
-    cache: dict = {}
-    point = PointAssignment(place, _build_bindings(golden, cover.tower, place, cache)[0], cache)
+    point = _build_point(golden, cover.tower, place)[0]
     base, _, g = find_cover_equation(cover, point.bindings)
     return point, _env(cover, point), g, [(eq.rhs.right.base.name, eq.lhs, eq.rhs.left)
                                           for eq in base.equations]

@@ -2,10 +2,10 @@
 
 Everything lives at a place: the substitution t = c + r^e (or t = 1/r^e at
 infinity) turns fractional powers of t into integer powers of the parameter r.
-The RationalFunction backend is exact and authoritative; PuiseuxSeries is the
-truncated backend, used for truncated-mode evaluation and for square roots
-(series_sqrt).  Both derive from _Local and share one set of polynomial and
-power-series helpers.
+A value never leaves its place: the RationalFunction backend is exact and
+authoritative; PuiseuxSeries is the truncated backend, used for truncated-mode
+evaluation and for the square roots of even-order series (series_sqrt).  Both
+derive from _Local and share one set of polynomial and power-series helpers.
 """
 
 from __future__ import annotations
@@ -170,15 +170,6 @@ def _porder(p: Poly) -> int:
         if not a.is_zero():
             return i
     raise ZeroFunctionError("zero polynomial has no order")
-
-
-def _pramify(p: Poly, k: int, zero: FieldElement) -> Poly:
-    if not p or k == 1:
-        return p
-    out = [zero] * ((len(p) - 1) * k + 1)
-    for i, a in enumerate(p):
-        out[i * k] = a
-    return tuple(out)
 
 
 def _pembed(p: Poly, target: FieldTower) -> Poly:
@@ -446,13 +437,12 @@ class RationalFunction(_Local):
     algorithm from its remainder unless that is zero.  The cancelled pair is
     right up to a constant they share, which _monic removes.  Results whose
     operands are already coprime skip the proof and come from _coprime,
-    which only makes den monic:
-    -f, f*g and f/g (after their cross-cancellations), ramify and the
-    embedding into a taller tower.  Their coprimality follows from Bezout: a
-    coprime pair has u*num + v*den = 1, which survives r -> r^k and a field
-    extension, and products of pairwise coprime factors are coprime.  So do
-    constants, from_coeffs, r and t: each denominator is 1, or a power of r
-    against a unit numerator.
+    which only makes den monic: -f, f*g and f/g (after their
+    cross-cancellations) and the embedding into a taller tower.  Their
+    coprimality follows from Bezout: a coprime pair has u*num + v*den = 1,
+    which survives a field extension, and products of pairwise coprime factors
+    are coprime.  So do constants, from_coeffs, r and t: each denominator is 1,
+    or a power of r against a unit numerator.
     """
 
     __slots__ = ("num", "den")
@@ -575,18 +565,6 @@ class RationalFunction(_Local):
 
     def leading_coefficient(self) -> FieldElement:
         return self.num[_porder(self.num)] / self.den[_porder(self.den)]
-
-    def ramify(self, k: int) -> RationalFunction:
-        """Substitute r -> r^k, multiplying every order by k."""
-        if k < 1:
-            raise ValueError("ramification factor must be >= 1")
-        zero = self.tower.zero()
-        return RationalFunction._coprime(
-            self.tower,
-            self.place.ramified(k),
-            _pramify(self.num, k, zero),
-            _pramify(self.den, k, zero),
-        )
 
     def to_puiseux(self, precision: int = DEFAULT_PRECISION) -> PuiseuxSeries:
         """Expand at r = 0, agreeing with the exact function modulo r^precision."""
@@ -763,19 +741,6 @@ class PuiseuxSeries(_Local):
         coeffs = _series_quotient(a.coeffs, b.coeffs, precision - lead, a.tower.zero())
         return PuiseuxSeries(a.tower, a.place, lead, coeffs, precision)
 
-    def ramify(self, k: int) -> PuiseuxSeries:
-        """Substitute r -> r^k; lossless on truncated series."""
-        if k < 1:
-            raise ValueError("ramification factor must be >= 1")
-        zero = self.tower.zero()
-        return PuiseuxSeries(
-            self.tower,
-            self.place.ramified(k),
-            self.lead * k,
-            _pramify(self.coeffs, k, zero),
-            self.precision * k,
-        )
-
     def matches(self, other: PuiseuxSeries) -> bool:
         """Agreement of all coefficients known to both series."""
         a, b = self._pair(other)
@@ -818,22 +783,24 @@ def _fresh_root_name(tower: FieldTower) -> str:
 
 
 def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
-    """Square root of a truncated series, one coefficient at a time.
+    """Square root of a truncated series of even order, at its place, one
+    coefficient at a time.
 
-    Odd leading order doubles the ramification first; a leading coefficient
-    that is not a square in the tower gets its root adjoined to it.  The unit
-    part g, with g^2 = u the series over its leading term, stays in the
-    original tower: g_0 = 1 and 2*g_k = u_k - sum(g_j * g_{k-j}, 0 < j < k)
-    (Knuth, TAOCP vol. 2, 4.7), each g_k one multiply-accumulate
-    (field_tower._dot) over the products with j < k - j, which the sum holds
-    twice, and the middle square g_{k/2}^2 of an even k, which it holds once.
-    The root's tower is the input's, or that tower with the root of the
-    leading coefficient adjoined.
+    An odd order raises ValueError: over an algebraically closed residue field
+    the squares at a place are its even-order elements (is_square_local).  A
+    leading coefficient that is not a square in the tower gets its root
+    adjoined to it.  The unit part g, with g^2 = u the series over its leading
+    term, stays in the original tower: g_0 = 1 and
+    2*g_k = u_k - sum(g_j * g_{k-j}, 0 < j < k) (Knuth, TAOCP vol. 2, 4.7),
+    each g_k one multiply-accumulate (field_tower._dot) over the products with
+    j < k - j, which the sum holds twice, and the middle square g_{k/2}^2 of an
+    even k, which it holds once.  The root's tower is the input's, or that
+    tower with the root of the leading coefficient adjoined.
     """
     if f.is_zero():
         raise ZeroFunctionError("square root of a series that is zero to precision")
     if f.lead % 2:
-        f = f.ramify(2)
+        raise ValueError(f"a series of odd order {f.lead} has no square root at its place")
     half_lead = f.lead // 2
     tower = f.tower
     relative = f.precision - f.lead

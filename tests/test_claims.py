@@ -117,6 +117,10 @@ def _a_square(*args):
     return SquareOutcome("yes", 0)
 
 
+def _a_nonsquare(f):
+    return SquareOutcome("no", f.order_at_zero())
+
+
 def _doubled_witness(f, root=claims.series_sqrt):
     return 2 * root(f)
 
@@ -144,6 +148,9 @@ BROKEN_BUILTINS = [
      == ("obstructed", "lifts")),
     ("k3_lift_sqrt_t", claims, "series_sqrt", _doubled_witness,
      lambda ev: ev["lift"] == "lifts" and ev["witness_square_matches"] is False),
+    # the lift reads its parity through _parity: a non-square cover factor has no witness
+    ("k3_lift_sqrt_t", claims, "is_square_local", _a_nonsquare,
+     lambda ev: ev["lift"] == "obstructed" and "witness" not in ev),
     ("lemma91_property", variety, "_sample_orders", lambda *args: (1, 1, 1),
      lambda ev: ev["counterexamples"] and all(c["g_order"] == 1 for c in ev["counterexamples"])),
     ("lemma91_case_partition", variety, "valuation_case_predicates", lambda vu, vx: (True, True),

@@ -17,13 +17,13 @@ import re
 from pathlib import Path
 
 from localpoints.claims import (
-    _build_bindings,
     _build_place,
+    _build_point,
     load_claim_file,
     parse_claim_file,
     run_claim,
 )
-from localpoints.variety import PointAssignment, lift_along_cover
+from localpoints.variety import lift_along_cover
 
 GENERATED = Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
 SHIFTS = (-4, -1, 0, 2, 6)  # the k of each mutant's x -> (x) + r^k
@@ -73,9 +73,7 @@ def test_the_library_lift_agrees_with_each_obstructed_claim():
     for parsed in obstructed:
         system = registry[parsed.name].system
         place = _build_place(parsed, system.tower)
-        cache: dict = {}
-        point = PointAssignment(place, _build_bindings(parsed, system.tower, place, cache)[0],
-                                cache)
+        point = _build_point(parsed, system.tower, place)[0]
         lift = lift_along_cover(system, point)
         evidence = run_claim(parsed.name, registry).evidence
         assert (lift.kind, lift.order) == (evidence["result"], evidence["order"]), parsed.name

@@ -17,6 +17,7 @@ from localpoints.series import (
     RationalFunction,
     is_square_local,
     r_function,
+    series_sqrt,
     t_function,
 )
 from localpoints.variety import (
@@ -34,18 +35,6 @@ def test_ramified_infinity_place():
     assert t.valuation() == -1
     assert is_square_local(t).kind == "yes"
     assert is_square_local(t * r_function(QQ, place)).kind == "no"
-
-
-def test_series_ramify_scales_exponents_and_precision():
-    origin = Place.finite(QQ.zero(), 1)
-    series = PuiseuxSeries.from_terms(QQ, origin, {-1: 2, 3: 5}, 10)
-    doubled = series.ramify(2)
-    assert doubled.place.e == 2
-    assert doubled.lead == -2
-    assert doubled.precision == 20
-    assert doubled.coefficient(-2) == QQ.rational(2)
-    assert doubled.coefficient(6) == QQ.rational(5)
-    assert doubled.coefficient(1) == QQ.zero()
 
 
 def test_coefficient_beyond_precision_raises():
@@ -128,8 +117,6 @@ def test_truncated_verification_precision_is_min_of_bindings():
 
 def test_sqrt_of_zero_series_rejected():
     origin = Place.finite(QQ.zero(), 1)
-    from localpoints.series import series_sqrt
-
     with pytest.raises(ZeroFunctionError):
         series_sqrt(PuiseuxSeries.zero(QQ, origin, 5))
 
@@ -210,8 +197,6 @@ INPUT_CHECKS = [
      ZeroFunctionError, "zero polynomial has no order"),
     ("place_of_ramification_zero", lambda: Place(QQ.zero(), 0), ValueError,
      "ramification index must be >= 1"),
-    ("function_ramified_by_zero", lambda: ZERO_RF.ramify(0), ValueError,
-     "ramification factor must be >= 1"),
     # from_terms with no terms is the zero series
     ("order_of_a_series_with_no_terms",
      lambda: PuiseuxSeries.from_terms(QQ, ORIGIN, {}, 5).order_at_zero(), ZeroFunctionError,
@@ -220,8 +205,10 @@ INPUT_CHECKS = [
      ZeroFunctionError, "series is zero to precision"),
     ("inverse_of_the_zero_series", ZERO_SERIES.inverse, PrecisionExhaustedError,
      "inverting a series that is zero to precision"),
-    ("series_ramified_by_zero", lambda: ZERO_SERIES.ramify(0), ValueError,
-     "ramification factor must be >= 1"),
+    # a root of t at t = r would sit at t = r^2, another place
+    ("square_root_of_an_odd_order_series",
+     lambda: series_sqrt(t_function(QQ, ORIGIN).to_puiseux(5)), ValueError,
+     "a series of odd order 1 has no square root at its place"),
     ("squareness_of_zero", lambda: is_square_local(ZERO_RF), ZeroFunctionError,
      "squareness of the zero function is undefined"),
     # the blank and comment lines are skipped, and counted

@@ -22,6 +22,10 @@ from localpoints.series import (
 
 ORIGIN = Place.finite(QQ.zero(), 1)
 
+# the golden tower Q(alpha, beta): alpha^2 - alpha - 1 = 0 and beta^2 = -alpha
+_GOLDEN_BASE = adjoin_quadratic(QQ, "alpha", -1, -1)
+GOLDEN_TOWER = adjoin_quadratic(_GOLDEN_BASE, "beta", 0, _GOLDEN_BASE.gen("alpha"))
+
 GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
 
 # (_pgcd calls, _pdivmod calls, certificate calls, certificate hits) of the
@@ -245,27 +249,6 @@ def test_order_of_golden_cover_factor_is_one():
     assert g.valuation() == Fraction(1, 2)
 
 
-def test_ramify_scales_order():
-    f = rf([0, 1])  # t = r at e=1
-    assert f.ramify(2) == rf([0, 0, 1], place=Place.finite(QQ.zero(), 2))
-    g = rf([1, 2])
-    assert g.ramify(3) == rf([1, 0, 0, 2], place=Place.finite(QQ.zero(), 3))
-    rng = random.Random(5)
-    for _ in range(40):
-        num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 5))]
-        f = rf(num + [Fraction(1)], [Fraction(rng.randint(1, 3)), Fraction(1)])
-        k = rng.randint(1, 4)
-        assert f.ramify(k).order_at_zero() == k * f.order_at_zero()
-
-
-def test_ramify_is_multiplicative():
-    rng = random.Random(9)
-    for _ in range(30):
-        f = rf([Fraction(rng.randint(-4, 4)) for _ in range(3)] + [Fraction(1)])
-        g = rf([Fraction(rng.randint(-4, 4)) for _ in range(2)] + [Fraction(1)])
-        assert (f * g).ramify(3) == f.ramify(3) * g.ramify(3)
-
-
 def _towers():
     """Q, Q(i) and Q(i, j) with j^2 = i + 2: tower heights 0, 1 and 2."""
     with_i = adjoin_quadratic(QQ, "i", 0, 1)
@@ -299,7 +282,7 @@ def _random_pair(rng, tower, planted):
 
 def test_rf_results_are_in_normal_form_and_match_the_constructor():
     from localpoints.field_tower import embed
-    from localpoints.series import _pembed, _pgcd, _pmul, _pneg, _pramify, _psum
+    from localpoints.series import _pembed, _pgcd, _pmul, _pneg, _psum
 
     rng = random.Random(41)
     towers = _towers()
@@ -331,7 +314,6 @@ def test_rf_results_are_in_normal_form_and_match_the_constructor():
             (-f, place, _pneg(f_num), f_den),
             (f ** k, place, power(f_num, k), power(f_den, k)),
             (f ** -k, place, power(f_den, k), power(f_num, k)),
-            (f.ramify(k), place.ramified(k), _pramify(f_num, k, zero), _pramify(f_den, k, zero)),
             (f - f, place, (), (one,)),
         ]
         # embedding into the taller tower, directly and through a mixed product
@@ -568,17 +550,18 @@ def test_sqrt_of_even_monomial():
 
 
 def test_sqrt_of_minus_t_extends_tower_and_ramifies():
-    minus_t = PuiseuxSeries.from_terms(QQ, ORIGIN, {1: -1}, 20)
+    # at the ramified place t = r^2, -t is -r^2: its root i*r adjoins i and stays there
+    place = Place.finite(QQ.zero(), 2)
+    minus_t = -t_function(QQ, place).to_puiseux(20)
     root = series_sqrt(minus_t)
     tower = root.tower
     assert tower.height == 1
     imaginary = tower.gen(tower.generator_names[0])
     assert imaginary * imaginary == tower.rational(-1)
-    assert root.place.e == 2
+    assert root.place == place
     assert root.lead == 1
     assert root.leading_coefficient() == imaginary
-    # i*r squared is exactly -r^2 = -t
-    assert (root * root).matches(minus_t.ramify(2)._lift(tower))
+    assert (root * root).matches(minus_t._lift(tower))
 
 
 def test_sqrt_of_minus_alpha_stays_in_the_golden_tower():
@@ -602,18 +585,17 @@ def test_sqrt_roundtrip_randomized():
             return tower.element([Fraction(rng.randint(low, 5)) for _ in range(tower.dim)])
 
         for _ in range(100 if height == 0 else 25):
-            # over Q an even lead and a square leading coefficient; above it any lead,
-            # and a leading coefficient whose root the result may have to adjoin
-            lead = 2 * rng.randint(-3, 3) if height == 0 else rng.randint(-6, 6)
+            # an even lead; over Q a square leading coefficient, above it one whose root
+            # the result may have to adjoin
+            lead = 2 * rng.randint(-3, 3)
             terms = {lead: Fraction(rng.randint(1, 5)) ** 2 if height == 0 else coefficient(1)}
             for offset in range(1, rng.randint(2, 6)):
                 terms[lead + offset] = coefficient(-5)
             f = PuiseuxSeries.from_terms(tower, place, terms, lead + 15)
             root = series_sqrt(f)
-            even = f.ramify(2) if lead % 2 else f
-            assert (root.lead, root.precision) == (even.lead // 2,
-                                                   even.precision - even.lead // 2)
-            assert (root * root).matches(even._lift(root.tower))
+            assert (root.place, root.lead, root.precision) == (place, lead // 2,
+                                                               f.precision - lead // 2)
+            assert (root * root).matches(f._lift(root.tower))
 
 
 def test_a_square_root_takes_one_dot_per_known_term_past_the_first(monkeypatch):
@@ -624,13 +606,30 @@ def test_a_square_root_takes_one_dot_per_known_term_past_the_first(monkeypatch):
     monkeypatch.setattr(series, "_dot", lambda *args: calls.append(args) or dot(*args))
     for tower in _towers():
         place = Place.finite(tower.zero(), 1)
-        for lead, precision in ((0, 1), (0, 2), (2, 9), (-4, 16), (1, 6)):
+        for lead, precision in ((0, 1), (0, 2), (2, 9), (-4, 16)):
             f = PuiseuxSeries.from_terms(tower, place, {lead: 2, lead + 1: -1}, precision)
-            # the terms known past the lead, doubled when an odd lead ramifies
-            relative = (precision - lead) * (2 if lead % 2 else 1)
             calls.clear()
             series_sqrt(f)
-            assert len(calls) == relative - 1
+            assert len(calls) == precision - lead - 1
+
+
+@pytest.mark.parametrize("height", [0, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_series_has_a_root_at_its_place_exactly_when_it_is_a_local_square(height, data):
+    tower = QQ if height == 0 else GOLDEN_TOWER
+    lead = data.draw(st.integers(-6, 6))
+    coords = _sparse(data, tower.dim, st.integers(1, 6), forced=0)
+    precision = lead + len(coords) + data.draw(st.integers(0, 4))
+    place = Place.finite(tower.zero(), data.draw(st.integers(1, 3)))
+    f = PuiseuxSeries(tower, place, lead, _elements(tower, coords), precision)
+    if is_square_local(f).kind == "no":
+        with pytest.raises(ValueError, match=f"odd order {lead} has no square root"):
+            series_sqrt(f)
+        return
+    root = series_sqrt(f)
+    assert root.place == f.place
+    assert (root * root).matches(f._lift(root.tower))
 
 
 def test_is_square_local_parity():
