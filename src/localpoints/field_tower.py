@@ -553,6 +553,10 @@ class FieldElement:
         # each coefficient x/den printed as str(Fraction(x, den)) prints it
         names = self.tower.generator_names
         den = self.den
+        if not names:
+            # a rational is in lowest terms already
+            x = self.nums[0]
+            return str(x) if den == 1 else f"{x}/{den}"
         terms = []
         for index, x in enumerate(self.nums):
             if not x:

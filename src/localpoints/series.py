@@ -72,15 +72,33 @@ def _pneg(p: Poly) -> Poly:
     return tuple(-a for a in p)
 
 
+def _is_monomial(p: Poly) -> bool:
+    """True when p is c*r^k for a nonzero c: its one nonzero coefficient is its last."""
+    if not any(p[-1].nums):
+        return False
+    # a plain loop: these polynomials are short, and a generator costs twice the scan
+    for a in p[:-1]:
+        if any(a.nums):
+            return False
+    return True
+
+
 def _pmul(p: Poly, q: Poly, zero: FieldElement) -> Poly:
-    """p * q: _convolve's sparse products, one normalisation per output coefficient."""
+    """p * q: _convolve's sparse products, one normalisation per output coefficient.
+
+    A monomial factor c*r^k is a shift (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 2.1): the product is k zeros followed by c times the
+    other factor, trimmed, and no product at all when that is zero.
+    """
     if not p or not q:
         return ()
-    if len(p) == 1:
-        return _pscale(q, p[0])
-    if len(q) == 1:
-        return _pscale(p, q[0])
-    return _trim(_convolve(p, q, len(p) + len(q) - 1, zero.tower))
+    if _is_monomial(p):
+        p, q = q, p
+    elif not _is_monomial(q):
+        return _trim(_convolve(p, q, len(p) + len(q) - 1, zero.tower))
+    # q = c*r^k
+    scaled = _pscale(p, q[-1])
+    return (zero,) * (len(q) - 1) + scaled if scaled else ()
 
 
 def _integer_terms(p: Poly, size: int, height: int) -> tuple[list[tuple[int, int | Nums]], int]:
@@ -226,20 +244,25 @@ def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]
     """num and den divided by a common factor that leaves them coprime, up to
     one constant they share; only their ratio is defined.
 
-    A monomial operand cancels a power of r; otherwise the modular certificate
-    (_coprime_mod_p) proves most pairs coprime.  When it fails, the longer
-    operand is divided by the shorter one once.  A zero remainder makes the
-    shorter one the gcd, up to a constant, and the quotient is the answer;
-    otherwise Euclid's algorithm goes on from that remainder (Knuth, TAOCP
-    vol. 2, 4.6.1) and both operands are divided by the gcd.
+    A monomial operand cancels a power of r, and operands of equal length
+    with num = c*den, c = num[-1]/den[-1], cancel to c/1; otherwise the
+    modular certificate (_coprime_mod_p) proves most pairs coprime.  When it
+    fails, the longer operand is divided by the shorter one once.  A zero
+    remainder makes the shorter one the gcd, up to a constant, and the
+    quotient is the answer; otherwise Euclid's algorithm goes on from that
+    remainder (Knuth, TAOCP vol. 2, 4.6.1) and both operands are divided by
+    the gcd.
     """
     if len(num) < 2 or len(den) < 2:
         return num, den
-    if not any(any(a.nums) for a in num[:-1]) or not any(any(a.nums) for a in den[:-1]):
-        # one of them has no nonzero coefficient below its leading one: against
-        # a monomial the gcd is a power of r
+    if _is_monomial(num) or _is_monomial(den):
+        # against a monomial the gcd is a power of r
         shift = min(_porder(num), _porder(den))
         return num[shift:], den[shift:]
+    if len(num) == len(den):
+        ratio = num[-1] / den[-1]
+        if all(a == ratio * b for a, b in zip(num, den)):
+            return (ratio,), (zero.tower.one(),)
     if _coprime_mod_p(num, den, zero):
         return num, den
     swapped = len(num) < len(den)
@@ -442,7 +465,9 @@ class RationalFunction(_Local):
     coprimality follows from Bezout: a coprime pair has u*num + v*den = 1,
     which survives a field extension, and products of pairwise coprime factors
     are coprime.  So do constants, from_coeffs, r and t: each denominator is 1,
-    or a power of r against a unit numerator.
+    or a power of r against a unit numerator.  So does a sum of two values
+    whose denominators are powers of r: over the higher power r^k, the only
+    factor the numerator can share with it is a power of r, cancelled there.
     """
 
     __slots__ = ("num", "den")
@@ -500,6 +525,14 @@ class RationalFunction(_Local):
         if a.den == b.den:
             return RationalFunction(a.tower, a.place, _psum(a.num, b.num, sign), a.den)
         zero = a.tower.zero()
+        if _is_monomial(a.den) and _is_monomial(b.den):
+            # both are monic powers of r: sum over the higher one, r^(len(den) - 1),
+            # and cancel the power of r the numerator shares with it
+            den = max(a.den, b.den, key=len)
+            num = _psum((zero,) * (len(den) - len(a.den)) + a.num,
+                        (zero,) * (len(den) - len(b.den)) + b.num, sign)
+            shift = min(_porder(num), len(den) - 1) if num else 0
+            return RationalFunction._coprime(a.tower, a.place, num[shift:], den[shift:])
         num = _psum(_pmul(a.num, b.den, zero), _pmul(b.num, a.den, zero), sign)
         return RationalFunction(a.tower, a.place, num, _pmul(a.den, b.den, zero))
 
@@ -712,8 +745,14 @@ class PuiseuxSeries(_Local):
         # min(a.precision - a.lead, b.precision - b.lead) >= 1, here and in a quotient
         lead = a.lead + b.lead
         size = min(precision - lead, len(a.coeffs) + len(b.coeffs) - 1)
-        out = _convolve(a.coeffs, b.coeffs, size, a.tower)
-        return PuiseuxSeries(a.tower, a.place, lead, tuple(out), precision)
+        # a one-coefficient factor c*r^k scales the other's known coefficients by c
+        if len(b.coeffs) == 1:
+            out = _pscale(a.coeffs[:size], b.coeffs[0])
+        elif len(a.coeffs) == 1:
+            out = _pscale(b.coeffs[:size], a.coeffs[0])
+        else:
+            out = tuple(_convolve(a.coeffs, b.coeffs, size, a.tower))
+        return PuiseuxSeries(a.tower, a.place, lead, out, precision)
 
     __rmul__ = __mul__
 

@@ -46,8 +46,14 @@ GOLDEN_NONLIFT_WORK = (0, 0)
 # while series_sqrt took Newton steps, 2,274 while a cross-cancel whose
 # operands divide one another ran _pgcd and two more divisions, 2,228 while
 # solve_square gcd-reduced lhs/g, 1,957 while solve_square took a root the
-# claim never read, 87 while solve_square multiplied lhs/g out as a pair)
-GOLDEN_NONLIFT_N1_H1_MULS = 71
+# claim never read, 87 while solve_square multiplied lhs/g out as a pair, 71
+# while a product by a monomial c*r^k ran the full convolution)
+GOLDEN_NONLIFT_N1_H1_MULS = 64
+
+# (_convolve calls, calls with a monomial operand c*r^k) of one pass over the
+# claims of GENERATED_CLAIMS, per mode ((183, 175) exact and (266, 234)
+# truncated while a product by a monomial ran the full convolution)
+GENERATED_CONVOLUTIONS = {"exact": (8, 0), "truncated": (32, 0)}
 
 # (series_sqrt calls, _series_quotient calls) of one run of each builtin that
 # decides a local square (2 of each per golden_nonlift_n* while solve_square
@@ -186,6 +192,28 @@ def test_one_golden_claim_runs_a_pinned_number_of_height_one_products(monkeypatc
                         lambda a, b, levels, k: heights.append(k) or mul(a, b, levels, k))
     assert run_claim("golden_nonlift_n1", registry).verdict == "pass"
     assert heights.count(1) == GOLDEN_NONLIFT_N1_H1_MULS
+
+
+@pytest.mark.parametrize("mode", GENERATED_CONVOLUTIONS)
+def test_generated_claims_run_a_pinned_number_of_convolutions(monkeypatch, mode):
+    from localpoints import load_claim_file, run_all, series
+
+    registry = load_claim_file(str(GENERATED_CLAIMS), {})
+    monomial_operands = []
+    convolve = series._convolve
+
+    def monomial(p):
+        return bool(p) and bool(p[-1]) and not any(p[:-1])
+
+    def counted(p, q, size, tower):
+        monomial_operands.append(monomial(p) or monomial(q))
+        return convolve(p, q, size, tower)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    reports, _ = run_all(registry, mode=mode, precision=40)
+    assert [report.verdict for report in reports] == ["pass"] * 10
+    work = (len(monomial_operands), sum(monomial_operands))
+    assert work == GENERATED_CONVOLUTIONS[mode]
 
 
 def test_rf_zero_denominator_is_rejected_after_trimming():
@@ -359,9 +387,12 @@ def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
     from localpoints import series
 
     pgcd, pdivmod, pmul = series._pgcd, series._pdivmod, series._pmul
-    gcds, divisions = [], []
+    certificate = series._coprime_mod_p
+    gcds, divisions, certificates = [], [], []
     monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
     monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
+    monkeypatch.setattr(series, "_coprime_mod_p",
+                        lambda *a: certificates.append(a) or certificate(*a))
 
     def with_two_terms(rng, tower, degree):
         # a monomial operand takes the power-of-r shortcut, not a division
@@ -379,6 +410,7 @@ def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
     def work(make):
         gcds.clear()
         divisions.clear()
+        certificates.clear()
         made = make()
         return made, (len(gcds), len(divisions))
 
@@ -396,10 +428,13 @@ def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
             # num/1 times 1/den, and num/1 over den/1: one cross-cancel each
             top, bottom = (RationalFunction.from_coeffs(tower, place, list(p)) for p in (num, den))
             inverse = bottom ** -1
+            # num = c*den cancels to c/1 with no certificate and no division
+            proportional = len(num) == len(den)
             for make in (lambda: RationalFunction(tower, place, num, den),
                          lambda: top * inverse, lambda: top / bottom):
                 made, counts = work(make)
-                assert counts == (0, 1)
+                assert counts == ((0, 0) if proportional else (0, 1))
+                assert len(certificates) == (0 if proportional else 1)
                 assert (made.num, made.den) == (expected.num, expected.den)
 
     # a proper common factor still goes on to Euclid's algorithm
@@ -969,6 +1004,81 @@ def test_sparse_kernels_match_the_fraction_schoolbook(height, data):
     nterms = data.draw(st.integers(1, 10))
     same(_series_quotient(ep, _elements(tower, den), nterms, zero),
          _ref_quotient(tower, p, den, nterms))
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_monomial_factor_shifts_the_other_as_the_convolution_does(height, data):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[height]
+    zero = tower.zero()
+    # c*r^k, and q with zeros of its own: possibly empty, all zero or untrimmed
+    k = data.draw(st.integers(0, 4))
+    monomial = (zero,) * k + _elements(tower, _sparse(data, tower.dim, st.just(1), forced=0))
+    q = _elements(tower, _sparse(data, tower.dim, st.integers(0, 8)))
+    expected = series._trim(series._convolve(monomial, q, len(monomial) + len(q) - 1, tower))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_convolve", None)  # a shift runs no convolution
+        assert _raw(series._pmul(monomial, q, zero)) == _raw(expected)
+        assert _raw(series._pmul(q, monomial, zero)) == _raw(expected)
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_series_times_a_one_coefficient_series_is_the_convolution(height, data):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[height]
+    place = Place.finite(tower.zero(), 1)
+
+    def drawn(lengths):
+        lead = data.draw(st.integers(-3, 3))
+        coeffs = _elements(tower, _sparse(data, tower.dim, lengths, forced=0))
+        return PuiseuxSeries(tower, place, lead, coeffs, lead + data.draw(st.integers(1, 10)))
+
+    a, b = drawn(st.integers(1, 8)), drawn(st.just(1))
+    precision = min(a.precision + b.lead, b.precision + a.lead)
+    lead = a.lead + b.lead
+    size = min(precision - lead, len(a.coeffs))
+    expected = PuiseuxSeries(tower, place, lead,
+                             tuple(series._convolve(a.coeffs, b.coeffs, size, tower)), precision)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_convolve", None)  # a scaling runs no convolution
+        products = (a * b, b * a)
+    for product in products:
+        assert (product.lead, product.precision) == (expected.lead, expected.precision)
+        assert _raw(product.coeffs) == _raw(expected.coeffs)
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_pair_equal_up_to_a_constant_cancels_to_it_with_no_proof(height, data):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[height]
+    steps, zero = tower.steps, tower.zero()
+    # den has nonzero coefficients below its leading one, so it is no monomial
+    den = (_sparse(data, tower.dim, st.just(1), forced=0)
+           + _sparse(data, tower.dim, st.integers(1, 6), forced=-1))
+    c = _sparse(data, tower.dim, st.just(1), forced=0)[0]
+    num = _elements(tower, [_ref_mul(steps, c, d) for d in den])
+    den = _elements(tower, den)
+    certificates, divisions = [], []
+    certificate, pdivmod = series._coprime_mod_p, series._pdivmod
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_coprime_mod_p", lambda *a: certificates.append(a) or certificate(*a))
+        patch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
+        cancelled = series._cross_cancel(num, den, zero)
+        assert (certificates, divisions) == ([], [])
+        # num + 1 = c*den + 1 is not a constant multiple of den
+        shifted = series._cross_cancel((num[0] + 1,) + num[1:], den, zero)
+    assert _raw(cancelled[0]) == _raw([tower.element(c)])
+    assert _raw(cancelled[1]) == _raw([tower.one()])
+    assert len(shifted[1]) > 1
 
 
 def test_products_multiply_only_nonzero_pairs(monkeypatch):
