@@ -194,7 +194,7 @@ class ParsedClaim:
         self.orbifold: OrbifoldCurve | None = None
         self.assertions: list = []  # (at, key, text)
         self.description: str | None = None
-        # identity and order lines: kind, label, an order's integer, (text, position) of each side
+        # identity and order lines: kind, label, an order's integer or "odd", each side's (text, at)
         self.checks: list = []
 
 
@@ -312,7 +312,7 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
                 rhs, column = rhs[len("sqrt("):-1], column + len("sqrt(")
             current.lets.append(((lineno, column), var.strip(), rhs, is_sqrt))
         elif keyword == "expect:":
-            if rest not in ("pass", "obstructed", "nonsquare", "lifts"):
+            if rest not in ("pass", "obstructed", "lifts"):
                 raise ClaimSyntaxError(f"unknown expectation {rest!r}", lineno, column)
             current.expect = rest
         elif keyword == "description:":
@@ -327,8 +327,8 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
             if not (colon and label.isidentifier() and eq and left.strip()):
                 raise ClaimSyntaxError(f"expected {kind} LABEL: EXPR = EXPR", lineno, start)
             right, right_column = _rest(body, column, len(left) + 1)
-            order = None if kind == "identity" else read_integer(
-                right, lineno, right_column, "an order is an integer")
+            order = None if kind == "identity" else right if right == "odd" else read_integer(
+                right, lineno, right_column, "an order is an integer or odd")
             keys = {label} if kind == "identity" else {f"{label}_order", f"{label}_valuation"}
             if keys & taken:
                 raise ClaimSyntaxError(f"the evidence key {min(keys & taken)!r} is already taken",
@@ -367,11 +367,9 @@ def parse_claim_file(text: str) -> list[ParsedClaim]:
         if not orbifold and parsed.place is None:
             raise ClaimSyntaxError(f"claim {parsed.name!r} has no place", parsed.line, 1)
         _check_exponents(parsed)
-        if parsed.expect == "nonsquare" and len(parsed.system_lines) != 1:
-            raise ClaimSyntaxError("a nonsquare claim takes exactly one expression", parsed.line, 1)
         # a system reads t and the generators as themselves, so no let may rebind them
-        # there; a nonsquare claim's checks may see a let that shadows t
-        if parsed.expect != "nonsquare":
+        # there; the checks of a claim with no system may see a let that shadows t
+        if parsed.system_lines:
             generators = {name for _, name, _ in parsed.adjoins}
             for name, lineno, column in let_names.get(parsed.line, ()):
                 if name == "t" or name in generators:
@@ -399,8 +397,8 @@ def _evaluate(text: str, position: Position, env: dict, where: str,
         at = next((at_line, at_column) for _, word, at_line, at_column
                   in _tokenize(text, *position) if word == name)
         if any(var == name for _, var, _, _ in lets):
-            raise ClaimSyntaxError(f"{name!r} is a square-root let; checks and nonsquare "
-                                   "expressions read only exact lets", *at)
+            raise ClaimSyntaxError(f"{name!r} is a square-root let; checks read only exact lets",
+                                   *at)
         raise ClaimSyntaxError(f"undeclared identifier {name!r} in {where}", *at)
     const = const or env["t"]._constant
     cache = {} if cache is None else cache
@@ -532,10 +530,10 @@ def _build_point(
 
 
 # the evidence keys of a claim on a point, written by verify_point, _verified, run_claim,
-# _obstructed, _nonsquare, _parity and _lift_verdict: no check may write one of them
+# _obstructed, _parity and _lift_verdict: no check may write one of them
 EVIDENCE_KEYS = frozenset((
     "mode place passed equations inequations bindings reason precision detail cover_variable "
-    "result order expression lift witness witness_order witness_square_matches").split())
+    "result order lift witness witness_order witness_square_matches").split())
 
 
 def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
@@ -548,28 +546,21 @@ def _checks_hold(parsed: ParsedClaim, values: dict, evidence: dict) -> bool:
             evidence[label] = "exact" if ok else "failed"
         else:  # the zero function has no order, so no order check holds for it
             order = None if value.is_zero() else value.order_at_zero()
-            ok = order == expected
+            ok = order is not None and (order % 2 == 1 if expected == "odd" else order == expected)
             evidence[f"{label}_order"] = order
             evidence[f"{label}_valuation"] = None if order is None else str(value.valuation())
         holds = holds and ok
     return holds
 
 
-def _parity(value: RationalFunction, names: tuple[str, str]) -> dict:
-    """The squareness evidence of an exact value, its result named by names (square,
-    nonsquare); the zero function has no order, so it is "zero" and certifies nothing."""
+def _parity(value: RationalFunction) -> dict:
+    """The squareness evidence of an exact cover factor: "lifts" at a local square,
+    "obstructed" at a non-square; the zero function has no order, so it is "zero" and
+    certifies nothing."""
     if value.is_zero():
         return {"result": "zero", "order": None}
     check = is_square_local(value)
-    return {"result": names[check.kind == "no"], "order": check.order}
-
-
-def _nonsquare(parsed: ParsedClaim, values: dict) -> tuple[str, dict]:
-    """The claim's one expression, over the check values, certified a local non-square."""
-    position, text = parsed.system_lines[0]
-    value = _evaluate(text, position, values, "nonsquare", lets=parsed.lets)
-    evidence = {"expression": text, **_parity(value, ("witness", "nonsquare"))}
-    return ("pass" if evidence["result"] == "nonsquare" else "fail"), evidence
+    return {"result": "obstructed" if check.kind == "no" else "lifts", "order": check.order}
 
 
 def _root_precision(order: int, precision: int) -> int:
@@ -588,7 +579,7 @@ def _lift_verdict(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignm
     base, variable, g = cover
     w_square = point.bindings[variable].square
     g_value = evaluate(g, *_env(base, point))
-    lift = _parity(g_value, ("lifts", "obstructed"))
+    lift = _parity(g_value)
     evidence["lift"] = lift["result"]
     if lift["result"] != "lifts":  # only a lift that succeeds has a witness
         return "fail"
@@ -628,7 +619,7 @@ def _orbifold_claim(parsed: ParsedClaim) -> Claim:
 
 def _kind(parsed: ParsedClaim) -> str:
     """The kind of a claim on a point, read off its text."""
-    if parsed.expect == "nonsquare" or any(kind == "order" for kind, *_ in parsed.checks):
+    if any(kind == "order" for kind, *_ in parsed.checks):
         return "squareness_certificate"
     return "lift_test" if parsed.expect in ("obstructed", "lifts") else "point_verification"
 
@@ -664,15 +655,15 @@ def _obstructed(cover: tuple[PolynomialSystem, str, Expr], point: PointAssignmen
     verdict, evidence = _verified(base, point, "exact", params.precision)
     if verdict != "pass":
         return verdict, evidence
-    evidence = {"cover_variable": variable,
-                **_parity(evaluate(g, *_env(base, point)), ("lifts", "obstructed"))}
+    evidence = {"cover_variable": variable, **_parity(evaluate(g, *_env(base, point)))}
     return ("pass" if evidence["result"] == "obstructed" else "fail"), evidence
 
 
 def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Claim:
     """The claim a parsed block declares, its system checked here, so that a run only parses
-    and evaluates its let, check and nonsquare expressions; towers is shared by
-    _build_tower, systems by _shared_system."""
+    and evaluates its let and check expressions; towers is shared by _build_tower, systems
+    by _shared_system.  A claim with no system lines verifies no point: its evidence is
+    its checks'."""
     if parsed.orbifold is not None:
         return _orbifold_claim(parsed)
     tower = _build_tower(parsed, towers)
@@ -681,13 +672,13 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
         raise ClaimSyntaxError(f"claim {parsed.name!r} checks nothing: it has no system "
                                "and no identity or order line", parsed.line, 1)
     system = cover = None
-    if parsed.expect != "nonsquare":
+    if parsed.system_lines or parsed.expect != "pass":  # a cover claim needs its cover equation
         system, cover = _build_system(parsed, tower, systems)
 
     def run(params: ClaimParams) -> tuple[str, dict]:
         point, values = _build_point(parsed, tower, place)
-        if parsed.expect == "nonsquare":
-            verdict, evidence = _nonsquare(parsed, values)
+        if system is None:
+            verdict, evidence = "pass", {}
         elif parsed.expect == "obstructed":
             verdict, evidence = _obstructed(cover, point, params)
         else:
@@ -700,7 +691,7 @@ def _claim_from_parsed(parsed: ParsedClaim, towers: dict, systems: dict) -> Clai
 
     return Claim(parsed.name, _kind(parsed),
                  parsed.description or f"claim-file check ({parsed.expect})",
-                 run, system if parsed.system_lines else None)
+                 run, system)
 
 
 def load_claim_file(path: str, registry: Mapping[str, Claim] | None = None) -> dict[str, Claim]:
@@ -844,8 +835,7 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
         twist = r_function(cover.tower, point.place) ** 2
-        plain, twisted = (_parity(value, ("lifts", "obstructed"))
-                          for value in (g_value, g_value * twist))
+        plain, twisted = (_parity(value) for value in (g_value, g_value * twist))
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -874,8 +864,7 @@ def _two_forms(golden: ParsedClaim, cover: PolynomialSystem,
         for label, lhs, c in equations}}, point.cache)
     # lift_along_cover checks that the point really is a point of the base system
     plain = lift_along_cover(cover, point)
-    twisted = _parity(evaluate(g, *context) * r_function(cover.tower, point.place) ** 2,
-                      ("lifts", "obstructed"))
+    twisted = _parity(evaluate(g, *context) * r_function(cover.tower, point.place) ** 2)
     ok = plain.kind == twisted["result"] == "obstructed"
     return ("pass" if ok else "fail"), {
         "plain_form": {"result": plain.kind, "order": plain.order},
@@ -908,7 +897,8 @@ def _square_lift_property(params: ClaimParams) -> tuple[str, dict]:
 
 
 def _case_partition(params: ClaimParams) -> dict:
-    """The grid's points and violations, read off the sweep's own walk (_grid_cases)."""
+    """The grid's points and violations, from one walk (_grid_cases) per run, as each sweep
+    walks it: a process-wide memo would leave a traced sweep no predicate calls to divide by."""
     by_case, violations = _grid_cases()
     return {"grid_points": sum(map(len, by_case.values())) + len(violations),
             "violations": violations}

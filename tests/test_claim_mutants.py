@@ -5,8 +5,7 @@ The texts are claims_example.txt and the builtins written in the claim
 language.  Each mutant deletes, duplicates or swaps a line, drops or replaces
 one token, or renames a let to t or to a generator.  It runs with no builtins,
 so only its own claims run.  A claim's system is parsed and checked when it
-loads, so the only faults left to a run are in let, check and nonsquare
-expressions.
+loads, so the only faults left to a run are in let and check expressions.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from localpoints.errors import ClaimSyntaxError, DuplicateClaimError
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "claims_example.txt"
 # messages of the rules loading checks, which no run may raise
-LOAD_ONLY = ("has no place", "takes exactly one expression", "needs an orbifold line",
+LOAD_ONLY = ("has no place", "needs an orbifold line",
              "an orbifold fact takes no", "place: t = CENTER ram E",
              "ramification must be a positive integer", "in place center",
              "a claim takes one", "generator name", "a let may not bind",
@@ -93,11 +92,11 @@ def _sweep(tmp_path: Path, text: str) -> None:
             outcomes["load error"] += 1
             continue
         # every line that starts with `place:` is read whole when the file loads, and
-        # so is every system line but the one expression of a nonsquare claim
+        # so is every system line
         place_lines = {n for n, line in enumerate(mutant, start=1)
                        if line.split("#", 1)[0].strip().startswith("place:")}
         system_lines = {line for parsed in parse_claim_file("\n".join(mutant))
-                        if parsed.expect != "nonsquare" for (line, _), _ in parsed.system_lines}
+                        for (line, _), _ in parsed.system_lines}
         for name in registry:
             try:
                 outcomes[run_claim(name, registry).verdict] += 1

@@ -294,10 +294,8 @@ expect: obstructed
 
 NONSQUARE_FILE = """\
 claim file_t_not_square
-system:
-  t
 place: t = 0 ram 1
-expect: nonsquare
+order t: t = odd
 """
 
 ORBIFOLD_FILE = """\
@@ -352,17 +350,17 @@ def test_an_obstructed_claim_whose_cover_factor_is_a_square_fails_at_every_preci
         "fail", {"cover_variable": "w", "result": "lifts", "order": 2})
 
 
-def test_file_nonsquare_and_obstructed_claims_fail_when_squareness_is_broken(
-        tmp_path, monkeypatch, registry):
-    # both take their squareness from claims._parity, so a broken squareness test must
-    # fail them both, not pass them
+def test_an_obstructed_claim_fails_when_squareness_is_broken(tmp_path, monkeypatch, registry):
+    # an obstructed claim takes its squareness from claims._parity, so a broken squareness
+    # test must fail it, not pass it; an odd-order check never read _parity: it reads the
+    # order itself, so the patch leaves its verdict alone
     path = tmp_path / "claims.txt"
     path.write_text(NONSQUARE_FILE + "\n" + OBSTRUCTED_FILE, encoding="utf-8")
     extended = load_claim_file(str(path), registry)
     monkeypatch.setattr(claims, "is_square_local", _a_square)
     nonsquare = run_claim("file_t_not_square", extended)
     obstructed = run_claim("file_golden_obstruction", extended)
-    assert (nonsquare.verdict, nonsquare.evidence["result"]) == ("fail", "witness")
+    assert (nonsquare.verdict, nonsquare.evidence["t_order"]) == ("pass", 1)
     assert (obstructed.verdict, obstructed.evidence["result"]) == ("fail", "lifts")
 
 
@@ -372,7 +370,7 @@ def test_load_nonsquare_claim_file(tmp_path, registry):
     extended = load_claim_file(str(path), registry)
     report = run_claim("file_t_not_square", extended)
     assert report.verdict == "pass"
-    assert report.evidence["order"] == 1
+    assert report.evidence == {"t_order": 1, "t_valuation": "1"}
 
 
 def test_load_orbifold_claim_file(tmp_path, registry):
@@ -492,6 +490,7 @@ def test_shipped_example_claim_file(registry):
         "example_half_point",
         "example_t_is_not_a_square",
         "example_unramified_obstruction",
+        "fibration_singular_fibres_move",
     ]
     for name in new_names:
         assert run_claim(name, extended).verdict == "pass", name
@@ -843,7 +842,7 @@ def test_golden_claim_reads_its_orders_from_the_cover_system():
 
 
 def test_every_claim_system_roundtrips_over_its_own_tower(registry):
-    # a nonsquare claim has one expression, not a system, so it records no system
+    # a claim with no system lines verifies no point, so it records no system
     generated = pathlib.Path(__file__).resolve().parent / "data" / "generated_points_seed1.txt"
     extended = load_claim_file(str(generated), load_claim_file(str(EXAMPLE), registry))
     checked = 0
@@ -857,9 +856,9 @@ def test_every_claim_system_roundtrips_over_its_own_tower(registry):
     assert checked == 16 + 2 + 10
     for name in ("golden_nonlift_n1", "k3_cover_two_forms_obstructed"):
         assert extended[name].system.tower.generator_names == ("alpha", "beta")
-    nonsquare = [parsed.name for parsed in parse_claim_file(EXAMPLE.read_text(encoding="utf-8"))
-                 if parsed.expect == "nonsquare"]
-    assert nonsquare and all(extended[name].system is None for name in nonsquare)
+    checks_only = [parsed.name for parsed in parse_claim_file(EXAMPLE.read_text(encoding="utf-8"))
+                   if parsed.orbifold is None and not parsed.system_lines]
+    assert len(checks_only) == 3 and all(extended[name].system is None for name in checks_only)
 
 
 def test_a_check_that_reads_a_square_root_let_names_the_rule(tmp_path):
@@ -868,8 +867,8 @@ def test_a_check_that_reads_a_square_root_let_names_the_rule(tmp_path):
                     "let y = sqrt(t)\norder k: y = 1\n", encoding="utf-8")
     with pytest.raises(ClaimSyntaxError) as err:
         run_claim("sqrt_in_order", load_claim_file(str(path), {}))
-    assert str(err.value) == ("line 6, column 10: 'y' is a square-root let; checks and "
-                              "nonsquare expressions read only exact lets")
+    assert str(err.value) == ("line 6, column 10: 'y' is a square-root let; checks read only "
+                              "exact lets")
 
 
 # inputs that ended in a traceback (and `general_type: yes`, which read as false);
@@ -905,7 +904,7 @@ POSITIONED_ERRORS = [
     ("exponent_in_a_place_center", "place: t = 2^1001 ram 1\nsystem:\n  x = 1\nlet x = 1", 2, 14),
     ("exponent_in_a_degree", "orbifold genus 0 marks [2, 3]\ndegree: 2^1001", 3, 11),
     ("nonsquare_target_uses_a_sqrt_let",
-     "system:\n  1 + y\nplace: t = 0 ram 1\nlet y = sqrt(t)\nexpect: nonsquare", 3, 7),
+     "place: t = 0 ram 1\nlet y = sqrt(t)\norder target: 1 + y = odd", 4, 19),
     ("sqrt_let_with_an_odd_power",
      "system:\n  y = t\nplace: t = 0 ram 1\nlet y = sqrt(t)", 5, 9),
     ("generator_adjoined_twice", "adjoin s : s^2 - 2 = 0\nadjoin s : s^2 - 3 = 0", 3, 8),
@@ -1043,10 +1042,8 @@ system:
 place: t = 0 ram 2
 let x = 1/t
 claim nonsquare
-system:
-  t
 place: t = 0 ram 1
-expect: nonsquare
+order odd_t: t = odd
 """
 
 
@@ -1056,7 +1053,7 @@ def test_every_evidence_key_of_a_claim_is_one_its_checks_may_not_take(tmp_path):
     path.write_text(EVERY_OUTCOME.replace("claim ", checks + "claim ")[len(checks):] + checks,
                     encoding="utf-8")
     registry = load_claim_file(str(path), {})
-    check_keys = {"same", "of_r_order", "of_r_valuation"}
+    check_keys = {"same", "of_r_order", "of_r_valuation", "odd_t_order", "odd_t_valuation"}
     verdicts, written = set(), set()
     for mode, precision in (("exact", 40), ("truncated", 2)):
         for name in registry:
@@ -1177,29 +1174,52 @@ def test_lifts_claim_whose_cover_factor_vanishes_fails(tmp_path, capsys, mode):
     assert out.endswith("failures: zero_cover\n")
 
 
+# an odd order certifies a local non-square; the zero function has no order, so it fails
 @pytest.mark.parametrize(
-    "target, verdict, result, order",
-    [("r", "pass", "nonsquare", 1), ("t - t", "fail", "zero", None),
-     ("t^2", "fail", "witness", 2)],
+    "target, verdict, order",
+    [("r", "pass", 1), ("t - t", "fail", None), ("t^2", "fail", 2)],
     ids=["local_parameter", "zero", "square"],
 )
-def test_nonsquare_target(tmp_path, registry, target, verdict, result, order):
+def test_nonsquare_target(tmp_path, registry, target, verdict, order):
     path = tmp_path / "claims.txt"
-    path.write_text(f"claim target\nsystem:\n  {target}\nplace: t = 0 ram 1\nexpect: nonsquare\n",
+    path.write_text(f"claim target\nplace: t = 0 ram 1\norder target: {target} = odd\n",
                     encoding="utf-8")
     report = run_claim("target", load_claim_file(str(path), registry))
     assert report.verdict == verdict
-    assert report.evidence == {"expression": target, "result": result, "order": order}
+    assert report.evidence == {"target_order": order,
+                               "target_valuation": None if order is None else str(order)}
+
+
+CHECKS_ONLY = """\
+claim checks_only
+place: t = 0 ram 2
+let g = t*(1 + r)
+identity g_at_r: g = r^2 + r^3
+order g: g = 2
+order certificate: r*g = odd
+"""
+
+
+@pytest.mark.parametrize("options", [{}, {"mode": "truncated", "precision": 2}],
+                         ids=["exact", "truncated_p2"])
+def test_a_claim_with_checks_only_reports_its_check_keys_alone(tmp_path, options):
+    # it verifies no point, so it writes no mode, passed, equations, inequations or bindings
+    path = tmp_path / "claims.txt"
+    path.write_text(CHECKS_ONLY, encoding="utf-8")
+    registry = load_claim_file(str(path), {})
+    assert registry["checks_only"].system is None
+    report = run_claim("checks_only", registry, **options)
+    assert report.verdict == "pass"
+    assert report.evidence == {"g_at_r": "exact", "g_order": 2, "g_valuation": "1",
+                               "certificate_order": 3, "certificate_valuation": "3/2"}
 
 
 REPEATED_LETS = """\
 claim repeated_lets
-system:
-  g
 place: t = 0 ram 1
 let a = (t^2 + 1)*(t^2 + 1)
 let g = t*(t^2 + 1)
-expect: nonsquare
+order g: g = odd
 """
 
 
@@ -1235,14 +1255,12 @@ def test_a_let_that_shadows_t_keeps_its_check_verdicts(tmp_path):
     path = tmp_path / "claims.txt"
     path.write_text(
         "claim shadowed_t\n"
-        "system:\n"
-        "  g\n"
         "place: t = 0 ram 1\n"
         "let t = t + 1\n"
         "let g = t*(t + 1)\n"
         "identity shadow: t = r + 1\n"
         "identity product: g = r*(r + 1)\n"
-        "expect: nonsquare\n",
+        "order g: g = odd\n",
         encoding="utf-8",
     )
     report = run_claim("shadowed_t", load_claim_file(str(path), {}))
@@ -1399,16 +1417,19 @@ STATIC_ERRORS = [
      "line 2, column 8: place: t = CENTER ram E"),
     ("place_center_undeclared", "place: t = q\nsystem:\n  x = 1\nlet x = 1",
      "line 2, column 12: undeclared identifier 'q' in place center"),
-    ("nonsquare_with_two_expressions",
-     "system:\n  t\n  t + 1\nplace: t = 0 ram 1\nexpect: nonsquare",
-     "line 1, column 1: a nonsquare claim takes exactly one expression"),
+    # a cover claim needs its cover equation, so it needs a system
+    ("lifts_without_a_system", "place: t = 0 ram 2\norder k: r = 1\nexpect: lifts",
+     "line 1, column 1: lifts: no cover equation w^2 = g"),
+    # an odd order is an order check (order LABEL: EXPR = odd), not an expectation
+    ("nonsquare_is_no_expectation", "system:\n  t\nplace: t = 0 ram 1\nexpect: nonsquare",
+     "line 5, column 9: unknown expectation 'nonsquare'"),
     ("ramification_arabic_indic", "place: t = 0 ram ٢\nsystem:\n  x = 1\nlet x = 1",
      "line 2, column 18: ramification must be a positive integer"),
     ("order_arabic_indic", "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\norder g: t = ٢",
-     "line 6, column 14: an order is an integer"),
+     "line 6, column 14: an order is an integer or odd"),
     ("order_with_two_minus_signs",
      "place: t = 0 ram 1\nsystem:\n  x = 1\nlet x = 1\norder g: t = --2",
-     "line 6, column 14: an order is an integer"),
+     "line 6, column 14: an order is an integer or odd"),
     ("genus_arabic_indic", "orbifold genus ٢ marks [2, 3]",
      "line 2, column 16: the genus is a nonnegative integer"),
     ("mark_arabic_indic", "orbifold genus 0 marks [2, ٢]",
@@ -1427,7 +1448,7 @@ STATIC_ERRORS = [
     ("place_twice", "place: t = 0 ram 2\nplace: t = 1 ram 1\nsystem:\n  x = 1\nlet x = 1",
      "line 3, column 1: a claim takes one 'place:' line"),
     ("expect_twice",
-     "system:\n  t\nplace: t = 0 ram 1\nexpect: nonsquare\n  expect: pass",
+     "system:\n  t\nplace: t = 0 ram 1\nexpect: lifts\n  expect: pass",
      "line 6, column 3: a claim takes one 'expect:' line"),
     ("orbifold_twice", "orbifold genus 0 marks [2]\norbifold genus 1 marks []",
      "line 3, column 1: a claim takes one 'orbifold' line"),
