@@ -244,7 +244,22 @@ def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]
     """num and den divided by a common factor that leaves them coprime, up to
     one constant they share; only their ratio is defined.
 
-    A monomial operand cancels a power of r, and operands of equal length
+    r is prime in K[r] and divides neither r-free part, so with num = r^i*n
+    and den = r^j*d the gcd is r^min(i, j) times gcd(n, d): the power of r
+    cancels with no proof, and only n and d go through _cancel_r_free.
+    """
+    if len(num) < 2 or len(den) < 2:
+        return num, den
+    i, j = _porder(num), _porder(den)
+    shift = min(i, j)
+    num, den = _cancel_r_free(num[i:], den[j:], zero)
+    return (zero,) * (i - shift) + num, (zero,) * (j - shift) + den
+
+
+def _cancel_r_free(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]:
+    """_cross_cancel for num and den with nonzero constant terms.
+
+    A constant operand is coprime to the other, and operands of equal length
     with num = c*den, c = num[-1]/den[-1], cancel to c/1; otherwise the
     modular certificate (_coprime_mod_p) proves most pairs coprime.  When it
     fails, the longer operand is divided by the shorter one once.  A zero
@@ -255,10 +270,6 @@ def _cross_cancel(num: Poly, den: Poly, zero: FieldElement) -> tuple[Poly, Poly]
     """
     if len(num) < 2 or len(den) < 2:
         return num, den
-    if _is_monomial(num) or _is_monomial(den):
-        # against a monomial the gcd is a power of r
-        shift = min(_porder(num), _porder(den))
-        return num[shift:], den[shift:]
     if len(num) == len(den):
         ratio = num[-1] / den[-1]
         if all(a == ratio * b for a, b in zip(num, den)):
@@ -455,13 +466,14 @@ class RationalFunction(_Local):
 
     Normal form: numerator and denominator coprime, denominator monic.  It is
     unique, so equality and hashing compare num and den.  The constructor
-    proves coprimality in _cross_cancel: a modular certificate, then, when
-    it fails, one division of the longer operand by the shorter and Euclid's
-    algorithm from its remainder unless that is zero.  The cancelled pair is
-    right up to a constant they share, which _monic removes.  Results whose
-    operands are already coprime skip the proof and come from _coprime,
-    which only makes den monic: -f, f*g and f/g (after their
-    cross-cancellations) and the embedding into a taller tower.  Their
+    proves coprimality in _cross_cancel: the common power of r cancels with
+    no proof, and only the r-free parts take a modular certificate, then,
+    when it fails, one division of the longer part by the shorter and
+    Euclid's algorithm from its remainder unless that is zero.  The
+    cancelled pair is right up to a constant they share, which _monic
+    removes.  Results whose operands are already coprime skip the proof
+    and come from _coprime, which only makes den monic: -f, f*g and f/g
+    (after their cross-cancellations) and the embedding into a taller tower.  Their
     coprimality follows from Bezout: a coprime pair has u*num + v*den = 1,
     which survives a field extension, and products of pairwise coprime factors
     are coprime.  So do constants, from_coeffs, r and t: each denominator is 1,
@@ -478,8 +490,7 @@ class RationalFunction(_Local):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if num:
-            shift = min(_porder(num), _porder(den))
-            num, den = _cross_cancel(num[shift:], den[shift:], tower.zero())
+            num, den = _cross_cancel(num, den, tower.zero())
         self.tower = tower
         self.place = place
         self.num, self.den = _monic(num, den, tower.one())

@@ -20,7 +20,7 @@ from localpoints.errors import ClaimSyntaxError, DuplicateClaimError, UnknownCla
 from localpoints.exprs import MAX_EXPONENT, MAX_POWER_DEGREE, MAX_RAMIFICATION
 from localpoints.field_tower import adjoin_quadratic
 from localpoints.orbifold import INF, OrbifoldCurve
-from localpoints.series import SquareOutcome
+from localpoints.series import SquareOutcome, is_square_local
 from localpoints.variety import parse_system, print_system
 
 EXAMPLE = pathlib.Path(__file__).resolve().parent.parent / "claims_example.txt"
@@ -494,6 +494,27 @@ def test_shipped_example_claim_file(registry):
     ]
     for name in new_names:
         assert run_claim(name, extended).verdict == "pass", name
+
+
+def test_the_example_points_bind_only_square_roots_of_even_order():
+    # a point is a local point at its place only when each square root it binds is a
+    # local square there, a radicand of even order; a claim with no system has no point
+    outcomes = {}
+    for parsed in parse_claim_file(EXAMPLE.read_text(encoding="utf-8")):
+        if parsed.expect not in ("pass", "obstructed") or not parsed.system_lines:
+            continue
+        tower = claims._build_tower(parsed, {})
+        point, _ = claims._build_point(parsed, tower, claims._build_place(parsed, tower))
+        for var, value in point.bindings.items():
+            if isinstance(value, variety.FormalSqrt):
+                outcome = is_square_local(value.square)
+                outcomes[parsed.name, var] = outcome.kind, outcome.order
+    assert outcomes == {
+        ("example_half_point", "y"): ("yes", 0),
+        ("example_half_point", "z"): ("yes", -6),
+        ("example_unramified_obstruction", "y"): ("yes", 0),
+        ("example_unramified_obstruction", "z"): ("yes", 2),
+    }
 
 
 def test_run_all_reports_corrupted_entry():
@@ -1131,7 +1152,7 @@ def test_example_file_with_a_line_dropped_exits_two(tmp_path, capsys, claim, dro
 
 @pytest.mark.parametrize(
     "line, edited",
-    [("let x = 0", "let x = 1"), ("  w^2 = t^2*u^2 - t", "  w^2 = t^2*u^2 - t^2*u^2")],
+    [("let x = 1", "let x = 0"), ("  w^2 = t^2*u^2 - t", "  w^2 = t^2*u^2 - t^2*u^2")],
     ids=["base_point_fails", "cover_factor_vanishes"],
 )
 def test_example_obstruction_edited_fails(tmp_path, capsys, line, edited):
@@ -1511,7 +1532,7 @@ def test_example_file_without_a_place_exits_two_at_list(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["load", str(path), "list"]) == 2
     assert capsys.readouterr().err == (
-        "error: line 40, column 1: claim 'example_t_is_not_a_square' has no place\n")
+        "error: line 42, column 1: claim 'example_t_is_not_a_square' has no place\n")
 
 
 # a system that divides by zero and a claim that checks nothing: their runs used to

@@ -13,6 +13,8 @@ from localpoints.series import (
     Place,
     PuiseuxSeries,
     RationalFunction,
+    _pdivmod,
+    _pgcd,
     is_square_local,
     r_function,
     series_sqrt,
@@ -31,9 +33,15 @@ GENERATED_CLAIMS = Path(__file__).resolve().parent / "data" / "generated_points_
 # (_pgcd calls, _pdivmod calls, certificate calls, certificate hits) of the
 # exact run of the height-2 claim gen_0006_h2 ((2, 8, 4, 2) while a failed
 # certificate always ran _pgcd and then divided both operands by the gcd;
-# both failures are pairs where one operand divides the other, so now each
-# takes one division)
-GEN_0006_H2_WORK = (0, 2, 4, 2)
+# (0, 2, 4, 2) while a power of r went into the certificate, which both
+# failures came from, and into the division; now the certificate sees only
+# r-free parts, and the pairs it failed on cancel their power of r alone)
+GEN_0006_H2_WORK = (0, 0, 2, 2)
+
+# (_pgcd calls, _pdivmod calls, certificate calls) of one pass over the
+# builtins at seed 1, as the catalogue benchmark runs them ((11, 76, 33) while
+# a power of r went into the certificate, the division and Euclid's algorithm)
+CATALOGUE_WORK = (0, 10, 26)
 
 # (_pgcd calls, _pdivmod calls) of each golden_nonlift_n* run ((2, 13) to
 # (2, 20) while solve_square gcd-reduced lhs/g, whose order and expansion are
@@ -147,9 +155,23 @@ def test_one_height_two_claim_runs_a_pinned_number_of_gcds(monkeypatch):
     )
     report = run_claim("gen_0006_h2", registry)
     assert report.verdict == "pass"
-    assert {a[2].tower.height for a in divisions} == {2}
     work = (len(gcds), len(divisions), len(certified), certified.count(True))
     assert work == GEN_0006_H2_WORK
+
+
+def test_one_pass_of_the_builtins_runs_a_pinned_number_of_gcds(monkeypatch):
+    from localpoints import builtin_registry, run_claim, series
+
+    registry = builtin_registry()
+    counts = {name: 0 for name in ("_pgcd", "_pdivmod", "_coprime_mod_p")}
+    for name in counts:
+        def counted(*a, name=name, original=getattr(series, name)):
+            counts[name] += 1
+            return original(*a)
+        monkeypatch.setattr(series, name, counted)
+    verdicts = {run_claim(name, registry, seed=1).verdict for name in registry}
+    assert verdicts == {"pass"}
+    assert tuple(counts.values()) == CATALOGUE_WORK
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -383,29 +405,31 @@ def test_coprimality_certificate_never_certifies_a_common_factor():
     assert coprime > 200 and certified >= 0.95 * coprime
 
 
+def _reference(tower, place, num, den):
+    """The normal form of num/den through the monic gcd and a division of each operand by it."""
+    g = _pgcd(num, den, tower.zero())
+    return RationalFunction._coprime(tower, place, _pdivmod(num, g, tower.zero())[0],
+                                     _pdivmod(den, g, tower.zero())[0])
+
+
 def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
     from localpoints import series
 
-    pgcd, pdivmod, pmul = series._pgcd, series._pdivmod, series._pmul
+    pmul = series._pmul
     certificate = series._coprime_mod_p
     gcds, divisions, certificates = [], [], []
-    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or pgcd(*a))
-    monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or pdivmod(*a))
+    monkeypatch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or _pgcd(*a))
+    monkeypatch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or _pdivmod(*a))
     monkeypatch.setattr(series, "_coprime_mod_p",
                         lambda *a: certificates.append(a) or certificate(*a))
 
-    def with_two_terms(rng, tower, degree):
-        # a monomial operand takes the power-of-r shortcut, not a division
+    def r_free(rng, tower, degree):
+        # an operand whose r-free part is a constant is settled by the length test,
+        # not a division; these have nonzero constant terms, so are their r-free parts
         while True:
             p = _random_poly(rng, tower, degree)
-            if sum(1 for a in p if a) > 1:
+            if p[0]:
                 return p
-
-    def reference(tower, place, num, den):
-        # the normal form through the monic gcd and a division of each operand by it
-        g = pgcd(num, den, tower.zero())
-        return RationalFunction._coprime(tower, place, pdivmod(num, g, tower.zero())[0],
-                                         pdivmod(den, g, tower.zero())[0])
 
     def work(make):
         gcds.clear()
@@ -420,11 +444,11 @@ def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
         tower = towers[n % 3]
         zero = tower.zero()
         place = Place.finite(zero, 1)
-        shorter = with_two_terms(rng, tower, rng.randint(1, 3))
+        shorter = r_free(rng, tower, rng.randint(1, 3))
         # a constant cofactor gives operands of equal length, num = c*den
-        longer = pmul(shorter, _random_poly(rng, tower, n // 3 % 3), zero)
+        longer = pmul(shorter, r_free(rng, tower, n // 3 % 3), zero)
         for num, den in ((shorter, longer), (longer, shorter)):
-            expected = reference(tower, place, num, den)
+            expected = _reference(tower, place, num, den)
             # num/1 times 1/den, and num/1 over den/1: one cross-cancel each
             top, bottom = (RationalFunction.from_coeffs(tower, place, list(p)) for p in (num, den))
             inverse = bottom ** -1
@@ -441,12 +465,12 @@ def test_operands_that_divide_one_another_cancel_in_one_division(monkeypatch):
     for tower in towers:
         zero = tower.zero()
         place = Place.finite(zero, 1)
-        factor = with_two_terms(rng, tower, 2)
+        factor = r_free(rng, tower, 2)
         num = pmul(factor, tuple(map(tower.coerce, (1, 1))), zero)
         den = pmul(factor, tuple(map(tower.coerce, (2, 1))), zero)
         made, counts = work(lambda: RationalFunction(tower, place, num, den))
         assert counts[0] == 1
-        expected = reference(tower, place, num, den)
+        expected = _reference(tower, place, num, den)
         assert (made.num, made.den) == (expected.num, expected.den)
 
 
@@ -1079,6 +1103,41 @@ def test_a_pair_equal_up_to_a_constant_cancels_to_it_with_no_proof(height, data)
     assert _raw(cancelled[0]) == _raw([tower.element(c)])
     assert _raw(cancelled[1]) == _raw([tower.one()])
     assert len(shifted[1]) > 1
+
+
+@pytest.mark.parametrize("height", [0, 1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_power_of_r_cancels_apart_from_the_r_free_parts(height, data):
+    from localpoints import series
+
+    tower = CONSTANT_TOWERS[height]
+    zero = tower.zero()
+    place = Place.finite(zero, 1)
+
+    def r_free(longest):
+        # a nonzero constant term, and a nonzero leading one unless that is all
+        size = data.draw(st.integers(1, longest))
+        tail = _sparse(data, tower.dim, st.just(size - 1), forced=-1) if size > 1 else []
+        return _elements(tower, _sparse(data, tower.dim, st.just(1), forced=0) + tail)
+
+    n, d, h = r_free(5), r_free(5), r_free(3)
+    i, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    num, den = ((zero,) * k + series._pmul(h, p, zero) for k, p in ((i, n), (j, d)))
+    made, expected = RationalFunction(tower, place, num, den), _reference(tower, place, num, den)
+    assert (_raw(made.num), _raw(made.den)) == (_raw(expected.num), _raw(expected.den))
+    # r^i*n over r^j*d with n and d proved coprime: r^min(i, j) cancels, with no division
+    if len(n) > 1 and len(d) > 1 and not series._coprime_mod_p(n, d, zero):
+        return
+    gcds, divisions = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_pgcd", lambda *a: gcds.append(a) or _pgcd(*a))
+        patch.setattr(series, "_pdivmod", lambda *a: divisions.append(a) or _pdivmod(*a))
+        cancelled = series._cross_cancel((zero,) * i + n, (zero,) * j + d, zero)
+    assert (gcds, divisions) == ([], [])
+    shift = min(i, j)
+    assert _raw(cancelled[0]) == _raw((zero,) * (i - shift) + n)
+    assert _raw(cancelled[1]) == _raw((zero,) * (j - shift) + d)
 
 
 def test_products_multiply_only_nonzero_pairs(monkeypatch):
