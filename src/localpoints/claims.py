@@ -559,8 +559,14 @@ def _parity(value: RationalFunction) -> dict:
     certifies nothing."""
     if value.is_zero():
         return {"result": "zero", "order": None}
-    check = is_square_local(value)
-    return {"result": "obstructed" if check.kind == "no" else "lifts", "order": check.order}
+    return {"result": "lifts" if is_square_local(value) else "obstructed",
+            "order": value.order_at_zero()}
+
+
+def _cover_forms(g_value: RationalFunction) -> tuple[dict, dict]:
+    """_parity of a cover factor g at a point and of r^2*g, the cover twisted by a
+    square: the plain and twisted forms of the golden claims."""
+    return _parity(g_value), _parity(g_value * r_function(g_value.tower, g_value.place) ** 2)
 
 
 def _root_precision(order: int, precision: int) -> int:
@@ -826,16 +832,15 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
         # of their orders; series_sqrt would give the root of an even order k, expanded to
         # _root_precision Q, to precision k/2 + (Q - k), which is reported without taking it
         for label, lhs, c in equations:
-            square = solve_square(cover, lhs, c, point)
+            order = solve_square(cover, lhs, c, point)
             squares[label] = {
-                "result": square.kind,
-                "quotient_order": square.order,
-                "witness_precision": (_root_precision(square.order, params.precision)
-                                      - square.order // 2 if square.kind == "witness" else None),
+                "result": "nonsquare" if order % 2 else "witness",
+                "quotient_order": order,
+                "witness_precision": (None if order % 2 else
+                                      _root_precision(order, params.precision) - order // 2),
             }
         # y and z are unbound, so there is no base point to check: both forms are lifted as is
-        twist = r_function(cover.tower, point.place) ** 2
-        plain, twisted = (_parity(value) for value in (g_value, g_value * twist))
+        plain, twisted = _cover_forms(g_value)
         ok = (
             orders == {"cover_factor": 1, "lhs_1": 1, "lhs_2": 1}
             and all(s["result"] == "witness" for s in squares.values())
@@ -857,17 +862,16 @@ def _golden_nonlift_claim(n: int, golden: ParsedClaim, cover: PolynomialSystem) 
 
 def _two_forms(golden: ParsedClaim, cover: PolynomialSystem,
                params: ClaimParams) -> tuple[str, dict]:
-    point, context, g, equations = _golden_point(golden, cover, 1)
+    point, context, _, equations = _golden_point(golden, cover, 1)
     # y and z are the square roots of the quotients LHS/C of the base equations
     point = PointAssignment(point.place, {**point.bindings, **{
         label: FormalSqrt(evaluate(lhs, *context) / evaluate(c, *context))
         for label, lhs, c in equations}}, point.cache)
     # lift_along_cover checks that the point really is a point of the base system
-    plain = lift_along_cover(cover, point)
-    twisted = _parity(evaluate(g, *context) * r_function(cover.tower, point.place) ** 2)
-    ok = plain.kind == twisted["result"] == "obstructed"
+    plain, twisted = _cover_forms(lift_along_cover(cover, point))
+    ok = plain["result"] == twisted["result"] == "obstructed"
     return ("pass" if ok else "fail"), {
-        "plain_form": {"result": plain.kind, "order": plain.order},
+        "plain_form": plain,
         "twisted_form": twisted,
         "base_point_verified": True,
     }

@@ -1,7 +1,8 @@
 """The `verify` command line: list, run, and batch-run claims.
 
-Exit codes: 0 all checks passed, 1 at least one failed or the reader closed
-the output pipe (nothing is printed to stderr then), 2 usage or parse error.
+Exit codes: 0 no claim failed (an `undecided` claim, whose precision ran out, is
+not a failure), 1 at least one failed or the reader closed the output pipe
+(nothing is printed to stderr then), 2 usage or parse error.
 With --json the report is a machine-readable document that is
 byte-identical across runs with the same seed (timings are omitted there).
 """

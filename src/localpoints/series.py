@@ -880,28 +880,14 @@ def series_sqrt(f: PuiseuxSeries) -> PuiseuxSeries:
                          half_lead + relative)
 
 
-class SquareOutcome(Record):
-    """A local squareness verdict: its kind and the order it was decided from.
+def is_square_local(f: RationalFunction | PuiseuxSeries) -> bool:
+    """Whether a nonzero local element is a square over an algebraically closed
+    residue field: the squares are exactly the even-order elements.
 
     The root of a square f, when one is wanted, is series_sqrt(f.to_puiseux(P)).
-    """
-
-    __slots__ = _fields = ("kind", "order")
-
-    def __init__(self, kind: str, order: int) -> None:
-        # "yes" | "no"; solve_square: "witness" | "nonsquare"; lifts: "lifts" | "obstructed"
-        self.kind = kind
-        self.order = order
-
-
-def is_square_local(f: RationalFunction | PuiseuxSeries) -> SquareOutcome:
-    """Squareness of a nonzero local element over an algebraically closed residue
-    field: the squares are exactly the even-order elements.
-
     Whether the leading coefficient is a square in the tower itself is
     field_tower.is_square(f.tower, f.leading_coefficient()).
     """
     if f.is_zero():
         raise ZeroFunctionError("squareness of the zero function is undefined")
-    order = f.order_at_zero()
-    return SquareOutcome("no" if order % 2 else "yes", order)
+    return f.order_at_zero() % 2 == 0

@@ -36,7 +36,6 @@ from .series import (
     Place,
     PuiseuxSeries,
     RationalFunction,
-    SquareOutcome,
     r_function,
     t_function,
 )
@@ -351,17 +350,9 @@ def verify_point(
 # -- squareness and lifting ---------------------------------------------------------
 
 
-def _square_outcome(order: int, kinds: tuple[str, str]) -> SquareOutcome:
-    """The squareness of a nonzero exact value of this order, named by kinds (square,
-    nonsquare): the parity of the order, at any precision."""
-    square, nonsquare = kinds
-    return SquareOutcome(nonsquare if order % 2 else square, order)
-
-
-def solve_square(system: PolynomialSystem, lhs: Expr, g: Expr,
-                 point: PointAssignment) -> SquareOutcome:
-    """Decide whether lhs/g is a local square at the point, from the parity of its
-    order, order(lhs) - order(g): no quotient is formed.
+def solve_square(system: PolynomialSystem, lhs: Expr, g: Expr, point: PointAssignment) -> int:
+    """The order of lhs/g at the point, order(lhs) - order(g): no quotient is formed.
+    lhs/g is a local square where the order is even (is_square_local).
 
     A vanishing g raises ZeroDivisionError, a vanishing lhs ZeroFunctionError.
     """
@@ -372,8 +363,7 @@ def solve_square(system: PolynomialSystem, lhs: Expr, g: Expr,
         raise ZeroDivisionError("square factor vanishes at the point")
     if lhs_value.is_zero():
         raise ZeroFunctionError("left-hand side vanishes at the point")
-    return _square_outcome(lhs_value.order_at_zero() - g_value.order_at_zero(),
-                           ("witness", "nonsquare"))
+    return lhs_value.order_at_zero() - g_value.order_at_zero()
 
 
 def find_cover_equation(
@@ -394,11 +384,13 @@ def find_cover_equation(
     raise ValueError("no cover equation w^2 = g with an unbound variable")
 
 
-def lift_along_cover(cover: PolynomialSystem, base_point: PointAssignment) -> SquareOutcome:
-    """Try to lift a base point along the double cover w^2 = g.
+def lift_along_cover(cover: PolynomialSystem, base_point: PointAssignment) -> RationalFunction:
+    """The cover factor g of the double cover w^2 = g at a base point: the point lifts
+    where g is a local square (is_square_local), and an odd-order g is the obstruction
+    certificate.
 
     The base point must verify exactly on the base system, or this raises
-    ValueError.  An odd-valuation g is the obstruction certificate.
+    ValueError; a g that vanishes at the point raises ZeroFunctionError.
     """
     base, _, g_expr = find_cover_equation(cover, base_point.bindings)
     if not verify_point(base, base_point, mode="exact")["passed"]:
@@ -406,7 +398,7 @@ def lift_along_cover(cover: PolynomialSystem, base_point: PointAssignment) -> Sq
     g_value = evaluate(g_expr, *_env(cover, base_point))
     if g_value.is_zero():
         raise ZeroFunctionError("cover factor vanishes at the point")
-    return _square_outcome(g_value.order_at_zero(), ("lifts", "obstructed"))
+    return g_value
 
 
 # -- the eight-case valuation split --------------------------------------------------

@@ -61,9 +61,8 @@ def test_no_module_calls_splitlines():
     assert calls == []
 
 
-def test_every_private_function_and_class_is_read_in_the_package():
-    # nothing outside the package may keep a private name alive: a private top-level
-    # function or class that no other statement of the package reads is dead code
+def _package_statements():
+    """Each module's top-level statements, and the top-level statements that read each name."""
     trees = {source.name: ast.parse(source.read_text(encoding="utf-8"))
              for source in sorted(PACKAGE.glob("*.py"))}
     readers = {}  # name: the top-level statements that read it
@@ -72,10 +71,42 @@ def test_every_private_function_and_class_is_read_in_the_package():
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     readers.setdefault(node.id, set()).add(statement)
-    private = [(source, statement) for source, tree in trees.items() for statement in tree.body
+    return {source: tree.body for source, tree in trees.items()}, readers
+
+
+def _defined(statement):
+    """The names a top-level function, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign)
+               else [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    # nothing outside the package may keep a private name alive: a private top-level
+    # function or class that no other statement of the package reads is dead code
+    bodies, readers = _package_statements()
+    private = [(source, statement) for source, body in bodies.items() for statement in body
                if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
                and statement.name.startswith("_") and not statement.name.startswith("__")]
     assert private
     unread = [f"{source}:{statement.lineno} {statement.name}" for source, statement in private
               if not readers.get(statement.name, set()) - {statement}]
+    assert unread == []
+
+
+def test_every_public_name_is_exported_or_read_in_the_package():
+    # a public top-level function, class or constant that __init__ does not export and no
+    # other statement of the package reads is dead code that only a test keeps alive
+    bodies, readers = _package_statements()
+    exported = {alias.asname or alias.name for statement in bodies["__init__.py"]
+                if isinstance(statement, ast.ImportFrom) for alias in statement.names}
+    public = [(source, statement, name) for source, body in bodies.items()
+              if source != "__init__.py" for statement in body
+              for name in _defined(statement) if not name.startswith("_")]
+    assert public
+    unread = [f"{source}:{statement.lineno} {name}" for source, statement, name in public
+              if name not in exported and not readers.get(name, set()) - {statement}]
     assert unread == []

@@ -7,8 +7,8 @@ exact `fail`, and an exact `pass` allows only a truncated `pass` or
 tests/data/generated_points_seed1.txt (towers of height 0 to 2), and mutants
 of each whose x is moved by r^k, which its square-root lets no longer fit.
 
-The library's lift_along_cover and an `expect: obstructed` claim read the
-same cover factor at the same point, so they report the same result and order.
+The library's lift_along_cover returns the cover factor at the point that an
+`expect: obstructed` claim reads, so its _parity is the claim's result and order.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 from localpoints.claims import (
     _build_place,
     _build_point,
+    _parity,
     load_claim_file,
     parse_claim_file,
     run_claim,
@@ -74,6 +75,7 @@ def test_the_library_lift_agrees_with_each_obstructed_claim():
         system = registry[parsed.name].system
         place = _build_place(parsed, system.tower)
         point = _build_point(parsed, system.tower, place)[0]
-        lift = lift_along_cover(system, point)
+        lift = _parity(lift_along_cover(system, point))
         evidence = run_claim(parsed.name, registry).evidence
-        assert (lift.kind, lift.order) == (evidence["result"], evidence["order"]), parsed.name
+        assert lift == {key: evidence[key] for key in ("result", "order")}, parsed.name
+        assert lift["result"] == "obstructed", parsed.name

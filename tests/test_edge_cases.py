@@ -22,6 +22,7 @@ from localpoints.series import (
 )
 from localpoints.variety import (
     PointAssignment,
+    lift_along_cover,
     parse_system,
     solve_square,
     verify_point,
@@ -33,8 +34,8 @@ def test_ramified_infinity_place():
     t = t_function(QQ, place)
     assert t.order_at_zero() == -2
     assert t.valuation() == -1
-    assert is_square_local(t).kind == "yes"
-    assert is_square_local(t * r_function(QQ, place)).kind == "no"
+    assert is_square_local(t)
+    assert not is_square_local(t * r_function(QQ, place))
 
 
 def test_coefficient_beyond_precision_raises():
@@ -211,6 +212,11 @@ INPUT_CHECKS = [
      "a series of odd order 1 has no square root at its place"),
     ("squareness_of_zero", lambda: is_square_local(ZERO_RF), ZeroFunctionError,
      "squareness of the zero function is undefined"),
+    # x = 1 is a point of the base x = 1, where the cover factor x - 1 is zero
+    ("cover_factor_vanishing_at_a_base_point",
+     lambda: lift_along_cover(parse_system("x = 1\nw^2 = x - 1\n"), PointAssignment(
+         ORIGIN, {"x": RationalFunction.constant(QQ, ORIGIN, 1)})),
+     ZeroFunctionError, "cover factor vanishes at the point"),
     # the blank and comment lines are skipped, and counted
     ("system_line_without_an_equation", lambda: parse_system("# a comment\n\nx = 1\ny\n"),
      ClaimSyntaxError, "line 4, column 1: expected '=' or '!= 0'"),

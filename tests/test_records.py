@@ -21,7 +21,6 @@ from localpoints.series import (
     Place,
     PuiseuxSeries,
     RationalFunction,
-    SquareOutcome,
     r_function,
     t_function,
 )
@@ -54,7 +53,7 @@ def test_each_record_compares_exactly_its_constructor_arguments():
         subclasses = todo.pop().__subclasses__()
         records += subclasses
         todo += subclasses
-    assert len(records) == 15
+    assert len(records) == 14
     for record in records:
         arguments = list(inspect.signature(record.__init__).parameters)[1:]
         assert arguments == [*record._fields, *TRAILING_CACHES.get(record, ())], record
@@ -89,13 +88,10 @@ def test_places_compare_hash_and_print_by_value():
     assert repr(Place.finite(QQ.rational(3))) == "Place(center=<3 in Q>, e=1)"
 
 
-def test_profiles_and_square_outcomes_compare_hash_and_print_by_value():
+def test_profiles_compare_hash_and_print_by_value():
     _same_and_different([MultiplicityProfile((2, 3)), MultiplicityProfile((2, 3))],
                         [MultiplicityProfile((3, 2)), MultiplicityProfile((2, 3, 3))])
     assert repr(MultiplicityProfile((2, 3))) == "MultiplicityProfile(generators=(2, 3))"
-    _same_and_different([SquareOutcome("no", 3), SquareOutcome("no", 3)],
-                        [SquareOutcome("yes", 3), SquareOutcome("no", 1), ("no", 3)])
-    assert repr(SquareOutcome("no", 3)) == "SquareOutcome(kind='no', order=3)"
 
 
 def test_local_values_that_compare_equal_hash_alike():

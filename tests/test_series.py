@@ -682,7 +682,7 @@ def test_a_series_has_a_root_at_its_place_exactly_when_it_is_a_local_square(heig
     precision = lead + len(coords) + data.draw(st.integers(0, 4))
     place = Place.finite(tower.zero(), data.draw(st.integers(1, 3)))
     f = PuiseuxSeries(tower, place, lead, _elements(tower, coords), precision)
-    if is_square_local(f).kind == "no":
+    if not is_square_local(f):
         with pytest.raises(ValueError, match=f"odd order {lead} has no square root"):
             series_sqrt(f)
         return
@@ -694,21 +694,20 @@ def test_a_series_has_a_root_at_its_place_exactly_when_it_is_a_local_square(heig
 def test_is_square_local_parity():
     place = Place.finite(QQ.zero(), 2)
     t = t_function(QQ, place)  # r^2
-    assert is_square_local(t).kind == "yes"
+    assert is_square_local(t) is True
     t_unramified = t_function(QQ, ORIGIN)
-    assert is_square_local(t_unramified).kind == "no"
-    assert is_square_local(t_unramified).order == 1
+    assert is_square_local(t_unramified) is False
+    assert t_unramified.order_at_zero() == 1
 
 
 def test_is_square_local_exact_mode():
     # squareness in the coefficient tower itself: an even order, and a leading
     # coefficient that is_square finds to be a square there
     def exact(f):
-        even = is_square_local(f).kind == "yes"
-        return "yes" if even and is_square(f.tower, f.leading_coefficient()).kind == "yes" else "no"
+        return "yes" if is_square_local(f) and is_square(f.tower, f.leading_coefficient()).kind == "yes" else "no"
 
     minus_one = rf([-1])
-    assert is_square_local(minus_one).kind == "yes"
+    assert is_square_local(minus_one)
     assert exact(minus_one) == "no"
     four = rf([4])
     assert exact(four) == "yes"
@@ -727,9 +726,7 @@ def test_squareness_dichotomy_over_c():
             [0] * rng.randint(0, 3) + [Fraction(rng.randint(1, 5))],
             [Fraction(rng.randint(1, 3))] + [0] * rng.randint(0, 2) + [Fraction(1)],
         )
-        plain = is_square_local(f).kind == "yes"
-        shifted = is_square_local(r * f).kind == "yes"
-        assert plain != shifted
+        assert is_square_local(f) != is_square_local(r * f)
 
 
 def test_golden_cover_factor_not_square_over_c():
@@ -743,9 +740,8 @@ def test_golden_cover_factor_not_square_over_c():
         r = r_function(tower, place)
         u = 1 / beta + r
         g = u * u * t * t - t
-        check = is_square_local(g)
-        assert check.kind == "no"
-        assert check.order == 1
+        assert not is_square_local(g)
+        assert g.order_at_zero() == 1
 
 
 # -- one multiply-accumulate per coefficient, against the per-term loops ---------

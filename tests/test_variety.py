@@ -12,7 +12,6 @@ from localpoints.field_tower import QQ, adjoin_quadratic
 from localpoints.series import (
     Place,
     RationalFunction,
-    SquareOutcome,
     is_square_local,
     r_function,
     series_sqrt,
@@ -311,32 +310,32 @@ def test_golden_point_verifies_and_solves_squares():
     g_expr = parse_expression("t^2*u^2 - t")
     tg_expr = parse_expression("t*(t^2*u^2 - t)")
     for lhs, denom in ((lhs1, g_expr), (lhs2, tg_expr)):
-        outcome = solve_square(system, lhs, denom, point)
-        assert outcome.kind == "witness"
-        assert outcome.order == 0
+        assert solve_square(system, lhs, denom, point) == 0
 
 
 def test_golden_point_obstructs_both_cover_forms():
     tower, place, point, g = golden_point()
     cover = parse_system(BASE_SYSTEM + COVER_EQUATION, tower)
     plain = lift_along_cover(cover, point)
-    assert plain.kind == "obstructed"
-    assert plain.order == 1
+    assert plain == g
+    assert not is_square_local(plain)
+    assert plain.order_at_zero() == 1
     # the twisted cover factor g*r^2 keeps odd order, so it obstructs as well
     r = r_function(tower, place)
-    twisted = is_square_local(g * r * r)
-    assert twisted.kind == "no"
-    assert twisted.order == 3
+    twisted = g * r * r
+    assert not is_square_local(twisted)
+    assert twisted.order_at_zero() == 3
 
 
 def test_sqrt_t_point_lifts_with_i_r():
     cover = parse_system(BASE_SYSTEM + COVER_EQUATION)
     point = sqrt_t_point()
-    outcome = lift_along_cover(cover, point)
-    assert (outcome.kind, outcome.order) == ("lifts", 2)
+    g_value = lift_along_cover(cover, point)
     _, w, g = find_cover_equation(cover, point.bindings)
     assert w == "w"
-    witness = series_sqrt(evaluate(g, *variety._env(cover, point)).to_puiseux(40))
+    assert g_value == evaluate(g, *variety._env(cover, point))
+    assert is_square_local(g_value) and g_value.order_at_zero() == 2
+    witness = series_sqrt(g_value.to_puiseux(40))
     assert witness.lead == 1
     imaginary = witness.leading_coefficient()
     assert imaginary * imaginary == witness.tower.rational(-1)
@@ -365,22 +364,12 @@ def unit_point():
 
 def test_solve_square_nonsquare_certificate():
     system, point = unit_point()
-    outcome = solve_square(
-        system, parse_expression("t"), parse_expression("1"), point
-    )
-    assert outcome.kind == "nonsquare"
-    assert outcome.order == 1
+    assert solve_square(system, parse_expression("t"), parse_expression("1"), point) == 1
 
 
 def _reduced_quotient(system, lhs, g, point):
     context = variety._env(system, point)
     return evaluate(lhs, *context) / evaluate(g, *context)
-
-
-def _reduced_outcome(system, lhs, g, point):
-    """solve_square's outcome as read from the order of the reduced quotient lhs/g."""
-    return variety._square_outcome(_reduced_quotient(system, lhs, g, point).order_at_zero(),
-                                   ("witness", "nonsquare"))
 
 
 @pytest.fixture(scope="module")
@@ -407,28 +396,27 @@ def test_solve_square_reads_the_unreduced_quotient_as_the_reduced_one(golden, re
                           precision=precision).evidence["square_witnesses"]
     for label, lhs, c in equations:
         fast = solve_square(cover, lhs, c, point)
-        assert fast.kind == "witness"
-        assert fast == _reduced_outcome(cover, lhs, c, point)
+        assert fast % 2 == 0
+        assert fast == _reduced_quotient(cover, lhs, c, point).order_at_zero()
         assert (witnesses[label]["result"], witnesses[label]["quotient_order"]) == (
-            fast.kind, fast.order)
+            "witness", fast)
 
 
 # (1 + t) divides both sides, so the unreduced pair shares it; a square's root, taken
 # as the claims take one at this precision, has its first coefficient known
-@pytest.mark.parametrize("lhs, g, precision, kind, order", [
-    ("t^3*(1 + t)", "1 + t", 2, "nonsquare", 3),  # odd order at or above precision
-    ("t^2*(1 + t)*(2 + t)", "(1 + t)*(3 - t)", 5, "witness", 2),
-    ("t^4*(1 + t)", "1 + t", 3, "witness", 4),  # even order at or above precision
+@pytest.mark.parametrize("lhs, g, precision, order", [
+    ("t^3*(1 + t)", "1 + t", 2, 3),  # odd order at or above precision
+    ("t^2*(1 + t)*(2 + t)", "(1 + t)*(3 - t)", 5, 2),
+    ("t^4*(1 + t)", "1 + t", 3, 4),  # even order at or above precision
 ])
-def test_solve_square_outcomes_past_a_common_factor(lhs, g, precision, kind, order):
+def test_solve_square_outcomes_past_a_common_factor(lhs, g, precision, order):
     system, point = unit_point()
     lhs, g = parse_expression(lhs), parse_expression(g)
     fast = solve_square(system, lhs, g, point)
-    assert fast == SquareOutcome(kind, order)
-    assert fast == _reduced_outcome(system, lhs, g, point)
-    if kind == "witness":
-        expansion = _reduced_quotient(system, lhs, g, point).to_puiseux(
-            claims._root_precision(order, precision))
+    quotient = _reduced_quotient(system, lhs, g, point)
+    assert fast == order == quotient.order_at_zero()
+    if order % 2 == 0:
+        expansion = quotient.to_puiseux(claims._root_precision(order, precision))
         root = series_sqrt(expansion)
         assert root.order_at_zero() == order // 2 < root.precision
         assert (root * root).matches(expansion)
@@ -463,7 +451,7 @@ def test_solve_square_decides_a_square_at_the_golden_point_without_expansion(gol
     # t + alpha is r^2 at the golden point at ramification 2, so lhs/c gains order 2
     lhs = BinOp("*", lhs, parse_expression("t + alpha"))
     monkeypatch.setattr(RationalFunction, "to_puiseux", _unexpanded)
-    assert solve_square(cover, lhs, c, point) == SquareOutcome("witness", 2)
+    assert solve_square(cover, lhs, c, point) == 2
     monkeypatch.undo()
     # at precision 2 its root is taken to order + 1 = 3, so one coefficient is known
     quotient = evaluate(lhs, *context) / evaluate(c, *context)
