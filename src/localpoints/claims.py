@@ -13,7 +13,7 @@ import re
 import textwrap
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Collection, Mapping
 
 from .errors import (
@@ -59,6 +59,7 @@ from .series import (
 )
 from .variety import (
     FormalSqrt,
+    GridCases,
     PointAssignment,
     PolynomialSystem,
     _env,
@@ -81,6 +82,7 @@ KINDS = (
     "orbifold_fact",
     "semigroup_fact",
     "property_test",
+    "checks",
 )
 
 DEFAULT_SEED = 1
@@ -624,10 +626,15 @@ def _orbifold_claim(parsed: ParsedClaim) -> Claim:
 
 
 def _kind(parsed: ParsedClaim) -> str:
-    """The kind of a claim on a point, read off its text."""
-    if any(kind == "order" for kind, *_ in parsed.checks):
+    """The kind of a claim that is not an orbifold fact, read off what it checks: a lift or
+    an obstruction is a lift_test; an odd order, or an order beside a system, certifies a
+    non-square; a system alone verifies a point; and checks alone are checks."""
+    if parsed.expect in ("obstructed", "lifts"):
+        return "lift_test"
+    orders = [expected for kind, _, expected, *_ in parsed.checks if kind == "order"]
+    if "odd" in orders or (orders and parsed.system_lines):
         return "squareness_certificate"
-    return "lift_test" if parsed.expect in ("obstructed", "lifts") else "point_verification"
+    return "point_verification" if parsed.system_lines else "checks"
 
 
 def _verified(
@@ -890,8 +897,9 @@ def _fact(
     return Claim(name, kind, description, run)
 
 
-def _square_lift_property(params: ClaimParams) -> tuple[str, dict]:
-    result = sample_square_lift_property(samples=params.samples, seed=params.seed)
+def _square_lift_property(walk: Callable[[], GridCases],
+                          params: ClaimParams) -> tuple[str, dict]:
+    result = sample_square_lift_property(samples=params.samples, seed=params.seed, walk=walk)
     if result["counterexamples"]:
         return "fail", result
     if not result["hypothesis_hits"]:
@@ -900,12 +908,13 @@ def _square_lift_property(params: ClaimParams) -> tuple[str, dict]:
     return "pass", result
 
 
-def _case_partition(params: ClaimParams) -> dict:
-    """The grid's points and violations, from one walk (_grid_cases) per run, as each sweep
-    walks it: a process-wide memo would leave a traced sweep no predicate calls to divide by."""
-    by_case, violations = _grid_cases()
+def _case_partition(walk: Callable[[], GridCases], params: ClaimParams) -> dict:
+    """The grid's points and violations, from the registry's walk of the grid, which its
+    sweep reads too.  The walk is kept per registry, not per process, so each `verify`
+    run, which builds its own registry, walks the grid in whichever of the two runs first."""
+    by_case, violations = walk()
     return {"grid_points": sum(map(len, by_case.values())) + len(violations),
-            "violations": violations}
+            "violations": list(violations)}  # a copy: the walk's list is the registry's
 
 
 def _gt_threshold(params: ClaimParams) -> dict:
@@ -1062,12 +1071,16 @@ def builtin_registry() -> dict[str, Claim]:
                         "both double-cover forms obstruct at the golden place",
                         partial(_two_forms, golden, golden_cover), golden_cover))
     claims += from_text(K3_LIFTS_TEXT)
+    # one walk of the valuation grid for both lemma91 builtins, made when the first of
+    # them runs, so that building the registry walks nothing
+    walk = cache(_grid_cases)
     claims.append(Claim("lemma91_property", "property_test",
                         "solvable equations force the cover factor to be a local square",
-                        _square_lift_property))
+                        partial(_square_lift_property, walk)))
     claims += [
         _fact("lemma91_case_partition", "property_test",
-              "the eight valuation-case predicates partition the grid", _case_partition),
+              "the eight valuation-case predicates partition the grid",
+              partial(_case_partition, walk)),
         _fact("orbifold_gt_threshold", "orbifold_fact",
               "half-mark pullback is general type exactly from degree five (genus zero)",
               _gt_threshold),

@@ -410,10 +410,10 @@ def valuation_case_predicates(vu: Fraction, vx: Fraction) -> tuple[bool, ...]:
     Transcribed one predicate per case so that totality and disjointness are
     testable facts rather than artifacts of an if-chain.  With vu = p/q and
     vx = m/n (q, n > 0) each predicate is a comparison of integers; ints are
-    accepted as well.
+    accepted as well.  Each valuation is read once, by as_integer_ratio.
     """
-    p, q = vu.numerator, vu.denominator
-    m, n = vx.numerator, vx.denominator
+    p, q = vu.as_integer_ratio()
+    m, n = vx.as_integer_ratio()
     half = 2 * p == -q  # vu = -1/2
     between = -q < 2 * p and p < 0  # -1/2 < vu < 0
     return (
@@ -499,7 +499,11 @@ GRID_RAMIFICATIONS = range(1, 7)
 GRID_NUMERATORS = range(-12, 13)
 
 
-def _grid_cases() -> tuple[dict[int, list[tuple[int, int, int]]], list[dict]]:
+# the grid triples (e, a, b) by case, and the points where the case predicates do not partition
+GridCases = tuple[dict[int, list[tuple[int, int, int]]], list[dict]]
+
+
+def _grid_cases() -> GridCases:
     """The grid triples (e, a, b) grouped by the case of (a/e, b/e), and the grid's violations.
 
     Each list keeps grid order: e, then a, then b, as the violations do: the
@@ -520,18 +524,20 @@ def _grid_cases() -> tuple[dict[int, list[tuple[int, int, int]]], list[dict]]:
     return by_case, violations
 
 
-def _draws(samples: int, seed: int) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
+def _draws(samples: int, seed: int, walk: Callable[[], GridCases] = _grid_cases
+           ) -> Iterator[tuple[int, int, int, list[int], int, list[int]]]:
     """The sweep's draws (case, e, a, u, b, x), in the order the seeded stream makes them.
 
     (e, a, b) is drawn uniformly from the grid triples in the wanted case, the
     distribution that rejection from the whole grid gives; u and x are the
     units of the Laurent polynomials of orders a and b.  Every case has grid
     triples, so every draw finds one.  A grid point where the case predicates
-    do not partition raises AssertionError.
+    do not partition raises AssertionError.  walk gives the grid's cases; it
+    is called only once samples has been checked.
     """
     if samples < 0:
         raise ValueError(f"a sweep needs samples >= 0; got {samples}")
-    by_case, violations = _grid_cases()
+    by_case, violations = walk()
     if violations:
         raise AssertionError(f"case predicates not a partition at {violations[0]}")
     rng = random.Random(seed)
@@ -541,7 +547,8 @@ def _draws(samples: int, seed: int) -> Iterator[tuple[int, int, int, list[int], 
         yield case, e, a, _random_unit(rng), b, _random_unit(rng)
 
 
-def sample_square_lift_property(samples: int = 500, seed: int = 1) -> dict:
+def sample_square_lift_property(samples: int = 500, seed: int = 1, *,
+                                walk: Callable[[], GridCases] = _grid_cases) -> dict:
     """Stratified random check: solvable-for-y-and-z forces the cover factor square.
 
     Draws (v(u), v(x)) = (a/e, b/e) from the grid GRID_RAMIFICATIONS x
@@ -550,13 +557,15 @@ def sample_square_lift_property(samples: int = 500, seed: int = 1) -> dict:
     both residual quotients for y^2 and z^2 have even order (squares over the
     complex numbers) and no constraint vanishes, the cover factor u^2 t^2 - t
     must have even order as well.  Counterexamples are returned, expected none.
-    Orders are read from coefficient lists, with no gcd.
+    Orders are read from coefficient lists, with no gcd.  walk gives the
+    grid's cases: a fresh walk of the grid by default, or one a caller keeps
+    for every sweep it runs, as a builtin registry does.
     """
     counts = {case: 0 for case in range(1, 9)}
     hypothesis_hits = 0
     degenerate = 0
     counterexamples: list[dict] = []
-    for case, e, a, u, b, x in _draws(samples, seed):
+    for case, e, a, u, b, x in _draws(samples, seed, walk):
         counts[case] += 1
         g_order, lhs1_order, lhs2_order = _sample_orders(e, a, u, b, x)
         if None in (g_order, lhs1_order, lhs2_order):

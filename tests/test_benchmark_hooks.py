@@ -47,6 +47,23 @@ def test_the_tracer_records_the_spans_of_the_traced_functions():
     assert [request for request, _, _ in tracer.claim_spans()] == list(TRACED_CLAIMS)
 
 
+def test_a_traced_verify_all_walks_the_grid_inside_its_sweep(capsys):
+    # a registry keeps its walk of the grid; verify all builds its own registry, so the
+    # traced run walks the grid under the sweep's span even after an untraced run, and
+    # the benchmark's accept ratio has its predicate calls to divide by
+    claims.run_all(claims.builtin_registry())
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = localpoints.cli.main(["all", "--seed", "1", "--json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["variety.sweep.predicate_calls"] == 6 * 25 * 25
+    assert [sweep["samples"] for sweep in tracer.sweeps] == [500]
+
+
 def test_the_counter_counts_the_patched_arithmetic():
     counter = _tracing().Counter()
     counter.install(localpoints)

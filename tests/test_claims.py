@@ -219,10 +219,11 @@ BROKEN_IDS = _row_ids(BROKEN_BUILTINS)
 
 
 @pytest.mark.parametrize("name, module, attribute, broken, named", BROKEN_BUILTINS, ids=BROKEN_IDS)
-def test_a_builtin_fails_when_what_it_checks_is_broken(monkeypatch, registry, name, module,
-                                                         attribute, broken, named):
+def test_a_builtin_fails_when_what_it_checks_is_broken(monkeypatch, name, module, attribute,
+                                                         broken, named):
     monkeypatch.setattr(module, attribute, broken)
-    report = run_claim(name, registry, samples=16)
+    # a registry built after the patch: a registry keeps the one walk of the grid it made
+    report = run_claim(name, builtin_registry(), samples=16)
     assert report.verdict == "fail"
     assert named(report.evidence)
 
@@ -761,10 +762,11 @@ def test_division_by_zero_is_positioned(tmp_path, registry, line, column):
     assert "division by zero in " + line.split()[0] in str(err.value)
 
 
-def test_both_grid_builtins_read_the_one_grid_walk(monkeypatch, registry):
+def test_both_grid_builtins_read_the_one_grid_walk(monkeypatch):
     # no predicate holds anywhere: the partition claim lists every grid point, and the
     # sweep, whose draws need a partition, stops
     monkeypatch.setattr(variety, "valuation_case_predicates", lambda vu, vx: (False,) * 8)
+    registry = builtin_registry()
     report = run_claim("lemma91_case_partition", registry)
     assert report.verdict == "fail"
     assert report.evidence["grid_points"] == len(report.evidence["violations"]) == 6 * 25 * 25
@@ -772,6 +774,34 @@ def test_both_grid_builtins_read_the_one_grid_walk(monkeypatch, registry):
                                                  {"e": 1, "vu": "-12/1", "vx": "-11/1", "hits": 0}]
     with pytest.raises(AssertionError, match="case predicates not a partition"):
         run_claim("lemma91_property", registry, samples=16)
+
+
+def test_a_registry_walks_the_grid_once_and_only_when_a_grid_builtin_runs(monkeypatch):
+    calls = []
+    predicates = variety.valuation_case_predicates
+    monkeypatch.setattr(variety, "valuation_case_predicates",
+                        lambda vu, vx: calls.append((vu, vx)) or predicates(vu, vx))
+    registry = builtin_registry()
+    assert calls == []  # building the registry walks nothing
+    reports, summary = run_all(registry, seed=1)
+    assert summary["failed"] == summary["undecided"] == 0
+    # the sweep walks the 6 x 25 x 25 grid, and the partition claim reads that walk
+    assert len(calls) == 6 * 25 * 25
+    assert run_claim("lemma91_property", registry, samples=16).verdict == "pass"
+    assert len(calls) == 6 * 25 * 25
+    # another registry walks the grid afresh, in whichever grid builtin runs first
+    run_all(builtin_registry(), seed=1)
+    assert len(calls) == 2 * 6 * 25 * 25
+    assert run_claim("lemma91_case_partition", builtin_registry()).verdict == "pass"
+    assert len(calls) == 3 * 6 * 25 * 25
+
+
+def test_the_sweep_rejects_negative_samples_before_it_walks_the_grid(monkeypatch):
+    calls = []
+    monkeypatch.setattr(claims, "_grid_cases", lambda: calls.append(1))
+    with pytest.raises(ValueError, match="samples >= 0"):
+        run_claim("lemma91_property", builtin_registry(), samples=-1)
+    assert calls == []
 
 
 def test_the_perturbation_description_names_the_replacement(monkeypatch):
@@ -1231,6 +1261,23 @@ def test_a_claim_with_checks_only_reports_its_check_keys_alone(tmp_path, options
     assert report.verdict == "pass"
     assert report.evidence == {"g_at_r": "exact", "g_order": 2, "g_valuation": "1",
                                "certificate_order": 3, "certificate_valuation": "3/2"}
+
+
+@pytest.mark.parametrize(
+    "lines, kind",
+    [
+        ("identity g_at_r: g = r^2\n", "checks"),
+        ("order g: g = 2\n", "checks"),
+        ("identity g_at_r: g = r^2\norder g: g = odd\n", "squareness_certificate"),
+    ],
+    ids=["identity", "integer_order", "odd_order"],
+)
+def test_a_claim_with_no_system_is_a_kind_of_what_it_checks(tmp_path, lines, kind):
+    # it verifies no point: an odd order certifies a non-square, and other checks are checks
+    path = tmp_path / "claims.txt"
+    path.write_text("claim unchecked_point\nplace: t = 0 ram 2\nlet g = t\n" + lines,
+                    encoding="utf-8")
+    assert load_claim_file(str(path), {})["unchecked_point"].kind == kind
 
 
 REPEATED_LETS = """\
